@@ -292,3 +292,44 @@ fn usage_and_environment_failures_use_distinct_codes() {
         .unwrap();
     assert_eq!(out.status.code(), Some(1), "--connect + --journal is usage");
 }
+
+/// A request line of 60,000 `[` used to overflow the parser's stack and
+/// abort the whole daemon. It is now a structured `bad_request` on that
+/// one connection, and the daemon keeps answering.
+#[test]
+fn deeply_nested_request_is_a_bad_request_not_a_crash() {
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::os::unix::net::UnixStream;
+
+    let dir = scratch("nested");
+    let sock = dir.join("d.sock");
+    let mut daemon = spawn_daemon(&sock, &dir.join("state"), &[]);
+    wait_ready(&sock);
+
+    let mut conn = UnixStream::connect(&sock).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut line = "[".repeat(60_000);
+    line.push('\n');
+    conn.write_all(line.as_bytes()).expect("send nested line");
+    let mut resp = String::new();
+    BufReader::new(&conn)
+        .read_line(&mut resp)
+        .expect("read response");
+    assert!(resp.contains("\"bad_request\""), "structured error: {resp}");
+    drop(conn);
+
+    let out = sweepd()
+        .args(["--ctl", "ping", "--socket", sock.to_str().unwrap()])
+        .output()
+        .expect("ctl ping");
+    assert!(out.status.success(), "the daemon still answers ping");
+    let out = sweepd()
+        .args(["--ctl", "drain", "--socket", sock.to_str().unwrap()])
+        .output()
+        .expect("ctl drain");
+    assert!(out.status.success());
+    let status = wait_within(&mut daemon, Duration::from_secs(60), "drained daemon");
+    assert_eq!(status.code(), Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -271,3 +271,43 @@ fn killed_supervisor_resumes_under_a_different_shard_count() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Worker exit wakes the supervisor: with a 30 s heartbeat interval, a
+/// worker that waited out its pulse thread, or a supervisor that slept
+/// a full tick past the last exit, would blow the budget. The report
+/// still matches the single-process run byte for byte.
+#[test]
+fn long_heartbeat_interval_does_not_delay_the_campaign() {
+    let dir = scratch("long-heartbeat");
+    let (clean, sharded) = (dir.join("clean.json"), dir.join("sharded.json"));
+    let matrix = ["--filter", "gzip", "--invocations", "2"];
+    assert_success(
+        &run(&[&matrix[..], &["--out", clean.to_str().unwrap()]].concat()),
+        "single-process sweep",
+    );
+    let t0 = std::time::Instant::now();
+    assert_success(
+        &run(&[
+            &matrix[..],
+            &[
+                "--shards",
+                "2",
+                "--heartbeat-interval",
+                "30000",
+                "--journal",
+                dir.join("j.jsonl").to_str().unwrap(),
+                "--out",
+                sharded.to_str().unwrap(),
+            ],
+        ]
+        .concat()),
+        "sharded sweep",
+    );
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(10),
+        "sharded campaign took {took:?} against a 30 s heartbeat"
+    );
+    assert_eq!(read(&sharded), read(&clean));
+    std::fs::remove_dir_all(&dir).ok();
+}

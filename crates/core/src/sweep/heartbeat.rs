@@ -16,8 +16,8 @@
 
 use super::journal::{parse_json, RunKey};
 use crate::json::{checksum_frame, checksum_unframe, JsonWriter};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -124,7 +124,10 @@ impl Heartbeat {
 #[derive(Default)]
 struct PulseState {
     seq: AtomicU64,
-    stop: AtomicBool,
+    /// Set once, by drop; `wake` tells the pulse thread at once instead
+    /// of at its next beat.
+    stop: Mutex<bool>,
+    wake: Condvar,
     /// The cell currently executing, for mid-cell `Alive` beats.
     in_flight: Mutex<Option<RunKey>>,
 }
@@ -133,7 +136,9 @@ struct PulseState {
 /// beats around each cell from the worker's own thread, plus periodic
 /// `Alive` beats from a background pulse thread so that a long-running
 /// cell still grows the journal and the supervisor can tell "slow" from
-/// "dead". Dropping the pulse stops the thread.
+/// "dead". Dropping the pulse stops the thread and returns promptly: the
+/// thread waits on a condition variable, not a sleep, so a worker's exit
+/// never waits out the rest of a heartbeat interval.
 pub struct Pulse {
     sink: Arc<dyn Fn(&Heartbeat) + Send + Sync>,
     state: Arc<PulseState>,
@@ -161,19 +166,24 @@ impl Pulse {
         } else {
             let state = Arc::clone(&state);
             let sink = Arc::clone(&sink);
-            Some(std::thread::spawn(move || {
-                while !state.stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    if state.stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let cell = state.in_flight.lock().ok().and_then(|g| *g);
-                    sink(&Heartbeat {
-                        seq: state.seq.fetch_add(1, Ordering::Relaxed),
-                        phase: HeartbeatPhase::Alive,
-                        cell,
-                    });
+            Some(std::thread::spawn(move || loop {
+                // `wait_timeout_while` re-waits the remaining time after a
+                // spurious wake-up, so `Alive` beats keep their period.
+                let stop = state.stop.lock().unwrap_or_else(PoisonError::into_inner);
+                let (stop, _) = state
+                    .wake
+                    .wait_timeout_while(stop, interval, |stop| !*stop)
+                    .unwrap_or_else(PoisonError::into_inner);
+                if *stop {
+                    break;
                 }
+                drop(stop);
+                let cell = state.in_flight.lock().ok().and_then(|g| *g);
+                sink(&Heartbeat {
+                    seq: state.seq.fetch_add(1, Ordering::Relaxed),
+                    phase: HeartbeatPhase::Alive,
+                    cell,
+                });
             }))
         };
         Pulse {
@@ -210,7 +220,12 @@ impl Pulse {
 
 impl Drop for Pulse {
     fn drop(&mut self) {
-        self.state.stop.store(true, Ordering::Relaxed);
+        *self
+            .state
+            .stop
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = true;
+        self.state.wake.notify_all();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -294,5 +309,20 @@ mod tests {
         seqs.sort_unstable();
         seqs.dedup();
         assert_eq!(seqs.len(), beats.len());
+    }
+
+    #[test]
+    fn dropping_a_pulse_does_not_wait_out_its_interval() {
+        let sink = Arc::new(|_: &Heartbeat| {}) as Arc<dyn Fn(&Heartbeat) + Send + Sync>;
+        let pulse = Pulse::start(sink, Duration::from_secs(60));
+        // Let the thread reach its wait before stopping it.
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = std::time::Instant::now();
+        drop(pulse);
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "drop took {:?} against a 60 s interval",
+            t0.elapsed()
+        );
     }
 }

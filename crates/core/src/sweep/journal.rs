@@ -734,12 +734,17 @@ impl Journal {
     /// Propagates write/fsync errors (and a poisoned append lock as
     /// [`io::ErrorKind::Other`]).
     pub fn append(&self, record: &RunRecord) -> io::Result<()> {
-        let line = record.to_line();
+        self.append_synced(&record.to_line())
+    }
+
+    /// Writes `lines` in one `write`, flushed and fsynced before
+    /// returning.
+    fn append_synced(&self, lines: &str) -> io::Result<()> {
         let mut file = self
             .file
             .lock()
             .map_err(|_| io::Error::other("journal append lock poisoned"))?;
-        file.write_all(line.as_bytes())?;
+        file.write_all(lines.as_bytes())?;
         file.flush()?;
         file.sync_data()
     }
@@ -776,12 +781,41 @@ impl Journal {
     ///
     /// Propagates append I/O errors.
     pub fn absorb(&mut self, record: &RunRecord) -> io::Result<bool> {
-        if self.replay.contains_key(&record.key.0) {
-            return Ok(false);
+        Ok(self.absorb_all(std::slice::from_ref(record))? == 1)
+    }
+
+    /// Group-commit form of [`Journal::absorb`]: appends every record
+    /// whose key is new — to the replay map and to earlier records of
+    /// the batch — in one write, fsyncs once, and only then makes them
+    /// replayable. Durability still precedes visibility, per batch; a
+    /// crash mid-write leaves a clean prefix plus at most one torn line,
+    /// which [`Journal::resume`] skips. The bytes written equal those of
+    /// absorbing the records one at a time, in order. Returns how many
+    /// records were new.
+    ///
+    /// # Errors
+    ///
+    /// Propagates append I/O errors; on error nothing becomes
+    /// replayable.
+    pub fn absorb_all(&mut self, records: &[RunRecord]) -> io::Result<usize> {
+        let mut fresh: HashMap<u64, &RunRecord> = HashMap::new();
+        let mut lines = String::new();
+        for rec in records {
+            if self.replay.contains_key(&rec.key.0) || fresh.contains_key(&rec.key.0) {
+                continue;
+            }
+            fresh.insert(rec.key.0, rec);
+            lines.push_str(&rec.to_line());
         }
-        self.append(record)?;
-        self.replay.insert(record.key.0, record.outcome.clone());
-        Ok(true)
+        if fresh.is_empty() {
+            return Ok(0);
+        }
+        self.append_synced(&lines)?;
+        let n = fresh.len();
+        for (key, rec) in fresh {
+            self.replay.insert(key, rec.outcome.clone());
+        }
+        Ok(n)
     }
 }
 
@@ -948,14 +982,22 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts — far above the
+/// few levels our own lines use. The bound keeps the recursive descent's
+/// stack use small on any thread, so a hostile line of 60,000 `[` is a
+/// parse failure instead of a stack overflow.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 /// Parses one JSON document (with nothing but whitespace after it).
-/// Returns `None` on any syntax error — the journal treats unparsable
-/// lines as lost work, not fatal corruption.
+/// Returns `None` on any syntax error or on nesting deeper than
+/// [`MAX_JSON_DEPTH`] — the journal treats unparsable lines as lost
+/// work, not fatal corruption.
 #[must_use]
 pub fn parse_json(text: &str) -> Option<Json> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -970,6 +1012,7 @@ pub fn parse_json(text: &str) -> Option<Json> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -994,14 +1037,26 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Option<Json> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => self.string().map(Json::Str),
             b't' => self.literal(b"true", Json::Bool(true)),
             b'f' => self.literal(b"false", Json::Bool(false)),
             b'n' => self.literal(b"null", Json::Null),
             _ => self.number(),
         }
+    }
+
+    /// Parses one object or array one level deeper, refusing to go past
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Option<Json>) -> Option<Json> {
+        if self.depth == MAX_JSON_DEPTH {
+            return None;
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &[u8], v: Json) -> Option<Json> {
@@ -1406,6 +1461,91 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Four distinct records plus a repeat of the second, in that order.
+    fn batch_with_duplicate() -> Vec<RunRecord> {
+        let mut recs: Vec<RunRecord> = (0..4u64)
+            .map(|i| {
+                let mut r = demo_record(100 + i);
+                r.key = RunKey(0x2000 + i);
+                r
+            })
+            .collect();
+        let mut dup = recs[1].clone();
+        dup.outcome.status = RunStatus::Mismatch; // a later copy never wins
+        recs.push(dup);
+        recs
+    }
+
+    #[test]
+    fn absorb_all_matches_one_at_a_time_byte_for_byte() {
+        let dir = std::env::temp_dir().join("nachos-journal-absorb-all-unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let recs = batch_with_duplicate();
+        let (single_path, batch_path) = (dir.join("single.jsonl"), dir.join("batch.jsonl"));
+        let mut single = Journal::create(&single_path).unwrap();
+        let mut new_single = 0;
+        for r in &recs {
+            new_single += usize::from(single.absorb(r).unwrap());
+        }
+        let mut batch = Journal::create(&batch_path).unwrap();
+        // One record is already present: the batch skips it too.
+        assert!(batch.absorb(&recs[0]).unwrap());
+        assert_eq!(batch.absorb_all(&recs).unwrap(), 3);
+        assert_eq!(new_single, 4);
+        assert_eq!(
+            batch.absorb_all(&recs).unwrap(),
+            0,
+            "a replayed batch is a no-op"
+        );
+        assert_eq!(
+            std::fs::read(&single_path).unwrap(),
+            std::fs::read(&batch_path).unwrap()
+        );
+        assert_eq!(single.replay, batch.replay);
+        assert_eq!(
+            batch.lookup(recs[1].key),
+            Some(&recs[1].outcome),
+            "the first copy of a duplicated key wins"
+        );
+        drop(batch);
+        let lines = std::fs::read_to_string(&batch_path).unwrap();
+        assert_eq!(lines.lines().count(), 4, "the duplicate is written once");
+        let resumed = Journal::resume(&batch_path).unwrap();
+        assert_eq!(resumed.replay, single.replay);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batch_torn_mid_write_resumes_a_clean_prefix() {
+        let dir = std::env::temp_dir().join("nachos-journal-absorb-torn-unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.jsonl");
+        let recs = batch_with_duplicate();
+        Journal::create(&path).unwrap().absorb_all(&recs).unwrap();
+        // Cut the file inside the third line, as a crash mid-write would.
+        let bytes = std::fs::read(&path).unwrap();
+        let third = bytes
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| **b == b'\n')
+            .nth(1)
+            .map(|(i, _)| i + 1)
+            .unwrap();
+        std::fs::write(&path, &bytes[..third + 30]).unwrap();
+        let mut j = Journal::resume(&path).unwrap();
+        assert_eq!(j.replay_len(), 2, "the intact prefix replays");
+        assert_eq!(j.skipped(), 1, "the torn line is skipped");
+        for r in &recs[..2] {
+            assert_eq!(j.lookup(r.key), Some(&r.outcome));
+        }
+        // Re-absorbing the batch after the crash completes it.
+        assert_eq!(j.absorb_all(&recs).unwrap(), 2);
+        drop(j);
+        let j = Journal::resume(&path).unwrap();
+        assert_eq!(j.replay_len(), 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn bounded_line_reader_streams_past_oversized_lines() {
         use std::io::Cursor;
@@ -1506,5 +1646,26 @@ mod tests {
         assert!(parse_json("{} trailing").is_none());
         assert!(parse_json("{\"a\": }").is_none());
         assert!(parse_json("[1, 2").is_none());
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"a\":".repeat(depth - 1) + "{}" + &"}".repeat(depth - 1);
+        assert!(parse_json(&arrays(MAX_JSON_DEPTH)).is_some());
+        assert!(parse_json(&objects(MAX_JSON_DEPTH)).is_some());
+        assert!(parse_json(&arrays(MAX_JSON_DEPTH + 1)).is_none());
+        assert!(parse_json(&objects(MAX_JSON_DEPTH + 1)).is_none());
+        // The hostile line that used to overflow the stack: on a small
+        // thread stack, so a regression fails here instead of passing on
+        // a generous main stack.
+        let hostile = "[".repeat(60_000);
+        let parsed = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || parse_json(&hostile).is_none())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(parsed, "60,000 `[` is rejected");
     }
 }

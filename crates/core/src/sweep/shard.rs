@@ -64,6 +64,7 @@ use std::fs;
 use std::io::{self, BufRead as _, BufReader, Read, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -74,6 +75,11 @@ pub const SHARD_SCHEMA: &str = "nachos-shard-v1";
 
 const END_LINE: &str = "{\"end\":true}\n";
 const CANCEL_LINE: &str = "{\"cancel\":true}\n";
+
+/// Monitor tick while a worker has closed its stdout but cannot be
+/// reaped yet: the kernel closes a dying process's files a moment before
+/// it becomes waitable.
+const REAP_TICK: Duration = Duration::from_millis(1);
 
 // ---------------------------------------------------------------------
 // Cells and partitioning
@@ -315,7 +321,11 @@ pub struct ShardConfig {
     /// Respawn budget per shard; a shard that exhausts it hands its
     /// remaining cells to the inline final pass.
     pub max_respawns: u32,
-    /// Supervisor monitor-loop tick.
+    /// Fallback tick of the supervisor's monitor loop. The loop wakes at
+    /// once when a worker exits (its stdout reaches EOF) and when a
+    /// respawn falls due; the tick bounds how late the silence, backoff
+    /// and cancel checks run, and covers a worker whose stdout outlives
+    /// it (a grandchild holding the pipe).
     pub poll: Duration,
 }
 
@@ -384,6 +394,9 @@ struct WorkerSlot {
     last_len: u64,
     last_growth: Instant,
     finished: bool,
+    /// When the live child's stdout reached EOF: it is exiting. (A late
+    /// EOF from a reaped predecessor can only shorten ticks for a poll.)
+    closed_at: Option<Instant>,
 }
 
 impl Drop for WorkerSlot {
@@ -397,13 +410,30 @@ impl Drop for WorkerSlot {
 }
 
 impl WorkerSlot {
-    fn spawn(&mut self, scfg: &ShardConfig, stats: &mut ShardStats) -> io::Result<()> {
+    fn spawn(
+        &mut self,
+        scfg: &ShardConfig,
+        stats: &mut ShardStats,
+        exits: &Sender<usize>,
+    ) -> io::Result<()> {
         let mut cmd = Command::new(&scfg.worker_cmd[0]);
         cmd.args(&scfg.worker_cmd[1..])
             .stdin(Stdio::piped())
-            .stdout(Stdio::null())
+            .stdout(Stdio::piped())
             .stderr(Stdio::inherit());
         let mut child = cmd.spawn()?;
+        // The worker writes nothing to stdout; the pipe exists so that
+        // its EOF — the worker's exit — wakes the monitor loop. Should
+        // the drain thread fail to start, the fallback tick still reaps.
+        if let Some(mut out) = child.stdout.take() {
+            let (exits, shard) = (exits.clone(), self.shard);
+            let _ = std::thread::Builder::new()
+                .name(format!("shard-{}-stdout", self.shard))
+                .spawn(move || {
+                    let _ = io::copy(&mut out, &mut io::sink());
+                    let _ = exits.send(shard);
+                });
+        }
         let mut stdin = child.stdin.take();
         if let Some(w) = stdin.as_mut() {
             // A worker that dies instantly closes the pipe; dispatch
@@ -414,6 +444,7 @@ impl WorkerSlot {
         stats.dispatched += self.pending.len();
         self.child = Some((child, stdin));
         self.respawn_at = None;
+        self.closed_at = None;
         self.last_len = fs::metadata(&self.journal_path).map_or(0, |m| m.len());
         self.last_growth = Instant::now();
         Ok(())
@@ -525,29 +556,26 @@ pub fn run_sweep_sharded(
         for path in leftovers {
             let scan = scan_shard_journal(&path)?;
             corrupt_by_file.insert(path, scan.corrupt);
-            for rec in &scan.records {
-                if merged.absorb(rec)? {
-                    stats.recovered += 1;
-                }
-            }
+            stats.recovered += merged.absorb_all(&scan.records)?;
         }
     }
 
-    // Cross-campaign cache: serve every still-missing cell we can.
+    // Cross-campaign cache: serve every still-missing cell we can, in
+    // one group commit.
     if let Some(cache) = &scfg.cache {
+        let mut hits = Vec::new();
         for cell in &cells {
             if merged.lookup(cell.key).is_some() {
                 continue;
             }
             match cache.lookup(cell.key) {
-                CacheLookup::Hit(rec) => {
-                    stats.cache.hits += 1;
-                    merged.absorb(&rec)?;
-                }
+                CacheLookup::Hit(rec) => hits.push(*rec),
                 CacheLookup::Miss => stats.cache.misses += 1,
                 CacheLookup::Corrupt => stats.cache.corrupt += 1,
             }
         }
+        stats.cache.hits += hits.len();
+        merged.absorb_all(&hits)?;
     }
 
     // Partition the remaining work and spawn.
@@ -566,19 +594,22 @@ pub fn run_sweep_sharded(
             last_len: 0,
             last_growth: Instant::now(),
             finished: false,
+            closed_at: None,
         })
         .collect();
     let mut strikes: HashMap<u64, u32> = HashMap::new();
+    let (exits, exited) = mpsc::channel();
     for slot in &mut slots {
         if slot.pending.is_empty() {
             slot.finished = true;
         } else {
-            slot.spawn(scfg, &mut stats)?;
+            slot.spawn(scfg, &mut stats, &exits)?;
         }
     }
 
     // Monitor loop: reap exits, absorb results, charge strikes, respawn
-    // under backoff, kill the silent, propagate cancellation.
+    // under backoff, kill the silent, propagate cancellation. It sleeps
+    // until a worker exits, a respawn falls due or the fallback tick.
     let cancel = cfg.sim.cancel.clone();
     let mut cancel_sent: Option<Instant> = None;
     loop {
@@ -603,12 +634,10 @@ pub fn run_sweep_sharded(
             }
         }
 
-        let mut all_done = true;
         for slot in &mut slots {
             if slot.finished {
                 continue;
             }
-            all_done = false;
             if let Some((child, _)) = slot.child.as_mut() {
                 match child.try_wait()? {
                     Some(_status) => {
@@ -617,11 +646,7 @@ pub fn run_sweep_sharded(
                         slot.child = None;
                         let scan = scan_shard_journal(&slot.journal_path)?;
                         corrupt_by_file.insert(slot.journal_path.clone(), scan.corrupt);
-                        for rec in &scan.records {
-                            if merged.absorb(rec)? {
-                                stats.recovered += 1;
-                            }
-                        }
+                        stats.recovered += merged.absorb_all(&scan.records)?;
                         slot.pending.retain(|c| merged.lookup(c.key).is_none());
                         if let Some(k) = scan.in_flight {
                             if let Some(cell) = slot.pending.iter().copied().find(|c| c.key == k) {
@@ -664,13 +689,40 @@ pub fn run_sweep_sharded(
             } else if cancel_sent.is_some() {
                 slot.finished = true;
             } else if slot.respawn_at.is_some_and(|t| Instant::now() >= t) {
-                slot.spawn(scfg, &mut stats)?;
+                slot.spawn(scfg, &mut stats, &exits)?;
             }
         }
-        if all_done {
+        if slots.iter().all(|s| s.finished) {
             break;
         }
-        std::thread::sleep(scfg.poll);
+        // Sleep until the next event: a worker's stdout EOF, the next
+        // respawn, or the fallback tick — which shrinks to REAP_TICK for
+        // a worker that closed its stdout but is not waitable yet.
+        let now = Instant::now();
+        let mut wait = scfg.poll;
+        for slot in &slots {
+            if let Some(t) = slot.respawn_at {
+                wait = wait.min(t.saturating_duration_since(now));
+            }
+            if slot.child.is_some()
+                && slot
+                    .closed_at
+                    .is_some_and(|t| now.saturating_duration_since(t) < scfg.poll)
+            {
+                wait = wait.min(REAP_TICK);
+            }
+        }
+        for shard in exited
+            .recv_timeout(wait)
+            .ok()
+            .into_iter()
+            .chain(exited.try_iter())
+        {
+            let slot = &mut slots[shard];
+            if slot.child.is_some() {
+                slot.closed_at = Some(Instant::now());
+            }
+        }
     }
     drop(slots);
     stats.corrupt_lines += corrupt_by_file.values().sum::<usize>();
@@ -1108,6 +1160,36 @@ mod tests {
         assert!(stats.workers_spawned >= 2);
         let single = super::super::run_sweep(&jobs, &cfg);
         assert_eq!(sharded.to_json(), single.to_json());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn supervisor_wakes_on_worker_exit_not_on_its_poll() {
+        // Workers that live briefly, then exit without doing any work,
+        // and a respawn each. Every wait is an exit or a backoff, never
+        // a poll: a 60 s tick that was slept through even once would
+        // blow the budget.
+        let dir = scratch("supervisor-wake");
+        let jobs = demo_jobs(2);
+        let cfg = demo_cfg();
+        let worker = ["sh", "-c", "sleep 0.05"].map(String::from).to_vec();
+        let mut scfg = ShardConfig::new(2, worker, dir.join("campaign.jsonl"));
+        scfg.max_respawns = 1;
+        scfg.poll = Duration::from_secs(60);
+        scfg.silence_budget = Duration::ZERO;
+        let t0 = Instant::now();
+        let (sharded, _, stats) = run_sweep_sharded(&jobs, &cfg, &scfg).unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "campaign took {:?} against a 60 s poll",
+            t0.elapsed()
+        );
+        assert_eq!(stats.workers_spawned, 4, "two spawns and two respawns");
+        assert_eq!(stats.abandoned, jobs.len() * cfg.variants.len());
+        assert_eq!(
+            sharded.to_json(),
+            super::super::run_sweep(&jobs, &cfg).to_json()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

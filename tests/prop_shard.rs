@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use nachos::sweep::heartbeat::{Heartbeat, HeartbeatPhase};
-use nachos::sweep::journal::Journal;
+use nachos::sweep::journal::{Journal, RunRecord};
 use nachos::sweep::shard::{run_sweep_sharded, shard_dir, shard_journal_path, ShardConfig};
 use nachos::sweep::{run_sweep, run_sweep_journaled, SweepConfig, SweepJob};
 use nachos::{Backend, FaultKind, FaultPlan, FaultSpec};
@@ -154,7 +154,9 @@ proptest! {
     /// Any scattering of the campaign's records — across any file count,
     /// in any order, with one record duplicated as a crash-respawn can
     /// leave — resumes to the uninterrupted report without dispatching
-    /// a single cell.
+    /// a single cell. The supervisor absorbs each shard journal as one
+    /// group commit, and that batch writes the same bytes as absorbing
+    /// the records one at a time.
     #[test]
     fn merge_is_invariant_to_shard_count_order_and_duplicates(
         seed in any::<u64>(),
@@ -180,6 +182,17 @@ proptest! {
         prop_assert_eq!(stats.corrupt_lines, 0);
         prop_assert_eq!(sweep_stats.executed, 0);
         prop_assert_eq!(sharded.to_json(), fx.clean_json.clone());
+
+        let records: Vec<RunRecord> = lines.iter().filter_map(|l| RunRecord::from_line(l)).collect();
+        let (single_path, batch_path) = (dir.join("single.jsonl"), dir.join("batch.jsonl"));
+        let mut single = Journal::create(&single_path).expect("single journal");
+        for rec in &records {
+            single.absorb(rec).expect("absorb");
+        }
+        let mut batch = Journal::create(&batch_path).expect("batch journal");
+        prop_assert_eq!(batch.absorb_all(&records).expect("absorb_all"), fx.lines.len());
+        drop((single, batch));
+        prop_assert_eq!(std::fs::read(&single_path).ok(), std::fs::read(&batch_path).ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
