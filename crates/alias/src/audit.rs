@@ -11,7 +11,7 @@
 //!   a MUST whose exact/partial flavour is wrong is an Error, and a MAY
 //!   that is provably decidable is a precision-loss Warning attributed to
 //!   the stage that could have decided it.
-//! * [`RaceLint`] proves, with the transitive closure of [`crate::reach`],
+//! * [`RaceLint`] proves, with the transitive closure of `crate::reach`,
 //!   that every surviving MUST/MAY pair is ordered older→younger in the
 //!   final DFG (a missing chain is a hardware race), that FORWARD edges
 //!   connect size-matched accesses, and that the committed [`MdePlan`]

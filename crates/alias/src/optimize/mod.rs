@@ -4,13 +4,13 @@
 //! need ordering; this pass minimizes *how* that ordering is enforced,
 //! after the plan has been applied to the DFG:
 //!
-//! 1. **Stage 5** ([`stage5`]): a symbolic value-range + modular-arithmetic
+//! 1. **Stage 5** (`stage5`): a symbolic value-range + modular-arithmetic
 //!    analysis over iteration counts upgrades residual MAY verdicts to NO
 //!    where stages 1–4 lose precision (stepped loops, multi-IV deltas
 //!    under ablated configs), deleting the pair's planned MAY edge.
-//! 2. **Transitive reduction** ([`reduce`]): ORDER/token edges implied by
+//! 2. **Transitive reduction** (`reduce`): ORDER/token edges implied by
 //!    the surviving Data ∪ Order ∪ Forward paths are deleted.
-//! 3. **Comparator coalescing** ([`coalesce`]): MAY edges whose pairs test
+//! 3. **Comparator coalescing** (`coalesce`): MAY edges whose pairs test
 //!    a syntactically congruent address predicate, and which a guaranteed
 //!    path orders through a sibling check, are merged into one comparator.
 //!

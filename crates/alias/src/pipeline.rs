@@ -113,7 +113,7 @@ pub struct Analysis {
     /// Per-stage statistics.
     pub report: AnalysisReport,
     /// Certificates and counters from the post-pipeline MDE optimizer
-    /// (`None` until [`crate::optimize`] has run on this analysis).
+    /// (`None` until [`crate::optimize()`] has run on this analysis).
     pub opt: Option<crate::optimize::OptOutcome>,
 }
 

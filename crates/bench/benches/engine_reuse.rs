@@ -1,4 +1,5 @@
-//! Fresh-state vs arena-reset engine runs (`simulate` vs `simulate_in`).
+//! Fresh-state vs arena-reset engine runs (`simulate_in` on a new
+//! [`SimArena`] per run vs one pooled arena).
 //!
 //! Times one simulation of a Table II workload per backend with (a) all
 //! engine state rebuilt from scratch and (b) a pooled [`SimArena`] reset
@@ -9,10 +10,7 @@
 //! between the two columns is the state the arena pools.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nachos::{
-    simulate, simulate_in, simulate_with_telemetry, Backend, EnergyModel, NoopSink, SimArena,
-    SimConfig,
-};
+use nachos::{simulate_in, Backend, EnergyModel, NoopSink, Run, SimArena, SimConfig};
 use nachos_alias::StageConfig;
 use nachos_ir::{Binding, Region};
 use nachos_workloads::{by_name, generate};
@@ -44,24 +42,26 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// The workload, compiled once the way the driver would for the MDE
-/// backends (the bench isolates the engine, not the compiler).
-fn compiled_workload() -> (Region, Binding) {
+/// The raw workload and its region compiled once the way the driver
+/// would for the MDE backends (the timed columns isolate the engine, not
+/// the compiler).
+fn workload() -> (Region, Region, Binding) {
     let w = generate(&by_name("453.povray").expect("spec"));
     let mut region = w.region.clone();
     let _ = nachos_alias::compile(&mut region, StageConfig::full());
-    (region, w.binding)
+    (w.region, region, w.binding)
 }
 
 fn bench_engine_reuse(c: &mut Criterion) {
-    let (region, binding) = compiled_workload();
+    let (raw, region, binding) = workload();
     let config = SimConfig::default().with_invocations(8);
     let energy = EnergyModel::default();
     let mut group = c.benchmark_group("engine_reuse_povray_8inv");
     for backend in [Backend::Nachos, Backend::OptLsq] {
         group.bench_function(format!("{backend}/fresh"), |b| {
             b.iter(|| {
-                simulate(
+                simulate_in(
+                    &mut SimArena::new(),
                     black_box(&region),
                     black_box(&binding),
                     backend,
@@ -89,9 +89,19 @@ fn bench_engine_reuse(c: &mut Criterion) {
         // Steady-state allocation counts (not timed): run once to warm
         // the pool, then measure the next run on each path.
         let fresh_allocs = {
-            let _ = simulate(&region, &binding, backend, &config, &energy);
+            let fresh = || {
+                simulate_in(
+                    &mut SimArena::new(),
+                    &region,
+                    &binding,
+                    backend,
+                    &config,
+                    &energy,
+                )
+            };
+            let _ = fresh();
             let before = allocs();
-            let _ = black_box(simulate(&region, &binding, backend, &config, &energy));
+            let _ = black_box(fresh());
             allocs() - before
         };
         let reuse_allocs = {
@@ -105,24 +115,37 @@ fn bench_engine_reuse(c: &mut Criterion) {
         };
         // Telemetry off must be free: a run with no sink attached pays
         // one branch per event and zero allocations beyond the sinkless
-        // baseline. `simulate_with_telemetry` with a `NoopSink` bounds it
-        // from the other side — attaching the no-op sink allocates
-        // nothing either.
-        let noop_allocs = {
+        // baseline. A `Run` with a `NoopSink` bounds it from the other
+        // side — attaching the no-op sink allocates nothing either. Both
+        // sides of this comparison go through `Run`, so both pay the same
+        // compile.
+        let (run_allocs, noop_allocs) = {
             let mut arena = SimArena::new();
             let mut sink = NoopSink;
-            let _ = simulate_with_telemetry(
-                &mut arena, &region, &binding, backend, &config, &energy, &mut sink,
-            );
+            let _ = Run::new(&raw, &binding, backend)
+                .arena(&mut arena)
+                .sink(&mut sink)
+                .execute(&config, &energy);
             let before = allocs();
-            let _ = black_box(simulate_with_telemetry(
-                &mut arena, &region, &binding, backend, &config, &energy, &mut sink,
-            ));
-            allocs() - before
+            let _ = black_box(
+                Run::new(&raw, &binding, backend)
+                    .arena(&mut arena)
+                    .execute(&config, &energy),
+            );
+            let run_allocs = allocs() - before;
+            let before = allocs();
+            let _ = black_box(
+                Run::new(&raw, &binding, backend)
+                    .arena(&mut arena)
+                    .sink(&mut sink)
+                    .execute(&config, &energy),
+            );
+            (run_allocs, allocs() - before)
         };
         println!(
             "engine_reuse_povray_8inv/{backend}: {fresh_allocs} allocs/run fresh, \
-             {reuse_allocs} allocs/run arena-reset, {noop_allocs} with NoopSink"
+             {reuse_allocs} allocs/run arena-reset, {noop_allocs} with NoopSink \
+             ({run_allocs} compiled without one)"
         );
         assert!(
             reuse_allocs < fresh_allocs,
@@ -130,9 +153,9 @@ fn bench_engine_reuse(c: &mut Criterion) {
              ({reuse_allocs} vs {fresh_allocs})"
         );
         assert!(
-            noop_allocs <= reuse_allocs,
+            noop_allocs <= run_allocs,
             "telemetry off must cost nothing: NoopSink runs allocate no more \
-             than sinkless runs ({noop_allocs} vs {reuse_allocs})"
+             than sinkless runs ({noop_allocs} vs {run_allocs})"
         );
     }
     group.finish();

@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks: cycle-simulator throughput per backend.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nachos::{run_backend, Backend, EnergyModel, SimConfig};
+use nachos::{Backend, EnergyModel, Run, SimConfig};
 use nachos_workloads::{by_name, generate};
 use std::hint::black_box;
 
@@ -13,14 +13,9 @@ fn bench_simulator(c: &mut Criterion) {
     for backend in Backend::ALL {
         group.bench_function(backend.to_string(), |b| {
             b.iter(|| {
-                run_backend(
-                    black_box(&w.region),
-                    black_box(&w.binding),
-                    backend,
-                    &config,
-                    &energy,
-                )
-                .expect("simulate")
+                Run::new(black_box(&w.region), black_box(&w.binding), backend)
+                    .execute(&config, &energy)
+                    .expect("simulate")
             })
         });
     }

@@ -3,7 +3,7 @@
 //! consuming the value directly) to measure what forwarding buys —
 //! bodytrack is the paper's headline case (§VIII-A).
 
-use nachos::{pct_slowdown, simulate, Backend, EnergyModel, SimConfig};
+use nachos::{pct_slowdown, simulate_in, Backend, EnergyModel, SimArena, SimConfig};
 use nachos_alias::{compile, StageConfig};
 use nachos_ir::EdgeKind;
 use nachos_workloads::{by_name, generate};
@@ -53,10 +53,24 @@ fn main() {
                 .expect("re-inserting planned edges");
         }
 
-        let base =
-            simulate(&with_fwd, &w.binding, Backend::Nachos, &config, &energy).expect("simulate");
-        let degraded = simulate(&without_fwd, &w.binding, Backend::Nachos, &config, &energy)
-            .expect("simulate");
+        let base = simulate_in(
+            &mut SimArena::new(),
+            &with_fwd,
+            &w.binding,
+            Backend::Nachos,
+            &config,
+            &energy,
+        )
+        .expect("simulate");
+        let degraded = simulate_in(
+            &mut SimArena::new(),
+            &without_fwd,
+            &w.binding,
+            Backend::Nachos,
+            &config,
+            &energy,
+        )
+        .expect("simulate");
         println!(
             "{:<14} {:>9} {:>12} {:>14} {:>+9.1}%",
             name,

@@ -6,6 +6,8 @@
 //! `nachos-lint-v1` JSON report, and exits nonzero when any
 //! Error-severity diagnostic (or dynamic collision) was found — the CI
 //! gate for the soundness of the whole pipeline.
+//!
+//! [`nachos_alias::audit`]: mod@nachos_alias::audit
 
 use std::process::ExitCode;
 

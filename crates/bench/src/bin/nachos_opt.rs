@@ -2,7 +2,7 @@
 //! Table II workloads, re-audit every rewrite, and gate on the results.
 //!
 //! For each workload × ablation the binary compiles the region, runs
-//! [`nachos_alias::optimize`] (transitive reduction of ORDER tokens,
+//! [`nachos_alias::optimize()`] (transitive reduction of ORDER tokens,
 //! comparator-site coalescing, stage-5 MAY→NO upgrades), has the audit's
 //! `CertLint` pass re-verify every rewrite certificate independently, and
 //! times NACHOS-SW and NACHOS with and without the optimizer under the

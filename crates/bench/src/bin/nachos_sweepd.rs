@@ -25,8 +25,8 @@
 //! Exit codes follow the sweep contract: 0 success, 1 usage error,
 //! 5 environment failure (socket, state directory, journal I/O).
 
+use nachos::json::{parse_json, Json};
 use nachos::sweep::daemon::{Daemon, DaemonConfig, JobStatus, MatrixSpec};
-use nachos::sweep::journal::parse_json;
 use nachos_bench::exitcode::Verdict;
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::os::unix::net::UnixStream;
@@ -231,13 +231,10 @@ fn run_ctl(socket: &str, cmd: &str, job: Option<u64>, spec_json: Option<&str>) -
     };
     let ok = resp
         .get("ok")
-        .is_some_and(|v| matches!(v, nachos::sweep::journal::Json::Bool(true)));
+        .is_some_and(|v| matches!(v, Json::Bool(true)));
     if cmd == "watch" && ok {
         // The stream's last state is the job's terminal state.
-        match resp
-            .get("state")
-            .and_then(nachos::sweep::journal::Json::as_str)
-        {
+        match resp.get("state").and_then(Json::as_str) {
             Some("settled") => return ExitCode::SUCCESS,
             Some("deadline_exceeded") => return Verdict::DeadlineExceeded.exit(),
             _ => return Verdict::Environment.exit(),

@@ -5,7 +5,7 @@
 //! Usage: `cargo run --release -p nachos-bench --bin region_report -- <name> [--dot]`
 //! (e.g. `183.equake`, `401.bzip2`; run without arguments to list names).
 
-use nachos::{run_all_backends, EnergyModel, SimConfig};
+use nachos::{Backend, EnergyModel, Run, SimConfig};
 use nachos_alias::{analyze, compile, may_fanin, StageConfig};
 use nachos_workloads::{by_name, generate};
 
@@ -62,8 +62,11 @@ fn main() {
     }
 
     let config = SimConfig::default().with_invocations(64);
-    let runs = run_all_backends(&w.region, &w.binding, &config, &EnergyModel::default())
-        .expect("simulate");
+    let runs = Backend::ALL.map(|backend| {
+        Run::new(&w.region, &w.binding, backend)
+            .execute(&config, &EnergyModel::default())
+            .expect("simulate")
+    });
     println!();
     println!(
         "{:<10} {:>10} {:>12} {:>10} {:>10} {:>10}",

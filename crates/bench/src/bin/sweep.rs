@@ -69,9 +69,9 @@
 //! exit-code contract.
 
 use nachos::json::write_atomic;
+use nachos::json::{parse_json, Json};
 use nachos::sweep::cache::ResultCache;
 use nachos::sweep::daemon::{JobStatus, MatrixSpec};
-use nachos::sweep::journal::{parse_json, Json};
 use nachos::sweep::shard::{run_shard_worker, run_sweep_sharded, ShardConfig};
 use nachos::sweep::{journal::Journal, run_sweep_journaled, SweepResult};
 use nachos::CancelToken;

@@ -7,9 +7,11 @@
 //! [`nachos_alias::audit`]; this module is the workload × [`StageConfig`]
 //! product, the report schema, and the optional differential replay of
 //! every NO-labelled pair against the reference executor's address walk.
+//!
+//! [`nachos_alias::audit`]: mod@nachos_alias::audit
 
 use nachos::json::JsonWriter;
-use nachos::{run_backend_with_stages, Backend, EnergyModel, SimConfig};
+use nachos::{Backend, EnergyModel, Run, SimConfig};
 use nachos_alias::{
     audit_with, compile, AuditConfig, Code, Diagnostic, OptStats, Severity, StageConfig,
 };
@@ -326,7 +328,9 @@ pub fn lint_workload(w: &Workload, config: LintConfig, options: &LintOptions) ->
         let cfg = SimConfig::default().with_invocations(options.invocations);
         let em = EnergyModel::default();
         let cycles = |backend| {
-            run_backend_with_stages(&w.region, &w.binding, backend, &cfg, &em, config.stages)
+            Run::new(&w.region, &w.binding, backend)
+                .stages(config.stages)
+                .execute(&cfg, &em)
                 .expect("lint ideal cross-check simulates cleanly")
                 .sim
                 .cycles

@@ -14,6 +14,8 @@
 //! `Err` with a deterministic message — the CLI maps it to a usage
 //! error, the daemon to a `bad_spec` rejection; neither admits the
 //! matrix.
+//!
+//! [`MatrixResolver`]: nachos::sweep::daemon::MatrixResolver
 
 use nachos::sweep::daemon::MatrixSpec;
 use nachos::sweep::{SweepConfig, SweepJob};

@@ -1,5 +1,5 @@
 //! The `nachos-opt` suite runner: runs the certificate-carrying MDE
-//! optimizer ([`nachos_alias::optimize`]) over every Table II workload
+//! optimizer ([`nachos_alias::optimize()`]) over every Table II workload
 //! under every compiler ablation, re-audits each optimized region (the
 //! audit's `CertLint` pass re-verifies every rewrite certificate
 //! independently), times the MDE backends with and without the optimizer,
@@ -13,7 +13,7 @@
 
 use crate::lint::{standard_configs, LintConfig};
 use nachos::json::JsonWriter;
-use nachos::{run_backend_with_stages_in, Backend, EnergyModel, SimArena, SimConfig};
+use nachos::{Backend, EnergyModel, Run, SimArena, SimConfig};
 use nachos_alias::OptStats;
 use nachos_workloads::{generate_all, Workload};
 
@@ -299,15 +299,10 @@ pub fn optimize_workload(
     let mut comparator_sites = (0, 0);
     for backend in [Backend::NachosSw, Backend::Nachos] {
         let mut run = |cfg: &SimConfig| {
-            run_backend_with_stages_in(
-                arena,
-                &w.region,
-                &w.binding,
-                backend,
-                cfg,
-                &energy,
-                config.stages,
-            )
+            Run::new(&w.region, &w.binding, backend)
+                .stages(config.stages)
+                .arena(&mut *arena)
+                .execute(cfg, &energy)
         };
         match (run(&base), run(&opt)) {
             (Ok(u), Ok(o)) => {

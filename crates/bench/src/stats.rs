@@ -15,7 +15,7 @@ use std::fs::File;
 use std::io::BufWriter;
 
 use nachos::sweep::{SweepConfig, SweepJob};
-use nachos::{run_backend_observed_in, SimArena, StatsWriter};
+use nachos::{Run, SimArena, StatsWriter};
 
 /// Runs every `(job, variant)` cell of the matrix serially with a
 /// [`StatsWriter`] attached and writes the combined `nachos-stats-v1`
@@ -34,21 +34,16 @@ pub fn write_stats_stream(path: &str, jobs: &[SweepJob], cfg: &SweepConfig) -> R
     let mut arena = SimArena::new();
     let mut runs = 0u64;
     for job in jobs {
-        let mut config = cfg.sim.clone();
-        config.fault.faults.extend(job.fault.faults.iter().copied());
+        let config = job.sim_config(cfg);
         for v in &cfg.variants {
             let label = format!("{}/{}", job.name, v.label);
             writer.begin_run(&label, Some(v.backend));
-            match run_backend_observed_in(
-                &mut arena,
-                &job.region,
-                &job.binding,
-                v.backend,
-                &config,
-                &cfg.energy,
-                v.stages,
-                &mut writer,
-            ) {
+            match Run::new(&job.region, &job.binding, v.backend)
+                .stages(v.stages)
+                .arena(&mut arena)
+                .sink(&mut writer)
+                .execute(&config, &cfg.energy)
+            {
                 Ok(_) => runs += 1,
                 Err(e) => eprintln!("stats pass: skipping {label}: {e}"),
             }

@@ -2,7 +2,7 @@
 
 use crate::config::{Backend, SimConfig};
 use crate::energy::EnergyModel;
-use crate::engine::{simulate_in, simulate_with_telemetry, SimArena, SimResult, TelemetrySink};
+use crate::engine::{simulate_observed, SimArena, SimResult, TelemetrySink};
 use crate::error::SimError;
 use nachos_alias::{compile, Analysis, StageConfig};
 use nachos_ir::{Binding, Region};
@@ -25,7 +25,8 @@ pub struct ExperimentRun {
 /// per cell.
 #[derive(Clone, Debug)]
 pub struct CompiledRegion {
-    /// The compiled (or de-MDE'd) region, ready for `simulate`.
+    /// The compiled (or de-MDE'd) region, ready for
+    /// [`simulate_in`](crate::simulate_in).
     pub region: Region,
     /// Compiler analysis (absent for OPT-LSQ, which needs no MDEs).
     pub analysis: Option<Analysis>,
@@ -48,7 +49,7 @@ pub fn compile_for_backend(
     stages: StageConfig,
 ) -> Result<CompiledRegion, SimError> {
     // Fail fast on malformed input graphs before spending compile and
-    // placement work; `simulate` re-validates the compiled region.
+    // placement work; `simulate_in` re-validates the compiled region.
     nachos_ir::validate_region(region).map_err(SimError::Validation)?;
     let mut compiled = region.clone();
     let analysis = if backend.uses_mdes() {
@@ -88,170 +89,101 @@ pub fn compile_for_backend(
     })
 }
 
-/// Simulates an already-[compiled](compile_for_backend) region,
-/// reusing the state pooled in `arena`. Results are identical to
-/// [`run_backend_with_stages_in`] on the original region with the same
-/// stage configuration.
+/// One region run on one backend: [compile](compile_for_backend) its
+/// MDEs as the backend requires, then simulate it. The only way to run
+/// a raw region; [`simulate_in`](crate::simulate_in) times a region that
+/// is already compiled.
 ///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_backend_compiled_in(
-    arena: &mut SimArena,
-    compiled: &CompiledRegion,
-    binding: &Binding,
+/// ```
+/// # use nachos::{Backend, EnergyModel, Run, SimArena, SimConfig};
+/// # use nachos_alias::StageConfig;
+/// # let (region, binding) = nachos::testutil::store_load_region("demo");
+/// # let config = SimConfig::default();
+/// let mut arena = SimArena::new();
+/// let run = Run::new(&region, &binding, Backend::NachosSw)
+///     .stages(StageConfig::baseline()) // default: `StageConfig::full()`
+///     .arena(&mut arena) // default: a fresh arena
+///     .execute(&config, &EnergyModel::default())?;
+/// # assert!(run.sim.cycles > 0);
+/// # Ok::<(), nachos::SimError>(())
+/// ```
+#[must_use = "a `Run` does nothing until `execute`"]
+pub struct Run<'a> {
+    region: &'a Region,
+    binding: &'a Binding,
     backend: Backend,
-    config: &SimConfig,
-    energy: &EnergyModel,
-) -> Result<ExperimentRun, SimError> {
-    let sim = simulate_in(arena, &compiled.region, binding, backend, config, energy)?;
-    Ok(ExperimentRun {
-        analysis: compiled.analysis.clone(),
-        sim,
-    })
-}
-
-/// Compiles `region` as required by `backend` (full NACHOS-SW pipeline for
-/// the MDE backends, MDE-free for OPT-LSQ) and simulates it.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_backend(
-    region: &Region,
-    binding: &Binding,
-    backend: Backend,
-    config: &SimConfig,
-    energy: &EnergyModel,
-) -> Result<ExperimentRun, SimError> {
-    run_backend_with_stages(
-        region,
-        binding,
-        backend,
-        config,
-        energy,
-        StageConfig::full(),
-    )
-}
-
-/// Like [`run_backend`] but with an explicit compiler stage configuration
-/// (used for the baseline-compiler experiments of Figures 12 and 16).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_backend_with_stages(
-    region: &Region,
-    binding: &Binding,
-    backend: Backend,
-    config: &SimConfig,
-    energy: &EnergyModel,
     stages: StageConfig,
-) -> Result<ExperimentRun, SimError> {
-    let mut arena = SimArena::new();
-    run_backend_with_stages_in(&mut arena, region, binding, backend, config, energy, stages)
+    arena: Option<&'a mut SimArena>,
+    sink: Option<&'a mut dyn TelemetrySink>,
 }
 
-/// Like [`run_backend`], but reuses the simulation state pooled in
-/// `arena` (see [`SimArena`]); results are identical for any arena
-/// history. The sweep harness holds one arena per worker thread.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_backend_in(
-    arena: &mut SimArena,
-    region: &Region,
-    binding: &Binding,
-    backend: Backend,
-    config: &SimConfig,
-    energy: &EnergyModel,
-) -> Result<ExperimentRun, SimError> {
-    run_backend_with_stages_in(
-        arena,
-        region,
-        binding,
-        backend,
-        config,
-        energy,
-        StageConfig::full(),
-    )
-}
+impl<'a> Run<'a> {
+    /// A run of `region` under `binding` on `backend`, with the full
+    /// compiler pipeline, a fresh arena and no telemetry.
+    pub fn new(region: &'a Region, binding: &'a Binding, backend: Backend) -> Self {
+        Self {
+            region,
+            binding,
+            backend,
+            stages: StageConfig::full(),
+            arena: None,
+            sink: None,
+        }
+    }
 
-/// Arena-reusing variant of [`run_backend_with_stages`].
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_backend_with_stages_in(
-    arena: &mut SimArena,
-    region: &Region,
-    binding: &Binding,
-    backend: Backend,
-    config: &SimConfig,
-    energy: &EnergyModel,
-    stages: StageConfig,
-) -> Result<ExperimentRun, SimError> {
-    let compiled = compile_for_backend(region, backend, config, stages)?;
-    let sim = simulate_in(arena, &compiled.region, binding, backend, config, energy)?;
-    Ok(ExperimentRun {
-        analysis: compiled.analysis,
-        sim,
-    })
-}
+    /// Compiles with `stages` instead of the full pipeline (the
+    /// baseline-compiler experiments of Figures 12 and 16).
+    pub fn stages(mut self, stages: StageConfig) -> Self {
+        self.stages = stages;
+        self
+    }
 
-/// Like [`run_backend_with_stages_in`], with a [`TelemetrySink`]
-/// observing the simulation (see [`crate::simulate_with_telemetry`]).
-/// The sink never changes the result: cycles, stall counters and report
-/// bytes are bit-identical to the unobserved run.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-#[allow(clippy::too_many_arguments)]
-pub fn run_backend_observed_in(
-    arena: &mut SimArena,
-    region: &Region,
-    binding: &Binding,
-    backend: Backend,
-    config: &SimConfig,
-    energy: &EnergyModel,
-    stages: StageConfig,
-    sink: &mut dyn TelemetrySink,
-) -> Result<ExperimentRun, SimError> {
-    let compiled = compile_for_backend(region, backend, config, stages)?;
-    let sim = simulate_with_telemetry(
-        arena,
-        &compiled.region,
-        binding,
-        backend,
-        config,
-        energy,
-        sink,
-    )?;
-    Ok(ExperimentRun {
-        analysis: compiled.analysis,
-        sim,
-    })
-}
+    /// Reuses the simulation state pooled in `arena` (see [`SimArena`]);
+    /// results are identical for any arena history.
+    pub fn arena(mut self, arena: &'a mut SimArena) -> Self {
+        self.arena = Some(arena);
+        self
+    }
 
-/// Runs all three backends on the same region/binding, in the paper's
-/// comparison order `[OPT-LSQ, NACHOS-SW, NACHOS]`.
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`] encountered.
-pub fn run_all_backends(
-    region: &Region,
-    binding: &Binding,
-    config: &SimConfig,
-    energy: &EnergyModel,
-) -> Result<[ExperimentRun; 3], SimError> {
-    Ok([
-        run_backend(region, binding, Backend::OptLsq, config, energy)?,
-        run_backend(region, binding, Backend::NachosSw, config, energy)?,
-        run_backend(region, binding, Backend::Nachos, config, energy)?,
-    ])
+    /// Streams the simulation to `sink`. Observation only: cycles, stall
+    /// counters and report bytes are bit-identical to the unobserved run.
+    pub fn sink(mut self, sink: &'a mut dyn TelemetrySink) -> Self {
+        self.sink = Some(sink);
+        self
+    }
+
+    /// Compiles and simulates the region.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] from [`compile_for_backend`] and from the
+    /// simulator.
+    pub fn execute(
+        self,
+        config: &SimConfig,
+        energy: &EnergyModel,
+    ) -> Result<ExperimentRun, SimError> {
+        let compiled = compile_for_backend(self.region, self.backend, config, self.stages)?;
+        let mut fresh = None;
+        let arena = match self.arena {
+            Some(arena) => arena,
+            None => fresh.insert(SimArena::new()),
+        };
+        let sim = simulate_observed(
+            arena,
+            &compiled.region,
+            self.binding,
+            self.backend,
+            config,
+            energy,
+            // Shorten the sink's trait-object lifetime to this call's.
+            self.sink.map(|sink| sink as &mut dyn TelemetrySink),
+        )?;
+        Ok(ExperimentRun {
+            analysis: compiled.analysis,
+            sim,
+        })
+    }
 }
 
 /// Percent slowdown of `test` relative to `baseline` cycle counts

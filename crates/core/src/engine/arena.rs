@@ -9,8 +9,8 @@
 //! policy per backend that resets instead of reconstructing.
 //!
 //! Reuse is **behaviour-invisible**: `simulate_in` produces byte-identical
-//! results to `simulate` regardless of what ran in the arena before — the
-//! golden-snapshot suite pins this down.
+//! results on a pooled arena and on a fresh one, regardless of what ran in
+//! the arena before — the golden-snapshot suite pins this down.
 
 use crate::config::{Backend, SimConfig};
 use nachos_ir::NodeId;

@@ -27,7 +27,7 @@ impl Calendar {
 
     /// Builds a calendar around a pooled (possibly dirty) slot vector.
     pub(crate) fn from_parts(width: u32, mut used: Vec<u32>) -> Self {
-        // Invariant: widths come from SimConfig fields that `simulate`
+        // Invariant: widths come from SimConfig fields that the engine
         // rejects (BadConfig) when zero.
         assert!(width > 0, "calendar width validated before construction");
         used.clear();

@@ -151,14 +151,18 @@ impl SimResult {
     }
 }
 
-/// Simulates `region` under `backend`.
+/// Simulates an already-compiled `region` under `backend`, reusing the
+/// heaps, calendars, node tables and policy state pooled in `arena`
+/// instead of reallocating them — the sweep harness holds one arena per
+/// worker thread across the whole matrix. Results are identical for any
+/// arena history, including a fresh [`SimArena::new`].
 ///
 /// For [`Backend::OptLsq`] the region's MDEs are ignored (the LSQ is the
 /// ordering mechanism); for the NACHOS backends (and the IDEAL oracle)
-/// the region must already carry its MDEs (see [`nachos_alias::compile`]).
-///
-/// Allocates a fresh [`SimArena`] per call; hot callers that run many
-/// regions should hold an arena and use [`simulate_in`].
+/// the region must already carry its MDEs (see
+/// [`compile_for_backend`](crate::compile_for_backend)). To compile and
+/// simulate in one step, or to attach a [`TelemetrySink`], use
+/// [`Run`](crate::Run).
 ///
 /// # Errors
 ///
@@ -166,25 +170,6 @@ impl SimResult {
 /// the binding is incomplete, the configuration is structurally unusable,
 /// or the run deadlocks / violates the token protocol (reachable only
 /// under fault injection or on graphs that bypassed validation).
-pub fn simulate(
-    region: &Region,
-    binding: &Binding,
-    backend: Backend,
-    config: &SimConfig,
-    energy: &EnergyModel,
-) -> Result<SimResult, SimError> {
-    let mut arena = SimArena::new();
-    simulate_in(&mut arena, region, binding, backend, config, energy)
-}
-
-/// Like [`simulate`], but reuses the heaps, calendars, node tables and
-/// policy state pooled in `arena` instead of reallocating them — the
-/// sweep harness holds one arena per worker thread across the whole
-/// matrix. Results are identical to [`simulate`] for any arena history.
-///
-/// # Errors
-///
-/// Identical to [`simulate`].
 pub fn simulate_in(
     arena: &mut SimArena,
     region: &Region,
@@ -196,30 +181,12 @@ pub fn simulate_in(
     simulate_observed(arena, region, binding, backend, config, energy, None)
 }
 
-/// Like [`simulate_in`], with a [`TelemetrySink`] attached: the sink
-/// observes cycle boundaries, backpressure windows and the run summary.
-///
-/// Telemetry is observation only — the returned [`SimResult`] (cycles,
-/// stalls, memory image, load digest) is bit-identical to running
-/// [`simulate_in`] without a sink (`tests/prop_telemetry.rs` pins this).
-///
-/// # Errors
-///
-/// Identical to [`simulate`].
-pub fn simulate_with_telemetry(
-    arena: &mut SimArena,
-    region: &Region,
-    binding: &Binding,
-    backend: Backend,
-    config: &SimConfig,
-    energy: &EnergyModel,
-    sink: &mut dyn TelemetrySink,
-) -> Result<SimResult, SimError> {
-    simulate_observed(arena, region, binding, backend, config, energy, Some(sink))
-}
-
+/// [`simulate_in`] with an optional [`TelemetrySink`] observing cycle
+/// boundaries, backpressure windows and the run summary. Telemetry is
+/// observation only: the [`SimResult`] is bit-identical with or without
+/// a sink (`tests/prop_telemetry.rs` pins this).
 #[allow(clippy::too_many_arguments)]
-fn simulate_observed<'a>(
+pub(crate) fn simulate_observed<'a>(
     arena: &mut SimArena,
     region: &'a Region,
     binding: &'a Binding,

@@ -2,9 +2,9 @@
 //! energy shape and stall attribution. The port-calendar test lives next
 //! to `Calendar` in `core.rs`.
 
-use super::simulate;
+use super::{simulate_in, SimArena};
 use crate::config::Backend;
-use crate::driver::run_backend;
+use crate::driver::Run;
 use crate::energy::EnergyModel;
 use crate::error::SimError;
 use crate::testutil::{check_against_reference, sim_config as config};
@@ -106,8 +106,12 @@ fn nachos_recovers_parallelism_from_false_mays() {
     };
     let cfg = config(8);
     let em = EnergyModel::default();
-    let sw = run_backend(&region, &binding, Backend::NachosSw, &cfg, &em).unwrap();
-    let hw = run_backend(&region, &binding, Backend::Nachos, &cfg, &em).unwrap();
+    let sw = Run::new(&region, &binding, Backend::NachosSw)
+        .execute(&cfg, &em)
+        .unwrap();
+    let hw = Run::new(&region, &binding, Backend::Nachos)
+        .execute(&cfg, &em)
+        .unwrap();
     assert!(
         hw.sim.cycles < sw.sim.cycles,
         "NACHOS ({}) should beat NACHOS-SW ({})",
@@ -135,8 +139,12 @@ fn lsq_penalty_on_independent_loads() {
     };
     let cfg = config(8);
     let em = EnergyModel::default();
-    let lsq = run_backend(&region, &binding, Backend::OptLsq, &cfg, &em).unwrap();
-    let sw = run_backend(&region, &binding, Backend::NachosSw, &cfg, &em).unwrap();
+    let lsq = Run::new(&region, &binding, Backend::OptLsq)
+        .execute(&cfg, &em)
+        .unwrap();
+    let sw = Run::new(&region, &binding, Backend::NachosSw)
+        .execute(&cfg, &em)
+        .unwrap();
     assert!(
         sw.sim.cycles < lsq.sim.cycles,
         "NACHOS-SW ({}) should beat OPT-LSQ ({}) here",
@@ -163,9 +171,13 @@ fn energy_shape_for_resolved_region() {
     };
     let cfg = config(4);
     let em = EnergyModel::default();
-    let hw = run_backend(&region, &binding, Backend::Nachos, &cfg, &em).unwrap();
+    let hw = Run::new(&region, &binding, Backend::Nachos)
+        .execute(&cfg, &em)
+        .unwrap();
     assert_eq!(hw.sim.energy.mde, 0.0, "no MAY/MUST edges survive");
-    let lsq = run_backend(&region, &binding, Backend::OptLsq, &cfg, &em).unwrap();
+    let lsq = Run::new(&region, &binding, Backend::OptLsq)
+        .execute(&cfg, &em)
+        .unwrap();
     assert!(lsq.sim.energy.lsq() > 0.0);
     assert_eq!(hw.sim.energy.lsq(), 0.0);
 }
@@ -188,7 +200,9 @@ fn scratchpad_bypasses_cache_and_lsq() {
     let cfg = config(2);
     let em = EnergyModel::default();
     for backend in Backend::ALL {
-        let run = run_backend(&region, &binding, backend, &cfg, &em).unwrap();
+        let run = Run::new(&region, &binding, backend)
+            .execute(&cfg, &em)
+            .unwrap();
         assert_eq!(run.sim.events.l1_accesses, 0, "{backend}: no cache traffic");
         assert_eq!(run.sim.l1.accesses(), 0);
     }
@@ -212,7 +226,9 @@ fn forwarding_skips_cache() {
     let cfg = config(3);
     let em = EnergyModel::default();
     for backend in Backend::ALL {
-        let run = run_backend(&region, &binding, backend, &cfg, &em).unwrap();
+        let run = Run::new(&region, &binding, backend)
+            .execute(&cfg, &em)
+            .unwrap();
         assert_eq!(
             run.sim.events.forwards, 3,
             "{backend}: one forward per invocation"
@@ -229,7 +245,8 @@ fn incomplete_binding_is_rejected() {
     let g = b.global("g", 64, 0);
     b.load(MemRef::affine(g, AffineExpr::zero()), &[]);
     let region = b.finish();
-    let err = simulate(
+    let err = simulate_in(
+        &mut SimArena::new(),
         &region,
         &Binding::default(),
         Backend::Nachos,
@@ -252,8 +269,24 @@ fn cycles_scale_with_invocations() {
         ..Binding::default()
     };
     let em = EnergyModel::default();
-    let one = simulate(&region, &binding, Backend::Nachos, &config(1), &em).unwrap();
-    let four = simulate(&region, &binding, Backend::Nachos, &config(4), &em).unwrap();
+    let one = simulate_in(
+        &mut SimArena::new(),
+        &region,
+        &binding,
+        Backend::Nachos,
+        &config(1),
+        &em,
+    )
+    .unwrap();
+    let four = simulate_in(
+        &mut SimArena::new(),
+        &region,
+        &binding,
+        Backend::Nachos,
+        &config(4),
+        &em,
+    )
+    .unwrap();
     assert!(four.cycles > one.cycles);
     assert_eq!(four.invocations, 4);
     assert!(
@@ -293,14 +326,9 @@ fn partial_byte_overlap_conflicts_match_reference() {
         ],
         ..Binding::default()
     };
-    let run = run_backend(
-        &region,
-        &binding,
-        Backend::Nachos,
-        &config(48),
-        &EnergyModel::default(),
-    )
-    .unwrap();
+    let run = Run::new(&region, &binding, Backend::Nachos)
+        .execute(&config(48), &EnergyModel::default())
+        .unwrap();
     assert!(run.sim.events.may_checks > 0, "the `==?` path actually ran");
     check_against_reference(&region, &binding, 48);
 }
@@ -325,14 +353,9 @@ fn store_presearch_waits_for_late_data() {
         base_addrs: vec![0x1_0000],
         ..Binding::default()
     };
-    let run = run_backend(
-        &region,
-        &binding,
-        Backend::OptLsq,
-        &config(4),
-        &EnergyModel::default(),
-    )
-    .unwrap();
+    let run = Run::new(&region, &binding, Backend::OptLsq)
+        .execute(&config(4), &EnergyModel::default())
+        .unwrap();
     assert_eq!(run.sim.events.forwards, 4, "one forward per invocation");
     check_against_reference(&region, &binding, 4);
 }
@@ -427,11 +450,15 @@ fn stall_attribution_is_backend_consistent() {
     let mut cfg = config(16);
     cfg.mem_ports = 1; // starve the edge ports
     let em = EnergyModel::default();
-    let lsq = run_backend(&region, &binding, Backend::OptLsq, &cfg, &em).unwrap();
+    let lsq = Run::new(&region, &binding, Backend::OptLsq)
+        .execute(&cfg, &em)
+        .unwrap();
     assert_eq!(lsq.sim.stalls.token, 0);
     assert_eq!(lsq.sim.stalls.may_gate, 0);
     assert_eq!(lsq.sim.stalls.comparator, 0);
-    let sw = run_backend(&region, &binding, Backend::NachosSw, &cfg, &em).unwrap();
+    let sw = Run::new(&region, &binding, Backend::NachosSw)
+        .execute(&cfg, &em)
+        .unwrap();
     assert_eq!(sw.sim.stalls.lsq_alloc, 0);
     assert_eq!(sw.sim.stalls.lsq_search, 0);
     assert_eq!(sw.sim.stalls.comparator, 0);
@@ -439,7 +466,9 @@ fn stall_attribution_is_backend_consistent() {
         sw.sim.stalls.token > 0,
         "serialized MAY edges stall on tokens"
     );
-    let hw = run_backend(&region, &binding, Backend::Nachos, &cfg, &em).unwrap();
+    let hw = Run::new(&region, &binding, Backend::Nachos)
+        .execute(&cfg, &em)
+        .unwrap();
     assert_eq!(hw.sim.stalls.lsq_alloc, 0);
     assert_eq!(hw.sim.stalls.lsq_search, 0);
     for run in [&lsq, &sw, &hw] {
@@ -492,14 +521,9 @@ fn ideal_oracle_is_sound_and_checkless() {
     };
     let inv = 40;
     let expected = crate::reference::execute(&region, &binding, inv);
-    let run = run_backend(
-        &region,
-        &binding,
-        Backend::Ideal,
-        &config(inv),
-        &EnergyModel::default(),
-    )
-    .unwrap();
+    let run = Run::new(&region, &binding, Backend::Ideal)
+        .execute(&config(inv), &EnergyModel::default())
+        .unwrap();
     assert_eq!(run.sim.mem, expected.mem, "IDEAL: memory state diverged");
     assert_eq!(
         run.sim.loads.digest(),
@@ -508,14 +532,9 @@ fn ideal_oracle_is_sound_and_checkless() {
     );
     assert_eq!(run.sim.events.may_checks, 0, "the oracle never checks");
     assert_eq!(run.sim.stalls.comparator, 0);
-    let hw = run_backend(
-        &region,
-        &binding,
-        Backend::Nachos,
-        &config(inv),
-        &EnergyModel::default(),
-    )
-    .unwrap();
+    let hw = Run::new(&region, &binding, Backend::Nachos)
+        .execute(&config(inv), &EnergyModel::default())
+        .unwrap();
     assert!(
         run.sim.cycles <= hw.sim.cycles,
         "IDEAL ({}) is an upper bound on NACHOS ({})",
@@ -534,7 +553,8 @@ fn cancellation_token_stops_the_run_cooperatively() {
     let token = CancelToken::new();
     let cfg = config(8).with_cancel(token.clone());
     // Un-cancelled: the token is inert and the run completes normally.
-    let ok = simulate(
+    let ok = simulate_in(
+        &mut SimArena::new(),
         &region,
         &binding,
         Backend::Nachos,
@@ -545,7 +565,8 @@ fn cancellation_token_stops_the_run_cooperatively() {
     // Cancelled before the run starts: the engine notices at its very
     // first handled event and reports where it stopped.
     token.cancel();
-    let err = simulate(
+    let err = simulate_in(
+        &mut SimArena::new(),
         &region,
         &binding,
         Backend::Nachos,

@@ -34,7 +34,7 @@ pub enum SimError {
     /// The post-compile audit found Error-severity diagnostics: the
     /// compiled region carries an unsound alias verdict, a missing
     /// ordering chain, or drifted bookkeeping (see
-    /// [`nachos_alias::audit`]). Running it would risk silently wrong
+    /// [`nachos_alias::audit()`]). Running it would risk silently wrong
     /// results, so the driver refuses.
     Audit(Vec<nachos_alias::audit::Diagnostic>),
     /// The run was cooperatively cancelled through its

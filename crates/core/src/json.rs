@@ -1,4 +1,6 @@
-//! Minimal deterministic JSON emission shared by the report writers.
+//! Minimal deterministic JSON shared by the report writers, the journal
+//! and the service wire: [`JsonWriter`] emits it and [`parse_json`]
+//! reads it back.
 //!
 //! The harness deliberately avoids a serialization dependency: its
 //! reports ([`crate::sweep::SweepResult::to_json`], the `nachos-lint`
@@ -297,6 +299,297 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+// ---------------------------------------------------------------------
+// Minimal JSON parsing: journal replay and the service wire
+// ---------------------------------------------------------------------
+
+/// A parsed JSON value. Numbers keep their raw text so integer seeds
+/// round-trip without an `f64` detour and floats re-parse to the exact
+/// bit pattern the shortest-roundtrip writer emitted.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `{...}` — insertion-ordered key/value pairs.
+    Obj(Vec<(String, Json)>),
+    /// `[...]`.
+    Arr(Vec<Json>),
+    /// A string literal, unescaped.
+    Str(String),
+    /// A number, as raw text.
+    Num(String),
+    /// `true` / `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
+}
+
+impl Json {
+    /// Object field lookup (first match).
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The boolean, if this is `true` or `false`.
+    #[must_use]
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The string payload, if this is a string.
+    #[must_use]
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The array items, if this is an array.
+    #[must_use]
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The number as `u64` (exact; no float detour).
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The number as a finite `f64`. Text that overflows (`1e999`) is
+    /// refused: [`JsonWriter`] cannot write it back.
+    #[must_use]
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(raw) => raw.parse().ok().filter(|x: &f64| x.is_finite()),
+            _ => None,
+        }
+    }
+}
+
+/// Deepest array/object nesting [`parse_json`] accepts — far above the
+/// few levels our own lines use. The bound keeps the recursive descent's
+/// stack use small on any thread, so a hostile line of 60,000 `[` is a
+/// parse failure instead of a stack overflow.
+pub const MAX_JSON_DEPTH: usize = 64;
+
+/// Parses one JSON document (with nothing but whitespace after it).
+/// Returns `None` on any syntax error or on nesting deeper than
+/// [`MAX_JSON_DEPTH`] — the journal treats unparsable lines as lost
+/// work, not fatal corruption.
+#[must_use]
+pub fn parse_json(text: &str) -> Option<Json> {
+    let mut p = Parser {
+        text,
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos == p.bytes.len() {
+        Some(v)
+    } else {
+        None
+    }
+}
+
+struct Parser<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    depth: usize,
+}
+
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, b: u8) -> Option<()> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Some(())
+        } else {
+            None
+        }
+    }
+
+    fn value(&mut self) -> Option<Json> {
+        match self.peek()? {
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
+            b'"' => self.string().map(Json::Str),
+            b't' => self.literal(b"true", Json::Bool(true)),
+            b'f' => self.literal(b"false", Json::Bool(false)),
+            b'n' => self.literal(b"null", Json::Null),
+            _ => self.number(),
+        }
+    }
+
+    /// Parses one object or array one level deeper, refusing to go past
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Option<Json>) -> Option<Json> {
+        if self.depth == MAX_JSON_DEPTH {
+            return None;
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn literal(&mut self, word: &[u8], v: Json) -> Option<Json> {
+        if self.bytes[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Some(v)
+        } else {
+            None
+        }
+    }
+
+    fn object(&mut self) -> Option<Json> {
+        self.eat(b'{')?;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Some(Json::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            self.skip_ws();
+            let value = self.value()?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b'}' => {
+                    self.pos += 1;
+                    return Some(Json::Obj(fields));
+                }
+                _ => return None,
+            }
+        }
+    }
+
+    fn array(&mut self) -> Option<Json> {
+        self.eat(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Some(Json::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b']' => {
+                    self.pos += 1;
+                    return Some(Json::Arr(items));
+                }
+                _ => return None,
+            }
+        }
+    }
+
+    fn string(&mut self) -> Option<String> {
+        self.eat(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek()? {
+                b'"' => {
+                    self.pos += 1;
+                    return Some(out);
+                }
+                b'\\' => {
+                    self.pos += 1;
+                    match self.peek()? {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'u' => {
+                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return None;
+                            }
+                            let hex = std::str::from_utf8(hex).ok()?;
+                            let code = u32::from_str_radix(hex, 16).ok()?;
+                            // Surrogate pairs never appear in our own
+                            // output (the writer only \u-escapes control
+                            // characters); reject them rather than
+                            // misdecode.
+                            out.push(char::from_u32(code)?);
+                            self.pos += 4;
+                        }
+                        _ => return None,
+                    }
+                    self.pos += 1;
+                }
+                _ => {
+                    // Copy the run of plain characters up to the next
+                    // quote or backslash in one step. Both are ASCII, so
+                    // the run ends on a char boundary of the &str input;
+                    // an unterminated string fails at the next `peek`.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Option<Json> {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+        ) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return None;
+        }
+        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
+        // Validate now so `as_u64`/`as_f64` only see plausible numbers.
+        raw.parse::<f64>().ok()?;
+        Some(Json::Num(raw.to_owned()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,5 +693,72 @@ mod tests {
             "temporary file is renamed away on success"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn parser_handles_nesting_escapes_and_rejects_trailing_junk() {
+        let v = parse_json("{\"a\": [1, {\"b\": \"x\\n\\u0041\"}], \"c\": -1.5e3}").unwrap();
+        assert_eq!(
+            v.get("a").unwrap().as_arr().unwrap()[1]
+                .get("b")
+                .unwrap()
+                .as_str(),
+            Some("x\nA")
+        );
+        assert_eq!(v.get("c").unwrap().as_f64(), Some(-1500.0));
+        assert!(parse_json("{} trailing").is_none());
+        assert!(parse_json("{\"a\": }").is_none());
+        assert!(parse_json("[1, 2").is_none());
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"a\":".repeat(depth - 1) + "{}" + &"}".repeat(depth - 1);
+        assert!(parse_json(&arrays(MAX_JSON_DEPTH)).is_some());
+        assert!(parse_json(&objects(MAX_JSON_DEPTH)).is_some());
+        assert!(parse_json(&arrays(MAX_JSON_DEPTH + 1)).is_none());
+        assert!(parse_json(&objects(MAX_JSON_DEPTH + 1)).is_none());
+        // The hostile line that used to overflow the stack: on a small
+        // thread stack, so a regression fails here instead of passing on
+        // a generous main stack.
+        let hostile = "[".repeat(60_000);
+        let parsed = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || parse_json(&hostile).is_none())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(parsed, "60,000 `[` is rejected");
+    }
+
+    #[test]
+    fn parser_decodes_long_multibyte_and_escaped_strings_in_linear_time() {
+        // A million characters mixing ASCII, 2-, 3- and 4-byte scalars
+        // and escapes.
+        let unit = "ab\u{e9}\u{4e2d}\u{1f600}\"\\\n\u{1}";
+        let text: String = unit.repeat((1 << 20) / unit.chars().count());
+        let line = format!("{{\"s\": \"{}\"}}", escape(&text));
+        let start = std::time::Instant::now();
+        let v = parse_json(&line).expect("parses");
+        let elapsed = start.elapsed();
+        assert_eq!(v.get("s").and_then(Json::as_str), Some(text.as_str()));
+        // A decoder that rescans the rest of the input per character
+        // takes seconds here (54 ms at 60k characters, growing with the
+        // square); a linear one takes milliseconds, even unoptimized.
+        assert!(elapsed.as_secs() < 2, "1M-char string took {elapsed:?}");
+        assert_eq!(
+            parse_json("\"\\u00e9\\u4E2D/\\/\\b\\f\\t\\r\""),
+            Some(Json::Str("\u{e9}\u{4e2d}//\u{8}\u{c}\t\r".into()))
+        );
+        for bad in [
+            "\"abc",
+            "\"\\x\"",
+            "\"\\u12\"",
+            "\"\\u+041\"",
+            "\"\\ud800\"",
+        ] {
+            assert_eq!(parse_json(bad), None, "{bad}");
+        }
     }
 }

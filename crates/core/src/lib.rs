@@ -10,14 +10,14 @@
 //!   prices the operand network;
 //! * the memory substrate ([`nachos_mem`]) provides the L1/LLC/DRAM
 //!   hierarchy; the OPT-LSQ baseline comes from [`nachos_lsq`];
-//! * this crate's [`simulate`] runs the region cycle-by-cycle under one of
-//!   the paper's three backends or the IDEAL oracle ([`Backend`]) with an
-//!   event-based energy model
+//! * this crate's [`Run`] compiles the region and simulates it
+//!   cycle-by-cycle under one of the paper's three backends or the IDEAL
+//!   oracle ([`Backend`]) with an event-based energy model
 //!   ([`EnergyModel`]), and [`reference::execute`] provides the in-order
 //!   ground truth every backend must match.
 //!
 //! ```
-//! use nachos::{run_backend, Backend, EnergyModel, SimConfig};
+//! use nachos::{Backend, EnergyModel, Run, SimConfig};
 //! use nachos_ir::{AffineExpr, Binding, MemRef, RegionBuilder};
 //!
 //! let mut b = RegionBuilder::new("demo");
@@ -29,7 +29,7 @@
 //! let region = b.finish();
 //! let binding = Binding { base_addrs: vec![0x1_0000], ..Binding::default() };
 //! let config = SimConfig::default().with_invocations(4);
-//! let run = run_backend(&region, &binding, Backend::Nachos, &config, &EnergyModel::default())?;
+//! let run = Run::new(&region, &binding, Backend::Nachos).execute(&config, &EnergyModel::default())?;
 //! assert!(run.sim.cycles > 0);
 //! # Ok::<(), nachos::SimError>(())
 //! ```
@@ -52,15 +52,11 @@ pub mod value;
 
 pub use analytic::DecentralizedModel;
 pub use config::{Backend, CancelToken, SimConfig, WatchdogConfig};
-pub use driver::{
-    compile_for_backend, pct_slowdown, run_all_backends, run_backend, run_backend_compiled_in,
-    run_backend_in, run_backend_observed_in, run_backend_with_stages, run_backend_with_stages_in,
-    CompiledRegion, ExperimentRun,
-};
+pub use driver::{compile_for_backend, pct_slowdown, CompiledRegion, ExperimentRun, Run};
 pub use energy::{EnergyBreakdown, EnergyModel, EventCounts};
 pub use engine::{
-    simulate, simulate_in, simulate_with_telemetry, BackpressureEvent, CycleRecord, NoopSink,
-    RunSummary, SimArena, SimResult, StallCause, StallCounts, StatsWriter, TelemetrySink,
+    simulate_in, BackpressureEvent, CycleRecord, NoopSink, RunSummary, SimArena, SimResult,
+    StallCause, StallCounts, StatsWriter, TelemetrySink,
 };
 pub use error::{DeadlockCause, DeadlockInfo, SimError, StalledNode, WaitForEdge};
 pub use fault::{FaultClass, FaultKind, FaultPlan, FaultSpec};

@@ -68,9 +68,9 @@ pub mod journal;
 pub mod shard;
 
 use crate::config::{Backend, SimConfig};
-use crate::driver::{compile_for_backend, run_backend_compiled_in, CompiledRegion, ExperimentRun};
+use crate::driver::{compile_for_backend, CompiledRegion, ExperimentRun};
 use crate::energy::EnergyModel;
-use crate::engine::SimArena;
+use crate::engine::{simulate_in, SimArena};
 use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::json::JsonWriter;
@@ -116,6 +116,17 @@ impl SweepJob {
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = fault;
         self
+    }
+
+    /// The job's effective simulator configuration under `cfg`: the
+    /// sweep-wide base with this job's fault plan appended. The merge
+    /// defines the job's fingerprint, so every process that keys its
+    /// cells calls this one method.
+    #[must_use]
+    pub fn sim_config(&self, cfg: &SweepConfig) -> SimConfig {
+        let mut sim = cfg.sim.clone();
+        sim.fault.faults.extend(self.fault.faults.iter().copied());
+        sim
     }
 }
 
@@ -673,7 +684,12 @@ fn worker(
                 let msg = panic_message(payload.as_ref());
                 let strikes = sup.strike(i);
                 if strikes >= cfg.quarantine_after.max(1) {
-                    mine.push((i, quarantined_job(job, cfg, strikes, &msg)));
+                    let detail =
+                        format!("quarantined: job-level panic killed {strikes} workers: {msg}");
+                    mine.push((
+                        i,
+                        unreferenced_job(job, cfg, None, sup, RunStatus::Quarantined, &detail),
+                    ));
                 } else {
                     sup.requeue(i);
                 }
@@ -685,18 +701,25 @@ fn worker(
     (mine, retired)
 }
 
-/// The outcome of a job whose reference pass was cancelled: journaled
-/// cells still replay (they settled before the cut and cost nothing),
-/// every other cell is [`RunStatus::Cancelled`]. Nothing new is
-/// journaled, so a resume re-executes the cancelled cells in full.
-fn cancelled_job(
+/// The outcome of a job whose reference never completed: every cell
+/// gets `status` and `detail`, except cells settled in `journal`, which
+/// replay (they cost nothing). The reference is empty and nothing new is
+/// journaled.
+///
+/// A cancelled job passes its journal, so a resume re-executes only the
+/// cancelled cells. A job whose setup killed too many workers is
+/// quarantined without one: if its panic is deterministic a resume
+/// reproduces the identical outcome, and if it was environmental the
+/// resume gets a fresh chance at a real run.
+fn unreferenced_job(
     job: &SweepJob,
     cfg: &SweepConfig,
-    sim_cfg: &SimConfig,
     journal: Option<&Journal>,
     sup: &Supervisor,
+    status: RunStatus,
+    detail: &str,
 ) -> JobOutcome {
-    let fp = journal::job_fingerprint(&job.region, &job.binding, sim_cfg);
+    let fp = journal::job_fingerprint(&job.region, &job.binding, &job.sim_config(cfg));
     let runs = cfg
         .variants
         .iter()
@@ -709,58 +732,13 @@ fn cancelled_job(
             VariantOutcome {
                 variant: v.label.clone(),
                 backend: v.backend,
-                status: RunStatus::Cancelled,
+                status,
                 run: None,
                 error: None,
-                detail: Some("cancelled before the reference execution completed".to_owned()),
+                detail: Some(detail.to_owned()),
                 injected: Vec::new(),
                 attempts: vec![Attempt {
-                    status: RunStatus::Cancelled,
-                    seed: journal::derive_seed(key, 0),
-                }],
-                metrics: None,
-            }
-        })
-        .collect();
-    JobOutcome {
-        name: job.name.clone(),
-        reference: ReferenceResult {
-            mem: DataMemory::new(),
-            loads: crate::value::LoadObserver::new(),
-        },
-        runs,
-    }
-}
-
-/// The outcome of a job whose setup killed `strikes` workers: every cell
-/// is [`RunStatus::Quarantined`] with the deterministic panic message,
-/// and the reference is empty (it never completed). Quarantined cells are
-/// not journaled — if the underlying panic is deterministic a resume
-/// reproduces the identical outcome, and if it was environmental the
-/// resume gets a fresh chance at a real run.
-fn quarantined_job(job: &SweepJob, cfg: &SweepConfig, strikes: u32, msg: &str) -> JobOutcome {
-    let mut sim_cfg = cfg.sim.clone();
-    sim_cfg
-        .fault
-        .faults
-        .extend(job.fault.faults.iter().copied());
-    let fp = journal::job_fingerprint(&job.region, &job.binding, &sim_cfg);
-    let detail = format!("quarantined: job-level panic killed {strikes} workers: {msg}");
-    let runs = cfg
-        .variants
-        .iter()
-        .map(|v| {
-            let key = journal::run_key(fp, v);
-            VariantOutcome {
-                variant: v.label.clone(),
-                backend: v.backend,
-                status: RunStatus::Quarantined,
-                run: None,
-                error: None,
-                detail: Some(detail.clone()),
-                injected: Vec::new(),
-                attempts: vec![Attempt {
-                    status: RunStatus::Quarantined,
+                    status,
                     seed: journal::derive_seed(key, 0),
                 }],
                 metrics: None,
@@ -786,11 +764,7 @@ fn run_job(
     journal: Option<&Journal>,
     sup: &Supervisor,
 ) -> JobOutcome {
-    let mut sim_cfg = cfg.sim.clone();
-    sim_cfg
-        .fault
-        .faults
-        .extend(job.fault.faults.iter().copied());
+    let sim_cfg = job.sim_config(cfg);
     let fp = journal::job_fingerprint(&job.region, &job.binding, &sim_cfg);
     // A tripped cancel token stops even the reference pass: a sweep under
     // a wall-clock deadline must not hide in the in-order executor while
@@ -801,7 +775,14 @@ fn run_job(
         cfg.sim.invocations,
         cfg.sim.cancel.as_ref(),
     ) else {
-        return cancelled_job(job, cfg, &sim_cfg, journal, sup);
+        return unreferenced_job(
+            job,
+            cfg,
+            journal,
+            sup,
+            RunStatus::Cancelled,
+            "cancelled before the reference execution completed",
+        );
     };
     // Variants sharing a stage configuration and MDE requirement reuse
     // one compile: within a job, compilation depends only on those two
@@ -942,7 +923,18 @@ fn run_variant(
     let fault_active = sim_cfg.fault.applies_to(v.backend);
     let caught = catch_unwind(AssertUnwindSafe(|| {
         let compiled = compiles.get_or_compile(&job.region, v, sim_cfg)?;
-        run_backend_compiled_in(arena, compiled, &job.binding, v.backend, sim_cfg, energy)
+        let sim = simulate_in(
+            arena,
+            &compiled.region,
+            &job.binding,
+            v.backend,
+            sim_cfg,
+            energy,
+        )?;
+        Ok(ExperimentRun {
+            analysis: compiled.analysis.clone(),
+            sim,
+        })
     }));
     let (status, run, error, detail) = match caught {
         Err(payload) => {

@@ -151,7 +151,7 @@ impl ResultCache {
     }
 
     /// Promotes one settled record into the cache. Returns `false`
-    /// without writing when the record's status is not [cacheable]
+    /// without writing when the record's status is not cacheable
     /// (`Self::cacheable`) or an entry already exists (first write
     /// wins; any valid entry for a key encodes the identical outcome).
     ///

@@ -64,12 +64,11 @@
 //! immediately with a journal a future restart resumes from.
 
 use super::journal::{
-    file_lacks_final_newline, parse_json, read_bounded_line, BoundedLine, Journal, Json,
-    MAX_RECORD_LEN,
+    file_lacks_final_newline, read_bounded_line, BoundedLine, Journal, MAX_RECORD_LEN,
 };
 use super::{run_sweep_journaled, RunStatus, SweepConfig, SweepJob};
 use crate::config::CancelToken;
-use crate::json::{checksum_frame, checksum_unframe, write_atomic, JsonWriter};
+use crate::json::{checksum_frame, checksum_unframe, parse_json, write_atomic, Json, JsonWriter};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -206,10 +205,10 @@ impl MatrixSpec {
             spec.threads = usize::try_from(n.as_u64()?).ok()?;
         }
         if let Some(b) = v.get("ideal") {
-            spec.ideal = matches!(b, Json::Bool(true));
+            spec.ideal = b.as_bool()?;
         }
         if let Some(b) = v.get("optimize") {
-            spec.optimize = matches!(b, Json::Bool(true));
+            spec.optimize = b.as_bool()?;
         }
         if let Some(n) = v.get("max_retries") {
             spec.max_retries = u32::try_from(n.as_u64()?).ok()?;
@@ -1461,7 +1460,16 @@ mod tests {
             assert_eq!(back.to_json(), json, "stable bytes");
         }
         assert!(MatrixSpec::from_json(&Json::Null).is_none());
-        assert!(MatrixSpec::from_json(&parse_json("{\"invocations\": \"x\"}").unwrap()).is_none());
+        for wrong in [
+            "{\"invocations\": \"x\"}",
+            "{\"ideal\": \"true\"}",
+            "{\"ideal\": 1}",
+            "{\"optimize\": null}",
+            "{\"optimize\": \"false\"}",
+        ] {
+            let v = parse_json(wrong).unwrap();
+            assert!(MatrixSpec::from_json(&v).is_none(), "{wrong} is rejected");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! ([`crate::json::checksum_frame`]): a torn or corrupted beat is
 //! dropped by readers, never misattributed.
 
-use super::journal::{parse_json, RunKey};
-use crate::json::{checksum_frame, checksum_unframe, JsonWriter};
+use super::journal::RunKey;
+use crate::json::{checksum_frame, checksum_unframe, parse_json, JsonWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;

@@ -28,9 +28,10 @@
 //!   Rust's shortest-roundtrip formatting both ways.
 //!
 //! The journal has no serialization dependency: lines are written by the
-//! compact [`JsonWriter`] and read back by the ~100-line recursive
-//! descent parser at the bottom of this module. Numbers are kept as raw
-//! text during parsing so `u64` seeds survive without an `f64` detour.
+//! compact [`JsonWriter`] and read back by the small recursive-descent
+//! [`parse_json`] beside it in [`crate::json`] (re-exported here for
+//! existing importers). Numbers are kept as raw text during parsing so
+//! `u64` seeds survive without an `f64` detour.
 
 use super::{RunStatus, SweepVariant};
 use crate::config::SimConfig;
@@ -40,7 +41,7 @@ use crate::json::{checksum_frame, checksum_unframe, FrameError, JsonWriter};
 use crate::json::{FNV_OFFSET, FNV_PRIME};
 use nachos_mem::CacheStats;
 
-pub use crate::json::fnv1a;
+pub use crate::json::{fnv1a, parse_json, Json, MAX_JSON_DEPTH};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
@@ -912,279 +913,6 @@ pub(crate) fn file_lacks_final_newline(path: &Path) -> io::Result<bool> {
     Ok(last[0] != b'\n')
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON parsing (journal replay only)
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers keep their raw text so integer seeds
-/// round-trip without an `f64` detour and floats re-parse to the exact
-/// bit pattern the shortest-roundtrip writer emitted.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `{...}` — insertion-ordered key/value pairs.
-    Obj(Vec<(String, Json)>),
-    /// `[...]`.
-    Arr(Vec<Json>),
-    /// A string literal, unescaped.
-    Str(String),
-    /// A number, as raw text.
-    Num(String),
-    /// `true` / `false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-impl Json {
-    /// Object field lookup (first match).
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array items, if this is an array.
-    #[must_use]
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The number as `u64` (exact; no float detour).
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The number as `f64`.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-}
-
-/// Deepest array/object nesting [`parse_json`] accepts — far above the
-/// few levels our own lines use. The bound keeps the recursive descent's
-/// stack use small on any thread, so a hostile line of 60,000 `[` is a
-/// parse failure instead of a stack overflow.
-pub const MAX_JSON_DEPTH: usize = 64;
-
-/// Parses one JSON document (with nothing but whitespace after it).
-/// Returns `None` on any syntax error or on nesting deeper than
-/// [`MAX_JSON_DEPTH`] — the journal treats unparsable lines as lost
-/// work, not fatal corruption.
-#[must_use]
-pub fn parse_json(text: &str) -> Option<Json> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos == p.bytes.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Option<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn value(&mut self) -> Option<Json> {
-        match self.peek()? {
-            b'{' => self.nested(Self::object),
-            b'[' => self.nested(Self::array),
-            b'"' => self.string().map(Json::Str),
-            b't' => self.literal(b"true", Json::Bool(true)),
-            b'f' => self.literal(b"false", Json::Bool(false)),
-            b'n' => self.literal(b"null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    /// Parses one object or array one level deeper, refusing to go past
-    /// [`MAX_JSON_DEPTH`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Option<Json>) -> Option<Json> {
-        if self.depth == MAX_JSON_DEPTH {
-            return None;
-        }
-        self.depth += 1;
-        let v = parse(self);
-        self.depth -= 1;
-        v
-    }
-
-    fn literal(&mut self, word: &[u8], v: Json) -> Option<Json> {
-        if self.bytes[self.pos..].starts_with(word) {
-            self.pos += word.len();
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn object(&mut self) -> Option<Json> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Some(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Some(Json::Obj(fields));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn array(&mut self) -> Option<Json> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Some(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Some(Json::Arr(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek()? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek()? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let hex = std::str::from_utf8(hex).ok()?;
-                            let code = u32::from_str_radix(hex, 16).ok()?;
-                            // Surrogate pairs never appear in our own
-                            // output (the writer only \u-escapes control
-                            // characters); reject them rather than
-                            // misdecode.
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).ok()?;
-                    let c = s.chars().next()?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<Json> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-        // Validate now so `as_u64`/`as_f64` only see plausible numbers.
-        raw.parse::<f64>().ok()?;
-        Some(Json::Num(raw.to_owned()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1630,42 +1358,5 @@ mod tests {
         assert_eq!(j.lookup(rec_a.key), Some(&rec_a.outcome));
         assert_eq!(j.lookup(rec_b.key), Some(&rec_b.outcome));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn parser_handles_nesting_escapes_and_rejects_trailing_junk() {
-        let v = parse_json("{\"a\": [1, {\"b\": \"x\\n\\u0041\"}], \"c\": -1.5e3}").unwrap();
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[1]
-                .get("b")
-                .unwrap()
-                .as_str(),
-            Some("x\nA")
-        );
-        assert_eq!(v.get("c").unwrap().as_f64(), Some(-1500.0));
-        assert!(parse_json("{} trailing").is_none());
-        assert!(parse_json("{\"a\": }").is_none());
-        assert!(parse_json("[1, 2").is_none());
-    }
-
-    #[test]
-    fn parser_bounds_nesting_depth() {
-        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
-        let objects = |depth: usize| "{\"a\":".repeat(depth - 1) + "{}" + &"}".repeat(depth - 1);
-        assert!(parse_json(&arrays(MAX_JSON_DEPTH)).is_some());
-        assert!(parse_json(&objects(MAX_JSON_DEPTH)).is_some());
-        assert!(parse_json(&arrays(MAX_JSON_DEPTH + 1)).is_none());
-        assert!(parse_json(&objects(MAX_JSON_DEPTH + 1)).is_none());
-        // The hostile line that used to overflow the stack: on a small
-        // thread stack, so a regression fails here instead of passing on
-        // a generous main stack.
-        let hostile = "[".repeat(60_000);
-        let parsed = std::thread::Builder::new()
-            .stack_size(256 << 10)
-            .spawn(move || parse_json(&hostile).is_none())
-            .unwrap()
-            .join()
-            .unwrap();
-        assert!(parsed, "60,000 `[` is rejected");
     }
 }

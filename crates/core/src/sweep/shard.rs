@@ -54,10 +54,10 @@
 
 use super::cache::{CacheCounters, CacheLookup, ResultCache};
 use super::heartbeat::{Heartbeat, HeartbeatPhase, Pulse};
-use super::journal::{self, parse_json, Attempt, Journal, Json, LineError, RunKey, RunRecord};
+use super::journal::{self, Attempt, Journal, LineError, RunKey, RunRecord};
 use super::{OutcomeRecord, RunStatus, SweepConfig, SweepJob, SweepResult, SweepStats};
 use crate::engine::SimArena;
-use crate::json::JsonWriter;
+use crate::json::{parse_json, Json, JsonWriter};
 use crate::reference;
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -105,7 +105,7 @@ pub struct Cell {
 pub fn enumerate_cells(jobs: &[SweepJob], cfg: &SweepConfig) -> Vec<Cell> {
     let mut cells = Vec::with_capacity(jobs.len() * cfg.variants.len());
     for (ji, job) in jobs.iter().enumerate() {
-        let sim = effective_sim(job, cfg);
+        let sim = job.sim_config(cfg);
         let fp = journal::job_fingerprint(&job.region, &job.binding, &sim);
         for (vi, v) in cfg.variants.iter().enumerate() {
             cells.push(Cell {
@@ -116,15 +116,6 @@ pub fn enumerate_cells(jobs: &[SweepJob], cfg: &SweepConfig) -> Vec<Cell> {
         }
     }
     cells
-}
-
-/// The job's effective simulator configuration: the sweep-wide base with
-/// the job's fault plan merged in — the same merge [`super::run_sweep`]
-/// performs, so fingerprints agree across processes.
-fn effective_sim(job: &SweepJob, cfg: &SweepConfig) -> crate::config::SimConfig {
-    let mut sim = cfg.sim.clone();
-    sim.fault.faults.extend(job.fault.faults.iter().copied());
-    sim
 }
 
 /// The shard a key belongs to, for a given shard count. Pure key
@@ -907,7 +898,7 @@ where
             summary.protocol_errors += group.len();
             continue;
         };
-        let mut sim_cfg = effective_sim(job, cfg);
+        let mut sim_cfg = job.sim_config(cfg);
         let fp = journal::job_fingerprint(&job.region, &job.binding, &sim_cfg);
         sim_cfg.cancel = Some(token.clone());
         let Some(reference) = reference::execute_cancellable(

@@ -7,8 +7,8 @@
 //! integration/property suites all build the same regions the same way
 //! instead of carrying copy-pasted builders.
 
-use crate::config::SimConfig;
-use crate::driver::run_all_backends;
+use crate::config::{Backend, SimConfig};
+use crate::driver::Run;
 use crate::energy::EnergyModel;
 use crate::reference;
 use nachos_ir::{
@@ -31,14 +31,10 @@ pub fn sim_config(invocations: u64) -> SimConfig {
 /// reference.
 pub fn check_against_reference(region: &Region, binding: &Binding, invocations: u64) {
     let expected = reference::execute(region, binding, invocations);
-    let runs = run_all_backends(
-        region,
-        binding,
-        &sim_config(invocations),
-        &EnergyModel::default(),
-    )
-    .expect("simulation succeeds");
-    for run in &runs {
+    for backend in Backend::ALL {
+        let run = Run::new(region, binding, backend)
+            .execute(&sim_config(invocations), &EnergyModel::default())
+            .expect("simulation succeeds");
         assert_eq!(
             run.sim.mem, expected.mem,
             "{}: final memory state diverged",

@@ -164,7 +164,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use core::ops::{Range, RangeInclusive};
 
-    /// Admissible element-count specifications for [`vec`].
+    /// Admissible element-count specifications for [`vec()`].
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -195,7 +195,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example design_space`.
 
-use nachos::{run_backend, Backend, EnergyModel, SimConfig};
+use nachos::{Backend, EnergyModel, Run, SimConfig};
 use nachos_workloads::{by_name, generate};
 
 fn main() {
@@ -31,7 +31,8 @@ fn main() {
             ..SimConfig::default()
         }
         .with_invocations(32);
-        let run = run_backend(&w.region, &w.binding, Backend::Nachos, &config, &energy)
+        let run = Run::new(&w.region, &w.binding, Backend::Nachos)
+            .execute(&config, &energy)
             .expect("simulate");
         println!(
             "{comparators:>18} {:>12} {:>14}",
@@ -50,7 +51,8 @@ fn main() {
     for apc in [1u32, 2, 4, 8] {
         let mut config = SimConfig::default().with_invocations(32);
         config.lsq.alloc_per_cycle = apc;
-        let run = run_backend(&w.region, &w.binding, Backend::OptLsq, &config, &energy)
+        let run = Run::new(&w.region, &w.binding, Backend::OptLsq)
+            .execute(&config, &energy)
             .expect("simulate");
         println!(
             "{apc:>18} {:>12} {:>14}",

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example irregular_pointers`.
 
-use nachos::{pct_slowdown, run_all_backends, EnergyModel, SimConfig};
+use nachos::{pct_slowdown, Backend, EnergyModel, Run, SimConfig};
 use nachos_ir::{AffineExpr, Binding, IntOp, LoopInfo, MemRef, RegionBuilder, UnknownPattern};
 
 fn main() {
@@ -37,9 +37,11 @@ fn main() {
         }],
     };
     let config = SimConfig::default().with_invocations(64);
-    let runs =
-        run_all_backends(&region, &binding, &config, &EnergyModel::default()).expect("simulate");
-    let [lsq, sw, hw] = runs;
+    let [lsq, sw, hw] = Backend::ALL.map(|backend| {
+        Run::new(&region, &binding, backend)
+            .execute(&config, &EnergyModel::default())
+            .expect("simulate")
+    });
 
     println!("one MAY store above eight independent loads:");
     println!(

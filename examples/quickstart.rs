@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use nachos::{run_all_backends, EnergyModel, SimConfig};
+use nachos::{Backend, EnergyModel, Run, SimConfig};
 use nachos_alias::{analyze, StageConfig};
 use nachos_ir::{AffineExpr, Binding, IntOp, LoopInfo, MemRef, Provenance, RegionBuilder};
 
@@ -66,8 +66,11 @@ fn main() {
     };
     let config = SimConfig::default().with_invocations(64);
     let energy = EnergyModel::default();
-    let runs = run_all_backends(&region, &binding, &config, &energy)
-        .expect("region fits the paper's 32x32 grid");
+    let runs = Backend::ALL.map(|backend| {
+        Run::new(&region, &binding, backend)
+            .execute(&config, &energy)
+            .expect("region fits the paper's 32x32 grid")
+    });
 
     println!();
     println!(

@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo run --release --example stencil_polyhedral`.
 
-use nachos::{pct_slowdown, run_backend, Backend, EnergyModel, SimConfig};
+use nachos::{pct_slowdown, Backend, EnergyModel, Run, SimConfig};
 use nachos_alias::{analyze, StageConfig};
 use nachos_ir::{
     AffineExpr, Binding, FpOp, LoopInfo, MemRef, ParamInfo, RegionBuilder, ScaledParam, Subscript,
@@ -77,21 +77,17 @@ fn main() {
     };
     let config = SimConfig::default().with_invocations(64);
     let energy = EnergyModel::default();
-    let sw_without = nachos::run_backend_with_stages(
-        &region,
-        &binding,
-        Backend::NachosSw,
-        &config,
-        &energy,
-        StageConfig {
+    let sw_without = Run::new(&region, &binding, Backend::NachosSw)
+        .stages(StageConfig {
             stage2: true,
             stage3: true,
             stage4: false,
-        },
-    )
-    .expect("simulate");
-    let sw_with =
-        run_backend(&region, &binding, Backend::NachosSw, &config, &energy).expect("simulate");
+        })
+        .execute(&config, &energy)
+        .expect("simulate");
+    let sw_with = Run::new(&region, &binding, Backend::NachosSw)
+        .execute(&config, &energy)
+        .expect("simulate");
     println!();
     println!(
         "  NACHOS-SW cycles without stage 4: {}",

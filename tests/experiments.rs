@@ -2,7 +2,7 @@
 //! qualitative results (who wins, and where) must hold on every build.
 
 use nachos::sweep::{run_sweep, SweepConfig, SweepJob};
-use nachos::{run_backend, Backend, EnergyModel, SimConfig};
+use nachos::{Backend, EnergyModel, Run, SimConfig};
 use nachos_alias::{analyze, StageConfig};
 use nachos_workloads::{by_name, generate, generate_all};
 
@@ -60,9 +60,15 @@ fn nachos_recovers_every_sw_slowdown() {
         "histog.",
     ] {
         let w = generate(&by_name(name).unwrap());
-        let lsq = run_backend(&w.region, &w.binding, Backend::OptLsq, &cfg(), &energy).unwrap();
-        let sw = run_backend(&w.region, &w.binding, Backend::NachosSw, &cfg(), &energy).unwrap();
-        let hw = run_backend(&w.region, &w.binding, Backend::Nachos, &cfg(), &energy).unwrap();
+        let lsq = Run::new(&w.region, &w.binding, Backend::OptLsq)
+            .execute(&cfg(), &energy)
+            .unwrap();
+        let sw = Run::new(&w.region, &w.binding, Backend::NachosSw)
+            .execute(&cfg(), &energy)
+            .unwrap();
+        let hw = Run::new(&w.region, &w.binding, Backend::Nachos)
+            .execute(&cfg(), &energy)
+            .unwrap();
         let sw_slow = nachos::pct_slowdown(sw.sim.cycles, lsq.sim.cycles);
         let hw_slow = nachos::pct_slowdown(hw.sim.cycles, lsq.sim.cycles);
         assert!(
@@ -86,8 +92,12 @@ fn fully_resolved_workloads_tie_sw_and_hw() {
     let energy = EnergyModel::default();
     for name in ["gzip", "183.equake", "lbm", "dwt53", "fluida."] {
         let w = generate(&by_name(name).unwrap());
-        let sw = run_backend(&w.region, &w.binding, Backend::NachosSw, &cfg(), &energy).unwrap();
-        let hw = run_backend(&w.region, &w.binding, Backend::Nachos, &cfg(), &energy).unwrap();
+        let sw = Run::new(&w.region, &w.binding, Backend::NachosSw)
+            .execute(&cfg(), &energy)
+            .unwrap();
+        let hw = Run::new(&w.region, &w.binding, Backend::Nachos)
+            .execute(&cfg(), &energy)
+            .unwrap();
         assert_eq!(sw.sim.cycles, hw.sim.cycles, "{name}");
         assert_eq!(hw.sim.events.may_checks, 0, "{name}");
     }
@@ -103,8 +113,12 @@ fn nachos_always_saves_energy_vs_lsq() {
         if w.region.num_global_mem_ops() == 0 {
             continue;
         }
-        let lsq = run_backend(&w.region, &w.binding, Backend::OptLsq, &cfg(), &energy).unwrap();
-        let hw = run_backend(&w.region, &w.binding, Backend::Nachos, &cfg(), &energy).unwrap();
+        let lsq = Run::new(&w.region, &w.binding, Backend::OptLsq)
+            .execute(&cfg(), &energy)
+            .unwrap();
+        let hw = Run::new(&w.region, &w.binding, Backend::Nachos)
+            .execute(&cfg(), &energy)
+            .unwrap();
         assert!(
             hw.sim.energy.mde <= lsq.sim.energy.lsq(),
             "{}: MDE energy exceeds the LSQ's",
@@ -143,24 +157,14 @@ fn baseline_compiler_hurts_stage_beneficiaries() {
     let energy = EnergyModel::default();
     for name in ["parser", "183.equake", "lbm", "bodytrack"] {
         let w = generate(&by_name(name).unwrap());
-        let full = nachos::run_backend_with_stages(
-            &w.region,
-            &w.binding,
-            Backend::NachosSw,
-            &cfg(),
-            &energy,
-            StageConfig::full(),
-        )
-        .unwrap();
-        let base = nachos::run_backend_with_stages(
-            &w.region,
-            &w.binding,
-            Backend::NachosSw,
-            &cfg(),
-            &energy,
-            StageConfig::baseline(),
-        )
-        .unwrap();
+        let full = Run::new(&w.region, &w.binding, Backend::NachosSw)
+            .stages(StageConfig::full())
+            .execute(&cfg(), &energy)
+            .unwrap();
+        let base = Run::new(&w.region, &w.binding, Backend::NachosSw)
+            .stages(StageConfig::baseline())
+            .execute(&cfg(), &energy)
+            .unwrap();
         let slow = nachos::pct_slowdown(base.sim.cycles, full.sim.cycles);
         assert!(
             slow > 50.0,
@@ -176,7 +180,9 @@ fn bloom_zero_class_contains_the_resolved_loadonly_workloads() {
     let energy = EnergyModel::default();
     for name in ["gzip", "181.mcf", "crafty", "sjeng"] {
         let w = generate(&by_name(name).unwrap());
-        let lsq = run_backend(&w.region, &w.binding, Backend::OptLsq, &cfg(), &energy).unwrap();
+        let lsq = Run::new(&w.region, &w.binding, Backend::OptLsq)
+            .execute(&cfg(), &energy)
+            .unwrap();
         assert_eq!(
             lsq.sim.bloom.hits, 0,
             "{name}: expected a perfect bloom filter"

@@ -3,7 +3,7 @@
 //! state and every load's observed value equal those of a sequential
 //! in-order execution.
 
-use nachos::{reference, run_all_backends, EnergyModel, SimConfig};
+use nachos::{reference, Backend, EnergyModel, Run, SimConfig};
 use nachos_workloads::generate_all;
 
 #[test]
@@ -12,8 +12,11 @@ fn all_workloads_all_backends_match_reference() {
     let energy = EnergyModel::default();
     for w in generate_all() {
         let expected = reference::execute(&w.region, &w.binding, config.invocations);
-        let runs = run_all_backends(&w.region, &w.binding, &config, &energy)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.spec.name));
+        let runs = Backend::ALL.map(|backend| {
+            Run::new(&w.region, &w.binding, backend)
+                .execute(&config, &energy)
+                .unwrap_or_else(|e| panic!("{}: {e}", w.spec.name))
+        });
         for run in &runs {
             assert_eq!(
                 run.sim.mem, expected.mem,
@@ -39,8 +42,11 @@ fn secondary_paths_also_preserve_ordering() {
         for path in [1u32, 3] {
             let w = nachos_workloads::generate_path(&spec, path);
             let expected = reference::execute(&w.region, &w.binding, config.invocations);
-            let runs = run_all_backends(&w.region, &w.binding, &config, &energy)
-                .unwrap_or_else(|e| panic!("{}.p{path}: {e}", spec.name));
+            let runs = Backend::ALL.map(|backend| {
+                Run::new(&w.region, &w.binding, backend)
+                    .execute(&config, &energy)
+                    .unwrap_or_else(|e| panic!("{}.p{path}: {e}", spec.name))
+            });
             for run in &runs {
                 assert_eq!(
                     run.sim.loads.digest(),

@@ -10,7 +10,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use nachos::{reference, simulate, Backend, EnergyModel, SimConfig, SimError};
+use nachos::{reference, simulate_in, Backend, EnergyModel, SimArena, SimConfig, SimError};
 use nachos_alias::{compile, StageConfig};
 use nachos_ir::{
     AffineExpr, Binding, EdgeKind, IntOp, LoopInfo, MemRef, NodeId, Region, RegionBuilder,
@@ -192,7 +192,7 @@ proptest! {
                 prop_assert!(!errors.is_empty());
                 // The simulator must refuse the same region with the
                 // same structured diagnostics instead of crashing.
-                let res = simulate(&region, &binding, Backend::NachosSw, &config, &energy);
+                let res = simulate_in(&mut SimArena::new(), &region, &binding, Backend::NachosSw, &config, &energy);
                 match res {
                     Err(SimError::Validation(from_sim)) => prop_assert_eq!(from_sim, errors),
                     other => prop_assert!(
@@ -206,7 +206,7 @@ proptest! {
                 let expected = reference::execute(&region, &binding, config.invocations);
                 for backend in [Backend::NachosSw, Backend::Nachos] {
                     let caught = catch_unwind(AssertUnwindSafe(|| {
-                        simulate(&region, &binding, backend, &config, &energy)
+                        simulate_in(&mut SimArena::new(), &region, &binding, backend, &config, &energy)
                     }));
                     let Ok(res) = caught else {
                         panic!(

@@ -10,13 +10,14 @@
 //! loses to the software scheme on the same compiled region.
 
 use nachos::testutil::{build_plan_region, OpPlan};
-use nachos::{run_backend, Backend, EnergyModel, SimConfig};
+use nachos::{Backend, EnergyModel, Run, SimConfig};
 use nachos_ir::{Binding, Region};
 use proptest::prelude::*;
 
 fn cycles(region: &Region, binding: &Binding, backend: Backend, invocations: u64) -> u64 {
     let cfg = SimConfig::default().with_invocations(invocations);
-    run_backend(region, binding, backend, &cfg, &EnergyModel::default())
+    Run::new(region, binding, backend)
+        .execute(&cfg, &EnergyModel::default())
         .expect("simulation succeeds")
         .sim
         .cycles

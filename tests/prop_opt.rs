@@ -10,7 +10,7 @@
 
 use nachos::sweep::{run_sweep, SweepConfig, SweepJob, SweepVariant};
 use nachos::testutil::{build_plan_region, OpPlan};
-use nachos::{run_backend, Backend, EnergyModel, ExperimentRun, SimConfig};
+use nachos::{Backend, EnergyModel, ExperimentRun, Run, SimConfig};
 use nachos_ir::{Binding, Region};
 use proptest::prelude::*;
 
@@ -29,7 +29,8 @@ fn run(region: &Region, binding: &Binding, backend: Backend, optimize: bool) -> 
     let cfg = SimConfig::default()
         .with_invocations(6)
         .with_optimize(optimize);
-    run_backend(region, binding, backend, &cfg, &EnergyModel::default())
+    Run::new(region, binding, backend)
+        .execute(&cfg, &EnergyModel::default())
         .expect("simulation succeeds")
 }
 

@@ -7,7 +7,7 @@
 //! monotonicity property suite.
 
 use nachos::testutil::{build_plan_region, build_plan_region_with_scratchpad, OpPlan};
-use nachos::{reference, run_all_backends, EnergyModel, SimConfig};
+use nachos::{reference, Backend, EnergyModel, Run, SimConfig};
 use nachos_ir::{Binding, Region};
 use proptest::prelude::*;
 
@@ -25,8 +25,11 @@ fn arb_op(targets: usize) -> impl Strategy<Value = OpPlan> {
 fn assert_all_backends_match(region: &Region, binding: &Binding, ops: &[OpPlan]) {
     let config = SimConfig::default().with_invocations(6);
     let expected = reference::execute(region, binding, config.invocations);
-    let runs = run_all_backends(region, binding, &config, &EnergyModel::default())
-        .expect("simulation succeeds");
+    let runs = Backend::ALL.map(|backend| {
+        Run::new(region, binding, backend)
+            .execute(&config, &EnergyModel::default())
+            .expect("simulation succeeds")
+    });
     for run in &runs {
         assert_eq!(
             &run.sim.mem, &expected.mem,
@@ -53,8 +56,11 @@ proptest! {
         let (region, binding) = build_plan_region(&ops);
         let config = SimConfig::default().with_invocations(6);
         let expected = reference::execute(&region, &binding, config.invocations);
-        let runs = run_all_backends(&region, &binding, &config, &EnergyModel::default())
-            .expect("simulation succeeds");
+        let runs = Backend::ALL.map(|backend| {
+                Run::new(&region, &binding, backend)
+                    .execute(&config, &EnergyModel::default())
+                    .expect("simulation succeeds")
+            });
         for run in &runs {
             prop_assert_eq!(
                 &run.sim.mem, &expected.mem,

@@ -11,8 +11,8 @@
 
 use nachos::testutil::{build_plan_region, OpPlan};
 use nachos::{
-    run_backend_observed_in, run_backend_with_stages_in, Backend, BackpressureEvent, CycleRecord,
-    EnergyModel, NoopSink, RunSummary, SimArena, SimConfig, StatsWriter, TelemetrySink,
+    Backend, BackpressureEvent, CycleRecord, EnergyModel, NoopSink, Run, RunSummary, SimArena,
+    SimConfig, StatsWriter, TelemetrySink,
 };
 use nachos_alias::StageConfig;
 use nachos_ir::{Binding, Region};
@@ -99,34 +99,35 @@ fn assert_observation_only(
     let stages = StageConfig::full();
 
     let mut arena = SimArena::new();
-    let bare =
-        run_backend_with_stages_in(&mut arena, region, binding, backend, &cfg, &energy, stages)
-            .expect("unobserved run succeeds");
+    let bare = Run::new(region, binding, backend)
+        .stages(stages)
+        .arena(&mut arena)
+        .execute(&cfg, &energy)
+        .expect("unobserved run succeeds");
 
     let mut noop = NoopSink;
-    let with_noop = run_backend_observed_in(
-        &mut arena, region, binding, backend, &cfg, &energy, stages, &mut noop,
-    )
-    .expect("noop-observed run succeeds");
+    let with_noop = Run::new(region, binding, backend)
+        .stages(stages)
+        .arena(&mut arena)
+        .sink(&mut noop)
+        .execute(&cfg, &energy)
+        .expect("noop-observed run succeeds");
 
     let mut counting = CountingSink::default();
-    let with_counting = run_backend_observed_in(
-        &mut arena,
-        region,
-        binding,
-        backend,
-        &cfg,
-        &energy,
-        stages,
-        &mut counting,
-    )
-    .expect("counting-observed run succeeds");
+    let with_counting = Run::new(region, binding, backend)
+        .stages(stages)
+        .arena(&mut arena)
+        .sink(&mut counting)
+        .execute(&cfg, &energy)
+        .expect("counting-observed run succeeds");
 
     let mut stats = StatsWriter::new(Vec::new(), "prop");
-    let with_stats = run_backend_observed_in(
-        &mut arena, region, binding, backend, &cfg, &energy, stages, &mut stats,
-    )
-    .expect("stats-observed run succeeds");
+    let with_stats = Run::new(region, binding, backend)
+        .stages(stages)
+        .arena(&mut arena)
+        .sink(&mut stats)
+        .execute(&cfg, &energy)
+        .expect("stats-observed run succeeds");
 
     let bare_bytes = fingerprint(&bare.sim);
     for (label, run) in [
