@@ -111,8 +111,8 @@ pub(crate) fn congruence_hits(lo: i128, hi: i128, residue: i128, modulus: u64) -
 /// way), whereas [`IvBox::from_nest`] is a *dense* over-approximation for
 /// non-unit steps: it includes iv values between steps that no iteration
 /// reaches. For unit-step loops the two parameterizations have identical
-/// value sets. Stage 5 and the audit's ground-truth derivation both test
-/// in k-space, so their verdicts agree by construction.
+/// value sets. The audit's ground-truth derivation tests in k-space, so
+/// it sees stepped loops exactly.
 ///
 /// Terms naming loops outside the nest keep their coefficient: such loops
 /// have no runtime iv and every consumer pins them to the degenerate

@@ -17,9 +17,9 @@
 //!   connect size-matched accesses, and that the committed [`MdePlan`]
 //!   agrees with the labels and with the edges actually present.
 //! * [`CertLint`] re-verifies every rewrite certificate `nachos-opt`
-//!   recorded — witness paths, address congruence and arithmetic facts —
-//!   independently of the optimizer that produced them. An unverifiable
-//!   certificate is a hard error.
+//!   recorded — witness paths and address congruence — independently of
+//!   the optimizer that produced them. An unverifiable certificate is a
+//!   hard error.
 //! * [`AccountingLint`] recounts the final [`AliasMatrix`] and cross-checks
 //!   every total the [`AnalysisReport`](crate::AnalysisReport) claims.
 //! * [`ResourceLint`] flags comparator fan-in over budget, token fan-out
@@ -33,9 +33,7 @@
 //! result is sorted by `(severity, code, site, message)` and deduplicated,
 //! so two audits of the same region are byte-identical.
 
-use crate::afftest::{
-    congruence_hits, delta_range, iteration_space, overlap_oracle, IvBox, Overlap,
-};
+use crate::afftest::{delta_range, iteration_space, overlap_oracle, IvBox, Overlap};
 use crate::classify::linearize;
 use crate::exact::{window_reachable, ExactBudget};
 use crate::matrix::{AliasLabel, AliasMatrix, Pair, PairKind};
@@ -634,8 +632,7 @@ fn multidim_truth(cx: &AuditCx<'_>, a: &MemRef, b: &MemRef) -> Option<Truth> {
 fn same_object_truth(cx: &AuditCx<'_>, a: &MemRef, b: &MemRef) -> Truth {
     if let (Some(la), Some(lb)) = (linearize(a), linearize(b)) {
         // Reparameterize to iteration counts — the *exact* value set the
-        // runtime walks (the dense box over-approximates stepped loops),
-        // so the audited truth is at least as sharp as stage 5.
+        // runtime walks (the dense box over-approximates stepped loops).
         let (delta, kbx) = iteration_space(&la.sub(&lb), &cx.region.loops);
         return scalar_truth(
             &delta,
@@ -735,18 +732,6 @@ fn attribute_precision_loss(cx: &AuditCx<'_>, a: &MemRef, b: &MemRef) -> String 
             } else {
                 "decidable by stage 4 (disabled)".to_owned()
             };
-        }
-    }
-    if let (Some(ba), Some(bb), Some(la), Some(lb)) =
-        (a.ptr.base(), b.ptr.base(), linearize(a), linearize(b))
-    {
-        if ba == bb {
-            let (dk, kbx) = iteration_space(&la.sub(&lb), &cx.region.loops);
-            if crate::optimize::disjoint_fact(&dk, &kbx, u32::from(a.size), u32::from(b.size))
-                .is_some()
-            {
-                return "decidable by stage 5 (run nachos-opt)".to_owned();
-            }
         }
     }
     "beyond all stages".to_owned()
@@ -1054,58 +1039,19 @@ impl Lint for RaceLint {
 
 /// Independently re-verifies every rewrite certificate `nachos-opt`
 /// recorded, without trusting the optimizer's own search: witness paths
-/// are re-walked edge by edge against the final DFG, address congruence
-/// is re-compared on the raw [`MemRef`]s, and arithmetic facts are
-/// re-derived from the k-space delta with the audit's own machinery.
+/// are re-walked edge by edge against the final DFG and address
+/// congruence is re-compared on the raw [`MemRef`]s.
 /// A no-op when the region was not optimized. Any failure is a hard
 /// [`Code::BadCertificate`] error — the driver refuses the region.
 pub struct CertLint;
 
 impl CertLint {
-    fn check_order_redundant(
-        cx: &AuditCx<'_>,
-        diags: &mut Vec<Diagnostic>,
-        src: NodeId,
-        dst: NodeId,
-        witness: &[NodeId],
-    ) {
-        let site = Site::Pair {
-            older: src,
-            younger: dst,
-        };
-        let plan = &cx.analysis.plan;
-        let still_planned = plan.order.contains(&(src, dst));
-        let still_in_dfg = cx
-            .region
-            .dfg
-            .out_edges(src)
-            .any(|e| e.dst == dst && e.kind == EdgeKind::Order);
-        if still_planned || still_in_dfg {
-            diags.push(cx.diag(
-                Code::BadCertificate,
-                site,
-                "ORDER-redundancy certificate for an edge still present".to_owned(),
-            ));
-        }
-        if !crate::optimize::path_valid(&cx.region.dfg, witness, src, dst) {
-            diags.push(cx.diag(
-                Code::BadCertificate,
-                site,
-                format!(
-                    "ORDER-redundancy witness {witness:?} is not a guaranteed \
-                     path from {src} to {dst} in the final DFG"
-                ),
-            ));
-        }
-    }
-
-    fn check_may_coalesced(
-        cx: &AuditCx<'_>,
-        diags: &mut Vec<Diagnostic>,
-        removed: (NodeId, NodeId),
-        kept: (NodeId, NodeId),
-        witness: &[NodeId],
-    ) {
+    fn check(cx: &AuditCx<'_>, diags: &mut Vec<Diagnostic>, cert: &crate::optimize::Certificate) {
+        let crate::optimize::Certificate {
+            removed,
+            kept,
+            ref witness,
+        } = *cert;
         let site = Site::Pair {
             older: removed.0,
             younger: removed.1,
@@ -1177,77 +1123,6 @@ impl CertLint {
             ));
         }
     }
-
-    fn check_may_upgraded(
-        cx: &AuditCx<'_>,
-        diags: &mut Vec<Diagnostic>,
-        older: NodeId,
-        younger: NodeId,
-        delta: &AffineExpr,
-        fact: &crate::optimize::ArithFact,
-    ) {
-        use crate::optimize::ArithFact;
-        let site = Site::Pair { older, younger };
-        let matrix = &cx.analysis.matrix;
-        let mut bad = |why: String| {
-            diags.push(cx.diag(Code::BadCertificate, site, why));
-        };
-        let idx = |n: NodeId| matrix.ops().iter().position(|&m| m == n);
-        let labelled_no = match (idx(older), idx(younger)) {
-            (Some(i), Some(j)) if i < j => {
-                matrix.get(Pair {
-                    older: i,
-                    younger: j,
-                }) == Some(AliasLabel::No)
-            }
-            _ => false,
-        };
-        if !labelled_no {
-            bad("upgrade certificate for a pair not labelled NO".to_owned());
-            return;
-        }
-        let Some((dk, kbx, size_a, size_b)) =
-            crate::optimize::kspace_delta(cx.region, older, younger)
-        else {
-            bad("upgrade certificate for a pair outside the stage-5 domain".to_owned());
-            return;
-        };
-        if dk != *delta {
-            bad(format!(
-                "upgrade certificate's delta {delta:?} disagrees with the \
-                 re-derived k-space delta {dk:?}"
-            ));
-            return;
-        }
-        let window_lo = -i128::from(size_a) + 1;
-        let window_hi = i128::from(size_b) - 1;
-        let (lo, hi) = delta_range(&dk, &kbx);
-        let holds = match *fact {
-            ArithFact::Range { lo: clo, hi: chi } => {
-                lo >= clo && hi <= chi && (chi < window_lo || clo > window_hi)
-            }
-            ArithFact::Congruence { modulus, residue } => {
-                let m = i64::try_from(modulus).ok();
-                modulus > 0
-                    && m.is_some_and(|m| dk.terms().all(|(_, c)| c % m == 0))
-                    && dk.constant() == residue
-                    && {
-                        let (clo, chi) = (lo.max(window_lo), hi.min(window_hi));
-                        clo > chi || !congruence_hits(clo, chi, i128::from(residue), modulus)
-                    }
-            }
-            ArithFact::Exact => {
-                window_reachable(&dk, &kbx, window_lo, window_hi, ExactBudget::default())
-                    == Some(false)
-            }
-        };
-        if !holds {
-            bad(format!(
-                "upgrade certificate's arithmetic fact {fact:?} does not hold \
-                 for delta {dk:?}"
-            ));
-        }
-    }
 }
 
 impl Lint for CertLint {
@@ -1256,47 +1131,22 @@ impl Lint for CertLint {
     }
 
     fn run(&self, cx: &AuditCx<'_>) -> Vec<Diagnostic> {
-        use crate::optimize::Certificate;
         let Some(opt) = cx.analysis.opt.as_ref() else {
             return Vec::new();
         };
         let mut diags = Vec::new();
-        let mut counts = (0usize, 0usize, 0usize);
         for cert in &opt.certs {
-            match cert {
-                Certificate::OrderRedundant { src, dst, witness } => {
-                    counts.0 += 1;
-                    Self::check_order_redundant(cx, &mut diags, *src, *dst, witness);
-                }
-                Certificate::MayCoalesced {
-                    removed,
-                    kept,
-                    witness,
-                } => {
-                    counts.1 += 1;
-                    Self::check_may_coalesced(cx, &mut diags, *removed, *kept, witness);
-                }
-                Certificate::MayUpgraded {
-                    older,
-                    younger,
-                    delta,
-                    fact,
-                } => {
-                    counts.2 += 1;
-                    Self::check_may_upgraded(cx, &mut diags, *older, *younger, delta, fact);
-                }
-            }
+            Self::check(cx, &mut diags, cert);
         }
         // Every claimed deletion must be certified, and the before/after
-        // ledger must reconcile against the surviving plan.
+        // ledger must reconcile against the surviving plan. The optimizer
+        // never rewrites ORDER edges.
         let s = &opt.stats;
         let plan = &cx.analysis.plan;
-        let ledger_ok = s.order_removed == counts.0
-            && s.may_coalesced == counts.1
-            && s.may_upgraded == counts.2
-            && s.may_upgraded_edges <= s.may_upgraded
-            && s.order_before == plan.order.len() + s.order_removed
-            && s.may_before == plan.may.len() + s.may_coalesced + s.may_upgraded_edges;
+        let ledger_ok = s.order_removed == 0
+            && s.may_coalesced == opt.certs.len()
+            && s.order_before == plan.order.len()
+            && s.may_before == plan.may.len() + s.may_coalesced;
         if !ledger_ok {
             diags.push(cx.diag(
                 Code::BadCertificate,
@@ -1906,22 +1756,6 @@ mod tests {
         b.finish()
     }
 
-    /// A stepped loop only stage 5 sees through — the optimizer upgrades
-    /// the MAY pair with a congruence certificate.
-    fn stepped_region() -> Region {
-        let mut b = RegionBuilder::new("cert-stepped");
-        let iv = b.enclosing_loop(LoopInfo {
-            name: "i".into(),
-            lower: 0,
-            upper: 4097,
-            step: 16,
-        });
-        let g = b.global("g", 8192, 0);
-        b.store(MemRef::affine(g, AffineExpr::var(iv)), &[]);
-        b.load(MemRef::affine(g, AffineExpr::constant_expr(8)), &[]);
-        b.finish()
-    }
-
     fn bad_certs(diags: &[Diagnostic]) -> Vec<&Diagnostic> {
         diags
             .iter()
@@ -1939,35 +1773,10 @@ mod tests {
         assert!(bad_certs(&audit(&r, &analysis, StageConfig::full())).is_empty());
 
         let opt = analysis.opt.as_mut().expect("optimizer ran");
-        let crate::optimize::Certificate::MayCoalesced { witness, .. } = &mut opt.certs[0] else {
-            panic!("expected a coalescing certificate");
-        };
-        witness.reverse();
+        opt.certs[0].witness.reverse();
         let diags = audit(&r, &analysis, StageConfig::full());
         assert!(!bad_certs(&diags).is_empty(), "{diags:?}");
         assert!(bad_certs(&diags)[0].is_error());
-    }
-
-    #[test]
-    fn forged_upgrade_fact_is_rejected() {
-        let mut r = stepped_region();
-        let mut analysis = compile(&mut r, StageConfig::full());
-        crate::optimize::optimize(&mut r, &mut analysis);
-        let opt = analysis.opt.as_mut().expect("optimizer ran");
-        assert_eq!(opt.stats.may_upgraded, 1, "{:?}", opt.certs);
-        assert!(bad_certs(&audit(&r, &analysis, StageConfig::full())).is_empty());
-
-        let opt = analysis.opt.as_mut().expect("optimizer ran");
-        let crate::optimize::Certificate::MayUpgraded { fact, .. } = &mut opt.certs[0] else {
-            panic!("expected an upgrade certificate");
-        };
-        // Claim a residue class the delta does not actually inhabit.
-        *fact = crate::optimize::ArithFact::Congruence {
-            modulus: 16,
-            residue: 0,
-        };
-        let diags = audit(&r, &analysis, StageConfig::full());
-        assert!(!bad_certs(&diags).is_empty(), "{diags:?}");
     }
 
     #[test]
@@ -2003,18 +1812,20 @@ mod tests {
 
     #[test]
     fn certificate_about_surviving_edge_is_rejected() {
-        let mut r = token_region();
+        let mut r = coalescible_region();
         let mut analysis = compile(&mut r, StageConfig::full());
         crate::optimize::optimize(&mut r, &mut analysis);
-        let (s, d) = analysis.plan.order[0];
         let opt = analysis.opt.as_mut().expect("optimizer ran");
-        opt.certs
-            .push(crate::optimize::Certificate::OrderRedundant {
-                src: s,
-                dst: d,
-                witness: vec![s, d],
-            });
-        opt.stats.order_removed += 1;
+        // Claim the kept edge was itself coalesced into itself: it is
+        // still planned and still in the DFG.
+        let kept = opt.certs[0].kept;
+        opt.certs.push(crate::optimize::Certificate {
+            removed: kept,
+            kept,
+            witness: vec![kept.0, kept.1],
+        });
+        opt.stats.may_coalesced += 1;
+        opt.stats.may_before += 1;
         let diags = audit(&r, &analysis, StageConfig::full());
         assert!(
             bad_certs(&diags)

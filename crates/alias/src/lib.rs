@@ -63,7 +63,7 @@ pub use audit::{
 pub use classify::{classify_same_object, linearize, overlap_to_label};
 pub use local::wire_local_deps;
 pub use matrix::{AliasLabel, AliasMatrix, LabelCounts, Pair, PairKind};
-pub use optimize::{optimize, ArithFact, Certificate, OptOutcome, OptStats};
+pub use optimize::{optimize, Certificate, OptOutcome, OptStats};
 pub use pipeline::{analyze, compile, may_fanin, Analysis, AnalysisReport, StageConfig};
 pub use reach::Reachability;
 pub use stage3::MdePlan;

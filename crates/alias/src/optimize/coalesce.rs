@@ -27,6 +27,7 @@ use super::witness;
 use crate::reach::Reachability;
 use crate::stage3::MdePlan;
 use nachos_ir::{EdgeKind, MemRef, NodeId, Region};
+use std::collections::HashSet;
 
 fn mem_of(region: &Region, n: NodeId) -> Option<&MemRef> {
     region.dfg.node(n).kind.mem_ref()
@@ -77,37 +78,26 @@ fn slot(region: &Region, n: NodeId) -> usize {
         .map_or(usize::MAX, nachos_ir::MemSlot::index)
 }
 
-/// Removes one coalesced MAY edge from the DFG and the plan.
-fn remove(region: &mut Region, plan: &mut MdePlan, edge: (NodeId, NodeId)) {
-    let pos = plan
-        .may
-        .iter()
-        .position(|&e| e == edge)
-        .expect("coalescing candidates come from the plan");
-    plan.may.remove(pos);
-    region
-        .dfg
-        .remove_edge_between(edge.0, edge.1, EdgeKind::May)
-        .expect("planned MAY edge exists in the compiled DFG");
-}
-
 /// Coalesces congruent MAY edges (rules A then B), recording one
-/// [`Certificate::MayCoalesced`] per deletion. Returns the number of
-/// edges removed. Must run after transitive reduction: witness paths are
-/// searched over the final guaranteed edge set, which MAY removals never
-/// perturb.
+/// [`Certificate`] per deletion. Returns the number of edges removed.
+///
+/// Deletions are batched: the plan drops each rule's removals in one
+/// `retain`, and the DFG drops them all in one
+/// [`retain_edges`](nachos_ir::Dfg::retain_edges) at the end. Deferring
+/// them cannot change a witness, because witness paths run over
+/// guaranteed edges only, which coalescing never touches.
 pub(super) fn run(region: &mut Region, plan: &mut MdePlan, certs: &mut Vec<Certificate>) -> usize {
     let closure = Reachability::of_dfg(
         &region.dfg,
         &[EdgeKind::Data, EdgeKind::Order, EdgeKind::Forward],
     );
-    let mut kept_edges: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut removed = 0usize;
+    let mut kept_edges: HashSet<(NodeId, NodeId)> = HashSet::new();
+    let mut removed: HashSet<(NodeId, NodeId)> = HashSet::new();
 
     // Rule A: shared destination, congruent sources. Keep the youngest
     // source (deepest into the guaranteed chain), coalesce the rest into
     // it.
-    for (_, edges) in group_by(&plan.may.clone(), |e| e.1) {
+    for (_, edges) in group_by(&plan.may, |e| e.1) {
         for class in congruence_classes(region, &edges, |e| e.0) {
             if class.len() < 2 {
                 continue;
@@ -120,12 +110,11 @@ pub(super) fn run(region: &mut Region, plan: &mut MdePlan, certs: &mut Vec<Certi
                 if !closure.reaches(cand.0, kept.0) {
                     continue;
                 }
-                let path = witness::find_path(&region.dfg, cand.0, kept.0, None)
+                let path = witness::find_path(&region.dfg, cand.0, kept.0)
                     .expect("closure reachability implies a concrete path");
-                remove(region, plan, cand);
-                kept_edges.push(kept);
-                removed += 1;
-                certs.push(Certificate::MayCoalesced {
+                removed.insert(cand);
+                kept_edges.insert(kept);
+                certs.push(Certificate {
                     removed: cand,
                     kept,
                     witness: path,
@@ -133,10 +122,11 @@ pub(super) fn run(region: &mut Region, plan: &mut MdePlan, certs: &mut Vec<Certi
             }
         }
     }
+    plan.may.retain(|e| !removed.contains(e));
 
     // Rule B: shared source, congruent destinations. Keep the oldest
     // destination (first to execute), coalesce younger congruent ones.
-    for (_, edges) in group_by(&plan.may.clone(), |e| e.0) {
+    for (_, edges) in group_by(&plan.may, |e| e.0) {
         for class in congruence_classes(region, &edges, |e| e.1) {
             if class.len() < 2 {
                 continue;
@@ -149,12 +139,11 @@ pub(super) fn run(region: &mut Region, plan: &mut MdePlan, certs: &mut Vec<Certi
                 if kept_edges.contains(&cand) || !closure.reaches(kept.1, cand.1) {
                     continue;
                 }
-                let path = witness::find_path(&region.dfg, kept.1, cand.1, None)
+                let path = witness::find_path(&region.dfg, kept.1, cand.1)
                     .expect("closure reachability implies a concrete path");
-                remove(region, plan, cand);
-                kept_edges.push(kept);
-                removed += 1;
-                certs.push(Certificate::MayCoalesced {
+                removed.insert(cand);
+                kept_edges.insert(kept);
+                certs.push(Certificate {
                     removed: cand,
                     kept,
                     witness: path,
@@ -162,5 +151,9 @@ pub(super) fn run(region: &mut Region, plan: &mut MdePlan, certs: &mut Vec<Certi
             }
         }
     }
-    removed
+    plan.may.retain(|e| !removed.contains(e));
+    region
+        .dfg
+        .retain_edges(|e| e.kind != EdgeKind::May || !removed.contains(&(e.src, e.dst)));
+    removed.len()
 }

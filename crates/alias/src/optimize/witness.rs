@@ -12,14 +12,8 @@ pub(super) fn guaranteed(kind: EdgeKind) -> bool {
 
 /// Shortest path `from ⇝ to` over guaranteed edges, as the full node
 /// sequence `[from, …, to]`, or `None` when unreachable. Paths of length
-/// zero are not paths: `from == to` returns `None`. `skip` excludes one
-/// directed edge from the search (the deletion candidate itself).
-pub(super) fn find_path(
-    dfg: &Dfg,
-    from: NodeId,
-    to: NodeId,
-    skip: Option<(NodeId, NodeId, EdgeKind)>,
-) -> Option<Vec<NodeId>> {
+/// zero are not paths: `from == to` returns `None`.
+pub(super) fn find_path(dfg: &Dfg, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
     if from == to {
         return None;
     }
@@ -28,7 +22,7 @@ pub(super) fn find_path(
     queue.push_back(from);
     while let Some(n) = queue.pop_front() {
         for e in dfg.out_edges(n) {
-            if !guaranteed(e.kind) || skip == Some((e.src, e.dst, e.kind)) {
+            if !guaranteed(e.kind) {
                 continue;
             }
             if e.dst != from && parent[e.dst.index()].is_none() {

@@ -178,7 +178,7 @@ impl LintSuiteReport {
 
     /// Avoidable-imprecision findings — the `nachos-lint --strict` gate.
     /// Counts redundant-MDE warnings plus precision losses an *enabled*
-    /// stage (including stage 5, the optimizer) could have decided.
+    /// stage could have decided (or no stage could).
     /// Losses attributed to a deliberately disabled ablation stage stay
     /// advisory, as do hardware-budget advisories (token fan-in): they
     /// describe the workload or the chosen ablation, not a fixable gap
@@ -230,8 +230,10 @@ impl LintSuiteReport {
                 w.u64_field("may_before", s.may_before as u64);
                 w.u64_field("order_removed", s.order_removed as u64);
                 w.u64_field("may_coalesced", s.may_coalesced as u64);
-                w.u64_field("may_upgraded", s.may_upgraded as u64);
-                w.u64_field("may_upgraded_edges", s.may_upgraded_edges as u64);
+                // No pass upgrades MAY pairs any more; the keys stay (as
+                // 0) so the `nachos-lint-v1` schema is unchanged.
+                w.u64_field("may_upgraded", 0);
+                w.u64_field("may_upgraded_edges", 0);
                 w.close_obj();
             }
             w.key("diagnostics");
@@ -458,10 +460,7 @@ mod tests {
             mdes: (0, 0, 0),
             diagnostics: vec![
                 diag(Code::RedundantMde, "ORDER edge already implied"),
-                diag(
-                    Code::PrecisionLoss,
-                    "provably NO (decidable by stage 5 (run nachos-opt))",
-                ),
+                diag(Code::PrecisionLoss, "provably NO (decidable by stage 4)"),
                 diag(
                     Code::PrecisionLoss,
                     "provably NO (decidable by stage 2 (disabled))",

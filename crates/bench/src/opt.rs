@@ -73,7 +73,7 @@ pub struct OptRun {
     pub workload: String,
     /// Ablation name.
     pub config: String,
-    /// The rewrite ledger (before-counts plus per-pass removal counts).
+    /// The rewrite ledger (before-counts plus removal counts).
     pub stats: OptStats,
     /// Certificates emitted (one per rewrite).
     pub certificates: usize,
@@ -91,6 +91,29 @@ pub struct OptRun {
     /// (empty only when a simulation failed; the failure is recorded in
     /// `audit_errors`).
     pub cycles: Vec<BackendCycles>,
+}
+
+/// `--strict` bar: the share of MAY edges the `full` pipeline plans that
+/// coalescing must delete.
+pub const MIN_FULL_MAY_COALESCED_FRACTION: f64 = 0.10;
+
+/// `--strict` bar: workloads some MDE backend must run strictly faster
+/// under the optimized `full` pipeline.
+pub const MIN_FULL_IMPROVED_WORKLOADS: usize = 3;
+
+/// `--strict` bar: workloads some MDE backend must run faster under some
+/// ablation.
+pub const MIN_IMPROVED_WORKLOADS: usize = 5;
+
+/// Distinct workloads among `runs` where some MDE backend got faster.
+fn improved_workloads<'a>(runs: impl Iterator<Item = &'a OptRun>) -> usize {
+    let mut names: Vec<&str> = runs
+        .filter(|r| r.cycles.iter().any(BackendCycles::improved))
+        .map(|r| r.workload.as_str())
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    names.len()
 }
 
 /// The whole suite's optimization outcomes.
@@ -124,43 +147,64 @@ impl OptSuiteReport {
     }
 
     /// Distinct workloads where some MDE backend got faster under some
-    /// ablation — the acceptance bar asks for improvement on ≥ 5.
+    /// ablation.
     #[must_use]
     pub fn improved_workloads(&self) -> usize {
-        let mut names: Vec<&str> = self
-            .runs
-            .iter()
-            .filter(|r| r.cycles.iter().any(BackendCycles::improved))
-            .map(|r| r.workload.as_str())
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        names.len()
+        improved_workloads(self.runs.iter())
     }
 
-    /// Fraction of ORDER/token edges the transitive reduction deleted,
-    /// across every run in the report (0 when no run had any).
+    /// Distinct workloads where some MDE backend got strictly faster
+    /// under the `full` pipeline.
     #[must_use]
-    pub fn order_removed_fraction(&self) -> f64 {
-        let before: usize = self.runs.iter().map(|r| r.stats.order_before).sum();
-        let removed: usize = self.runs.iter().map(|r| r.stats.order_removed).sum();
+    pub fn full_improved_workloads(&self) -> usize {
+        improved_workloads(self.full_runs())
+    }
+
+    /// Fraction of the `full` pipeline's MAY edges that coalescing
+    /// deleted (0 when the report holds no `full` MAY edges).
+    #[must_use]
+    pub fn full_may_coalesced_fraction(&self) -> f64 {
+        let before: usize = self.full_runs().map(|r| r.stats.may_before).sum();
+        let coalesced: usize = self.full_runs().map(|r| r.stats.may_coalesced).sum();
         if before == 0 {
             0.0
         } else {
-            removed as f64 / before as f64
+            coalesced as f64 / before as f64
         }
     }
 
-    /// Fraction of residual MAY edges that stage 5 upgraded to NO.
+    /// The `--strict` bars this report misses, one message each (empty
+    /// when every bar is met). Only meaningful for the full suite.
     #[must_use]
-    pub fn may_upgraded_fraction(&self) -> f64 {
-        let before: usize = self.runs.iter().map(|r| r.stats.may_before).sum();
-        let upgraded: usize = self.runs.iter().map(|r| r.stats.may_upgraded_edges).sum();
-        if before == 0 {
-            0.0
-        } else {
-            upgraded as f64 / before as f64
+    pub fn strict_shortfalls(&self) -> Vec<String> {
+        let mut missed = Vec::new();
+        let fraction = self.full_may_coalesced_fraction();
+        if fraction < MIN_FULL_MAY_COALESCED_FRACTION {
+            missed.push(format!(
+                "coalesced {:.1}% of MAY edges under `full` (< {:.0}%)",
+                fraction * 100.0,
+                MIN_FULL_MAY_COALESCED_FRACTION * 100.0
+            ));
         }
+        let full = self.full_improved_workloads();
+        if full < MIN_FULL_IMPROVED_WORKLOADS {
+            missed.push(format!(
+                "cycles improved on only {full} workload(s) under `full` \
+                 (< {MIN_FULL_IMPROVED_WORKLOADS})"
+            ));
+        }
+        let any = self.improved_workloads();
+        if any < MIN_IMPROVED_WORKLOADS {
+            missed.push(format!(
+                "cycles improved on only {any} workload(s) across ablations \
+                 (< {MIN_IMPROVED_WORKLOADS})"
+            ));
+        }
+        missed
+    }
+
+    fn full_runs(&self) -> impl Iterator<Item = &OptRun> {
+        self.runs.iter().filter(|r| r.config == "full")
     }
 
     fn cycle_rows(&self) -> impl Iterator<Item = &BackendCycles> {
@@ -188,17 +232,12 @@ impl OptSuiteReport {
             w.u64_field("order_after", (s.order_before - s.order_removed) as u64);
             w.u64_field("forward", run.forward as u64);
             w.u64_field("may_before", s.may_before as u64);
-            w.u64_field(
-                "may_after",
-                (s.may_before - s.may_coalesced - s.may_upgraded_edges) as u64,
-            );
+            w.u64_field("may_after", (s.may_before - s.may_coalesced) as u64);
             w.close_obj();
             w.key("rewrites");
             w.open_obj();
             w.u64_field("order_removed", s.order_removed as u64);
             w.u64_field("may_coalesced", s.may_coalesced as u64);
-            w.u64_field("may_upgraded", s.may_upgraded as u64);
-            w.u64_field("may_upgraded_edges", s.may_upgraded_edges as u64);
             w.u64_field("certificates", run.certificates as u64);
             w.close_obj();
             w.key("comparator_sites");
@@ -237,13 +276,18 @@ impl OptSuiteReport {
         w.u64_field("order_removed", sum(|s| s.order_removed));
         w.u64_field("may_before", sum(|s| s.may_before));
         w.u64_field("may_coalesced", sum(|s| s.may_coalesced));
-        w.u64_field("may_upgraded_edges", sum(|s| s.may_upgraded_edges));
-        w.f64_field("order_removed_fraction", self.order_removed_fraction());
-        w.f64_field("may_upgraded_fraction", self.may_upgraded_fraction());
+        w.f64_field(
+            "full_may_coalesced_fraction",
+            self.full_may_coalesced_fraction(),
+        );
         w.u64_field("cert_errors", self.num_cert_errors() as u64);
         w.u64_field("regressions", self.num_regressions() as u64);
         w.u64_field("divergences", self.num_divergences() as u64);
         w.u64_field("improved_workloads", self.improved_workloads() as u64);
+        w.u64_field(
+            "full_improved_workloads",
+            self.full_improved_workloads() as u64,
+        );
         w.close_obj();
         w.close_obj();
         w.finish()
@@ -474,10 +518,7 @@ pub fn bench_artifact_json(
             w.u64_field("order_before", s.order_before as u64);
             w.u64_field("order_after", (s.order_before - s.order_removed) as u64);
             w.u64_field("may_before", s.may_before as u64);
-            w.u64_field(
-                "may_after",
-                (s.may_before - s.may_coalesced - s.may_upgraded_edges) as u64,
-            );
+            w.u64_field("may_after", (s.may_before - s.may_coalesced) as u64);
             w.u64_field("forward", o.forward as u64);
             w.close_obj();
             w.key("comparator_sites");
@@ -518,10 +559,66 @@ mod tests {
         assert_eq!(report.num_divergences(), 0);
         assert_eq!(report.num_regressions(), 0);
         // The ledger and the certificates agree one-for-one.
-        assert_eq!(
-            run.certificates,
-            run.stats.order_removed + run.stats.may_coalesced + run.stats.may_upgraded
-        );
+        assert_eq!(run.certificates, run.stats.may_coalesced);
+        assert_eq!(run.stats.order_removed, 0);
+    }
+
+    /// A hand-built run: `may` is `(before, coalesced)`; `faster` makes
+    /// NACHOS one cycle quicker with the optimizer.
+    fn run(workload: &str, config: &str, may: (usize, usize), faster: bool) -> OptRun {
+        OptRun {
+            workload: workload.to_owned(),
+            config: config.to_owned(),
+            stats: OptStats {
+                may_before: may.0,
+                may_coalesced: may.1,
+                ..OptStats::default()
+            },
+            certificates: may.1,
+            forward: 0,
+            comparator_sites_before: 0,
+            comparator_sites_after: 0,
+            audit_errors: Vec::new(),
+            cycles: vec![BackendCycles {
+                backend: Backend::Nachos,
+                unoptimized: 10,
+                optimized: 10 - u64::from(faster),
+                equivalent: true,
+            }],
+        }
+    }
+
+    #[test]
+    fn strict_gate_reads_full_coalescing_and_improvements() {
+        // Three faster workloads under `full`, two more only under an
+        // ablation, and 10 of 100 `full` MAY edges coalesced: every bar
+        // is met exactly. The ablation's coalescing does not count.
+        let passing = vec![
+            run("a", "full", (40, 4), true),
+            run("b", "full", (30, 3), true),
+            run("c", "full", (30, 3), true),
+            run("d", "baseline", (50, 50), true),
+            run("e", "no-prune", (0, 0), true),
+        ];
+        let report = |runs: Vec<OptRun>| OptSuiteReport {
+            invocations: 1,
+            runs,
+        };
+        assert!(report(passing.clone()).strict_shortfalls().is_empty());
+
+        let mut low_coalescing = passing.clone();
+        low_coalescing[0].stats.may_coalesced = 3;
+        let missed = report(low_coalescing).strict_shortfalls();
+        assert_eq!(missed.len(), 1, "{missed:?}");
+        assert!(missed[0].contains("9.0% of MAY edges"), "{missed:?}");
+
+        // Losing a `full` win drops both the `full` and the overall count.
+        let mut fewer_wins = passing;
+        fewer_wins[2] = run("c", "full", (30, 3), false);
+        let missed = report(fewer_wins).strict_shortfalls();
+        assert_eq!(missed.len(), 2, "{missed:?}");
+        assert!(missed[0].contains("2 workload(s) under `full`"));
+        assert!(missed[1].contains("4 workload(s) across ablations"));
     }
 
     #[test]

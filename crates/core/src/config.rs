@@ -109,10 +109,10 @@ pub struct SimConfig {
     /// Region invocations to simulate.
     pub invocations: u64,
     /// Run the certificate-carrying MDE optimizer (`nachos-opt`) after
-    /// compilation: transitive reduction of ORDER tokens, comparator-site
-    /// coalescing and stage-5 MAY upgrades, each re-verified by the
-    /// audit's `CertLint` before the region is trusted. Off by default —
-    /// the paper's pipeline stops at stage 4.
+    /// compilation: comparator-site coalescing of congruent MAY edges,
+    /// each rewrite re-verified by the audit's `CertLint` before the
+    /// region is trusted. Off by default — the paper's pipeline stops at
+    /// stage 4.
     pub optimize: bool,
     /// Engine watchdog parameters (cycle budget, liveness checks).
     pub watchdog: WatchdogConfig,

@@ -186,13 +186,16 @@ pub struct OptMetrics {
     pub order_before: u64,
     /// MAY edges planned before optimization.
     pub may_before: u64,
-    /// ORDER edges deleted by transitive reduction.
+    /// ORDER edges deleted (the optimizer rewrites only MAY edges, so
+    /// new runs record 0).
     pub order_removed: u64,
     /// MAY edges deleted by comparator-site coalescing.
     pub may_coalesced: u64,
-    /// Residual MAY pairs upgraded to NO by stage 5.
+    /// MAY pairs upgraded to NO. No pass upgrades pairs any more, so new
+    /// runs record 0; the field keeps the persisted `opt` block (and older
+    /// journals and caches) readable unchanged.
     pub may_upgraded: u64,
-    /// MAY edges deleted because their pair was upgraded.
+    /// MAY edges deleted by upgrades: 0 for new runs, like `may_upgraded`.
     pub may_upgraded_edges: u64,
 }
 
@@ -209,8 +212,8 @@ impl OptMetrics {
             may_before: s.may_before as u64,
             order_removed: s.order_removed as u64,
             may_coalesced: s.may_coalesced as u64,
-            may_upgraded: s.may_upgraded as u64,
-            may_upgraded_edges: s.may_upgraded_edges as u64,
+            may_upgraded: 0,
+            may_upgraded_edges: 0,
         }
     }
 }

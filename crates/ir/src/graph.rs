@@ -192,6 +192,28 @@ impl Dfg {
     /// Panics if `index` is out of range.
     pub fn remove_edge_unchecked(&mut self, index: usize) -> Edge {
         let removed = self.edges.remove(index);
+        self.rebuild_adjacency();
+        removed
+    }
+
+    /// Keeps only the edges for which `keep` returns `true` (in their
+    /// original order) and rebuilds the adjacency lists once; surviving
+    /// edge ids shift down past every removed edge.
+    ///
+    /// A checked mutation for production transformation passes (the MDE
+    /// optimizer batches its deletions here): removing edges can never
+    /// break the graph invariants [`add_edge`](Self::add_edge) enforces
+    /// (acyclicity, uniqueness and endpoint shape are preserved by
+    /// deletion).
+    pub fn retain_edges(&mut self, keep: impl FnMut(&Edge) -> bool) {
+        self.edges.retain(keep);
+        self.rebuild_adjacency();
+    }
+
+    /// Rebuilds `succs`/`preds` from the edge table, leaving dangling
+    /// edges (see [`add_edge_unchecked`](Self::add_edge_unchecked)) out of
+    /// the adjacency lists.
+    fn rebuild_adjacency(&mut self) {
         for list in self.succs.iter_mut().chain(self.preds.iter_mut()) {
             list.clear();
         }
@@ -201,27 +223,6 @@ impl Dfg {
                 self.preds[e.dst.index()].push(EdgeId::new(i));
             }
         }
-        removed
-    }
-
-    /// Removes the edge `src → dst` of `kind`, if present, and returns it.
-    ///
-    /// Unlike [`remove_edge_unchecked`](Self::remove_edge_unchecked) this
-    /// is a *checked* mutation meant for production transformation passes
-    /// (the MDE optimizer): the edge is looked up by endpoints and kind,
-    /// the adjacency lists are rebuilt, and removing an edge can never
-    /// break the graph invariants [`add_edge`](Self::add_edge) enforces
-    /// (acyclicity, uniqueness and endpoint shape are preserved by
-    /// deletion). Returns `None` when no such edge exists.
-    pub fn remove_edge_between(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        kind: EdgeKind,
-    ) -> Option<Edge> {
-        let target = Edge::new(src, dst, kind);
-        let index = self.edges.iter().position(|e| *e == target)?;
-        Some(self.remove_edge_unchecked(index))
     }
 
     /// `true` if `to` is reachable from `from` along any edges.
@@ -385,25 +386,7 @@ impl Dfg {
     /// Used by the compiler driver to re-run MDE insertion with a different
     /// configuration on the same region.
     pub fn clear_mdes(&mut self) {
-        let keep: Vec<Edge> = self
-            .edges
-            .iter()
-            .copied()
-            .filter(|e| !e.kind.is_mde())
-            .collect();
-        self.edges.clear();
-        for s in &mut self.succs {
-            s.clear();
-        }
-        for p in &mut self.preds {
-            p.clear();
-        }
-        for e in keep {
-            let id = EdgeId::new(self.edges.len());
-            self.edges.push(e);
-            self.succs[e.src.index()].push(id);
-            self.preds[e.dst.index()].push(id);
-        }
+        self.retain_edges(|e| !e.kind.is_mde());
     }
 }
 
@@ -456,20 +439,36 @@ mod tests {
     }
 
     #[test]
-    fn remove_edge_between_finds_by_endpoints_and_kind() {
-        let (mut g, a, _, c) = small_graph();
+    fn retain_edges_keeps_order_and_rebuilds_adjacency() {
+        let (mut g, a, b, c) = small_graph();
         g.add_edge(a, c, EdgeKind::Order).unwrap();
-        // Wrong kind: untouched.
-        assert_eq!(g.remove_edge_between(a, c, EdgeKind::May), None);
-        assert_eq!(g.num_edges(), 3);
+        g.add_edge(a, c, EdgeKind::May).unwrap();
+        g.retain_edges(|e| e.kind != EdgeKind::Order);
+        // Survivors keep their relative order (and so their new ids).
+        let kept: Vec<_> = g.edges().copied().collect();
         assert_eq!(
-            g.remove_edge_between(a, c, EdgeKind::Order),
-            Some(Edge::new(a, c, EdgeKind::Order))
+            kept,
+            [
+                Edge::new(a, b, EdgeKind::Data),
+                Edge::new(b, c, EdgeKind::Data),
+                Edge::new(a, c, EdgeKind::May),
+            ]
         );
-        assert_eq!(g.num_edges(), 2);
         assert_eq!(g.count_edges(EdgeKind::Order), 0);
-        // Second removal of the same edge is a no-op.
-        assert_eq!(g.remove_edge_between(a, c, EdgeKind::Order), None);
+        // Adjacency points at the shifted ids, not the stale ones.
+        let out_a: Vec<_> = g.out_edges(a).copied().collect();
+        assert_eq!(
+            out_a,
+            [
+                Edge::new(a, b, EdgeKind::Data),
+                Edge::new(a, c, EdgeKind::May)
+            ]
+        );
+        let in_c: Vec<_> = g.in_edges(c).map(|e| e.kind).collect();
+        assert_eq!(in_c, [EdgeKind::Data, EdgeKind::May]);
+        // Keeping everything is a no-op.
+        g.retain_edges(|_| true);
+        assert_eq!(g.num_edges(), 3);
     }
 
     #[test]
