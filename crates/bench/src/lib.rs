@@ -1,24 +1,26 @@
 //! # nachos-bench — the experiment harness
 //!
 //! Regenerates every quantitative table and figure of *NACHOS* (HPCA
-//! 2018). Each `src/bin/<experiment>.rs` binary prints the same rows or
-//! series the paper reports; this library provides the shared runner that
-//! compiles and simulates every Table II workload under every backend.
+//! 2018). [`claims`] holds the whole evaluation as one table of figures
+//! and claims over one [`claims::Evidence`] run; this library provides
+//! the shared runner that compiles and simulates every Table II workload
+//! under every backend.
 //!
 //! The whole matrix goes through the parallel differential-sweep harness
 //! ([`nachos::sweep`]): every run is checked against the in-order
 //! reference executor, and the 27 workloads are distributed over a scoped
-//! worker pool, so a full-suite figure regenerates in roughly the time of
-//! its slowest workload rather than the sum of all of them.
+//! worker pool, so the suite regenerates in roughly the time of its
+//! slowest workload rather than the sum of all of them.
 //!
-//! Run an experiment with e.g.
-//! `cargo run --release -p nachos-bench --bin fig15_nachos_vs_lsq`, or
-//! emit the machine-readable sweep report with
-//! `cargo run --release -p nachos-bench --bin sweep`.
+//! Print every figure with
+//! `cargo run --release -p nachos-bench --bin nachos-claims` (or one, e.g.
+//! `... --bin nachos-claims -- fig15`), or emit the machine-readable sweep
+//! report with `cargo run --release -p nachos-bench --bin sweep`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod exitcode;
 pub mod lint;
 pub mod matrix;
@@ -31,7 +33,7 @@ use nachos::sweep::{
 use nachos::{pct_slowdown, Backend, ExperimentRun, FaultKind, FaultPlan, FaultSpec, SimError};
 use nachos_alias::Analysis;
 use nachos_ir::{AffineExpr, Binding, IntOp, MemRef, RegionBuilder, UnknownPattern};
-use nachos_workloads::{generate, BenchSpec, Workload};
+use nachos_workloads::{BenchSpec, Workload};
 
 /// Default invocation count for the experiment harness: enough to warm
 /// the cache and amortize start-up without inflating run times.
@@ -78,14 +80,6 @@ impl BenchResult {
     #[must_use]
     pub fn baseline_slowdown_pct(&self) -> f64 {
         pct_slowdown(self.sw_baseline.sim.cycles, self.lsq.sim.cycles)
-    }
-
-    /// % slowdown of NACHOS vs the IDEAL oracle (how far hardware MAY
-    /// checks sit from perfect disambiguation); `None` without `--ideal`.
-    #[must_use]
-    pub fn hw_vs_ideal_pct(&self) -> Option<f64> {
-        let ideal = self.ideal.as_ref()?;
-        Some(pct_slowdown(self.hw.sim.cycles, ideal.sim.cycles))
     }
 }
 
@@ -168,95 +162,28 @@ fn from_outcome(
     let [lsq, sw, hw, sw_baseline]: [_; 4] = runs.try_into().map_err(|_| {
         format!("{name}: bench outcomes carry the 4-variant bench matrix (plus optional ideal)")
     })?;
-    let analysis_full = sw
-        .try_run()?
-        .analysis
-        .clone()
-        .ok_or_else(|| format!("{name}: NACHOS-SW run carries no analysis"))?;
-    let analysis_baseline = sw_baseline
-        .try_run()?
-        .analysis
-        .clone()
-        .ok_or_else(|| format!("{name}: baseline NACHOS-SW run carries no analysis"))?;
-    let ideal = match ideal {
-        Some(r) => Some(r.try_run()?.clone()),
-        None => None,
+    let (sw, sw_baseline) = (sw.try_run()?.clone(), sw_baseline.try_run()?.clone());
+    let analysis = |run: &ExperimentRun, what: &str| {
+        let why = || format!("{name}: {what} run carries no analysis");
+        run.analysis.clone().ok_or_else(why)
     };
     Ok(BenchResult {
         spec,
         workload,
-        analysis_full,
-        analysis_baseline,
+        analysis_full: analysis(&sw, "NACHOS-SW")?,
+        analysis_baseline: analysis(&sw_baseline, "baseline NACHOS-SW")?,
         lsq: lsq.try_run()?.clone(),
-        sw: sw.try_run()?.clone(),
         hw: hw.try_run()?.clone(),
-        sw_baseline: sw_baseline.try_run()?.clone(),
-        ideal,
+        ideal: ideal.map(|r| r.try_run().cloned()).transpose()?,
+        sw,
+        sw_baseline,
     })
 }
 
-/// Runs one benchmark through the whole experiment matrix, or describes
-/// the failing run.
-///
-/// # Errors
-///
-/// Returns the deterministic failure description when a simulation fails
-/// or diverges from the reference executor.
-pub fn try_run_bench(spec: &BenchSpec, invocations: u64) -> Result<BenchResult, String> {
-    let workload = generate(spec);
-    let cfg = suite_config(invocations, 1, false);
-    let sweep = run_sweep(&[job_for(&workload)], &cfg);
-    let outcome = sweep
-        .jobs
-        .into_iter()
-        .next()
-        .ok_or_else(|| format!("{}: sweep produced no job outcome", spec.name))?;
-    from_outcome(*spec, workload, outcome)
-}
-
-/// Runs one benchmark through the whole experiment matrix.
-///
-/// # Panics
-///
-/// Panics if a simulation fails or diverges from the reference executor
-/// (generated workloads always fit the grid). Fallible callers should
-/// prefer [`try_run_bench`].
-#[must_use]
-pub fn run_bench(spec: &BenchSpec, invocations: u64) -> BenchResult {
-    match try_run_bench(spec, invocations) {
-        Ok(r) => r,
-        Err(why) => panic!("{why}"),
-    }
-}
-
 /// Runs the full 27-benchmark suite on `threads` workers (`0` = one per
-/// available core) and returns both the figure data and the raw sweep.
-///
-/// # Panics
-///
-/// Panics if a simulation fails or diverges from the reference executor.
-#[must_use]
-pub fn run_suite_threads(invocations: u64, threads: usize) -> SuiteRun {
-    run_suite_opts(invocations, threads, false)
-}
-
-/// Like [`run_suite_threads`], with the IDEAL oracle column opt-in (the
-/// sweep binary's `--ideal` flag).
-///
-/// # Panics
-///
-/// Panics if a simulation fails or diverges from the reference executor.
-/// Fallible callers should prefer [`try_run_suite_opts`].
-#[must_use]
-pub fn run_suite_opts(invocations: u64, threads: usize, ideal: bool) -> SuiteRun {
-    match try_run_suite_opts(invocations, threads, ideal) {
-        Ok(s) => s,
-        Err(why) => panic!("{why}"),
-    }
-}
-
-/// Like [`run_suite_opts`], but reporting the first unusable outcome as a
-/// deterministic description instead of panicking.
+/// available core), with the IDEAL oracle column opt-in (the sweep
+/// binary's `--ideal` flag), and returns both the figure data and the raw
+/// sweep.
 ///
 /// # Errors
 ///
@@ -277,12 +204,6 @@ pub fn try_run_suite_opts(
         .map(|(w, outcome)| from_outcome(w.spec, w, outcome))
         .collect::<Result<Vec<_>, String>>()?;
     Ok(SuiteRun { results, sweep })
-}
-
-/// Runs the full 27-benchmark suite (parallel, auto thread count).
-#[must_use]
-pub fn run_suite(invocations: u64) -> Vec<BenchResult> {
-    run_suite_threads(invocations, 0).results
 }
 
 /// One fault-injection smoke scenario: a job carrying an injected fault
@@ -461,24 +382,24 @@ pub fn run_fault_smoke(threads: usize) -> (SweepResult, Vec<String>) {
     (sweep, failures)
 }
 
-/// Prints a standard experiment banner.
-pub fn banner(title: &str, paper_ref: &str) {
-    println!("==============================================================");
-    println!("{title}");
-    println!("(reproduces {paper_ref} of the NACHOS paper, HPCA 2018)");
-    println!("==============================================================");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nachos::Backend;
-    use nachos_workloads::by_name;
+
+    /// The suite at 4 invocations, without the IDEAL column.
+    fn suite() -> SuiteRun {
+        try_run_suite_opts(4, 2, false).expect("every run matches the reference")
+    }
+
+    fn by_name<'a>(suite: &'a SuiteRun, name: &str) -> &'a BenchResult {
+        suite.results.iter().find(|r| r.spec.name == name).unwrap()
+    }
 
     #[test]
-    fn run_bench_produces_consistent_matrix() {
-        let spec = by_name("gzip").unwrap();
-        let r = run_bench(&spec, 4);
+    fn suite_produces_consistent_matrix() {
+        let suite = suite();
+        let r = by_name(&suite, "gzip");
         assert_eq!(r.lsq.sim.backend, Backend::OptLsq);
         assert_eq!(r.sw.sim.backend, Backend::NachosSw);
         assert_eq!(r.hw.sim.backend, Backend::Nachos);
@@ -490,8 +411,8 @@ mod tests {
 
     #[test]
     fn slowdown_helpers_are_consistent() {
-        let spec = by_name("parser").unwrap();
-        let r = run_bench(&spec, 4);
+        let suite = suite();
+        let r = by_name(&suite, "parser");
         let direct = pct_slowdown(r.sw.sim.cycles, r.lsq.sim.cycles);
         assert!((r.sw_slowdown_pct() - direct).abs() < 1e-12);
     }
@@ -508,7 +429,7 @@ mod tests {
 
     #[test]
     fn suite_run_carries_matching_sweep() {
-        let suite = run_suite_threads(2, 2);
+        let suite = try_run_suite_opts(2, 2, false).unwrap();
         assert_eq!(suite.results.len(), suite.sweep.jobs.len());
         assert!(suite.sweep.all_match());
         for (r, j) in suite.results.iter().zip(&suite.sweep.jobs) {

@@ -54,14 +54,15 @@
 
 use super::cache::{CacheCounters, CacheLookup, ResultCache};
 use super::heartbeat::{Heartbeat, HeartbeatPhase, Pulse};
-use super::journal::{self, Attempt, Journal, LineError, RunKey, RunRecord};
+use super::journal::{self, read_bounded_line, Attempt, BoundedLine, Journal, LineError};
+use super::journal::{RunKey, RunRecord, MAX_RECORD_LEN};
 use super::{OutcomeRecord, RunStatus, SweepConfig, SweepJob, SweepResult, SweepStats};
 use crate::engine::SimArena;
 use crate::json::{parse_json, Json, JsonWriter};
 use crate::reference;
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
-use std::io::{self, BufRead as _, BufReader, Read, Write as _};
+use std::io::{self, BufReader, Read, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{self, Sender};
@@ -796,18 +797,20 @@ where
     R: Read + Send + 'static,
 {
     let mut reader = BufReader::new(input);
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "shard worker: missing dispatch header on stdin",
-        ));
-    }
-    let header = parse_header(&line).ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("shard worker: bad dispatch header: {}", line.trim()),
-        )
+    let mut buf = Vec::new();
+    // The header is bounded like every cell line: an oversized or
+    // non-UTF-8 header is as malformed as a missing one.
+    let header = match read_bounded_line(&mut reader, &mut buf, MAX_RECORD_LEN)? {
+        BoundedLine::Line => std::str::from_utf8(&buf).ok(),
+        BoundedLine::Oversized { .. } | BoundedLine::Eof => None,
+    };
+    let header = header.and_then(parse_header).ok_or_else(|| {
+        let line = String::from_utf8_lossy(&buf);
+        let why = format!(
+            "shard worker: missing or bad dispatch header: {}",
+            line.trim()
+        );
+        io::Error::new(io::ErrorKind::InvalidData, why)
     })?;
     let mut summary = WorkerSummary {
         shard: header.index,
@@ -815,14 +818,20 @@ where
     };
 
     // Read the cell list up to the end marker. EOF first means the
-    // supervisor died mid-dispatch: wind down, run nothing.
+    // supervisor died mid-dispatch: wind down, run nothing. An oversized
+    // or non-UTF-8 line is one protocol error, like an unparsable one.
     let mut cells: Vec<Cell> = Vec::new();
     let mut end_seen = false;
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
+        let line = match read_bounded_line(&mut reader, &mut buf, MAX_RECORD_LEN)? {
+            BoundedLine::Eof => break,
+            BoundedLine::Oversized { .. } => None,
+            BoundedLine::Line => std::str::from_utf8(&buf).ok(),
+        };
+        let Some(line) = line else {
+            summary.protocol_errors += 1;
+            continue;
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -861,16 +870,13 @@ where
     {
         let token = token.clone();
         std::thread::spawn(move || {
-            let mut line = String::new();
-            loop {
-                line.clear();
-                match reader.read_line(&mut line) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {
-                        if parse_json(line.trim()).is_some_and(|v| v.get("cancel").is_some()) {
-                            break;
-                        }
-                    }
+            let mut buf = Vec::new();
+            while let Ok(BoundedLine::Line | BoundedLine::Oversized { .. }) =
+                read_bounded_line(&mut reader, &mut buf, MAX_RECORD_LEN)
+            {
+                let line = std::str::from_utf8(&buf).unwrap_or_default();
+                if parse_json(line.trim()).is_some_and(|v| v.get("cancel").is_some()) {
+                    break;
                 }
             }
             token.cancel();
@@ -1115,6 +1121,34 @@ mod tests {
         let summary = run_shard_worker(&jobs, &cfg, held_open(input)).unwrap();
         assert_eq!(summary.executed, 0);
         assert_eq!(summary.protocol_errors, 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn worker_bounds_every_stdin_line() {
+        let dir = scratch("worker-bounded");
+        let jobs = demo_jobs(1);
+        let cfg = demo_cfg();
+        let cells = enumerate_cells(&jobs, &cfg);
+        let journal_path = dir.join("shard-0000.jsonl");
+        let huge = "x".repeat(MAX_RECORD_LEN + 1);
+        // An oversized or non-UTF-8 header is refused outright.
+        for header in [format!("{huge}\n").into_bytes(), vec![0xff, b'\n']] {
+            let err = run_shard_worker(&jobs, &cfg, io::Cursor::new(header)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        // An oversized or non-UTF-8 cell line is one protocol error each;
+        // the rest run.
+        let mut input = header_line(0, &journal_path, 0).into_bytes();
+        input.extend(format!("{huge}\n").bytes().chain([0xff, b'\n']));
+        for c in &cells {
+            input.extend(cell_line(c).bytes());
+        }
+        input.extend(END_LINE.bytes());
+        let input = io::Cursor::new(input).chain(HoldOpen);
+        let summary = run_shard_worker(&jobs, &cfg, input).unwrap();
+        assert_eq!(summary.protocol_errors, 2);
+        assert_eq!(summary.executed, cells.len());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -19,7 +19,14 @@
 //! so most cases start from a valid line of each kind and apply random
 //! byte edits to it; one seed in the corpus is empty, which makes that
 //! case purely random.
+//!
+//! The shard worker's stdin is the last boundary here: random and mutated
+//! dispatch headers, and valid headers followed by mutated cell lists,
+//! are fed to `run_shard_worker` over a two-job matrix. It must return
+//! its counters or `InvalidData`, execute only cells whose key it
+//! verified, and leave exactly those records in its shard journal.
 
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
@@ -28,6 +35,7 @@ use nachos::sweep::cache::{CacheLookup, ResultCache};
 use nachos::sweep::daemon::MatrixSpec;
 use nachos::sweep::heartbeat::{Heartbeat, HeartbeatPhase};
 use nachos::sweep::journal::{Journal, RunKey, RunRecord};
+use nachos::sweep::shard::{enumerate_cells, run_shard_worker, SHARD_SCHEMA};
 use nachos::sweep::{run_sweep_journaled, SweepConfig, SweepJob};
 use nachos::testutil::store_load_region;
 use proptest::prelude::*;
@@ -274,6 +282,95 @@ fn non_finite_numbers_never_reach_the_writer() {
     check_boundaries(&overflowing);
 }
 
+/// The two-job matrix the shard-worker cases dispatch from.
+fn shard_matrix() -> (Vec<SweepJob>, SweepConfig) {
+    let jobs = ["shard-a", "shard-b"].map(|name| {
+        let (region, binding) = store_load_region(name);
+        SweepJob::new(name, region, binding)
+    });
+    (
+        jobs.to_vec(),
+        SweepConfig::default().with_invocations(2).with_threads(1),
+    )
+}
+
+/// A valid dispatch header naming `journal`.
+fn shard_header(journal: &Path) -> String {
+    let journal = escape(&journal.display().to_string());
+    format!("{{\"shard\":\"{SHARD_SCHEMA}\",\"index\":0,\"journal\":\"{journal}\",\"heartbeat_ms\":1000}}\n")
+}
+
+/// Every cell of the matrix as dispatch lines, then the end marker.
+fn shard_body(jobs: &[SweepJob], cfg: &SweepConfig) -> String {
+    let mut body = String::new();
+    for c in enumerate_cells(jobs, cfg) {
+        let (job, variant, key) = (c.job, c.variant, c.key);
+        body +=
+            &format!("{{\"cell\":{{\"job\":{job},\"variant\":{variant},\"key\":\"{key}\"}}}}\n");
+    }
+    body + "{\"end\":true}\n"
+}
+
+/// Stands in for a supervisor that keeps the pipe open: without it the
+/// worker reads EOF after the cell list as a dead supervisor and cancels.
+struct HoldOpen;
+
+impl Read for HoldOpen {
+    fn read(&mut self, _buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            std::thread::park();
+        }
+    }
+}
+
+/// Feeds `stdin` to a shard worker whose journal is `journal` and checks
+/// its outcome against the matrix's verified cell keys. Behind a valid
+/// header, no cell line can fail the worker: each bad one is a counted
+/// protocol error.
+fn check_shard_worker(
+    jobs: &[SweepJob],
+    cfg: &SweepConfig,
+    journal: &Path,
+    stdin: Vec<u8>,
+    valid_header: bool,
+) {
+    // Hold the pipe open only when the end marker survived intact: a
+    // worker still waiting for it must see EOF, not block forever.
+    let intact = stdin.split(|&b| b == b'\n').any(|l| l == b"{\"end\":true}");
+    let input = std::io::Cursor::new(stdin);
+    let outcome = if intact {
+        run_shard_worker(jobs, cfg, input.chain(HoldOpen))
+    } else {
+        run_shard_worker(jobs, cfg, input)
+    };
+    match outcome {
+        Err(e) => {
+            prop_assert!(!valid_header, "a valid header's worker failed: {}", e);
+            prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{}", e);
+            prop_assert!(!journal.exists(), "a refused header opened the journal");
+        }
+        Ok(summary) => {
+            let cells = enumerate_cells(jobs, cfg);
+            prop_assert!(summary.executed + summary.replayed <= cells.len() * 2);
+            if !journal.exists() {
+                prop_assert_eq!(summary.executed, 0);
+                return;
+            }
+            let recorded = Journal::resume(journal).expect("the worker's journal resumes");
+            let verified = cells
+                .iter()
+                .filter(|c| recorded.lookup(c.key).is_some())
+                .count();
+            prop_assert_eq!(
+                recorded.replay_len(),
+                verified,
+                "a record for an unverified key"
+            );
+            prop_assert_eq!(recorded.replay_len(), summary.executed);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -299,6 +396,34 @@ proptest! {
         let dir = scratch_dir("files");
         check_journal_file(&dir, &bytes);
         check_cache_entry(&dir, &bytes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn shard_worker_survives_arbitrary_stdin(
+        mutate_header in any::<bool>(),
+        edits in proptest::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 0..6),
+        tail in proptest::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let (jobs, cfg) = shard_matrix();
+        let dir = scratch_dir("shard");
+        let journal = dir.join("shard-0.jsonl");
+        let header = shard_header(&journal);
+        // A mutated header ends the input: whatever path it might name,
+        // the worker reads no end marker and so never opens a journal.
+        let stdin = if mutate_header {
+            let seed = if edits.len() % 2 == 0 { header } else { String::new() };
+            mutate_bytes(&seed, &edits, &tail)
+        } else {
+            let mut stdin = header.into_bytes();
+            stdin.extend(mutate_bytes(&shard_body(&jobs, &cfg), &edits, &tail));
+            stdin
+        };
+        check_shard_worker(&jobs, &cfg, &journal, stdin, !mutate_header);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
