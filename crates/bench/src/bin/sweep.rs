@@ -48,12 +48,6 @@
 //! untouched. The CI soak-resume job kills exactly such a sweep
 //! mid-flight and diffs the resumed report against a clean one.
 //!
-//! With `--inject smoke`, runs the fault-injection smoke suite instead:
-//! one crafted scenario per fault class, each with a hard per-backend
-//! status expectation (unsafe faults detected, benign faults result-
-//! neutral, dropped tokens diagnosed as deadlocks). Exits non-zero on any
-//! deviation.
-//!
 //! With `--ideal`, the IDEAL oracle (perfect disambiguation, the paper's
 //! Figure 9 upper bound) is appended as a fifth variant column; without
 //! it the report is byte-identical to the default four-variant matrix.
@@ -85,8 +79,8 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: sweep [--threads N] [--invocations N] [--out FILE] [--ideal] \
                      [--optimize] [--journal FILE] [--resume] [--max-retries N] \
-                     [--filter SUBSTR] [--variants LIST] [--poison NAME] [--inject smoke] \
-                     [--shards N] [--cache PATH|default] [--heartbeat-interval MS] \
+                     [--filter SUBSTR] [--variants LIST] [--poison NAME] [--shards N] \
+                      [--cache PATH|default] [--heartbeat-interval MS] \
                      [--deadline-secs N] [--connect PATH] [--stats FILE] [--strict] \
                      [--shard-exec] [--help]";
 
@@ -107,7 +101,6 @@ Flags:
   --filter SUBSTR         keep only workloads whose name contains SUBSTR
   --variants LIST         comma-separated variant labels to run
   --poison NAME           inject a deterministic panic into workload NAME
-  --inject smoke          run the fault-injection smoke suite instead
   --shards N              run the matrix across N worker OS processes
                           (requires --journal; report stays byte-identical
                           to a single-process run)
@@ -129,7 +122,7 @@ Flags:
                           across daemon restarts), fetch the report to
                           --out; incompatible with the local
                           orchestration flags (--journal/--resume/
-                          --shards/--cache/--inject/--stats)
+                          --shards/--cache/--stats)
   --stats FILE            after the sweep, re-run the matrix serially with
                           cycle-level telemetry attached and stream the
                           nachos-stats-v1 JSONL (one run block per cell,
@@ -148,7 +141,6 @@ Exit codes — each reachable by exactly one condition:
   1  usage error: the invocation itself is wrong (unknown flag, bad
      value, a matrix spec that resolves to nothing)
   2  divergence: at least one run mismatched the reference executor
-     (under --inject smoke: at least one expectation deviation)
   3  strict degradation (--strict only): no mismatch, but at least one
      degraded cell
   4  deadline exceeded: the --deadline-secs (or daemon-side) wall-clock
@@ -187,7 +179,6 @@ fn main() -> ExitCode {
     let mut threads = 0usize;
     let mut invocations = nachos_bench::DEFAULT_INVOCATIONS;
     let mut out: Option<String> = None;
-    let mut inject: Option<String> = None;
     let mut ideal = false;
     let mut optimize = false;
     let mut journal_path: Option<String> = None;
@@ -237,7 +228,6 @@ fn main() -> ExitCode {
             "--threads"
             | "--invocations"
             | "--out"
-            | "--inject"
             | "--journal"
             | "--max-retries"
             | "--filter"
@@ -288,7 +278,6 @@ fn main() -> ExitCode {
                     return usage_error(&format!("--deadline-secs takes seconds, got {value:?}"))
                 }
             },
-            "--inject" => inject = Some(value),
             "--journal" => journal_path = Some(value),
             "--filter" => filter = Some(value),
             "--variants" => variant_list = Some(value),
@@ -308,16 +297,13 @@ fn main() -> ExitCode {
     if cache_arg.is_some() && shards == 0 && !shard_exec {
         return usage_error("--cache requires --shards N");
     }
-    if shard_exec && (shards > 0 || journal_path.is_some() || out.is_some() || inject.is_some()) {
+    if shard_exec && (shards > 0 || journal_path.is_some() || out.is_some()) {
         return usage_error(
             "--shard-exec is the worker side: it takes its journal from the dispatch \
-             header, not from --shards/--journal/--out/--inject",
+             header, not from --shards/--journal/--out",
         );
     }
-    if inject.is_some() && shards > 0 {
-        return usage_error("--inject smoke runs in-process; it takes no --shards");
-    }
-    if stats_path.is_some() && (inject.is_some() || shard_exec) {
+    if stats_path.is_some() && shard_exec {
         return usage_error("--stats applies to the standard sweep");
     }
     if connect.is_some()
@@ -325,13 +311,12 @@ fn main() -> ExitCode {
             || resume
             || shards > 0
             || cache_arg.is_some()
-            || inject.is_some()
             || stats_path.is_some()
             || shard_exec)
     {
         return usage_error(
             "--connect is the client side: orchestration (--journal/--resume/--shards/\
-             --cache/--inject/--stats/--shard-exec) lives in the daemon",
+             --cache/--stats/--shard-exec) lives in the daemon",
         );
     }
 
@@ -349,7 +334,6 @@ fn main() -> ExitCode {
         variants: matrix::parse_variants(variant_list.as_deref()),
         poison: poison.clone(),
         deadline_secs,
-        watchdog: None,
     };
 
     if let Some(sock) = connect {
@@ -359,7 +343,7 @@ fn main() -> ExitCode {
     // The wall-clock deadline: one shared token, cancelled by a
     // detached timer thread. `run_sweep_sharded` forwards the token to
     // every worker, so the budget binds in both execution modes.
-    let deadline_token = (deadline_secs > 0 && inject.is_none() && !shard_exec).then(|| {
+    let deadline_token = (deadline_secs > 0 && !shard_exec).then(|| {
         let token = CancelToken::new();
         let timer = token.clone();
         std::thread::spawn(move || {
@@ -369,241 +353,175 @@ fn main() -> ExitCode {
         token
     });
 
-    let (json, summary, code) = match inject.as_deref() {
-        Some("smoke") if ideal => {
-            return usage_error("--ideal applies to the standard sweep, not --inject smoke")
-        }
-        Some("smoke") if optimize => {
-            return usage_error("--optimize applies to the standard sweep, not --inject smoke")
-        }
-        Some("smoke") => {
-            let (sweep, failures) = nachos_bench::run_fault_smoke(threads);
-            for f in &failures {
-                eprintln!("SMOKE DEVIATION: {f}");
-            }
-            let statuses: Vec<String> = sweep
-                .statuses()
-                .iter()
-                .map(|(job, variant, status)| format!("{job} [{variant}] {status}"))
-                .collect();
-            let code = if failures.is_empty() {
-                Verdict::Success.exit()
-            } else {
-                Verdict::Divergence.exit()
-            };
-            (
-                sweep.to_json(),
-                format!(
-                    "fault-injection smoke: {} runs, {} deviations\n{}",
-                    statuses.len(),
-                    failures.len(),
-                    statuses.join("\n"),
-                ),
-                code,
-            )
-        }
-        Some(other) => return usage_error(&format!("--inject knows 'smoke', got {other:?}")),
-        None => {
-            let (jobs, mut cfg) = match matrix::resolve(&spec) {
-                Ok(r) => r,
-                Err(e) => return usage_error(&e),
-            };
-            if let Some(token) = &deadline_token {
-                cfg.sim.cancel = Some(token.clone());
-            }
-
-            // Worker mode: execute the shard streamed over stdin and
-            // exit — no report of its own.
-            if shard_exec {
-                return match run_shard_worker(&jobs, &cfg, std::io::stdin()) {
-                    Ok(s) => {
-                        eprintln!(
-                            "shard {}: {} executed, {} replayed, {} protocol errors{}",
-                            s.shard,
-                            s.executed,
-                            s.replayed,
-                            s.protocol_errors,
-                            if s.cancelled { ", cancelled" } else { "" },
-                        );
-                        if s.protocol_errors > 0 {
-                            Verdict::Environment.exit()
-                        } else {
-                            Verdict::Success.exit()
-                        }
-                    }
-                    Err(e) => environment_error(&format!("shard worker failed: {e}")),
-                };
-            }
-
-            if shards > 0 {
-                // Supervisor mode: the journal is the merge target; the
-                // workers are this binary re-invoked with --shard-exec
-                // and the matrix-defining flags forwarded verbatim.
-                let journal = journal_path.clone().unwrap_or_default();
-                let exe = match std::env::current_exe() {
-                    Ok(p) => p.display().to_string(),
-                    Err(e) => {
-                        return environment_error(&format!(
-                            "cannot locate own executable for workers: {e}"
-                        ))
-                    }
-                };
-                let mut worker_cmd = vec![
-                    exe,
-                    "--shard-exec".into(),
-                    "--invocations".into(),
-                    invocations.to_string(),
-                    "--max-retries".into(),
-                    max_retries.to_string(),
-                ];
-                if ideal {
-                    worker_cmd.push("--ideal".into());
-                }
-                // The optimizer changes the compiled MDE graph, so it is
-                // part of the matrix definition: workers must agree with
-                // the supervisor or every fingerprint misses.
-                if optimize {
-                    worker_cmd.push("--optimize".into());
-                }
-                for (flag, v) in [
-                    ("--filter", &filter),
-                    ("--variants", &variant_list),
-                    ("--poison", &poison),
-                ] {
-                    if let Some(v) = v {
-                        worker_cmd.push(flag.into());
-                        worker_cmd.push(v.clone());
-                    }
-                }
-                let mut scfg = ShardConfig::new(shards, worker_cmd, &journal);
-                scfg.resume = resume;
-                scfg.heartbeat = Duration::from_millis(heartbeat_ms);
-                scfg.silence_budget = if heartbeat_ms == 0 {
-                    Duration::ZERO
-                } else {
-                    Duration::from_millis((heartbeat_ms * 10).max(2000))
-                };
-                if let Some(arg) = &cache_arg {
-                    let root = if arg == "default" {
-                        ResultCache::default_root()
-                    } else {
-                        arg.clone().into()
-                    };
-                    match ResultCache::open(root) {
-                        Ok(c) => scfg.cache = Some(c),
-                        Err(e) => {
-                            return environment_error(&format!("cannot open result cache: {e}"))
-                        }
-                    }
-                }
-                let (sweep, stats, sstats) = match run_sweep_sharded(&jobs, &cfg, &scfg) {
-                    Ok(r) => r,
-                    Err(e) => return environment_error(&format!("sharded sweep failed: {e}")),
-                };
-                if !sweep.all_match() {
-                    eprintln!("DIVERGENCE: {:?}", sweep.mismatches());
-                }
-                eprintln!(
-                    "orchestration: {} shards, {} workers spawned ({} respawns, {} silent kills), \
-                     {} cells dispatched, {} recovered from shard journals, {} corrupt lines \
-                     dropped, {} quarantined by the supervisor, {} abandoned to the inline pass",
-                    sstats.shards,
-                    sstats.workers_spawned,
-                    sstats.respawns,
-                    sstats.silent_kills,
-                    sstats.dispatched,
-                    sstats.recovered,
-                    sstats.corrupt_lines,
-                    sstats.quarantined,
-                    sstats.abandoned,
-                );
-                if scfg.cache.is_some() {
-                    eprintln!(
-                        "cache: {} hits, {} misses, {} corrupt entries healed, {} stored",
-                        sstats.cache.hits,
-                        sstats.cache.misses,
-                        sstats.cache.corrupt,
-                        sstats.cache.stored,
-                    );
-                }
-                eprintln!(
-                    "merge: {} runs replayed, {} executed inline, {} journal errors",
-                    stats.replayed, stats.executed, stats.journal_errors,
-                );
-                let summary = format!(
-                    "{} jobs x {} variants",
-                    sweep.jobs.len(),
-                    sweep.variants.len()
-                );
-                let deadline_hit = deadline_token
-                    .as_ref()
-                    .is_some_and(CancelToken::is_cancelled);
-                if deadline_hit {
-                    eprintln!("DEADLINE: wall-clock budget of {deadline_secs}s exhausted");
-                }
-                (
-                    sweep.to_json(),
-                    summary,
-                    verdict(&sweep, strict, deadline_hit),
-                )
-            } else {
-                let journal = match &journal_path {
-                    Some(p) => {
-                        let opened = if resume {
-                            Journal::resume(p)
-                        } else {
-                            Journal::create(p)
-                        };
-                        match opened {
-                            Ok(j) => Some(j),
-                            Err(e) => {
-                                return environment_error(&format!("cannot open journal {p}: {e}"))
-                            }
-                        }
-                    }
-                    None => None,
-                };
-                if let Some(j) = &journal {
-                    if j.replay_len() > 0 || j.skipped() > 0 {
-                        eprintln!(
-                            "journal {}: {} completed runs loaded, {} unreadable lines skipped \
-                             ({} corrupt)",
-                            j.path().display(),
-                            j.replay_len(),
-                            j.skipped(),
-                            j.corrupt(),
-                        );
-                    }
-                }
-                let (sweep, stats) = run_sweep_journaled(&jobs, &cfg, journal.as_ref());
-                if !sweep.all_match() {
-                    eprintln!("DIVERGENCE: {:?}", sweep.mismatches());
-                }
-                if journal.is_some() {
-                    eprintln!(
-                        "orchestration: {} runs replayed from the journal, {} executed, {} journal errors",
-                        stats.replayed, stats.executed, stats.journal_errors,
-                    );
-                }
-                let summary = format!(
-                    "{} jobs x {} variants",
-                    sweep.jobs.len(),
-                    sweep.variants.len()
-                );
-                let deadline_hit = deadline_token
-                    .as_ref()
-                    .is_some_and(CancelToken::is_cancelled);
-                if deadline_hit {
-                    eprintln!("DEADLINE: wall-clock budget of {deadline_secs}s exhausted");
-                }
-                (
-                    sweep.to_json(),
-                    summary,
-                    verdict(&sweep, strict, deadline_hit),
-                )
-            }
-        }
+    let (jobs, mut cfg) = match matrix::resolve(&spec) {
+        Ok(r) => r,
+        Err(e) => return usage_error(&e),
     };
+    if let Some(token) = &deadline_token {
+        cfg.sim.cancel = Some(token.clone());
+    }
+
+    // Worker mode: execute the shard streamed over stdin and
+    // exit — no report of its own.
+    if shard_exec {
+        return match run_shard_worker(&jobs, &cfg, std::io::stdin()) {
+            Ok(s) => {
+                eprintln!(
+                    "shard {}: {} executed, {} replayed, {} protocol errors{}",
+                    s.shard,
+                    s.executed,
+                    s.replayed,
+                    s.protocol_errors,
+                    if s.cancelled { ", cancelled" } else { "" },
+                );
+                if s.protocol_errors > 0 {
+                    Verdict::Environment.exit()
+                } else {
+                    Verdict::Success.exit()
+                }
+            }
+            Err(e) => environment_error(&format!("shard worker failed: {e}")),
+        };
+    }
+
+    let sweep = if shards > 0 {
+        // Supervisor mode: the journal is the merge target; the
+        // workers are this binary re-invoked with --shard-exec
+        // and the matrix-defining flags forwarded verbatim.
+        let journal = journal_path.clone().unwrap_or_default();
+        let exe = match std::env::current_exe() {
+            Ok(p) => p.display().to_string(),
+            Err(e) => {
+                return environment_error(&format!("cannot locate own executable for workers: {e}"))
+            }
+        };
+        let mut worker_cmd = vec![
+            exe,
+            "--shard-exec".into(),
+            "--invocations".into(),
+            invocations.to_string(),
+            "--max-retries".into(),
+            max_retries.to_string(),
+        ];
+        if ideal {
+            worker_cmd.push("--ideal".into());
+        }
+        // The optimizer changes the compiled MDE graph, so it is
+        // part of the matrix definition: workers must agree with
+        // the supervisor or every fingerprint misses.
+        if optimize {
+            worker_cmd.push("--optimize".into());
+        }
+        for (flag, v) in [
+            ("--filter", &filter),
+            ("--variants", &variant_list),
+            ("--poison", &poison),
+        ] {
+            if let Some(v) = v {
+                worker_cmd.push(flag.into());
+                worker_cmd.push(v.clone());
+            }
+        }
+        let mut scfg = ShardConfig::new(shards, worker_cmd, &journal);
+        scfg.resume = resume;
+        scfg.heartbeat = Duration::from_millis(heartbeat_ms);
+        scfg.silence_budget = if heartbeat_ms == 0 {
+            Duration::ZERO
+        } else {
+            Duration::from_millis((heartbeat_ms * 10).max(2000))
+        };
+        if let Some(arg) = &cache_arg {
+            let root = if arg == "default" {
+                ResultCache::default_root()
+            } else {
+                arg.clone().into()
+            };
+            match ResultCache::open(root) {
+                Ok(c) => scfg.cache = Some(c),
+                Err(e) => return environment_error(&format!("cannot open result cache: {e}")),
+            }
+        }
+        let (sweep, stats, sstats) = match run_sweep_sharded(&jobs, &cfg, &scfg) {
+            Ok(r) => r,
+            Err(e) => return environment_error(&format!("sharded sweep failed: {e}")),
+        };
+        eprintln!(
+            "orchestration: {} shards, {} workers spawned ({} respawns, {} silent kills), \
+             {} cells dispatched, {} recovered from shard journals, {} corrupt lines \
+             dropped, {} quarantined by the supervisor, {} abandoned to the inline pass",
+            sstats.shards,
+            sstats.workers_spawned,
+            sstats.respawns,
+            sstats.silent_kills,
+            sstats.dispatched,
+            sstats.recovered,
+            sstats.corrupt_lines,
+            sstats.quarantined,
+            sstats.abandoned,
+        );
+        if scfg.cache.is_some() {
+            eprintln!(
+                "cache: {} hits, {} misses, {} corrupt entries healed, {} stored",
+                sstats.cache.hits, sstats.cache.misses, sstats.cache.corrupt, sstats.cache.stored,
+            );
+        }
+        eprintln!(
+            "merge: {} runs replayed, {} executed inline, {} journal errors",
+            stats.replayed, stats.executed, stats.journal_errors,
+        );
+        sweep
+    } else {
+        let journal = match &journal_path {
+            Some(p) => {
+                let opened = if resume {
+                    Journal::resume(p)
+                } else {
+                    Journal::create(p)
+                };
+                match opened {
+                    Ok(j) => Some(j),
+                    Err(e) => return environment_error(&format!("cannot open journal {p}: {e}")),
+                }
+            }
+            None => None,
+        };
+        if let Some(j) = &journal {
+            if j.replay_len() > 0 || j.skipped() > 0 {
+                eprintln!(
+                    "journal {}: {} completed runs loaded, {} unreadable lines skipped \
+                     ({} corrupt)",
+                    j.path().display(),
+                    j.replay_len(),
+                    j.skipped(),
+                    j.corrupt(),
+                );
+            }
+        }
+        let (sweep, stats) = run_sweep_journaled(&jobs, &cfg, journal.as_ref());
+        if journal.is_some() {
+            eprintln!(
+                "orchestration: {} runs replayed from the journal, {} executed, {} journal errors",
+                stats.replayed, stats.executed, stats.journal_errors,
+            );
+        }
+        sweep
+    };
+    if !sweep.all_match() {
+        eprintln!("DIVERGENCE: {:?}", sweep.mismatches());
+    }
+    let summary = format!(
+        "{} jobs x {} variants",
+        sweep.jobs.len(),
+        sweep.variants.len()
+    );
+    let deadline_hit = deadline_token
+        .as_ref()
+        .is_some_and(CancelToken::is_cancelled);
+    if deadline_hit {
+        eprintln!("DEADLINE: wall-clock budget of {deadline_secs}s exhausted");
+    }
+    let json = sweep.to_json();
+    let code = verdict(&sweep, strict, deadline_hit);
 
     if let Some(path) = &stats_path {
         // The telemetry pass re-executes the matrix serially so the

@@ -18,7 +18,7 @@ use std::process::ExitCode;
 /// |------|--------------------|-----------------------------------------------|
 /// | 0    | `Success`          | every run completed (degraded cells included, without `--strict`) |
 /// | 1    | `Usage`            | the invocation itself is wrong (flags, spec)  |
-/// | 2    | `Divergence`       | a run mismatched the reference executor (or an `--inject smoke` expectation) |
+/// | 2    | `Divergence`       | a run mismatched the reference executor       |
 /// | 3    | `StrictDegraded`   | `--strict` only: no mismatch, ≥1 degraded cell |
 /// | 4    | `DeadlineExceeded` | the wall-clock budget cancelled the sweep     |
 /// | 5    | `Environment`      | the environment failed: I/O, sockets, worker protocol |

@@ -27,12 +27,9 @@ pub mod matrix;
 pub mod opt;
 pub mod stats;
 
-use nachos::sweep::{
-    run_sweep, JobOutcome, RunStatus, SweepConfig, SweepJob, SweepResult, SweepVariant,
-};
-use nachos::{pct_slowdown, Backend, ExperimentRun, FaultKind, FaultPlan, FaultSpec, SimError};
+use nachos::sweep::{run_sweep, JobOutcome, SweepConfig, SweepJob, SweepResult, SweepVariant};
+use nachos::{pct_slowdown, ExperimentRun};
 use nachos_alias::Analysis;
-use nachos_ir::{AffineExpr, Binding, IntOp, MemRef, RegionBuilder, UnknownPattern};
 use nachos_workloads::{BenchSpec, Workload};
 
 /// Default invocation count for the experiment harness: enough to warm
@@ -206,182 +203,6 @@ pub fn try_run_suite_opts(
     Ok(SuiteRun { results, sweep })
 }
 
-/// One fault-injection smoke scenario: a job carrying an injected fault
-/// and the status each backend of [`SweepVariant::paper_matrix`] must
-/// report (`[opt-lsq, nachos-sw, nachos]` order).
-#[derive(Clone, Debug)]
-pub struct SmokeScenario {
-    /// The job, with its fault plan attached.
-    pub job: SweepJob,
-    /// Expected per-variant statuses, in paper-matrix order.
-    pub expect: [RunStatus; 3],
-}
-
-/// A store forwarding into a load: every backend forwards once per
-/// invocation, so forward-class faults are guaranteed an opportunity.
-fn forward_job(name: &str) -> SweepJob {
-    let (region, binding) = nachos::testutil::store_load_region(name);
-    SweepJob::new(name, region, binding)
-}
-
-/// Two stores to one address: the compiler wires a MUST (ORDER) edge, so
-/// token-class faults are guaranteed an opportunity under the MDE
-/// backends.
-fn token_job(name: &str) -> SweepJob {
-    let mut b = RegionBuilder::new(name);
-    let g = b.global("g", 64, 0);
-    let m = MemRef::affine(g, AffineExpr::zero());
-    let x = b.input();
-    b.store(m.clone(), &[x]);
-    let y = b.int_op(IntOp::Add, &[x]);
-    b.store(m, &[y]);
-    SweepJob::new(
-        name,
-        b.finish(),
-        Binding {
-            base_addrs: vec![0x1_0000],
-            ..Binding::default()
-        },
-    )
-}
-
-/// A MAY pair that truly conflicts every invocation, with the store's
-/// data behind a deep multiply chain: skipping the conflict wait lets the
-/// load observe stale memory, so a forced no-conflict verdict must
-/// diverge from the reference.
-fn conflicting_may_job(name: &str) -> SweepJob {
-    let mut b = RegionBuilder::new(name);
-    let u0 = b.unknown_ptr();
-    let u1 = b.unknown_ptr();
-    let mut v = b.input();
-    for _ in 0..12 {
-        v = b.int_op(IntOp::Mul, &[v]);
-    }
-    b.store(MemRef::unknown(u0, 0), &[v]);
-    b.load(MemRef::unknown(u1, 0), &[]);
-    SweepJob::new(
-        name,
-        b.finish(),
-        Binding {
-            unknowns: vec![
-                UnknownPattern::Fixed(0x10_0000),
-                UnknownPattern::Fixed(0x10_0000),
-            ],
-            ..Binding::default()
-        },
-    )
-}
-
-/// The fault-injection smoke suite: one scenario per fault class, each
-/// with a hard status expectation. Unsafe faults must be *detected*
-/// (differential divergence, protocol violation, or a diagnosed
-/// deadlock); benign faults must leave every run `ok`.
-#[must_use]
-pub fn fault_smoke_scenarios() -> Vec<SmokeScenario> {
-    use RunStatus::{Deadlock, FaultDetected, Ok, Panic};
-    vec![
-        SmokeScenario {
-            job: forward_job("smoke-corrupt-forward").with_fault(FaultPlan::single(
-                FaultSpec::new(FaultKind::CorruptForward { mask: 0xff }, 0),
-            )),
-            expect: [FaultDetected, FaultDetected, FaultDetected],
-        },
-        SmokeScenario {
-            job: forward_job("smoke-delay-benign").with_fault(FaultPlan::single(FaultSpec::new(
-                FaultKind::DelayMem { cycles: 9 },
-                0,
-            ))),
-            expect: [Ok, Ok, Ok],
-        },
-        SmokeScenario {
-            job: conflicting_may_job("smoke-force-conflict-benign").with_fault(FaultPlan::single(
-                FaultSpec::new(FaultKind::ForceConflict, 0).on_backend(Backend::Nachos),
-            )),
-            expect: [Ok, Ok, Ok],
-        },
-        SmokeScenario {
-            job: conflicting_may_job("smoke-force-no-conflict").with_fault(FaultPlan::single(
-                FaultSpec::new(FaultKind::ForceNoConflict, 0).on_backend(Backend::Nachos),
-            )),
-            expect: [Ok, Ok, FaultDetected],
-        },
-        SmokeScenario {
-            job: token_job("smoke-drop-token").with_fault(FaultPlan::single(
-                FaultSpec::new(FaultKind::DropToken, 0).on_backend(Backend::NachosSw),
-            )),
-            expect: [Ok, Deadlock, Ok],
-        },
-        SmokeScenario {
-            job: token_job("smoke-duplicate-token").with_fault(FaultPlan::single(
-                FaultSpec::new(FaultKind::DuplicateToken, 0).on_backend(Backend::NachosSw),
-            )),
-            expect: [Ok, FaultDetected, Ok],
-        },
-        SmokeScenario {
-            job: forward_job("smoke-panic").with_fault(FaultPlan::single(
-                FaultSpec::new(FaultKind::PanicOnEvent, 0).on_backend(Backend::Nachos),
-            )),
-            expect: [Ok, Ok, Panic],
-        },
-    ]
-}
-
-/// Runs the fault-injection smoke suite and checks every expectation.
-///
-/// Returns the sweep plus the list of deviations (empty = suite passed):
-/// wrong statuses, deadlocks without a stalled-node dump, or detected
-/// faults whose injection log is empty.
-#[must_use]
-pub fn run_fault_smoke(threads: usize) -> (SweepResult, Vec<String>) {
-    let scenarios = fault_smoke_scenarios();
-    let jobs: Vec<SweepJob> = scenarios.iter().map(|s| s.job.clone()).collect();
-    let cfg = SweepConfig::default()
-        .with_invocations(8)
-        .with_threads(threads);
-    let sweep = run_sweep(&jobs, &cfg);
-    let mut failures = Vec::new();
-    for (s, job) in scenarios.iter().zip(&sweep.jobs) {
-        for (run, &expect) in job.runs.iter().zip(&s.expect) {
-            if run.status != expect {
-                failures.push(format!(
-                    "{} [{}]: expected {expect}, got {} ({})",
-                    job.name,
-                    run.variant,
-                    run.status,
-                    run.detail.as_deref().unwrap_or("no detail"),
-                ));
-                continue;
-            }
-            match run.status {
-                RunStatus::Deadlock => {
-                    let dumped = matches!(
-                        &run.error,
-                        Some(SimError::Deadlock(info)) if !info.stalled.is_empty()
-                    );
-                    if !dumped {
-                        failures.push(format!(
-                            "{} [{}]: deadlock without a stalled-node dump",
-                            job.name, run.variant
-                        ));
-                    }
-                }
-                RunStatus::FaultDetected => {
-                    let logged = !run.injected().is_empty()
-                        || matches!(&run.error, Some(SimError::ProtocolViolation { .. }));
-                    if !logged {
-                        failures.push(format!(
-                            "{} [{}]: fault detected but no injection evidence",
-                            job.name, run.variant
-                        ));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    (sweep, failures)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,16 +236,6 @@ mod tests {
         let r = by_name(&suite, "parser");
         let direct = pct_slowdown(r.sw.sim.cycles, r.lsq.sim.cycles);
         assert!((r.sw_slowdown_pct() - direct).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fault_smoke_suite_meets_every_expectation() {
-        let (sweep, failures) = run_fault_smoke(2);
-        assert!(failures.is_empty(), "smoke deviations: {failures:#?}");
-        assert_eq!(sweep.jobs.len(), fault_smoke_scenarios().len());
-        // The smoke report is deterministic across thread counts too.
-        let (serial, _) = run_fault_smoke(1);
-        assert_eq!(serial.to_json(), sweep.to_json());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use nachos::sweep::daemon::MatrixSpec;
 use nachos::sweep::{SweepConfig, SweepJob};
-use nachos::{FaultKind, FaultPlan, FaultSpec, WatchdogConfig};
+use nachos::{FaultKind, FaultPlan, FaultSpec};
 
 /// Resolves a submitted spec against the Table II suite.
 ///
@@ -62,17 +62,7 @@ pub fn resolve(spec: &MatrixSpec) -> Result<(Vec<SweepJob>, SweepConfig), String
     if spec.optimize {
         cfg = cfg.with_optimize(true);
     }
-    cfg = cfg.with_retries(spec.max_retries);
-    if let Some((base_cycles, cycles_per_node)) = spec.watchdog {
-        // Unlike the wall-clock deadline, the cycle budget shapes
-        // simulated behavior and so legitimately enters the config
-        // (and with it every run fingerprint).
-        cfg.sim.watchdog = WatchdogConfig {
-            base_cycles,
-            cycles_per_node,
-        };
-    }
-    Ok((jobs, cfg))
+    Ok((jobs, cfg.with_retries(spec.max_retries)))
 }
 
 /// Splits the raw comma-separated `--variants` value into the spec's
@@ -109,7 +99,6 @@ mod tests {
             max_retries: 2,
             filter: Some("gzip".to_owned()),
             poison: Some("gzip".to_owned()),
-            watchdog: Some((1234, 56)),
             ..MatrixSpec::default()
         };
         let (jobs, cfg) = resolve(&spec).unwrap();
@@ -117,9 +106,7 @@ mod tests {
         assert!(!jobs[0].fault.is_empty(), "poison attaches a fault plan");
         assert!(cfg.variants.iter().any(|v| v.label == "ideal"));
         assert!(cfg.sim.optimize);
-        assert_eq!(cfg.retry.max_retries, 2);
-        assert_eq!(cfg.sim.watchdog.base_cycles, 1234);
-        assert_eq!(cfg.sim.watchdog.cycles_per_node, 56);
+        assert_eq!(cfg.max_retries, 2);
     }
 
     #[test]

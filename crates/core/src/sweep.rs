@@ -21,8 +21,8 @@
 //! * a failing run — a structured [`SimError`], a detected injected
 //!   fault, even a panic — records its [`RunStatus`] in its slot of the
 //!   report and the remaining runs proceed untouched;
-//! * transient failures (panic, deadlock, error) are retried up to the
-//!   configured [`RetryPolicy`] budget, each attempt under a seed derived
+//! * transient failures (panic, deadlock, error) are retried up to
+//!   [`SweepConfig::max_retries`] times, each attempt under a seed derived
 //!   deterministically from the run's content key
 //!   ([`journal::derive_seed`] — no wall-clock), with every attempt
 //!   recorded in the report;
@@ -30,9 +30,9 @@
 //!   elevated to [`RunStatus::Quarantined`] rather than poisoning the
 //!   sweep;
 //! * a panic that escapes the per-run boundary (job setup, the reference
-//!   executor) kills only its worker thread; the supervisor respawns
-//!   workers and, after [`SweepConfig::quarantine_after`] such strikes,
-//!   quarantines the offending job wholesale.
+//!   executor) is a strike against its job, which the same worker retries
+//!   in place on a fresh arena; after [`SweepConfig::quarantine_after`]
+//!   strikes the job is quarantined wholesale.
 //!
 //! Crash-recovery contract: when a durable [`journal::Journal`] is
 //! attached ([`run_sweep_journaled`]), every completed cell is fsynced to
@@ -67,7 +67,7 @@ pub mod heartbeat;
 pub mod journal;
 pub mod shard;
 
-use crate::config::{Backend, SimConfig};
+use crate::config::{Backend, CancelToken, SimConfig};
 use crate::driver::{compile_for_backend, CompiledRegion, ExperimentRun};
 use crate::energy::EnergyModel;
 use crate::engine::{simulate_in, SimArena};
@@ -79,10 +79,10 @@ use journal::{Attempt, Journal, OutcomeRecord, RunKey, RunMetrics, RunRecord};
 use nachos_alias::StageConfig;
 use nachos_ir::{Binding, Region};
 use nachos_mem::DataMemory;
-use std::collections::HashMap;
+use shard::Cell;
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::{fmt, thread};
 
 /// One unit of sweep work: a compiled-from region with its address binding.
@@ -192,28 +192,6 @@ impl SweepVariant {
     }
 }
 
-/// Bounded deterministic retry policy for transient run failures.
-///
-/// A transient status ([`RunStatus::is_transient`]: panic, deadlock,
-/// error) is retried until it either resolves or the attempt budget of
-/// `max_retries + 1` total attempts is exhausted. Each attempt runs under
-/// a seed derived from the run's content key and the attempt index
-/// ([`journal::derive_seed`]) — never from the wall clock — so the
-/// attempt log in the report is byte-deterministic.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Extra attempts after the first (default `0`: no retries).
-    pub max_retries: u32,
-}
-
-impl RetryPolicy {
-    /// A policy allowing `max_retries` extra attempts.
-    #[must_use]
-    pub fn retries(max_retries: u32) -> Self {
-        Self { max_retries }
-    }
-}
-
 /// Sweep-wide configuration.
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
@@ -225,12 +203,15 @@ pub struct SweepConfig {
     pub variants: Vec<SweepVariant>,
     /// Worker threads; `0` uses the machine's available parallelism.
     pub threads: usize,
-    /// Retry policy for transient per-run failures.
-    pub retry: RetryPolicy,
-    /// Worker-kill strikes before a job is quarantined wholesale: a panic
-    /// that escapes the per-run boundary retires its worker thread, and a
-    /// job that does so this many times stops being rescheduled (`0` is
-    /// treated as `1`). Default `3`.
+    /// Extra attempts after the first for a transient per-run failure
+    /// ([`RunStatus::is_transient`]; default `0`: no retries). Attempt
+    /// `n` runs under [`journal::derive_seed`]`(key, n)` — never the wall
+    /// clock — so the attempt log in the report is byte-deterministic.
+    pub max_retries: u32,
+    /// Strikes before a job is quarantined wholesale: a panic that
+    /// escapes the per-run boundary is a strike, and the job is retried
+    /// in place on a fresh arena until it succeeds or reaches this many
+    /// (`0` is treated as `1`). Default `3`.
     pub quarantine_after: u32,
 }
 
@@ -241,7 +222,7 @@ impl Default for SweepConfig {
             energy: EnergyModel::default(),
             variants: SweepVariant::paper_matrix(),
             threads: 0,
-            retry: RetryPolicy::default(),
+            max_retries: 0,
             quarantine_after: 3,
         }
     }
@@ -272,7 +253,7 @@ impl SweepConfig {
     /// Sets the transient-failure retry budget, builder-style.
     #[must_use]
     pub fn with_retries(mut self, max_retries: u32) -> Self {
-        self.retry = RetryPolicy::retries(max_retries);
+        self.max_retries = max_retries;
         self
     }
 
@@ -355,7 +336,7 @@ impl RunStatus {
         })
     }
 
-    /// `true` for statuses the [`RetryPolicy`] treats as retryable.
+    /// `true` for statuses retried under [`SweepConfig::max_retries`].
     /// Differential verdicts (`ok`/`mismatch`/`fault_detected`) are
     /// deterministic conclusions, quarantine is final, and cancellation
     /// is a user decision — none of those are retried.
@@ -427,20 +408,6 @@ impl VariantOutcome {
                 self.detail.as_deref().unwrap_or("no detail"),
             )
         })
-    }
-
-    /// The completed run, for callers that require a clean sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the run's recorded detail when the run did not
-    /// complete. Fallible callers should prefer [`Self::try_run`].
-    #[must_use]
-    pub fn expect_run(&self) -> &ExperimentRun {
-        match self.try_run() {
-            Ok(run) => run,
-            Err(why) => panic!("{why}"),
-        }
     }
 
     /// Deterministic descriptions of injected faults that fired in this
@@ -526,6 +493,39 @@ pub fn run_sweep(jobs: &[SweepJob], cfg: &SweepConfig) -> SweepResult {
     run_sweep_journaled(jobs, cfg, None).0
 }
 
+/// Job `index`'s cells, one per variant in matrix order, each with its
+/// [`RunKey`]. The one place a job is fingerprinted: the in-process pool,
+/// the shard supervisor and the shard worker all key cells through it.
+fn job_cells(index: usize, job: &SweepJob, cfg: &SweepConfig) -> Vec<Cell> {
+    let fp = journal::job_fingerprint(&job.region, &job.binding, &job.sim_config(cfg));
+    cfg.variants
+        .iter()
+        .enumerate()
+        .map(|(variant, v)| Cell {
+            job: index,
+            variant,
+            key: journal::run_key(fp, v),
+        })
+        .collect()
+}
+
+/// The journal form of a cell that never produced a result (cancelled,
+/// or quarantined by either executor): `status` with `detail`, and one
+/// attempt under the cell's first derived seed. Nothing in it depends on
+/// the wall clock, so a resume rebuilds it byte for byte.
+fn unrun_record(key: RunKey, status: RunStatus, detail: &str) -> OutcomeRecord {
+    OutcomeRecord {
+        status,
+        detail: Some(detail.to_owned()),
+        injected: Vec::new(),
+        attempts: vec![Attempt {
+            status,
+            seed: journal::derive_seed(key, 0),
+        }],
+        metrics: None,
+    }
+}
+
 /// [`run_sweep`] with an optional durable journal attached.
 ///
 /// With a journal, every completed cell is appended (and fsynced) as it
@@ -540,44 +540,28 @@ pub fn run_sweep_journaled(
     journal: Option<&Journal>,
 ) -> (SweepResult, SweepStats) {
     let threads = effective_threads(cfg.threads, jobs.len());
-    let sup = Supervisor::new();
+    let next = &AtomicUsize::new(0);
     let mut slots: Vec<(usize, JobOutcome)> = Vec::with_capacity(jobs.len());
+    let mut stats = SweepStats::default();
     thread::scope(|s| {
-        // Supervision loop: spawn a round of workers, join them, and
-        // respawn as long as a retired (panic-killed) worker left work
-        // behind. A worker retires on every job-level panic, so each
-        // round makes progress: the strike count of some job grows until
-        // it either succeeds or is quarantined.
-        loop {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let sup = &sup;
-                    s.spawn(move || worker(jobs, cfg, journal, sup))
-                })
-                .collect();
-            let mut any_retired = false;
-            for h in handles {
-                match h.join() {
-                    Ok((part, retired)) => {
-                        slots.extend(part);
-                        any_retired |= retired;
-                    }
-                    // Unreachable in practice (workers catch job-level
-                    // panics), kept as a backstop.
-                    Err(panic) => std::panic::resume_unwind(panic),
+        let handles: Vec<_> = (0..threads)
+            .map(|_| s.spawn(move || worker(jobs, cfg, journal, next)))
+            .collect();
+        for h in handles {
+            match h.join() {
+                Ok((part, st)) => {
+                    slots.extend(part);
+                    stats.replayed += st.replayed;
+                    stats.executed += st.executed;
+                    stats.journal_errors += st.journal_errors;
                 }
-            }
-            if !any_retired || !sup.work_left(jobs.len()) {
-                break;
+                // Unreachable in practice (workers catch job-level
+                // panics), kept as a backstop.
+                Err(panic) => std::panic::resume_unwind(panic),
             }
         }
     });
     slots.sort_by_key(|(i, _)| *i);
-    let stats = SweepStats {
-        replayed: sup.replayed.load(Ordering::Relaxed),
-        executed: sup.executed.load(Ordering::Relaxed),
-        journal_errors: sup.journal_errors.load(Ordering::Relaxed),
-    };
     let result = SweepResult {
         invocations: cfg.sim.invocations,
         variants: cfg.variants.iter().map(|v| v.label.clone()).collect(),
@@ -592,157 +576,200 @@ fn effective_threads(requested: usize, jobs: usize) -> usize {
     n.clamp(1, jobs.max(1))
 }
 
-/// Shared orchestration state: the claim counter, the requeue list for
-/// jobs whose worker died, per-job strike counts, and the stats counters.
-struct Supervisor {
-    next: AtomicUsize,
-    requeued: Mutex<Vec<usize>>,
-    strikes: Mutex<HashMap<usize, u32>>,
-    replayed: AtomicUsize,
-    executed: AtomicUsize,
-    journal_errors: AtomicUsize,
-}
-
-impl Supervisor {
-    fn new() -> Self {
-        Self {
-            next: AtomicUsize::new(0),
-            requeued: Mutex::new(Vec::new()),
-            strikes: Mutex::new(HashMap::new()),
-            replayed: AtomicUsize::new(0),
-            executed: AtomicUsize::new(0),
-            journal_errors: AtomicUsize::new(0),
-        }
-    }
-
-    /// Claims the next job index: requeued strikes first, then the shared
-    /// counter. Claim order does not affect the report (results are
-    /// reassembled in job order and every outcome is deterministic).
-    fn claim(&self, total: usize) -> Option<usize> {
-        if let Ok(mut q) = self.requeued.lock() {
-            if let Some(i) = q.pop() {
-                return Some(i);
-            }
-        }
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < total).then_some(i)
-    }
-
-    /// Records a worker-kill strike against job `i`, returning the new
-    /// strike count.
-    fn strike(&self, i: usize) -> u32 {
-        match self.strikes.lock() {
-            Ok(mut map) => {
-                let n = map.entry(i).or_insert(0);
-                *n += 1;
-                *n
-            }
-            // A poisoned strike map means another worker panicked while
-            // holding it, which cannot happen (the critical section is
-            // panic-free); quarantine immediately as a safe fallback.
-            Err(_) => u32::MAX,
-        }
-    }
-
-    fn requeue(&self, i: usize) {
-        if let Ok(mut q) = self.requeued.lock() {
-            q.push(i);
-        }
-    }
-
-    fn work_left(&self, total: usize) -> bool {
-        let requeued = self.requeued.lock().map(|q| !q.is_empty()).unwrap_or(false);
-        requeued || self.next.load(Ordering::Relaxed) < total
-    }
-}
-
-/// One worker thread: claims jobs until none remain or a job-level panic
-/// retires it. Returns its completed slots and whether it retired.
+/// One worker thread: claims job indices from the shared counter until
+/// none remain. Claim order does not affect the report (results are
+/// reassembled in job order and every outcome is deterministic).
 fn worker(
     jobs: &[SweepJob],
     cfg: &SweepConfig,
     journal: Option<&Journal>,
-    sup: &Supervisor,
-) -> (Vec<(usize, JobOutcome)>, bool) {
-    let mut mine = Vec::new();
+    next: &AtomicUsize,
+) -> (Vec<(usize, JobOutcome)>, SweepStats) {
+    let mut done = Vec::new();
+    let mut stats = SweepStats::default();
     // One arena per worker: simulation state is built once and reset
     // between runs instead of reallocated.
     let mut arena = SimArena::new();
-    let mut retired = false;
-    while let Some(i) = sup.claim(jobs.len()) {
-        let job = &jobs[i];
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            run_job(job, cfg, &mut arena, journal, sup)
-        }));
-        match caught {
-            Ok(outcome) => mine.push((i, outcome)),
-            Err(payload) => {
-                // A panic escaped the per-run boundary (job setup or the
-                // reference executor). This worker's arena state is
-                // suspect and, in a real deployment, the thread itself
-                // may be — retire it and let the supervisor respawn.
-                let msg = panic_message(payload.as_ref());
-                let strikes = sup.strike(i);
-                if strikes >= cfg.quarantine_after.max(1) {
-                    let detail =
-                        format!("quarantined: job-level panic killed {strikes} workers: {msg}");
-                    mine.push((
-                        i,
-                        unreferenced_job(job, cfg, None, sup, RunStatus::Quarantined, &detail),
-                    ));
-                } else {
-                    sup.requeue(i);
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(job) = jobs.get(i) else { break };
+        let cells = job_cells(i, job, cfg);
+        let mut strikes = 0;
+        let outcome = loop {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                run_job(job, cfg, &cells, journal, &mut arena, &mut stats)
+            }));
+            match caught {
+                Ok(outcome) => break outcome,
+                Err(payload) => {
+                    // A panic escaped the per-run boundary (job setup or
+                    // the reference executor), perhaps mid-way through
+                    // the arena's buffers: that is a strike, and the job
+                    // is retried on a fresh arena until it succeeds or
+                    // strikes out.
+                    arena = SimArena::new();
+                    strikes += 1;
+                    if strikes >= cfg.quarantine_after.max(1) {
+                        let msg = panic_message(payload.as_ref());
+                        let detail =
+                            format!("quarantined: job-level panic killed {strikes} workers: {msg}");
+                        let status = RunStatus::Quarantined;
+                        break unreferenced_job(job, cfg, &cells, |_| None, status, &detail);
+                    }
                 }
-                retired = true;
-                break;
             }
-        }
+        };
+        done.push((i, outcome));
     }
-    (mine, retired)
+    (done, stats)
 }
 
-/// The outcome of a job whose reference never completed: every cell
-/// gets `status` and `detail`, except cells settled in `journal`, which
-/// replay (they cost nothing). The reference is empty and nothing new is
-/// journaled.
+/// The in-process caller of [`run_cells`]: replays the cells `journal`
+/// already holds and journals every other cell that settles, counting
+/// both into `stats`.
+fn run_job(
+    job: &SweepJob,
+    cfg: &SweepConfig,
+    cells: &[Cell],
+    journal: Option<&Journal>,
+    arena: &mut SimArena,
+    stats: &mut SweepStats,
+) -> JobOutcome {
+    let lookup = |c: Cell| {
+        let rec = journal?.lookup(c.key)?.clone();
+        stats.replayed += 1;
+        Some(rec)
+    };
+    let record = |_, rec: Option<RunRecord>| {
+        stats.executed += 1;
+        if let (Some(j), Some(rec)) = (journal, rec) {
+            if j.append(&rec).is_err() {
+                stats.journal_errors += 1;
+            }
+        }
+        Ok::<(), Infallible>(())
+    };
+    let Ok(outcome) = run_cells(job, cfg, cells, arena, lookup, |_| {}, record);
+    outcome
+}
+
+/// Runs `cells` (any of one job's, in any order) against one reference
+/// execution, each through [`run_cell`]'s retry/quarantine machinery,
+/// compiling once per distinct compilation. Both executors run jobs
+/// through here; what differs between them comes in as closures:
 ///
-/// A cancelled job passes its journal, so a resume re-executes only the
-/// cancelled cells. A job whose setup killed too many workers is
-/// quarantined without one: if its panic is deterministic a resume
-/// reproduces the identical outcome, and if it was environmental the
-/// resume gets a fresh chance at a real run.
+/// * `lookup` settles a cell from a journal instead of running it;
+/// * `before` is told each cell about to run;
+/// * `record` receives each cell that ran, with its journal record —
+///   `None` for a cancelled cell, which is never journaled.
+///
+/// The first cancellation (a tripped token before a cell, or a cell that
+/// comes back [`RunStatus::Cancelled`]) ends the job: each remaining cell
+/// is settled by `lookup` or reported cancelled, and none of them runs.
+///
+/// # Errors
+///
+/// The first error `record` returns; no later cell runs.
+fn run_cells<E>(
+    job: &SweepJob,
+    cfg: &SweepConfig,
+    cells: &[Cell],
+    arena: &mut SimArena,
+    mut lookup: impl FnMut(Cell) -> Option<OutcomeRecord>,
+    mut before: impl FnMut(Cell),
+    mut record: impl FnMut(Cell, Option<RunRecord>) -> Result<(), E>,
+) -> Result<JobOutcome, E> {
+    let cancel = cfg.sim.cancel.as_ref();
+    // A tripped cancel token stops even the reference pass: a sweep under
+    // a wall-clock deadline must not hide in the in-order executor while
+    // the engine (which polls per event) would have yielded long ago.
+    let Some(reference) =
+        reference::execute_cancellable(&job.region, &job.binding, cfg.sim.invocations, cancel)
+    else {
+        let detail = "cancelled before the reference execution completed";
+        return Ok(unreferenced_job(
+            job,
+            cfg,
+            cells,
+            lookup,
+            RunStatus::Cancelled,
+            detail,
+        ));
+    };
+    let sim_cfg = job.sim_config(cfg);
+    // Variants sharing a stage configuration and MDE requirement reuse
+    // one compile: within a job, compilation depends only on those two
+    // inputs (and `sim_cfg.optimize`, constant across the matrix).
+    let mut compiles = CompileCache::default();
+    let mut cancelled = false;
+    let mut runs = Vec::with_capacity(cells.len());
+    for &c in cells {
+        let v = &cfg.variants[c.variant];
+        if let Some(rec) = lookup(c) {
+            runs.push(VariantOutcome::from_record(v, rec));
+            continue;
+        }
+        cancelled = cancelled || cancel.is_some_and(CancelToken::is_cancelled);
+        if cancelled {
+            let rec = unrun_record(
+                c.key,
+                RunStatus::Cancelled,
+                "cancelled before the cell started",
+            );
+            runs.push(VariantOutcome::from_record(v, rec));
+            continue;
+        }
+        before(c);
+        let out = run_cell(
+            job,
+            v,
+            &sim_cfg,
+            &cfg.energy,
+            &reference,
+            arena,
+            &mut compiles,
+            c.key,
+            cfg.max_retries,
+        );
+        cancelled = out.status == RunStatus::Cancelled;
+        let rec = (!cancelled).then(|| RunRecord {
+            key: c.key,
+            job: job.name.clone(),
+            variant: v.label.clone(),
+            outcome: out.to_record(),
+        });
+        record(c, rec)?;
+        runs.push(out);
+    }
+    Ok(JobOutcome {
+        name: job.name.clone(),
+        reference,
+        runs,
+    })
+}
+
+/// The outcome of a job whose reference never completed: each cell is
+/// settled by `lookup` or gets `status` and `detail`. The reference is
+/// empty and nothing is journaled.
+///
+/// A cancelled job looks its cells up in its journal, so a resume
+/// re-executes only the cancelled cells. A job whose setup panicked too
+/// often is quarantined without a lookup: if its panic is deterministic
+/// a resume reproduces the identical outcome, and if it was
+/// environmental the resume gets a fresh chance at a real run.
 fn unreferenced_job(
     job: &SweepJob,
     cfg: &SweepConfig,
-    journal: Option<&Journal>,
-    sup: &Supervisor,
+    cells: &[Cell],
+    mut lookup: impl FnMut(Cell) -> Option<OutcomeRecord>,
     status: RunStatus,
     detail: &str,
 ) -> JobOutcome {
-    let fp = journal::job_fingerprint(&job.region, &job.binding, &job.sim_config(cfg));
-    let runs = cfg
-        .variants
+    let runs = cells
         .iter()
-        .map(|v| {
-            let key = journal::run_key(fp, v);
-            if let Some(rec) = journal.and_then(|j| j.lookup(key)) {
-                sup.replayed.fetch_add(1, Ordering::Relaxed);
-                return VariantOutcome::from_record(v, rec.clone());
-            }
-            VariantOutcome {
-                variant: v.label.clone(),
-                backend: v.backend,
-                status,
-                run: None,
-                error: None,
-                detail: Some(detail.to_owned()),
-                injected: Vec::new(),
-                attempts: vec![Attempt {
-                    status,
-                    seed: journal::derive_seed(key, 0),
-                }],
-                metrics: None,
-            }
+        .map(|&c| {
+            let rec = lookup(c).unwrap_or_else(|| unrun_record(c.key, status, detail));
+            VariantOutcome::from_record(&cfg.variants[c.variant], rec)
         })
         .collect();
     JobOutcome {
@@ -751,85 +778,6 @@ fn unreferenced_job(
             mem: DataMemory::new(),
             loads: crate::value::LoadObserver::new(),
         },
-        runs,
-    }
-}
-
-/// Runs one job through the whole variant matrix, sequentially, isolating
-/// each run behind a panic boundary and replaying journaled cells.
-fn run_job(
-    job: &SweepJob,
-    cfg: &SweepConfig,
-    arena: &mut SimArena,
-    journal: Option<&Journal>,
-    sup: &Supervisor,
-) -> JobOutcome {
-    let sim_cfg = job.sim_config(cfg);
-    let fp = journal::job_fingerprint(&job.region, &job.binding, &sim_cfg);
-    // A tripped cancel token stops even the reference pass: a sweep under
-    // a wall-clock deadline must not hide in the in-order executor while
-    // the engine (which polls per event) would have yielded long ago.
-    let Some(reference) = reference::execute_cancellable(
-        &job.region,
-        &job.binding,
-        cfg.sim.invocations,
-        cfg.sim.cancel.as_ref(),
-    ) else {
-        return unreferenced_job(
-            job,
-            cfg,
-            journal,
-            sup,
-            RunStatus::Cancelled,
-            "cancelled before the reference execution completed",
-        );
-    };
-    // Variants sharing a stage configuration and MDE requirement reuse
-    // one compile: within a job, compilation depends only on those two
-    // inputs (and `sim_cfg.optimize`, constant across the matrix).
-    let mut compiles = CompileCache::default();
-    let runs = cfg
-        .variants
-        .iter()
-        .map(|v| {
-            let key = journal::run_key(fp, v);
-            if let Some(rec) = journal.and_then(|j| j.lookup(key)) {
-                sup.replayed.fetch_add(1, Ordering::Relaxed);
-                return VariantOutcome::from_record(v, rec.clone());
-            }
-            let out = run_cell(
-                job,
-                v,
-                &sim_cfg,
-                &cfg.energy,
-                &reference,
-                arena,
-                &mut compiles,
-                key,
-                cfg.retry,
-            );
-            sup.executed.fetch_add(1, Ordering::Relaxed);
-            // Cancelled cells stay out of the journal so a resumed sweep
-            // re-executes them in full.
-            if out.status != RunStatus::Cancelled {
-                if let Some(j) = journal {
-                    let rec = RunRecord {
-                        key,
-                        job: job.name.clone(),
-                        variant: v.label.clone(),
-                        outcome: out.to_record(),
-                    };
-                    if j.append(&rec).is_err() {
-                        sup.journal_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            out
-        })
-        .collect();
-    JobOutcome {
-        name: job.name.clone(),
-        reference,
         runs,
     }
 }
@@ -848,9 +796,9 @@ fn run_cell(
     arena: &mut SimArena,
     compiles: &mut CompileCache,
     key: RunKey,
-    retry: RetryPolicy,
+    max_retries: u32,
 ) -> VariantOutcome {
-    let budget = retry.max_retries.saturating_add(1);
+    let budget = max_retries.saturating_add(1);
     let mut attempts: Vec<Attempt> = Vec::new();
     loop {
         let seed = journal::derive_seed(key, attempts.len() as u32);
@@ -1400,10 +1348,11 @@ mod tests {
     }
 
     #[test]
-    fn job_level_panic_retires_workers_and_quarantines_the_job() {
+    fn job_level_panic_is_retried_in_place_and_quarantines_the_job() {
         // An empty binding makes the reference executor itself panic —
-        // outside the per-run boundary — so the job strikes out and is
-        // quarantined wholesale while its neighbours finish.
+        // outside the per-run boundary — so the job is retried until it
+        // strikes out and is quarantined wholesale while its neighbours
+        // finish.
         let mut poison = demo_job("poison");
         poison.binding.base_addrs.clear();
         let jobs = [demo_job("a"), poison, demo_job("b")];
@@ -1462,6 +1411,40 @@ mod tests {
             "cancelled cells are never journaled"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn first_cancellation_ends_the_job() {
+        let token = crate::CancelToken::new();
+        let mut cfg = SweepConfig::default().with_invocations(2);
+        cfg.sim = cfg.sim.with_cancel(token.clone());
+        let job = demo_job("a");
+        let cells = job_cells(0, &job, &cfg);
+        let mut ran = Vec::new();
+        // The token trips as soon as the first cell has run.
+        let record = |c, rec: Option<RunRecord>| {
+            token.cancel();
+            ran.push((c, rec.is_some()));
+            Ok::<(), Infallible>(())
+        };
+        let Ok(out) = run_cells(
+            &job,
+            &cfg,
+            &cells,
+            &mut SimArena::new(),
+            |_| None,
+            |_| {},
+            record,
+        );
+        assert_eq!(ran, [(cells[0], true)], "no cell runs after the cancel");
+        assert_eq!(out.runs[0].status, RunStatus::Ok);
+        for r in &out.runs[1..] {
+            assert_eq!(r.status, RunStatus::Cancelled);
+            assert_eq!(
+                r.detail.as_deref(),
+                Some("cancelled before the cell started")
+            );
+        }
     }
 
     #[test]

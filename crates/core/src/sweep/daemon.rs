@@ -89,6 +89,13 @@ pub const JOBD_SCHEMA: &str = "nachos-jobd-v1";
 /// connection dropped — the server never buffers an unbounded line.
 pub const MAX_REQUEST_LEN: usize = 64 * 1024;
 
+/// The most work — jobs × variants × invocations, in cell-invocations —
+/// a job without a `deadline_secs` is admitted with. The daemon has one
+/// executor, so an unbounded job would hold it forever; past this bound a
+/// client must say how long its job may run. 2²² is 15× the largest
+/// matrix CI submits (the 27 × 5 × 2,048 daemon soak).
+pub const MAX_UNBOUNDED_WORK: u64 = 1 << 22;
+
 // ---------------------------------------------------------------------
 // The submitted matrix
 // ---------------------------------------------------------------------
@@ -122,11 +129,6 @@ pub struct MatrixSpec {
     /// the daemon through the job's [`CancelToken`]; never part of the
     /// matrix content, so it does not perturb run fingerprints.
     pub deadline_secs: u64,
-    /// Per-cell cycle-budget override as `(base_cycles,
-    /// cycles_per_node)` for the engine watchdog (`None` = defaults).
-    /// Unlike the deadline this *is* matrix content: it changes
-    /// simulated behavior and therefore run fingerprints.
-    pub watchdog: Option<(u64, u64)>,
 }
 
 impl Default for MatrixSpec {
@@ -141,7 +143,6 @@ impl Default for MatrixSpec {
             variants: None,
             poison: None,
             deadline_secs: 0,
-            watchdog: None,
         }
     }
 }
@@ -179,13 +180,6 @@ impl MatrixSpec {
         }
         if let Some(p) = &self.poison {
             w.str_field("poison", p);
-        }
-        if let Some((base, per_node)) = self.watchdog {
-            w.key("watchdog");
-            w.open_obj();
-            w.u64_field("base_cycles", base);
-            w.u64_field("cycles_per_node", per_node);
-            w.close_obj();
         }
         w.close_obj();
     }
@@ -228,12 +222,6 @@ impl MatrixSpec {
         }
         if let Some(p) = v.get("poison") {
             spec.poison = Some(p.as_str()?.to_owned());
-        }
-        if let Some(wd) = v.get("watchdog") {
-            spec.watchdog = Some((
-                wd.get("base_cycles")?.as_u64()?,
-                wd.get("cycles_per_node")?.as_u64()?,
-            ));
         }
         Some(spec)
     }
@@ -795,11 +783,19 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// [`SubmitError`] on a closed queue, a full queue, or a spec that
-    /// does not resolve.
+    /// [`SubmitError`] on a closed queue, a full queue, a spec that does
+    /// not resolve, or one whose work exceeds [`MAX_UNBOUNDED_WORK`]
+    /// without a `deadline_secs`.
     pub fn submit(&self, spec: MatrixSpec) -> Result<u64, SubmitError> {
-        if let Err(e) = (self.shared.resolver)(&spec) {
-            return Err(SubmitError::BadSpec(e));
+        let (jobs, cfg) = (self.shared.resolver)(&spec).map_err(SubmitError::BadSpec)?;
+        let work = (jobs.len() as u64)
+            .saturating_mul(cfg.variants.len() as u64)
+            .saturating_mul(cfg.sim.invocations);
+        if work > MAX_UNBOUNDED_WORK && spec.deadline_secs == 0 {
+            return Err(SubmitError::BadSpec(format!(
+                "the matrix is {work} cell-invocations, over the {MAX_UNBOUNDED_WORK} a job \
+                 may run without a deadline: set deadline_secs"
+            )));
         }
         let mut st = self.shared.lock();
         if st.draining {
@@ -1447,7 +1443,6 @@ mod tests {
             variants: Some(vec!["opt-lsq".to_owned(), "nachos".to_owned()]),
             poison: Some("gzip".to_owned()),
             deadline_secs: 30,
-            watchdog: Some((5_000, 700)),
         }
     }
 
@@ -1588,6 +1583,35 @@ mod tests {
             daemon.submit(MatrixSpec::default()),
             Err(SubmitError::Draining)
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unbounded_work_needs_a_deadline() {
+        let dir = scratch("work-bound");
+        let cfg = DaemonConfig::new(dir.join("state"), dir.join("d.sock"));
+        let daemon = Daemon::open(cfg, tiny_resolver()).unwrap();
+        // 1 job × 3 variants × 10¹² invocations, no deadline: refused
+        // without occupying a slot.
+        let huge = MatrixSpec {
+            invocations: 1_000_000_000_000,
+            ..MatrixSpec::default()
+        };
+        let Err(SubmitError::BadSpec(why)) = daemon.submit(huge.clone()) else {
+            panic!("unbounded work must be refused");
+        };
+        assert!(why.contains("3000000000000 cell-invocations"), "{why}");
+        assert!(why.contains(&MAX_UNBOUNDED_WORK.to_string()), "{why}");
+        assert!(why.contains("deadline_secs"), "{why}");
+        assert_eq!(daemon.queued(), 0);
+        // A deadline makes the same matrix admissible.
+        let bounded = MatrixSpec {
+            deadline_secs: 1,
+            ..huge
+        };
+        assert_eq!(daemon.submit(bounded), Ok(1));
+        assert_eq!(daemon.queued(), 1);
+        assert_eq!(daemon.cancel(1), Ok(JobStatus::Cancelled));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -13,12 +13,11 @@
 //!   `--shard-exec`); cells are streamed to the worker over stdin as
 //!   JSON lines and results land in a per-shard journal;
 //! * the **worker** ([`run_shard_worker`]) rebuilds the identical job
-//!   list from its own CLI flags, verifies every dispatched [`RunKey`]
-//!   against its own recomputation (a mismatch is a protocol error, not
-//!   silent wrong work), executes cells through the same
-//!   retry/quarantine machinery as the in-process sweep, and interleaves
-//!   checksum-framed [`Heartbeat`] lines with its records so the journal
-//!   doubles as a liveness channel;
+//!   list from its own CLI flags, checks every dispatched [`Cell`] against
+//!   its own cell list (a mismatch is a protocol error, not silent wrong
+//!   work), executes cells through the same job runner as the in-process
+//!   sweep, and interleaves checksum-framed [`Heartbeat`] lines with its
+//!   records so the journal doubles as a liveness channel;
 //! * a worker that **dies** (SIGKILL, abort, OOM) or goes **silent**
 //!   past the silence budget is killed and respawned under a bounded,
 //!   deterministically-seeded backoff schedule ([`backoff_delay`]); the
@@ -54,12 +53,12 @@
 
 use super::cache::{CacheCounters, CacheLookup, ResultCache};
 use super::heartbeat::{Heartbeat, HeartbeatPhase, Pulse};
-use super::journal::{self, read_bounded_line, Attempt, BoundedLine, Journal, LineError};
+use super::journal::{self, read_bounded_line, BoundedLine, Journal, LineError};
 use super::journal::{RunKey, RunRecord, MAX_RECORD_LEN};
-use super::{OutcomeRecord, RunStatus, SweepConfig, SweepJob, SweepResult, SweepStats};
+use super::{job_cells, run_cells, unrun_record};
+use super::{RunStatus, SweepConfig, SweepJob, SweepResult, SweepStats};
 use crate::engine::SimArena;
 use crate::json::{parse_json, Json, JsonWriter};
-use crate::reference;
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io::{self, BufReader, Read, Write as _};
@@ -81,6 +80,10 @@ const CANCEL_LINE: &str = "{\"cancel\":true}\n";
 /// reaped yet: the kernel closes a dying process's files a moment before
 /// it becomes waitable.
 const REAP_TICK: Duration = Duration::from_millis(1);
+
+/// How long a cancelled worker gets to wind down cooperatively before
+/// SIGKILL.
+const GRACE: Duration = Duration::from_millis(500);
 
 // ---------------------------------------------------------------------
 // Cells and partitioning
@@ -104,19 +107,11 @@ pub struct Cell {
 /// compute for the same inputs.
 #[must_use]
 pub fn enumerate_cells(jobs: &[SweepJob], cfg: &SweepConfig) -> Vec<Cell> {
-    let mut cells = Vec::with_capacity(jobs.len() * cfg.variants.len());
-    for (ji, job) in jobs.iter().enumerate() {
-        let sim = job.sim_config(cfg);
-        let fp = journal::job_fingerprint(&job.region, &job.binding, &sim);
-        for (vi, v) in cfg.variants.iter().enumerate() {
-            cells.push(Cell {
-                job: ji,
-                variant: vi,
-                key: journal::run_key(fp, v),
-            });
-        }
-    }
-    cells
+    let per_job = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| job_cells(i, job, cfg));
+    per_job.flatten().collect()
 }
 
 /// The shard a key belongs to, for a given shard count. Pure key
@@ -307,9 +302,6 @@ pub struct ShardConfig {
     /// long (zero disables silence kills — exit status still covers
     /// death).
     pub silence_budget: Duration,
-    /// How long a cancelled worker gets to wind down cooperatively
-    /// before SIGKILL.
-    pub grace: Duration,
     /// Respawn budget per shard; a shard that exhausts it hands its
     /// remaining cells to the inline final pass.
     pub max_respawns: u32,
@@ -323,8 +315,7 @@ pub struct ShardConfig {
 
 impl ShardConfig {
     /// A config with conventional liveness settings: 200 ms heartbeats,
-    /// a 10 s silence budget, 500 ms cancellation grace and 4 respawns
-    /// per shard.
+    /// a 10 s silence budget and 4 respawns per shard.
     #[must_use]
     pub fn new(shards: usize, worker_cmd: Vec<String>, journal_path: impl Into<PathBuf>) -> Self {
         Self {
@@ -335,7 +326,6 @@ impl ShardConfig {
             cache: None,
             heartbeat: Duration::from_millis(200),
             silence_budget: Duration::from_secs(10),
-            grace: Duration::from_millis(500),
             max_respawns: 4,
             poll: Duration::from_millis(20),
         }
@@ -456,35 +446,6 @@ fn write_dispatch(
     }
     w.write_all(END_LINE.as_bytes())?;
     w.flush()
-}
-
-/// The record the supervisor synthesizes for a cell that killed (or
-/// stalled) `strikes` worker processes: quarantined, with a
-/// deterministic detail and the cell's first-attempt seed — no
-/// wall-clock, so resumes reproduce it byte-exactly.
-fn quarantined_cell_record(
-    cell: Cell,
-    jobs: &[SweepJob],
-    cfg: &SweepConfig,
-    strikes: u32,
-) -> RunRecord {
-    RunRecord {
-        key: cell.key,
-        job: jobs[cell.job].name.clone(),
-        variant: cfg.variants[cell.variant].label.clone(),
-        outcome: OutcomeRecord {
-            status: RunStatus::Quarantined,
-            detail: Some(format!(
-                "quarantined: cell killed or stalled {strikes} worker processes"
-            )),
-            injected: Vec::new(),
-            attempts: vec![Attempt {
-                status: RunStatus::Quarantined,
-                seed: journal::derive_seed(cell.key, 0),
-            }],
-            metrics: None,
-        },
-    }
 }
 
 /// Runs the sweep matrix across `shards` worker OS processes and returns
@@ -617,7 +578,7 @@ pub fn run_sweep_sharded(
             }
         }
         if let Some(sent) = cancel_sent {
-            if sent.elapsed() >= scfg.grace {
+            if sent.elapsed() >= GRACE {
                 for slot in &mut slots {
                     if let Some((child, _)) = slot.child.as_mut() {
                         let _ = child.kill();
@@ -645,7 +606,17 @@ pub fn run_sweep_sharded(
                                 let n = strikes.entry(k.0).or_insert(0);
                                 *n += 1;
                                 if *n >= cfg.quarantine_after.max(1) {
-                                    let rec = quarantined_cell_record(cell, jobs, cfg, *n);
+                                    // Deterministic, so resumes reproduce
+                                    // it byte for byte.
+                                    let detail = format!(
+                                        "quarantined: cell killed or stalled {n} worker processes"
+                                    );
+                                    let rec = RunRecord {
+                                        key: k,
+                                        job: jobs[cell.job].name.clone(),
+                                        variant: cfg.variants[cell.variant].label.clone(),
+                                        outcome: unrun_record(k, RunStatus::Quarantined, &detail),
+                                    };
                                     merged.absorb(&rec)?;
                                     stats.quarantined += 1;
                                     slot.pending.retain(|c| c.key != k);
@@ -673,7 +644,11 @@ pub fn run_sweep_sharded(
                         } else if !scfg.silence_budget.is_zero()
                             && slot.last_growth.elapsed() > scfg.silence_budget
                         {
+                            // A killed child may not be waitable at the
+                            // next tick: restart the clock so the kill is
+                            // counted (and sent) once.
                             stats.silent_kills += 1;
+                            slot.last_growth = Instant::now();
                             let _ = child.kill();
                         }
                     }
@@ -727,24 +702,17 @@ pub fn run_sweep_sharded(
 
     // Promote settled outcomes into the cross-campaign cache.
     if let Some(cache) = &scfg.cache {
-        let mut key_of: HashMap<(usize, usize), RunKey> = HashMap::new();
         for c in &cells {
-            key_of.insert((c.job, c.variant), c.key);
-        }
-        for (ji, job) in result.jobs.iter().enumerate() {
-            for (vi, run) in job.runs.iter().enumerate() {
-                let Some(&key) = key_of.get(&(ji, vi)) else {
-                    continue;
-                };
-                let rec = RunRecord {
-                    key,
-                    job: job.name.clone(),
-                    variant: run.variant.clone(),
-                    outcome: run.to_record(),
-                };
-                if matches!(cache.store(&rec), Ok(true)) {
-                    stats.cache.stored += 1;
-                }
+            let job = &result.jobs[c.job];
+            let run = &job.runs[c.variant];
+            let rec = RunRecord {
+                key: c.key,
+                job: job.name.clone(),
+                variant: run.variant.clone(),
+                outcome: run.to_record(),
+            };
+            if matches!(cache.store(&rec), Ok(true)) {
+                stats.cache.stored += 1;
             }
         }
     }
@@ -766,9 +734,9 @@ pub struct WorkerSummary {
     /// Dispatched cells already present in the shard journal (a
     /// respawned worker resuming its predecessor's work).
     pub replayed: usize,
-    /// Dispatched cells refused: unknown job/variant index, or a
-    /// [`RunKey`] that does not match the worker's own recomputation
-    /// (supervisor and worker disagree about the matrix).
+    /// Dispatched cells refused: a cell that is not one of the worker's
+    /// own for its job (an unknown job or variant index, or a [`RunKey`]
+    /// that differs — supervisor and worker disagree about the matrix).
     pub protocol_errors: usize,
     /// The worker stopped early on a cancel line, stdin EOF, or a
     /// cancelled cell.
@@ -776,12 +744,12 @@ pub struct WorkerSummary {
 }
 
 /// Executes one shard: reads the dispatch header and cell list from
-/// `input` (the worker's stdin), runs each cell through the standard
-/// retry/quarantine machinery, journals results to the shard journal
-/// named in the header, and interleaves heartbeats. See the module docs
-/// for the protocol and the cancellation contract; `jobs` and `cfg`
-/// must be rebuilt identically to the supervisor's (the per-cell key
-/// check enforces it).
+/// `input` (the worker's stdin), runs each job's cells through the same
+/// job runner as the in-process sweep, journals results to the shard
+/// journal named in the header, and interleaves heartbeats. See the
+/// module docs for the protocol and the cancellation contract; `jobs`
+/// and `cfg` must be rebuilt identically to the supervisor's (every
+/// dispatched cell is checked against the worker's own).
 ///
 /// # Errors
 ///
@@ -898,71 +866,38 @@ where
     for c in cells {
         by_job.entry(c.job).or_default().push(c);
     }
+    let mut cfg = cfg.clone();
+    cfg.sim.cancel = Some(token);
     let mut arena = SimArena::new();
-    'jobs: for (ji, group) in by_job {
+    for (ji, mut group) in by_job {
+        // Only cells identical to one of the worker's own — job, variant
+        // and key — run; the rest are protocol errors.
         let Some(job) = jobs.get(ji) else {
             summary.protocol_errors += group.len();
             continue;
         };
-        let mut sim_cfg = job.sim_config(cfg);
-        let fp = journal::job_fingerprint(&job.region, &job.binding, &sim_cfg);
-        sim_cfg.cancel = Some(token.clone());
-        let Some(reference) = reference::execute_cancellable(
-            &job.region,
-            &job.binding,
-            cfg.sim.invocations,
-            Some(&token),
-        ) else {
-            summary.cancelled = true;
-            break 'jobs;
+        let own = job_cells(ji, job, &cfg);
+        let dispatched = group.len();
+        group.retain(|c| own.contains(c));
+        summary.protocol_errors += dispatched - group.len();
+        let lookup = |c: Cell| {
+            let rec = shard_journal.lookup(c.key)?.clone();
+            summary.replayed += 1;
+            Some(rec)
         };
-        let mut compiles = super::CompileCache::default();
-        for c in group {
-            if token.is_cancelled() {
-                summary.cancelled = true;
-                break 'jobs;
+        let before = |c: Cell| pulse.cell_start(c.key);
+        let record = |c: Cell, rec: Option<RunRecord>| {
+            if let Some(rec) = rec {
+                shard_journal.append(&rec)?;
+                summary.executed += 1;
             }
-            let Some(v) = cfg.variants.get(c.variant) else {
-                summary.protocol_errors += 1;
-                continue;
-            };
-            let key = journal::run_key(fp, v);
-            if key != c.key {
-                summary.protocol_errors += 1;
-                continue;
-            }
-            if shard_journal.lookup(key).is_some() {
-                summary.replayed += 1;
-                continue;
-            }
-            pulse.cell_start(key);
-            let out = super::run_cell(
-                job,
-                v,
-                &sim_cfg,
-                &cfg.energy,
-                &reference,
-                &mut arena,
-                &mut compiles,
-                key,
-                cfg.retry,
-            );
-            if out.status == RunStatus::Cancelled {
-                // Cancelled cells are never journaled; the next worker
-                // (or the inline pass) runs them for real.
-                pulse.cell_done(key);
-                summary.cancelled = true;
-                break 'jobs;
-            }
-            let rec = RunRecord {
-                key,
-                job: job.name.clone(),
-                variant: v.label.clone(),
-                outcome: out.to_record(),
-            };
-            shard_journal.append(&rec)?;
-            pulse.cell_done(key);
-            summary.executed += 1;
+            pulse.cell_done(c.key);
+            Ok::<(), io::Error>(())
+        };
+        let out = run_cells(job, &cfg, &group, &mut arena, lookup, before, record)?;
+        if out.runs.iter().any(|r| r.status == RunStatus::Cancelled) {
+            summary.cancelled = true;
+            break;
         }
     }
     Ok(summary)

@@ -121,6 +121,13 @@ fn unsafe_faults_are_detected_on_every_applicable_backend() {
             RunStatus::Ok
         };
         assert_eq!(r.status, expect, "[{}]", r.variant);
+        if expect == RunStatus::FaultDetected {
+            assert!(
+                !r.injected().is_empty(),
+                "[{}] detection must carry the fired-fault log",
+                r.variant
+            );
+        }
     }
 
     // A duplicated ordering token underflows the receiver's token count:
@@ -136,6 +143,9 @@ fn unsafe_faults_are_detected_on_every_applicable_backend() {
         "expected a protocol violation, got {:?}",
         run.detail
     );
+    // The backends the fault does not target are untouched.
+    assert_eq!(sweep.jobs[0].runs[0].status, RunStatus::Ok, "[opt-lsq]");
+    assert_eq!(sweep.jobs[0].runs[2].status, RunStatus::Ok, "[nachos]");
 }
 
 #[test]

@@ -75,7 +75,6 @@ fn corpus() -> &'static [String] {
         let spec = MatrixSpec {
             filter: Some("gzip".to_owned()),
             variants: Some(vec!["nachos".to_owned()]),
-            watchdog: Some((5_000, 700)),
             ideal: true,
             ..MatrixSpec::default()
         };

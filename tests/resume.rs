@@ -9,7 +9,7 @@
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nachos::sweep::heartbeat::{Heartbeat, HeartbeatPhase};
 use nachos::sweep::journal::Journal;
@@ -328,5 +328,48 @@ fn cell_that_kills_workers_is_quarantined_by_the_supervisor() {
     assert!(sharded
         .to_json()
         .contains("quarantined: cell killed or stalled 1 worker processes"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A worker that stays alive but never writes its shard journal is killed
+/// once it has been silent past the budget, and its cells fall to the
+/// inline pass without changing a report byte.
+#[test]
+fn silent_workers_are_killed_and_their_cells_run_inline() {
+    let jobs = vec![job("gzip"), job("fft-2d")];
+    let cfg = SweepConfig::default().with_invocations(2);
+    let cells = enumerate_cells(&jobs, &cfg);
+    let shards = 2usize;
+    assert!(
+        (0..shards).all(|s| cells.iter().any(|c| shard_of(c.key, shards) == s)),
+        "every shard has work, so every shard spawns a worker"
+    );
+
+    let dir = tmp_path("silence-kill");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    // `exec` makes the silent process the child itself, so the kill
+    // lands on the process the supervisor watches.
+    let worker = ["/bin/sh", "-c", "exec sleep 60"]
+        .map(String::from)
+        .to_vec();
+    let mut scfg = ShardConfig::new(shards, worker, dir.join("campaign.jsonl"));
+    scfg.silence_budget = Duration::from_millis(300);
+    scfg.poll = Duration::from_millis(10);
+    scfg.max_respawns = 0;
+    let t0 = Instant::now();
+    let (sharded, _, stats) = run_sweep_sharded(&jobs, &cfg, &scfg).expect("sharded sweep");
+    assert!(
+        t0.elapsed() < Duration::from_secs(10),
+        "the campaign took {:?} against 60 s workers",
+        t0.elapsed()
+    );
+    assert_eq!(stats.silent_kills, shards, "one kill per silent worker");
+    assert_eq!(stats.abandoned, cells.len());
+    assert_eq!(
+        sharded.to_json(),
+        run_sweep(&jobs, &cfg).to_json(),
+        "silence kills must not change a single report byte"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
