@@ -43,31 +43,27 @@ impl MdePlan {
         self.pruned_must + self.pruned_may
     }
 
-    /// Inserts the planned edges into the region's DFG.
+    /// Inserts the planned edges into the region's DFG as one checked
+    /// batch (forward, then order, then may edges).
     ///
     /// # Panics
     ///
     /// Panics if an edge is rejected by the graph (which would indicate a
     /// planner bug: the plan is constructed acyclic and in program order).
     pub fn apply(&self, region: &mut Region) {
-        for &(s, d) in &self.forward {
-            region
-                .dfg
-                .add_edge(s, d, EdgeKind::Forward)
-                .unwrap_or_else(|e| panic!("MDE plan inconsistent: {e}"));
-        }
-        for &(s, d) in &self.order {
-            region
-                .dfg
-                .add_edge(s, d, EdgeKind::Order)
-                .unwrap_or_else(|e| panic!("MDE plan inconsistent: {e}"));
-        }
-        for &(s, d) in &self.may {
-            region
-                .dfg
-                .add_edge(s, d, EdgeKind::May)
-                .unwrap_or_else(|e| panic!("MDE plan inconsistent: {e}"));
-        }
+        let kinds = [
+            (&self.forward, EdgeKind::Forward),
+            (&self.order, EdgeKind::Order),
+            (&self.may, EdgeKind::May),
+        ];
+        let batch: Vec<_> = kinds
+            .into_iter()
+            .flat_map(|(edges, kind)| edges.iter().map(move |&(s, d)| (s, d, kind)))
+            .collect();
+        region
+            .dfg
+            .add_edges(&batch)
+            .unwrap_or_else(|e| panic!("MDE plan inconsistent: {e}"));
     }
 }
 

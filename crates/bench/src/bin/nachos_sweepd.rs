@@ -32,10 +32,9 @@ use std::io::{BufRead as _, BufReader, Write as _};
 use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 const USAGE: &str = "usage: nachos-sweepd --socket PATH --root DIR [--capacity N] \
-                     [--retry-after-ms MS] [--poll-ms MS]\n\
+                     [--retry-after-ms MS]\n\
        nachos-sweepd --ctl CMD --socket PATH [--job N] [--spec JSON]";
 
 const HELP: &str = "\
@@ -50,13 +49,12 @@ Server mode:
                        rejection with a retry_after_ms hint (default 16)
   --retry-after-ms MS  the backoff hint in queue_full rejections
                        (default 500)
-  --poll-ms MS         internal poll cadence; liveness only, never
-                       observable in journaled bytes (default 25)
 
 The server runs until a client sends drain (finish every admitted job,
 then exit 0) or shutdown (requeue the in-flight job durably, then exit
 0). kill -9 is always safe: restarting over the same --root resumes
-every job from its journal.
+every job from its journal. Nothing polls: a job starts as soon as the
+executor is free, and watch reports each state change as it happens.
 
 Control mode (one-shot client):
   --ctl CMD            one of: ping, list, status, watch, fetch,
@@ -87,7 +85,6 @@ fn main() -> ExitCode {
     let mut root: Option<String> = None;
     let mut capacity = 16usize;
     let mut retry_after_ms = 500u64;
-    let mut poll_ms = 25u64;
     let mut ctl: Option<String> = None;
     let mut job: Option<u64> = None;
     let mut spec_json: Option<String> = None;
@@ -115,12 +112,6 @@ fn main() -> ExitCode {
                     ))
                 }
             },
-            "--poll-ms" => match value.parse() {
-                Ok(ms) => poll_ms = ms,
-                Err(_) => {
-                    return usage_error(&format!("--poll-ms takes milliseconds, got {value:?}"))
-                }
-            },
             "--ctl" => ctl = Some(value),
             "--job" => match value.parse() {
                 Ok(n) => job = Some(n),
@@ -144,7 +135,6 @@ fn main() -> ExitCode {
     let mut cfg = DaemonConfig::new(root, &socket);
     cfg.capacity = capacity;
     cfg.retry_after_ms = retry_after_ms;
-    cfg.poll = Duration::from_millis(poll_ms.max(1));
     let daemon = match Daemon::open(cfg, Arc::new(nachos_bench::matrix::resolve)) {
         Ok(d) => d,
         Err(e) => return environment_error(&format!("cannot open daemon state: {e}")),

@@ -29,13 +29,20 @@ use nachos::{FaultKind, FaultPlan, FaultSpec};
 /// filter matching no workload, an unknown poison target, an unknown
 /// variant label, or an empty variant list.
 pub fn resolve(spec: &MatrixSpec) -> Result<(Vec<SweepJob>, SweepConfig), String> {
-    let mut jobs = crate::suite_jobs();
+    // Filter the specs by name before generating: generation is seeded
+    // by name and path alone, so a one-workload spec generates one
+    // region, not 27, and gets the same job `suite_jobs` would.
+    let mut specs = nachos_workloads::all();
     if let Some(f) = &spec.filter {
-        jobs.retain(|j| j.name.contains(f.as_str()));
-        if jobs.is_empty() {
+        specs.retain(|s| s.name.contains(f.as_str()));
+        if specs.is_empty() {
             return Err(format!("--filter {f:?} matches no workload"));
         }
     }
+    let mut jobs: Vec<SweepJob> = specs
+        .iter()
+        .map(|s| crate::job_for(&nachos_workloads::generate(s)))
+        .collect();
     if let Some(name) = &spec.poison {
         let Some(job) = jobs.iter_mut().find(|j| &j.name == name) else {
             return Err(format!("--poison knows no workload {name:?}"));
@@ -81,6 +88,7 @@ pub fn parse_variants(variant_list: Option<&str>) -> Option<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nachos::sweep::journal::job_fingerprint;
 
     #[test]
     fn default_spec_resolves_to_the_full_suite() {
@@ -107,6 +115,39 @@ mod tests {
         assert!(cfg.variants.iter().any(|v| v.label == "ideal"));
         assert!(cfg.sim.optimize);
         assert_eq!(cfg.max_retries, 2);
+    }
+
+    #[test]
+    fn filtered_specs_resolve_to_the_suite_jobs_they_name() {
+        let suite = crate::suite_jobs();
+        let sim = crate::suite_config(64, 0, false).sim;
+        let fingerprint = |j: &SweepJob| job_fingerprint(&j.region, &j.binding, &sim);
+        let filters = nachos_workloads::all()
+            .iter()
+            .map(|s| s.name.to_owned())
+            .chain(["a", "4", "sar"].map(str::to_owned))
+            .collect::<Vec<_>>();
+        for f in filters {
+            let spec = MatrixSpec {
+                filter: Some(f.clone()),
+                ..MatrixSpec::default()
+            };
+            let (jobs, _) = resolve(&spec).unwrap();
+            let want: Vec<_> = suite.iter().filter(|j| j.name.contains(&f)).collect();
+            assert_eq!(jobs.len(), want.len(), "filter {f:?}");
+            for (got, want) in jobs.iter().zip(want) {
+                assert_eq!(got.name, want.name, "filter {f:?}");
+                assert_eq!(fingerprint(got), fingerprint(want), "{}", got.name);
+            }
+        }
+        let none = MatrixSpec {
+            filter: Some("no-such-workload".to_owned()),
+            ..MatrixSpec::default()
+        };
+        assert_eq!(
+            resolve(&none).unwrap_err(),
+            "--filter \"no-such-workload\" matches no workload"
+        );
     }
 
     #[test]

@@ -73,8 +73,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -95,6 +94,11 @@ pub const MAX_REQUEST_LEN: usize = 64 * 1024;
 /// client must say how long its job may run. 2²² is 15× the largest
 /// matrix CI submits (the 27 × 5 × 2,048 daemon soak).
 pub const MAX_UNBOUNDED_WORK: u64 = 1 << 22;
+
+/// How long the accept loop backs off after a failed `accept` (for
+/// example, out of file descriptors) — the daemon's only sleep. Every
+/// other wait wakes on the state change it waits for.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 // ---------------------------------------------------------------------
 // The submitted matrix
@@ -503,21 +507,19 @@ pub struct DaemonConfig {
     pub capacity: usize,
     /// The backpressure hint returned with `queue_full` rejections.
     pub retry_after_ms: u64,
-    /// Internal poll cadence (accept loop, deadline checks, watch
-    /// streams). Liveness only; never observable in journaled bytes.
-    pub poll: Duration,
 }
 
 impl DaemonConfig {
-    /// A config with the default capacity (16), retry hint (500 ms)
-    /// and poll cadence (25 ms).
+    /// A config with the default capacity (16) and retry hint (500 ms).
+    /// The daemon has no poll cadence to configure: its executor, watch
+    /// streams and deadline thread wake on the state changes they wait
+    /// for.
     pub fn new(root: impl Into<PathBuf>, socket: impl Into<PathBuf>) -> Self {
         Self {
             root: root.into(),
             socket: socket.into(),
             capacity: 16,
             retry_after_ms: 500,
-            poll: Duration::from_millis(25),
         }
     }
 }
@@ -591,14 +593,23 @@ struct State {
     draining: bool,
     /// Executor must stop after requeueing the in-flight job.
     stopping: bool,
+    /// The executor has parked; serving stops.
+    executor_done: bool,
+    /// `drain`/`shutdown` acknowledgements not yet written. The executor
+    /// may park the moment admission closes; `serve` waits for these so
+    /// the client that asked is answered before the daemon exits.
+    acks_unsent: usize,
 }
 
 struct Shared {
     cfg: DaemonConfig,
     resolver: MatrixResolver,
     state: Mutex<State>,
-    executor_done: AtomicBool,
-    threads_done: AtomicBool,
+    /// Notified after every change a waiter looks at: each transition,
+    /// each admitted job, `drain`, `shutdown` and the executor's exit.
+    /// The executor, `watch` streams and the deadline thread all wait
+    /// on it instead of sleeping.
+    changed: Condvar,
 }
 
 /// The job service. See the module docs for the protocol and the
@@ -616,10 +627,54 @@ impl Shared {
         // state is still consistent (transitions apply atomically under
         // the guard), so recover the guard rather than wedging every
         // client thread.
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Releases the guard until [`Shared::changed`] is notified.
+    fn wait<'a>(&self, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        self.changed
+            .wait(st)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Applies (and journals) one state-machine edge, then wakes every
+    /// waiter. Returns `false` — changing nothing — when the edge is
+    /// illegal or the job unknown.
+    fn transition(
+        &self,
+        st: &mut State,
+        id: u64,
+        to: JobStatus,
+        detail: Option<String>,
+        mismatches: u64,
+        degraded: u64,
+    ) -> bool {
+        let Some(entry) = job_index(id).and_then(|i| st.jobs.get_mut(i)) else {
+            return false;
+        };
+        if !JobStatus::can_transition(entry.status, to) {
+            return false;
         }
+        let ev = JobEvent::Transition {
+            job: id,
+            to,
+            detail: detail.clone(),
+            mismatches,
+            degraded,
+        };
+        // Durability before visibility: the journal line lands (fsynced)
+        // before the in-memory state changes. If the append fails we still
+        // apply the edge — a daemon that cannot write its journal keeps
+        // serving, it just recovers less after the next crash.
+        if let Err(e) = st.log.append(&ev) {
+            eprintln!("job journal append failed: {e}");
+        }
+        entry.status = to;
+        entry.detail = detail;
+        entry.mismatches = mismatches;
+        entry.degraded = degraded;
+        self.changed.notify_all();
+        true
     }
 
     fn runs_path(&self, id: u64) -> PathBuf {
@@ -629,43 +684,6 @@ impl Shared {
     fn report_path(&self, id: u64) -> PathBuf {
         self.cfg.root.join(format!("job-{id:04}.report.json"))
     }
-}
-
-/// Applies (and journals) one state-machine edge. Returns `false` —
-/// changing nothing — when the edge is illegal or the job unknown.
-fn transition(
-    st: &mut State,
-    id: u64,
-    to: JobStatus,
-    detail: Option<String>,
-    mismatches: u64,
-    degraded: u64,
-) -> bool {
-    let Some(entry) = job_index(id).and_then(|i| st.jobs.get_mut(i)) else {
-        return false;
-    };
-    if !JobStatus::can_transition(entry.status, to) {
-        return false;
-    }
-    let ev = JobEvent::Transition {
-        job: id,
-        to,
-        detail: detail.clone(),
-        mismatches,
-        degraded,
-    };
-    // Durability before visibility: the journal line lands (fsynced)
-    // before the in-memory state changes. If the append fails we still
-    // apply the edge — a daemon that cannot write its journal keeps
-    // serving, it just recovers less after the next crash.
-    if let Err(e) = st.log.append(&ev) {
-        eprintln!("job journal append failed: {e}");
-    }
-    entry.status = to;
-    entry.detail = detail;
-    entry.mismatches = mismatches;
-    entry.degraded = degraded;
-    true
 }
 
 fn job_index(id: u64) -> Option<usize> {
@@ -702,6 +720,8 @@ impl Daemon {
             log_skipped,
             draining: false,
             stopping: false,
+            executor_done: false,
+            acks_unsent: 0,
         };
         for ev in events {
             match ev {
@@ -756,24 +776,21 @@ impl Daemon {
             .filter(|(_, e)| e.status == JobStatus::Running)
             .map(|(i, _)| i as u64 + 1)
             .collect();
-        for id in running {
-            transition(
-                &mut st,
-                id,
-                JobStatus::Queued,
-                Some("recovered after restart".to_owned()),
-                0,
-                0,
-            );
+        let shared = Shared {
+            cfg,
+            resolver,
+            state: Mutex::new(st),
+            changed: Condvar::new(),
+        };
+        {
+            let mut st = shared.lock();
+            for id in running {
+                let detail = Some("recovered after restart".to_owned());
+                shared.transition(&mut st, id, JobStatus::Queued, detail, 0, 0);
+            }
         }
         Ok(Daemon {
-            shared: Arc::new(Shared {
-                cfg,
-                resolver,
-                state: Mutex::new(st),
-                executor_done: AtomicBool::new(false),
-                threads_done: AtomicBool::new(false),
-            }),
+            shared: Arc::new(shared),
         })
     }
 
@@ -832,6 +849,7 @@ impl Daemon {
             cancel_reason: None,
             deadline: None,
         });
+        self.shared.changed.notify_all();
         Ok(id)
     }
 
@@ -887,7 +905,8 @@ impl Daemon {
             .ok_or(CancelError::Unknown)?;
         match entry.status {
             JobStatus::Queued => {
-                transition(&mut st, id, JobStatus::Cancelled, None, 0, 0);
+                self.shared
+                    .transition(&mut st, id, JobStatus::Cancelled, None, 0, 0);
                 Ok(JobStatus::Cancelled)
             }
             JobStatus::Running => {
@@ -905,6 +924,7 @@ impl Daemon {
     /// loop exits 0 once the queue is empty and nothing is running.
     pub fn drain(&self) {
         self.shared.lock().draining = true;
+        self.shared.changed.notify_all();
     }
 
     /// Closes admission, cooperatively cancels the in-flight job (it is
@@ -924,6 +944,7 @@ impl Daemon {
             }
             e.cancel.cancel();
         }
+        self.shared.changed.notify_all();
     }
 
     /// Reads a settled job's report from disk.
@@ -937,10 +958,11 @@ impl Daemon {
     }
 
     /// Binds the socket and serves until drained or shut down: spawns
-    /// the executor and deadline-watch threads, accepts clients on a
-    /// non-blocking listener (one handler thread per connection), and
-    /// returns once the executor has parked. A stale socket file from a
-    /// killed predecessor is replaced.
+    /// the executor and deadline threads, accepts clients with a
+    /// blocking `accept` (one handler thread per connection), and
+    /// returns once the executor has parked — the parking executor
+    /// connects once to the socket to wake the accept loop. A stale
+    /// socket file from a killed predecessor is replaced.
     ///
     /// # Errors
     ///
@@ -949,7 +971,6 @@ impl Daemon {
     pub fn serve(&self) -> io::Result<()> {
         let _ = fs::remove_file(&self.shared.cfg.socket);
         let listener = UnixListener::bind(&self.shared.cfg.socket)?;
-        listener.set_nonblocking(true)?;
         let exec = {
             let shared = Arc::clone(&self.shared);
             thread::spawn(move || executor(&shared))
@@ -959,23 +980,28 @@ impl Daemon {
             thread::spawn(move || deadline_watch(&shared))
         };
         loop {
-            match listener.accept() {
+            let failed = match listener.accept() {
                 Ok((stream, _)) => {
                     let shared = Arc::clone(&self.shared);
                     thread::spawn(move || handle_client(&shared, stream));
+                    false
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if self.shared.executor_done.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    thread::sleep(self.shared.cfg.poll);
-                }
-                Err(_) => thread::sleep(self.shared.cfg.poll),
+                Err(_) => true,
+            };
+            if self.shared.lock().executor_done {
+                break;
+            }
+            if failed {
+                thread::sleep(ACCEPT_BACKOFF);
             }
         }
-        self.shared.threads_done.store(true, Ordering::SeqCst);
         let _ = exec.join();
         let _ = watch.join();
+        let acked = self
+            .shared
+            .changed
+            .wait_while(self.shared.lock(), |st| st.acks_unsent > 0);
+        drop(acked.unwrap_or_else(PoisonError::into_inner));
         let _ = fs::remove_file(&self.shared.cfg.socket);
         Ok(())
     }
@@ -986,37 +1012,32 @@ impl Daemon {
 // ---------------------------------------------------------------------
 
 fn executor(shared: &Arc<Shared>) {
-    enum Next {
-        Run(u64),
-        Sleep,
-        Exit,
-    }
     loop {
         let next = {
-            let st = shared.lock();
-            if st.stopping {
-                Next::Exit
-            } else if let Some(id) = st
-                .jobs
-                .iter()
-                .position(|e| e.status == JobStatus::Queued)
-                .map(|i| i as u64 + 1)
-            {
-                Next::Run(id)
-            } else if st.draining {
-                // Drained: admission is closed and the queue is empty.
-                Next::Exit
-            } else {
-                Next::Sleep
+            let mut st = shared.lock();
+            loop {
+                if st.stopping {
+                    break None;
+                }
+                if let Some(i) = st.jobs.iter().position(|e| e.status == JobStatus::Queued) {
+                    break Some(i as u64 + 1);
+                }
+                if st.draining {
+                    // Drained: admission is closed and the queue is empty.
+                    break None;
+                }
+                st = shared.wait(st);
             }
         };
         match next {
-            Next::Exit => break,
-            Next::Sleep => thread::sleep(shared.cfg.poll),
-            Next::Run(id) => run_job(shared, id),
+            Some(id) => run_job(shared, id),
+            None => break,
         }
     }
-    shared.executor_done.store(true, Ordering::SeqCst);
+    shared.lock().executor_done = true;
+    shared.changed.notify_all();
+    // Wake the accept loop blocked in `accept`; it sees `executor_done`.
+    let _ = UnixStream::connect(&shared.cfg.socket);
 }
 
 fn run_job(shared: &Arc<Shared>, id: u64) {
@@ -1036,7 +1057,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
             .then(|| Instant::now() + Duration::from_secs(entry.spec.deadline_secs));
         let spec = entry.spec.clone();
         let token = entry.cancel.clone();
-        transition(&mut st, id, JobStatus::Running, None, 0, 0);
+        shared.transition(&mut st, id, JobStatus::Running, None, 0, 0);
         (spec, token)
     };
 
@@ -1045,7 +1066,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         if let Some(e) = job_index(id).and_then(|i| st.jobs.get_mut(i)) {
             e.deadline = None;
         }
-        transition(&mut st, id, JobStatus::Quarantined, Some(detail), 0, 0);
+        shared.transition(&mut st, id, JobStatus::Quarantined, Some(detail), 0, 0);
     };
 
     // Phase 2 (no lock): resolve and run. The per-job run journal makes
@@ -1118,26 +1139,44 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         e.replayed = stats.replayed as u64;
         e.executed = stats.executed as u64;
     }
-    transition(&mut st, id, to, detail, mismatches, degraded);
+    shared.transition(&mut st, id, to, detail, mismatches, degraded);
 }
 
+/// Trips each running job's token when its deadline passes. Sleeps on
+/// [`Shared::changed`] until the earliest armed deadline (or without a
+/// timeout when none is armed); a job starting to run, and the
+/// executor parking, wake it.
 fn deadline_watch(shared: &Arc<Shared>) {
-    while !shared.threads_done.load(Ordering::SeqCst) {
-        thread::sleep(shared.cfg.poll);
+    let mut st = shared.lock();
+    while !st.executor_done {
         let now = Instant::now();
-        let mut st = shared.lock();
+        let mut next: Option<Instant> = None;
         for e in st
             .jobs
             .iter_mut()
-            .filter(|e| e.status == JobStatus::Running)
+            .filter(|e| e.status == JobStatus::Running && !e.cancel.is_cancelled())
         {
-            if e.deadline.is_some_and(|d| now >= d) && !e.cancel.is_cancelled() {
-                if e.cancel_reason.is_none() {
-                    e.cancel_reason = Some(CancelReason::Deadline);
+            match e.deadline {
+                Some(d) if now >= d => {
+                    if e.cancel_reason.is_none() {
+                        e.cancel_reason = Some(CancelReason::Deadline);
+                    }
+                    e.cancel.cancel();
                 }
-                e.cancel.cancel();
+                Some(d) => next = Some(next.map_or(d, |n| n.min(d))),
+                None => {}
             }
         }
+        st = match next {
+            Some(d) => {
+                shared
+                    .changed
+                    .wait_timeout(st, d - now)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+            None => shared.wait(st),
+        };
     }
 }
 
@@ -1287,21 +1326,33 @@ fn dispatch(shared: &Arc<Shared>, req: &Json, out: &mut UnixStream) -> io::Resul
                     None => unknown_job(id, out),
                 },
                 "watch" => {
+                    // One line per observed change: after each line, wait
+                    // until the job's status differs from the one sent
+                    // (intermediate states may be skipped).
                     let mut last = None;
                     loop {
-                        let Some(snap) = daemon.snapshot(id) else {
+                        let snap = {
+                            let mut st = shared.lock();
+                            loop {
+                                let Some(e) = job_index(id).and_then(|i| st.jobs.get(i)) else {
+                                    break None;
+                                };
+                                if last != Some(e.status) {
+                                    break Some(snapshot_entry(id, e));
+                                }
+                                st = shared.wait(st);
+                            }
+                        };
+                        let Some(snap) = snap else {
                             return unknown_job(id, out);
                         };
-                        if last.as_ref() != Some(&snap.status) {
-                            last = Some(snap.status);
-                            let mut r = Response::new(true);
-                            snapshot_fields(&mut r, &snap);
-                            r.send(out)?;
-                        }
+                        last = Some(snap.status);
+                        let mut r = Response::new(true);
+                        snapshot_fields(&mut r, &snap);
+                        r.send(out)?;
                         if snap.status.is_terminal() {
                             return Ok(());
                         }
-                        thread::sleep(shared.cfg.poll);
                     }
                 }
                 "fetch" => {
@@ -1378,18 +1429,21 @@ fn dispatch(shared: &Arc<Shared>, req: &Json, out: &mut UnixStream) -> io::Resul
             r.w.bool_field("draining", shared.lock().draining);
             r.send(out)
         }
-        "drain" => {
-            daemon.drain();
+        "drain" | "shutdown" => {
+            shared.lock().acks_unsent += 1;
             let mut r = Response::new(true);
-            r.w.bool_field("draining", true);
-            r.w.u64_field("queued", daemon.queued() as u64);
-            r.send(out)
-        }
-        "shutdown" => {
-            daemon.shutdown();
-            let mut r = Response::new(true);
-            r.w.bool_field("stopping", true);
-            r.send(out)
+            if cmd == "drain" {
+                daemon.drain();
+                r.w.bool_field("draining", true);
+                r.w.u64_field("queued", daemon.queued() as u64);
+            } else {
+                daemon.shutdown();
+                r.w.bool_field("stopping", true);
+            }
+            let sent = r.send(out);
+            shared.lock().acks_unsent -= 1;
+            shared.changed.notify_all();
+            sent
         }
         other => {
             let mut r = Response::err("bad_request");
@@ -1642,6 +1696,66 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Serves `daemon` on a background thread and waits for its socket.
+    fn serve_in_background(daemon: &Arc<Daemon>) -> thread::JoinHandle<io::Result<()>> {
+        let server = {
+            let daemon = Arc::clone(daemon);
+            thread::spawn(move || daemon.serve())
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while UnixStream::connect(&daemon.shared.cfg.socket).is_err() {
+            assert!(Instant::now() < deadline, "daemon socket never appeared");
+            thread::sleep(Duration::from_millis(10));
+        }
+        server
+    }
+
+    /// Event-driven waits end to end: a deadline trips a job that would
+    /// run for hours, a later job starts without polling, and
+    /// `shutdown` requeues it and stops `serve`.
+    #[test]
+    fn deadlines_trip_and_shutdown_requeues_the_running_job() {
+        use std::io::BufRead as _;
+        let dir = scratch("deadline");
+        let cfg = DaemonConfig::new(dir.join("state"), dir.join("d.sock"));
+        let daemon = Arc::new(Daemon::open(cfg.clone(), tiny_resolver()).unwrap());
+        let server = serve_in_background(&daemon);
+        let endless = |deadline_secs| MatrixSpec {
+            invocations: 1_000_000_000_000,
+            deadline_secs,
+            ..MatrixSpec::default()
+        };
+        assert_eq!(daemon.submit(endless(1)), Ok(1));
+        let mut stream = UnixStream::connect(&cfg.socket).unwrap();
+        stream
+            .write_all(b"{\"cmd\": \"watch\", \"job\": 1}\n")
+            .unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let last = BufReader::new(stream)
+            .lines()
+            .map(|l| parse_json(&l.unwrap()).expect("watch line parses"))
+            .last()
+            .expect("watch answers");
+        assert_eq!(
+            last.get("state").and_then(Json::as_str),
+            Some("deadline_exceeded"),
+            "{last:?}"
+        );
+
+        assert_eq!(daemon.submit(endless(600)), Ok(2));
+        let started = Instant::now() + Duration::from_secs(10);
+        while daemon.snapshot(2).unwrap().status != JobStatus::Running {
+            assert!(Instant::now() < started, "job 2 never started");
+            thread::sleep(Duration::from_millis(1));
+        }
+        daemon.shutdown();
+        server.join().unwrap().unwrap();
+        let snap = daemon.snapshot(2).unwrap();
+        assert_eq!(snap.status, JobStatus::Queued);
+        assert_eq!(snap.detail.as_deref(), Some("requeued by shutdown"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// End-to-end over a real socket: serve, submit, watch to settled,
     /// fetch, drain — the in-process client half of the protocol.
     #[test]
@@ -1651,19 +1765,8 @@ mod tests {
         let sock = dir.join("d.sock");
         let cfg = DaemonConfig::new(dir.join("state"), &sock);
         let daemon = Arc::new(Daemon::open(cfg, tiny_resolver()).unwrap());
-        let server = {
-            let daemon = Arc::clone(&daemon);
-            thread::spawn(move || daemon.serve())
-        };
-        // Wait for the socket to appear.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let stream = loop {
-            match UnixStream::connect(&sock) {
-                Ok(s) => break s,
-                Err(_) if Instant::now() < deadline => thread::sleep(Duration::from_millis(10)),
-                Err(e) => panic!("daemon socket never appeared: {e}"),
-            }
-        };
+        let server = serve_in_background(&daemon);
+        let stream = UnixStream::connect(&sock).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut out = stream;
         fn request(line: &str, out: &mut UnixStream, reader: &mut BufReader<UnixStream>) -> Json {

@@ -25,14 +25,27 @@
 //! are fed to `run_shard_worker` over a two-job matrix. It must return
 //! its counters or `InvalidData`, execute only cells whose key it
 //! verified, and leave exactly those records in its shard journal.
+//!
+//! The daemon's request handler is fed the same way, over its socket: an
+//! in-process daemon with one settled job receives random, oversized,
+//! non-UTF-8, deeply nested and mutated request lines, one case per
+//! connection. Every response must be a JSON object with an `error` tag
+//! whenever `ok` is false; no handler may panic; the settled job must
+//! not change; every job may only move along the state machine; and the
+//! daemon must still answer `ping`.
 
-use std::io::Read;
+use std::io::{BufRead as _, BufReader, Read, Write as _};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use nachos::json::{checksum_unframe, escape, parse_json, Json};
 use nachos::sweep::cache::{CacheLookup, ResultCache};
-use nachos::sweep::daemon::MatrixSpec;
+use nachos::sweep::daemon::{
+    Daemon, DaemonConfig, JobSnapshot, JobStatus, MatrixSpec, MAX_REQUEST_LEN,
+};
 use nachos::sweep::heartbeat::{Heartbeat, HeartbeatPhase};
 use nachos::sweep::journal::{Journal, RunKey, RunRecord};
 use nachos::sweep::shard::{enumerate_cells, run_shard_worker, SHARD_SCHEMA};
@@ -424,5 +437,185 @@ proptest! {
         };
         check_shard_worker(&jobs, &cfg, &journal, stdin, !mutate_header);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Panics on any thread since the daemon fixture started. Handler
+/// threads are detached, so a panic there would otherwise only show as
+/// a closed connection.
+static PANICS: AtomicUsize = AtomicUsize::new(0);
+
+/// An in-process daemon serving on a socket, with job 1 settled.
+struct Served {
+    daemon: Arc<Daemon>,
+    socket: PathBuf,
+    settled: JobSnapshot,
+}
+
+/// The shared daemon fixture: a one-region resolver capped at two
+/// invocations (a mutated submit must not start a long job) and a
+/// small admission bound.
+fn served() -> &'static Served {
+    static SERVED: OnceLock<Served> = OnceLock::new();
+    SERVED.get_or_init(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            PANICS.fetch_add(1, Ordering::SeqCst);
+            prev(info);
+        }));
+        let dir = scratch_dir("daemon");
+        let mut cfg = DaemonConfig::new(dir.join("state"), dir.join("d.sock"));
+        cfg.capacity = 4;
+        let resolver = Arc::new(|spec: &MatrixSpec| {
+            let (region, binding) = store_load_region("handler");
+            let cfg = SweepConfig::default()
+                .with_invocations(spec.invocations.min(2))
+                .with_threads(1);
+            Ok((vec![SweepJob::new("handler", region, binding)], cfg))
+        });
+        let daemon = Arc::new(Daemon::open(cfg.clone(), resolver).expect("open daemon"));
+        {
+            let daemon = Arc::clone(&daemon);
+            std::thread::spawn(move || daemon.serve());
+        }
+        let socket = cfg.socket;
+        let job = daemon.submit(MatrixSpec::default()).expect("admit job 1");
+        let lines = exchange(&socket, format!("{}\n", request_corpus()[2]).as_bytes());
+        let last = lines.last().expect("watch answers");
+        assert_eq!(last.get("state").and_then(Json::as_str), Some("settled"));
+        let settled = daemon.snapshot(job).expect("job 1");
+        Served {
+            daemon,
+            socket,
+            settled,
+        }
+    })
+}
+
+/// Valid request lines: submit, then status, watch, fetch and cancel of
+/// the settled job 1.
+fn request_corpus() -> [String; 5] {
+    let spec = MatrixSpec {
+        invocations: 2,
+        ..MatrixSpec::default()
+    };
+    let head = "{\"jobs\": \"nachos-jobs-v1\", \"cmd\": ";
+    [
+        format!("{head}\"submit\", \"spec\": {}}}", spec.to_json()),
+        format!("{head}\"status\", \"job\": 1}}"),
+        format!("{head}\"watch\", \"job\": 1}}"),
+        format!("{head}\"fetch\", \"job\": 1}}"),
+        format!("{head}\"cancel\", \"job\": 1}}"),
+    ]
+}
+
+/// Sends `bytes` on a fresh connection, closes the write half and reads
+/// every response line until the daemon closes the connection. Each
+/// line must be a structured `nachos-jobs-v1` response.
+fn exchange(socket: &Path, bytes: &[u8]) -> Vec<Json> {
+    let mut conn = UnixStream::connect(socket).expect("connect to the daemon");
+    conn.set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    // The daemon may answer and hang up before reading everything (an
+    // oversized line): a failed write is part of the contract.
+    let _ = conn.write_all(bytes);
+    let _ = conn.shutdown(std::net::Shutdown::Write);
+    let mut responses = Vec::new();
+    for line in BufReader::new(conn).lines() {
+        let line = line.expect("a response line within the read timeout");
+        let v = parse_json(&line).unwrap_or_else(|| panic!("unparsable response {line:?}"));
+        prop_assert!(matches!(v, Json::Obj(_)), "{}", line);
+        prop_assert_eq!(v.get("jobs").and_then(Json::as_str), Some("nachos-jobs-v1"));
+        match v.get("ok") {
+            Some(Json::Bool(true)) => {}
+            Some(Json::Bool(false)) => prop_assert!(
+                v.get("error").and_then(Json::as_str).is_some(),
+                "a failure without an error tag: {}",
+                line
+            ),
+            _ => panic!("a response without ok: {line}"),
+        }
+        responses.push(v);
+    }
+    responses
+}
+
+/// `true` if `to` is reachable from `from` along the legal edges.
+fn reachable(from: JobStatus, to: JobStatus) -> bool {
+    let all = [
+        JobStatus::Queued,
+        JobStatus::Running,
+        JobStatus::Settled,
+        JobStatus::Cancelled,
+        JobStatus::Quarantined,
+        JobStatus::DeadlineExceeded,
+    ];
+    let mut seen = vec![from];
+    let mut i = 0;
+    while let Some(&s) = seen.get(i) {
+        for next in all {
+            if JobStatus::can_transition(s, next) && !seen.contains(&next) {
+                seen.push(next);
+            }
+        }
+        i += 1;
+    }
+    seen.contains(&to)
+}
+
+/// One handler case: request bytes of the kind `pick` selects.
+fn request_bytes(pick: usize, edits: &[Edit], tail: &[u8]) -> Vec<u8> {
+    let corpus = request_corpus();
+    match pick % 8 {
+        // The tail goes on a line of its own, so an intact or lightly
+        // edited request still reaches its command.
+        k @ 0..=4 => mutate_bytes(&format!("{}\n", corpus[k]), edits, tail),
+        // Random bytes, often not UTF-8.
+        5 => tail.to_vec(),
+        // One byte past the request bound.
+        6 => {
+            let mut line = corpus[1].clone().into_bytes();
+            line.resize(MAX_REQUEST_LEN + 1 + tail.len(), b' ');
+            line.push(b'\n');
+            line
+        }
+        // Nested arrays and objects, up to the depth the bound allows.
+        _ => {
+            let depth = 1 + edits.len() * 10_000 + tail.len() * 100;
+            let open = if pick < 32 { "[" } else { "{\"k\":" };
+            let mut line = open.repeat(depth / open.len()).into_bytes();
+            line.push(b'\n');
+            line
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn daemon_handler_survives_arbitrary_requests(
+        pick in 0usize..64,
+        edits in proptest::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 0..6),
+        tail in proptest::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let s = served();
+        let before = s.daemon.list();
+        exchange(&s.socket, &request_bytes(pick, &edits, &tail));
+        prop_assert_eq!(PANICS.load(Ordering::SeqCst), 0, "a handler panicked");
+        prop_assert_eq!(s.daemon.snapshot(1).as_ref(), Some(&s.settled));
+        let after = s.daemon.list();
+        for (b, a) in before.iter().zip(&after) {
+            prop_assert!(
+                reachable(b.status, a.status),
+                "job {} moved {} -> {}",
+                b.id,
+                b.status,
+                a.status
+            );
+        }
+        let pong = exchange(&s.socket, b"{\"cmd\": \"ping\"}\n");
+        prop_assert_eq!(pong.len(), 1);
+        prop_assert_eq!(pong[0].get("pong"), Some(&Json::Bool(true)));
     }
 }

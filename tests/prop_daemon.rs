@@ -99,7 +99,6 @@ proptest! {
         let dir = scratch();
         let mut cfg = DaemonConfig::new(dir.join("state"), dir.join("d.sock"));
         cfg.capacity = CAPACITY;
-        cfg.poll = Duration::from_millis(5);
         let daemon = Arc::new(Daemon::open(cfg.clone(), Arc::new(resolver)).expect("open"));
         let server = {
             let daemon = Arc::clone(&daemon);
