@@ -27,11 +27,11 @@
 //! cancellations stay campaign-local — a new campaign deserves a fresh
 //! attempt, with its own retry budget, at anything that did not settle.
 
-use super::journal::{RunKey, RunRecord};
+use super::journal::{RunKey, RunRecord, MAX_RECORD_LEN};
 use super::RunStatus;
 use crate::json::write_atomic;
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Read as _};
 use std::path::{Path, PathBuf};
 
 /// Handle to a cache root directory. Cheap to clone; all state lives on
@@ -124,20 +124,27 @@ impl ResultCache {
     }
 
     /// Probes the cache for `key`. Corrupt entries (checksum failure,
-    /// parse failure, key mismatch) are removed on a best-effort basis
-    /// so they cost one re-execution, once.
+    /// parse failure, key mismatch, longer than [`MAX_RECORD_LEN`]) are
+    /// removed on a best-effort basis so they cost one re-execution,
+    /// once.
     #[must_use]
     pub fn lookup(&self, key: RunKey) -> CacheLookup {
         let path = self.entry_path(key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
+        // Read at most one byte past the record cap: a longer entry is
+        // corrupt, and must not be buffered whole to find that out.
+        let mut bytes = Vec::new();
+        let read = File::open(&path)
+            .and_then(|f| f.take(MAX_RECORD_LEN as u64 + 1).read_to_end(&mut bytes));
+        match read {
+            Ok(_) => {}
             Err(e) if e.kind() == io::ErrorKind::NotFound => return CacheLookup::Miss,
             // An unreadable entry is indistinguishable from a corrupt
             // one for our purposes: re-execute.
             Err(_) => return CacheLookup::Corrupt,
-        };
+        }
         let parsed = std::str::from_utf8(&bytes)
             .ok()
+            .filter(|_| bytes.len() <= MAX_RECORD_LEN)
             .and_then(|s| RunRecord::from_line(s.trim_end()));
         match parsed {
             Some(rec) if rec.key == key && Self::cacheable(rec.outcome.status) => {

@@ -1,10 +1,8 @@
 //! The crash-safe sweep job service behind `nachos-sweepd`.
 //!
-//! One-shot sweeps (journaled, sharded, cached) already survive kills;
-//! this module promotes that discipline to a *resident* process: a
-//! long-running daemon that accepts sweep matrices over a Unix domain
-//! socket, runs them through the same journaled harness, and hands
-//! reports back — while surviving `kill -9`, enforcing deadlines and
+//! A resident process that accepts sweep matrices over a Unix domain
+//! socket, runs them one job at a time through the journaled harness and
+//! hands reports back — surviving `kill -9`, enforcing deadlines and
 //! shedding load instead of buffering it.
 //!
 //! # Protocol (`nachos-jobs-v1`)
@@ -46,14 +44,22 @@
 //!             └────→ cancelled
 //! ```
 //!
-//! Every transition is appended (checksum-framed, fsynced) to a durable
-//! job journal before it is visible, and each job's cells run under its
-//! own run [`Journal`] — so `kill -9` of the daemon loses nothing: on
-//! restart the job journal replays, every job caught `running` is
-//! requeued, its run journal replays the completed cells, and the
-//! eventual report is byte-identical to an uninterrupted run. No
-//! wall-clock value is ever journaled; deadlines live only in memory
-//! and reduce to deterministic *statuses*.
+//! # Core and shell
+//!
+//! The job table, the admission flags and every decision over them live
+//! in an I/O-free core: it holds no file, socket, lock or thread, and it
+//! is handed the time. Its one `apply` path checks that an event is
+//! legal, appends it (checksum-framed, fsynced) to the job journal, and
+//! only then changes the table; replaying the journal at open takes the
+//! same path. The shell — socket, threads, condvar, run journals and
+//! reports — takes the lock, asks the core, and wakes waiters.
+//!
+//! Each job's cells run under its own run [`Journal`], so `kill -9` of
+//! the daemon loses nothing: on restart the job journal replays, every
+//! job caught `running` is requeued, its run journal replays the
+//! completed cells, and the report is byte-identical to an
+//! uninterrupted run. No wall-clock value is ever journaled; deadlines
+//! live only in memory and reduce to deterministic *statuses*.
 //!
 //! # Drain vs. shutdown
 //!
@@ -63,16 +69,14 @@
 //! job cooperatively and *requeues it durably* — the daemon exits 0
 //! immediately with a journal a future restart resumes from.
 
-use super::journal::{
-    file_lacks_final_newline, read_bounded_line, BoundedLine, Journal, MAX_RECORD_LEN,
-};
+use super::journal::{read_bounded_line, resume_log, BoundedLine, Journal};
 use super::{run_sweep_journaled, RunStatus, SweepConfig, SweepJob};
 use crate::config::CancelToken;
 use crate::json::{checksum_frame, checksum_unframe, parse_json, write_atomic, Json, JsonWriter};
-use std::fs::{self, File, OpenOptions};
+use std::fs;
 use std::io::{self, BufReader, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -412,81 +416,24 @@ impl JobEvent {
             _ => None,
         }
     }
-}
 
-/// Append handle for the durable job journal: one framed line per
-/// event, flushed and fsynced before a transition becomes visible.
-#[derive(Debug)]
-struct JobLog {
-    file: File,
-}
-
-impl JobLog {
-    fn append(&mut self, ev: &JobEvent) -> io::Result<()> {
-        self.file.write_all(ev.to_line().as_bytes())?;
-        self.file.flush()?;
-        self.file.sync_data()
+    /// Parses one framed journal line; `None` for any damage.
+    fn from_line(line: &str) -> Option<JobEvent> {
+        checksum_unframe(line.trim())
+            .ok()
+            .and_then(parse_json)
+            .as_ref()
+            .and_then(JobEvent::from_payload)
     }
-}
-
-/// Loads the job journal (bounded reads, checksum verification, skip +
-/// count on any damage) and reopens it for appending, repairing a torn
-/// tail exactly like [`Journal::resume`].
-fn load_job_log(path: &Path) -> io::Result<(JobLog, Vec<JobEvent>, usize)> {
-    let mut events = Vec::new();
-    let mut skipped = 0usize;
-    let mut torn_tail = false;
-    match File::open(path) {
-        Ok(f) => {
-            let mut reader = BufReader::new(f);
-            let mut buf = Vec::new();
-            loop {
-                match read_bounded_line(&mut reader, &mut buf, MAX_RECORD_LEN)? {
-                    BoundedLine::Eof => break,
-                    BoundedLine::Oversized { .. } => {
-                        skipped += 1;
-                        continue;
-                    }
-                    BoundedLine::Line => {}
-                }
-                let Ok(line) = std::str::from_utf8(&buf) else {
-                    skipped += 1;
-                    continue;
-                };
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                let parsed = checksum_unframe(line)
-                    .ok()
-                    .and_then(parse_json)
-                    .as_ref()
-                    .and_then(JobEvent::from_payload);
-                match parsed {
-                    Some(ev) => events.push(ev),
-                    None => skipped += 1,
-                }
-            }
-            torn_tail = file_lacks_final_newline(path)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
-    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-    if torn_tail {
-        file.write_all(b"\n")?;
-        file.flush()?;
-    }
-    Ok((JobLog { file }, events, skipped))
 }
 
 // ---------------------------------------------------------------------
-// The daemon
+// The core: job table, admission flags and every decision over them
 // ---------------------------------------------------------------------
 
 /// Why a submitted job was cancelled mid-run. Runtime control only —
 /// never journaled; the classification reduces to a terminal
-/// [`JobStatus`] (or a durable requeue) when the executor observes it.
+/// [`JobStatus`] (or a durable requeue) when the run is settled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum CancelReason {
     Client,
@@ -524,21 +471,24 @@ impl DaemonConfig {
     }
 }
 
-/// One job's bookkeeping. `cancel`, `cancel_reason` and `deadline` are
-/// runtime control; `replayed`/`executed` are diagnostics — none of
-/// them are journaled.
+/// One job's bookkeeping: its spec, what clients see of it, and its
+/// runtime control. Only the view's status, detail and verdict counts
+/// are journaled.
 #[derive(Debug)]
 struct JobEntry {
     spec: MatrixSpec,
-    status: JobStatus,
-    detail: Option<String>,
-    mismatches: u64,
-    degraded: u64,
-    replayed: u64,
-    executed: u64,
+    view: JobSnapshot,
     cancel: CancelToken,
     cancel_reason: Option<CancelReason>,
     deadline: Option<Instant>,
+}
+
+impl JobEntry {
+    /// Trips the job's token; the first reason given is the one kept.
+    fn trip(&mut self, reason: CancelReason) {
+        self.cancel_reason.get_or_insert(reason);
+        self.cancel.cancel();
+    }
 }
 
 /// A point-in-time copy of one job's observable state.
@@ -585,48 +535,340 @@ pub enum CancelError {
     AlreadyTerminal(JobStatus),
 }
 
+/// What the executor does next; see [`State::claim`].
+enum Claim {
+    /// Run job `id`'s spec under its freshly armed token.
+    Run(u64, MatrixSpec, CancelToken),
+    /// Nothing is queued and admission is open: wait for a change.
+    Wait,
+    /// Drained, or shut down: the executor exits.
+    Park,
+}
+
+/// How a claimed job's run ended, as the executor saw it.
+enum RunEnd {
+    /// The sweep returned (and, unless its token was tripped, its
+    /// report is on disk).
+    Swept {
+        mismatches: u64,
+        degraded: u64,
+        replayed: u64,
+        executed: u64,
+    },
+    /// The job could not run, or its report could not be written.
+    Failed(String),
+}
+
+/// The daemon's I/O-free core: the job table, the admission flags, and
+/// every decision over them. It holds no file, socket, lock or thread
+/// and never reads the clock — callers pass `now` in. Every durable
+/// change goes through [`State::apply`], whose only output is the
+/// `journal` sink: the fsyncing job-journal writer in a live daemon, a
+/// no-op during replay, a recorder in tests.
 struct State {
-    log: JobLog,
     jobs: Vec<JobEntry>,
+    /// Unreadable or inconsistent job-journal lines skipped at open.
     log_skipped: usize,
     /// Admission closed (drain or shutdown).
     draining: bool,
-    /// Executor must stop after requeueing the in-flight job.
+    /// Shutdown: the in-flight job is requeued and nothing more runs.
     stopping: bool,
-    /// The executor has parked; serving stops.
+    /// Shell bookkeeping, kept under the same lock: the executor has
+    /// parked, so serving stops.
     executor_done: bool,
-    /// `drain`/`shutdown` acknowledgements not yet written. The executor
-    /// may park the moment admission closes; `serve` waits for these so
-    /// the client that asked is answered before the daemon exits.
+    /// Shell bookkeeping: `drain`/`shutdown` acknowledgements not yet
+    /// written. The executor may park the moment admission closes;
+    /// `serve` waits for these so the client that asked is answered
+    /// before the daemon exits.
     acks_unsent: usize,
+    /// Receives each legal event before it takes effect.
+    journal: Box<dyn FnMut(&JobEvent) + Send>,
 }
+
+impl State {
+    fn new(journal: Box<dyn FnMut(&JobEvent) + Send>) -> State {
+        State {
+            jobs: Vec::new(),
+            log_skipped: 0,
+            draining: false,
+            stopping: false,
+            executor_done: false,
+            acks_unsent: 0,
+            journal,
+        }
+    }
+
+    fn entry(&self, id: u64) -> Option<&JobEntry> {
+        self.jobs.get(usize::try_from(id.checked_sub(1)?).ok()?)
+    }
+
+    fn entry_mut(&mut self, id: u64) -> Option<&mut JobEntry> {
+        self.jobs.get_mut(usize::try_from(id.checked_sub(1)?).ok()?)
+    }
+
+    fn queued(&self) -> usize {
+        self.jobs
+            .iter()
+            .filter(|e| e.view.status == JobStatus::Queued)
+            .count()
+    }
+
+    /// The one path by which a job is admitted or changes status, for
+    /// replay and live requests alike. An event is legal when it
+    /// submits the next sequential id or moves a known job along a
+    /// [`JobStatus::can_transition`] edge. A legal event goes to the
+    /// journal sink first and only then changes the table — durability
+    /// before visibility. Returns `false`, touching nothing, for an
+    /// illegal event.
+    fn apply(&mut self, ev: JobEvent) -> bool {
+        let legal = match &ev {
+            JobEvent::Submitted { job, .. } => *job == self.jobs.len() as u64 + 1,
+            JobEvent::Transition { job, to, .. } => self
+                .entry(*job)
+                .is_some_and(|e| JobStatus::can_transition(e.view.status, *to)),
+        };
+        if !legal {
+            return false;
+        }
+        (self.journal)(&ev);
+        match ev {
+            JobEvent::Submitted { job, spec } => self.jobs.push(JobEntry {
+                spec,
+                view: JobSnapshot {
+                    id: job,
+                    status: JobStatus::Queued,
+                    detail: None,
+                    mismatches: 0,
+                    degraded: 0,
+                    replayed: 0,
+                    executed: 0,
+                },
+                cancel: CancelToken::new(),
+                cancel_reason: None,
+                deadline: None,
+            }),
+            JobEvent::Transition {
+                job,
+                to,
+                detail,
+                mismatches,
+                degraded,
+            } => {
+                let v = &mut self
+                    .entry_mut(job)
+                    .expect("a legal edge names a known job")
+                    .view;
+                v.status = to;
+                v.detail = detail;
+                v.mismatches = mismatches;
+                v.degraded = degraded;
+            }
+        }
+        true
+    }
+
+    fn transition(&mut self, id: u64, to: JobStatus, detail: Option<String>, verdicts: (u64, u64)) {
+        self.apply(JobEvent::Transition {
+            job: id,
+            to,
+            detail,
+            mismatches: verdicts.0,
+            degraded: verdicts.1,
+        });
+    }
+
+    /// Admits `spec`, whose matrix is `work` cell-invocations, or
+    /// refuses it under `cfg`'s admission bound.
+    fn admit(
+        &mut self,
+        spec: MatrixSpec,
+        work: u64,
+        cfg: &DaemonConfig,
+    ) -> Result<u64, SubmitError> {
+        if work > MAX_UNBOUNDED_WORK && spec.deadline_secs == 0 {
+            return Err(SubmitError::BadSpec(format!(
+                "the matrix is {work} cell-invocations, over the {MAX_UNBOUNDED_WORK} a job \
+                 may run without a deadline: set deadline_secs"
+            )));
+        }
+        if self.draining {
+            return Err(SubmitError::Draining);
+        }
+        let queued = self.queued();
+        if queued >= cfg.capacity {
+            return Err(SubmitError::QueueFull {
+                queued,
+                retry_after_ms: cfg.retry_after_ms,
+            });
+        }
+        let id = self.jobs.len() as u64 + 1;
+        self.apply(JobEvent::Submitted { job: id, spec });
+        Ok(id)
+    }
+
+    /// Cancels a queued job at once; trips a running job's token so its
+    /// run settles as `cancelled`.
+    fn cancel(&mut self, id: u64) -> Result<JobStatus, CancelError> {
+        let entry = self.entry_mut(id).ok_or(CancelError::Unknown)?;
+        match entry.view.status {
+            JobStatus::Queued => {
+                self.transition(id, JobStatus::Cancelled, None, (0, 0));
+                Ok(JobStatus::Cancelled)
+            }
+            JobStatus::Running => {
+                entry.trip(CancelReason::Client);
+                Ok(JobStatus::Running)
+            }
+            terminal => Err(CancelError::AlreadyTerminal(terminal)),
+        }
+    }
+
+    fn drain(&mut self) {
+        self.draining = true;
+    }
+
+    /// Closes admission and trips the in-flight job's token: unless a
+    /// cancel or deadline tripped it first, its run settles as a requeue.
+    fn shutdown(&mut self) {
+        self.draining = true;
+        self.stopping = true;
+        for e in self
+            .jobs
+            .iter_mut()
+            .filter(|e| e.view.status == JobStatus::Running)
+        {
+            e.trip(CancelReason::Shutdown);
+        }
+    }
+
+    /// The executor's next step at `now`: claims the oldest queued job
+    /// — arming a fresh token and its wall-clock deadline — unless a
+    /// shutdown stops the executor, or a drain has emptied the queue.
+    fn claim(&mut self, now: Instant) -> Claim {
+        let queued = |e: &JobEntry| e.view.status == JobStatus::Queued;
+        let i = match self.jobs.iter().position(queued) {
+            _ if self.stopping => return Claim::Park,
+            Some(i) => i,
+            None if self.draining => return Claim::Park,
+            None => return Claim::Wait,
+        };
+        let e = &mut self.jobs[i];
+        e.cancel = CancelToken::new();
+        e.cancel_reason = None;
+        e.deadline =
+            (e.spec.deadline_secs > 0).then(|| now + Duration::from_secs(e.spec.deadline_secs));
+        let claim = Claim::Run(i as u64 + 1, e.spec.clone(), e.cancel.clone());
+        self.transition(i as u64 + 1, JobStatus::Running, None, (0, 0));
+        claim
+    }
+
+    /// Settles job `id`'s run. A tripped token decides by its reason —
+    /// a shutdown requeues, a deadline or a client cancel is terminal —
+    /// whatever the run returned; otherwise a failure quarantines and a
+    /// finished sweep settles with its verdict counts.
+    fn settle(&mut self, id: u64, end: RunEnd) {
+        let Some(e) = self.entry_mut(id) else {
+            return;
+        };
+        e.deadline = None;
+        if let RunEnd::Swept {
+            replayed, executed, ..
+        } = end
+        {
+            e.view.replayed = replayed;
+            e.view.executed = executed;
+        }
+        let reason = e
+            .cancel
+            .is_cancelled()
+            .then(|| e.cancel_reason.unwrap_or(CancelReason::Client));
+        let (to, detail, verdicts) = match (reason, end) {
+            (Some(CancelReason::Shutdown), _) => (
+                JobStatus::Queued,
+                Some("requeued by shutdown".to_owned()),
+                (0, 0),
+            ),
+            (Some(CancelReason::Deadline), _) => (
+                JobStatus::DeadlineExceeded,
+                Some(format!(
+                    "wall-clock budget of {}s exhausted",
+                    e.spec.deadline_secs
+                )),
+                (0, 0),
+            ),
+            (Some(CancelReason::Client), _) => (JobStatus::Cancelled, None, (0, 0)),
+            (None, RunEnd::Failed(detail)) => (JobStatus::Quarantined, Some(detail), (0, 0)),
+            (
+                None,
+                RunEnd::Swept {
+                    mismatches,
+                    degraded,
+                    ..
+                },
+            ) => (JobStatus::Settled, None, (mismatches, degraded)),
+        };
+        self.transition(id, to, detail, verdicts);
+    }
+
+    /// Trips the token of every running job whose deadline has passed
+    /// at `now`; returns the earliest deadline still armed.
+    fn tick(&mut self, now: Instant) -> Option<Instant> {
+        let mut next: Option<Instant> = None;
+        for e in self
+            .jobs
+            .iter_mut()
+            .filter(|e| e.view.status == JobStatus::Running && !e.cancel.is_cancelled())
+        {
+            match e.deadline {
+                Some(d) if now >= d => e.trip(CancelReason::Deadline),
+                Some(d) => next = Some(next.map_or(d, |n| n.min(d))),
+                None => {}
+            }
+        }
+        next
+    }
+
+    /// Durably requeues every job a previous process left running; each
+    /// resumes from its own run journal. Running → queued is the only
+    /// edge into `queued`, so `apply` refuses the event for every other
+    /// job.
+    fn recover(&mut self) {
+        for id in 1..=self.jobs.len() as u64 {
+            let detail = Some("recovered after restart".to_owned());
+            self.transition(id, JobStatus::Queued, detail, (0, 0));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The shell: lock, call the core, notify
+// ---------------------------------------------------------------------
 
 struct Shared {
     cfg: DaemonConfig,
     resolver: MatrixResolver,
     state: Mutex<State>,
-    /// Notified after every change a waiter looks at: each transition,
-    /// each admitted job, `drain`, `shutdown` and the executor's exit.
-    /// The executor, `watch` streams and the deadline thread all wait
-    /// on it instead of sleeping.
+    /// Notified after every change a waiter looks at. The executor,
+    /// `watch` streams and the deadline thread all wait on it instead
+    /// of sleeping.
     changed: Condvar,
 }
 
 /// The job service. See the module docs for the protocol and the
-/// durability contract. All state-mutating paths funnel through one
-/// validated transition function under one lock, so concurrent clients
-/// (or a client racing the executor) can never produce an illegal
-/// state-machine edge.
+/// durability contract. Every request takes one lock and makes one
+/// decision over the job table; every durable change is one validated
+/// event, journaled before it is visible — the same path journal replay
+/// takes — so concurrent clients (or a client racing the executor) can
+/// never produce an illegal state-machine edge.
 pub struct Daemon {
     shared: Arc<Shared>,
 }
 
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, State> {
-        // A poisoned lock means a panic mid-transition; the in-memory
-        // state is still consistent (transitions apply atomically under
-        // the guard), so recover the guard rather than wedging every
-        // client thread.
+        // A poisoned lock means a panic mid-decision; the table is still
+        // consistent (each event applies atomically under the guard), so
+        // recover the guard rather than wedging every client thread.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -637,44 +879,11 @@ impl Shared {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Applies (and journals) one state-machine edge, then wakes every
-    /// waiter. Returns `false` — changing nothing — when the edge is
-    /// illegal or the job unknown.
-    fn transition(
-        &self,
-        st: &mut State,
-        id: u64,
-        to: JobStatus,
-        detail: Option<String>,
-        mismatches: u64,
-        degraded: u64,
-    ) -> bool {
-        let Some(entry) = job_index(id).and_then(|i| st.jobs.get_mut(i)) else {
-            return false;
-        };
-        if !JobStatus::can_transition(entry.status, to) {
-            return false;
-        }
-        let ev = JobEvent::Transition {
-            job: id,
-            to,
-            detail: detail.clone(),
-            mismatches,
-            degraded,
-        };
-        // Durability before visibility: the journal line lands (fsynced)
-        // before the in-memory state changes. If the append fails we still
-        // apply the edge — a daemon that cannot write its journal keeps
-        // serving, it just recovers less after the next crash.
-        if let Err(e) = st.log.append(&ev) {
-            eprintln!("job journal append failed: {e}");
-        }
-        entry.status = to;
-        entry.detail = detail;
-        entry.mismatches = mismatches;
-        entry.degraded = degraded;
+    /// Runs one core decision under the lock, then wakes every waiter.
+    fn update<T>(&self, decide: impl FnOnce(&mut State) -> T) -> T {
+        let out = decide(&mut self.lock());
         self.changed.notify_all();
-        true
+        out
     }
 
     fn runs_path(&self, id: u64) -> PathBuf {
@@ -683,22 +892,6 @@ impl Shared {
 
     fn report_path(&self, id: u64) -> PathBuf {
         self.cfg.root.join(format!("job-{id:04}.report.json"))
-    }
-}
-
-fn job_index(id: u64) -> Option<usize> {
-    (id >= 1).then(|| (id - 1) as usize)
-}
-
-fn snapshot_entry(id: u64, e: &JobEntry) -> JobSnapshot {
-    JobSnapshot {
-        id,
-        status: e.status,
-        detail: e.detail.clone(),
-        mismatches: e.mismatches,
-        degraded: e.degraded,
-        replayed: e.replayed,
-        executed: e.executed,
     }
 }
 
@@ -713,84 +906,36 @@ impl Daemon {
     /// Propagates state-directory and journal I/O errors.
     pub fn open(cfg: DaemonConfig, resolver: MatrixResolver) -> io::Result<Daemon> {
         fs::create_dir_all(&cfg.root)?;
-        let (log, events, log_skipped) = load_job_log(&cfg.root.join("jobs.jsonl"))?;
-        let mut st = State {
-            log,
-            jobs: Vec::new(),
-            log_skipped,
-            draining: false,
-            stopping: false,
-            executor_done: false,
-            acks_unsent: 0,
-        };
-        for ev in events {
-            match ev {
-                JobEvent::Submitted { job, spec } => {
-                    // Ids are assigned sequentially; a gap or repeat is
-                    // journal damage — skip and count, like a bad line.
-                    if job == st.jobs.len() as u64 + 1 {
-                        st.jobs.push(JobEntry {
-                            spec,
-                            status: JobStatus::Queued,
-                            detail: None,
-                            mismatches: 0,
-                            degraded: 0,
-                            replayed: 0,
-                            executed: 0,
-                            cancel: CancelToken::new(),
-                            cancel_reason: None,
-                            deadline: None,
-                        });
-                    } else {
-                        st.log_skipped += 1;
-                    }
-                }
-                JobEvent::Transition {
-                    job,
-                    to,
-                    detail,
-                    mismatches,
-                    degraded,
-                } => {
-                    let applied = job_index(job)
-                        .and_then(|i| st.jobs.get_mut(i))
-                        .filter(|e| JobStatus::can_transition(e.status, to))
-                        .map(|e| {
-                            e.status = to;
-                            e.detail = detail;
-                            e.mismatches = mismatches;
-                            e.degraded = degraded;
-                        });
-                    if applied.is_none() {
-                        st.log_skipped += 1;
-                    }
-                }
+        // Replay applies each event through the same path as a live
+        // request, with nothing to journal; a line that is damaged or
+        // not a legal event (an id gap or repeat, an illegal edge) is
+        // skipped and counted.
+        let mut st = State::new(Box::new(|_: &JobEvent| {}));
+        let (mut file, dropped) = resume_log(&cfg.root.join("jobs.jsonl"), |line| {
+            if !JobEvent::from_line(line).is_some_and(|ev| st.apply(ev)) {
+                st.log_skipped += 1;
             }
-        }
-        // Jobs the dead process left mid-run resume from their own run
-        // journals; the requeue edge is journaled like any other.
-        let running: Vec<u64> = st
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.status == JobStatus::Running)
-            .map(|(i, _)| i as u64 + 1)
-            .collect();
-        let shared = Shared {
-            cfg,
-            resolver,
-            state: Mutex::new(st),
-            changed: Condvar::new(),
-        };
-        {
-            let mut st = shared.lock();
-            for id in running {
-                let detail = Some("recovered after restart".to_owned());
-                shared.transition(&mut st, id, JobStatus::Queued, detail, 0, 0);
+        })?;
+        st.log_skipped += dropped;
+        st.journal = Box::new(move |ev: &JobEvent| {
+            let appended = file
+                .write_all(ev.to_line().as_bytes())
+                .and_then(|()| file.flush())
+                .and_then(|()| file.sync_data());
+            // A daemon that cannot write its journal keeps serving; it
+            // just recovers less after the next crash.
+            if let Err(e) = appended {
+                eprintln!("job journal append failed: {e}");
             }
-        }
+        });
+        st.recover();
         Ok(Daemon {
-            shared: Arc::new(shared),
+            shared: Arc::new(Shared {
+                cfg,
+                resolver,
+                state: Mutex::new(st),
+                changed: Condvar::new(),
+            }),
         })
     }
 
@@ -808,80 +953,27 @@ impl Daemon {
         let work = (jobs.len() as u64)
             .saturating_mul(cfg.variants.len() as u64)
             .saturating_mul(cfg.sim.invocations);
-        if work > MAX_UNBOUNDED_WORK && spec.deadline_secs == 0 {
-            return Err(SubmitError::BadSpec(format!(
-                "the matrix is {work} cell-invocations, over the {MAX_UNBOUNDED_WORK} a job \
-                 may run without a deadline: set deadline_secs"
-            )));
-        }
-        let mut st = self.shared.lock();
-        if st.draining {
-            return Err(SubmitError::Draining);
-        }
-        let queued = st
-            .jobs
-            .iter()
-            .filter(|e| e.status == JobStatus::Queued)
-            .count();
-        if queued >= self.shared.cfg.capacity {
-            return Err(SubmitError::QueueFull {
-                queued,
-                retry_after_ms: self.shared.cfg.retry_after_ms,
-            });
-        }
-        let id = st.jobs.len() as u64 + 1;
-        let ev = JobEvent::Submitted {
-            job: id,
-            spec: spec.clone(),
-        };
-        if let Err(e) = st.log.append(&ev) {
-            eprintln!("job journal append failed: {e}");
-        }
-        st.jobs.push(JobEntry {
-            spec,
-            status: JobStatus::Queued,
-            detail: None,
-            mismatches: 0,
-            degraded: 0,
-            replayed: 0,
-            executed: 0,
-            cancel: CancelToken::new(),
-            cancel_reason: None,
-            deadline: None,
-        });
-        self.shared.changed.notify_all();
-        Ok(id)
+        self.shared
+            .update(|st| st.admit(spec, work, &self.shared.cfg))
     }
 
     /// A point-in-time view of one job.
     #[must_use]
     pub fn snapshot(&self, id: u64) -> Option<JobSnapshot> {
-        let st = self.shared.lock();
-        job_index(id)
-            .and_then(|i| st.jobs.get(i))
-            .map(|e| snapshot_entry(id, e))
+        self.shared.lock().entry(id).map(|e| e.view.clone())
     }
 
     /// Snapshots of every job, in submission order.
     #[must_use]
     pub fn list(&self) -> Vec<JobSnapshot> {
         let st = self.shared.lock();
-        st.jobs
-            .iter()
-            .enumerate()
-            .map(|(i, e)| snapshot_entry(i as u64 + 1, e))
-            .collect()
+        st.jobs.iter().map(|e| e.view.clone()).collect()
     }
 
     /// Jobs currently waiting in the admission queue.
     #[must_use]
     pub fn queued(&self) -> usize {
-        self.shared
-            .lock()
-            .jobs
-            .iter()
-            .filter(|e| e.status == JobStatus::Queued)
-            .count()
+        self.shared.lock().queued()
     }
 
     /// Unreadable or inconsistent job-journal lines skipped at open.
@@ -899,52 +991,20 @@ impl Daemon {
     ///
     /// [`CancelError`] for unknown ids and already-terminal jobs.
     pub fn cancel(&self, id: u64) -> Result<JobStatus, CancelError> {
-        let mut st = self.shared.lock();
-        let entry = job_index(id)
-            .and_then(|i| st.jobs.get_mut(i))
-            .ok_or(CancelError::Unknown)?;
-        match entry.status {
-            JobStatus::Queued => {
-                self.shared
-                    .transition(&mut st, id, JobStatus::Cancelled, None, 0, 0);
-                Ok(JobStatus::Cancelled)
-            }
-            JobStatus::Running => {
-                if entry.cancel_reason.is_none() {
-                    entry.cancel_reason = Some(CancelReason::Client);
-                }
-                entry.cancel.cancel();
-                Ok(JobStatus::Running)
-            }
-            terminal => Err(CancelError::AlreadyTerminal(terminal)),
-        }
+        self.shared.update(|st| st.cancel(id))
     }
 
     /// Closes admission and lets every admitted job finish; the serve
     /// loop exits 0 once the queue is empty and nothing is running.
     pub fn drain(&self) {
-        self.shared.lock().draining = true;
-        self.shared.changed.notify_all();
+        self.shared.update(State::drain);
     }
 
     /// Closes admission, cooperatively cancels the in-flight job (it is
     /// requeued durably — a restart resumes it from its run journal)
     /// and stops the serve loop as soon as the executor parks.
     pub fn shutdown(&self) {
-        let mut st = self.shared.lock();
-        st.draining = true;
-        st.stopping = true;
-        for e in st
-            .jobs
-            .iter_mut()
-            .filter(|e| e.status == JobStatus::Running)
-        {
-            if e.cancel_reason.is_none() {
-                e.cancel_reason = Some(CancelReason::Shutdown);
-            }
-            e.cancel.cancel();
-        }
-        self.shared.changed.notify_all();
+        self.shared.update(State::shutdown);
     }
 
     /// Reads a settled job's report from disk.
@@ -971,14 +1031,11 @@ impl Daemon {
     pub fn serve(&self) -> io::Result<()> {
         let _ = fs::remove_file(&self.shared.cfg.socket);
         let listener = UnixListener::bind(&self.shared.cfg.socket)?;
-        let exec = {
+        let spawn = |run: fn(&Shared)| {
             let shared = Arc::clone(&self.shared);
-            thread::spawn(move || executor(&shared))
+            thread::spawn(move || run(&shared))
         };
-        let watch = {
-            let shared = Arc::clone(&self.shared);
-            thread::spawn(move || deadline_watch(&shared))
-        };
+        let (exec, watch) = (spawn(executor), spawn(deadline_watch));
         loop {
             let failed = match listener.accept() {
                 Ok((stream, _)) => {
@@ -1011,163 +1068,71 @@ impl Daemon {
 // Executor and deadline watch
 // ---------------------------------------------------------------------
 
-fn executor(shared: &Arc<Shared>) {
+fn executor(shared: &Shared) {
+    let mut st = shared.lock();
     loop {
-        let next = {
-            let mut st = shared.lock();
-            loop {
-                if st.stopping {
-                    break None;
-                }
-                if let Some(i) = st.jobs.iter().position(|e| e.status == JobStatus::Queued) {
-                    break Some(i as u64 + 1);
-                }
-                if st.draining {
-                    // Drained: admission is closed and the queue is empty.
-                    break None;
-                }
-                st = shared.wait(st);
+        match st.claim(Instant::now()) {
+            Claim::Run(id, spec, token) => {
+                drop(st);
+                shared.changed.notify_all();
+                let end = run_job(shared, id, &spec, token);
+                st = shared.lock();
+                st.settle(id, end);
+                shared.changed.notify_all();
             }
-        };
-        match next {
-            Some(id) => run_job(shared, id),
-            None => break,
+            Claim::Wait => st = shared.wait(st),
+            Claim::Park => break,
         }
     }
-    shared.lock().executor_done = true;
+    st.executor_done = true;
+    drop(st);
     shared.changed.notify_all();
     // Wake the accept loop blocked in `accept`; it sees `executor_done`.
     let _ = UnixStream::connect(&shared.cfg.socket);
 }
 
-fn run_job(shared: &Arc<Shared>, id: u64) {
-    // Phase 1 (under the lock): claim the job, arm a fresh token and
-    // the wall-clock deadline.
-    let (spec, token) = {
-        let mut st = shared.lock();
-        let Some(entry) = job_index(id).and_then(|i| st.jobs.get_mut(i)) else {
-            return;
-        };
-        if entry.status != JobStatus::Queued {
-            return; // cancelled between scheduling and claiming
-        }
-        entry.cancel = CancelToken::new();
-        entry.cancel_reason = None;
-        entry.deadline = (entry.spec.deadline_secs > 0)
-            .then(|| Instant::now() + Duration::from_secs(entry.spec.deadline_secs));
-        let spec = entry.spec.clone();
-        let token = entry.cancel.clone();
-        shared.transition(&mut st, id, JobStatus::Running, None, 0, 0);
-        (spec, token)
-    };
-
-    let quarantine = |detail: String| {
-        let mut st = shared.lock();
-        if let Some(e) = job_index(id).and_then(|i| st.jobs.get_mut(i)) {
-            e.deadline = None;
-        }
-        shared.transition(&mut st, id, JobStatus::Quarantined, Some(detail), 0, 0);
-    };
-
-    // Phase 2 (no lock): resolve and run. The per-job run journal makes
-    // the work itself crash-recoverable; `Journal::resume` replays any
-    // cells a previous incarnation completed.
-    let (jobs, mut cfg) = match (shared.resolver)(&spec) {
+/// Resolves and runs one claimed job. The per-job run journal makes the
+/// work itself crash-recoverable: `Journal::resume` replays any cells a
+/// previous incarnation completed. Report bytes land on disk
+/// (atomically) before the run is settled — a crash between the two
+/// replays the journal-complete job cheaply and rewrites the identical
+/// report.
+fn run_job(shared: &Shared, id: u64, spec: &MatrixSpec, token: CancelToken) -> RunEnd {
+    let (jobs, mut cfg) = match (shared.resolver)(spec) {
         Ok(r) => r,
-        Err(e) => return quarantine(format!("spec failed to resolve: {e}")),
+        Err(e) => return RunEnd::Failed(format!("spec failed to resolve: {e}")),
     };
     cfg.sim.cancel = Some(token.clone());
     let journal = match Journal::resume(shared.runs_path(id)) {
         Ok(j) => j,
-        Err(e) => return quarantine(format!("run journal unavailable: {e}")),
+        Err(e) => return RunEnd::Failed(format!("run journal unavailable: {e}")),
     };
     let (sweep, stats) = run_sweep_journaled(&jobs, &cfg, Some(&journal));
-
-    // Phase 3: classify. Report bytes land on disk (atomically) before
-    // the settle edge is journaled — a crash between the two replays
-    // the journal-complete job cheaply and rewrites the identical
-    // report.
-    let cancelled = token.is_cancelled();
-    let mut report = None;
-    let (to, detail, mismatches, degraded) = if cancelled {
-        let reason = {
-            let st = shared.lock();
-            job_index(id)
-                .and_then(|i| st.jobs.get(i))
-                .and_then(|e| e.cancel_reason)
-                .unwrap_or(CancelReason::Client)
-        };
-        match reason {
-            CancelReason::Shutdown => (
-                JobStatus::Queued,
-                Some("requeued by shutdown".to_owned()),
-                0,
-                0,
-            ),
-            CancelReason::Deadline => (
-                JobStatus::DeadlineExceeded,
-                Some(format!(
-                    "wall-clock budget of {}s exhausted",
-                    spec.deadline_secs
-                )),
-                0,
-                0,
-            ),
-            CancelReason::Client => (JobStatus::Cancelled, None, 0, 0),
-        }
-    } else {
-        let statuses = sweep.statuses();
-        let mismatches = statuses
-            .iter()
-            .filter(|(_, _, s)| *s == RunStatus::Mismatch)
-            .count() as u64;
-        let degraded = statuses
-            .iter()
-            .filter(|(_, _, s)| !matches!(*s, RunStatus::Ok | RunStatus::Mismatch))
-            .count() as u64;
-        report = Some(sweep.to_json());
-        (JobStatus::Settled, None, mismatches, degraded)
-    };
-    if let Some(json) = &report {
-        if let Err(e) = write_atomic(&shared.report_path(id), json) {
-            return quarantine(format!("report write failed: {e}"));
+    if !token.is_cancelled() {
+        if let Err(e) = write_atomic(&shared.report_path(id), &sweep.to_json()) {
+            return RunEnd::Failed(format!("report write failed: {e}"));
         }
     }
-    let mut st = shared.lock();
-    if let Some(e) = job_index(id).and_then(|i| st.jobs.get_mut(i)) {
-        e.deadline = None;
-        e.replayed = stats.replayed as u64;
-        e.executed = stats.executed as u64;
+    let statuses = sweep.statuses();
+    let count =
+        |keep: fn(RunStatus) -> bool| statuses.iter().filter(|(_, _, s)| keep(*s)).count() as u64;
+    RunEnd::Swept {
+        mismatches: count(|s| s == RunStatus::Mismatch),
+        degraded: count(|s| !matches!(s, RunStatus::Ok | RunStatus::Mismatch)),
+        replayed: stats.replayed as u64,
+        executed: stats.executed as u64,
     }
-    shared.transition(&mut st, id, to, detail, mismatches, degraded);
 }
 
 /// Trips each running job's token when its deadline passes. Sleeps on
 /// [`Shared::changed`] until the earliest armed deadline (or without a
 /// timeout when none is armed); a job starting to run, and the
 /// executor parking, wake it.
-fn deadline_watch(shared: &Arc<Shared>) {
+fn deadline_watch(shared: &Shared) {
     let mut st = shared.lock();
     while !st.executor_done {
         let now = Instant::now();
-        let mut next: Option<Instant> = None;
-        for e in st
-            .jobs
-            .iter_mut()
-            .filter(|e| e.status == JobStatus::Running && !e.cancel.is_cancelled())
-        {
-            match e.deadline {
-                Some(d) if now >= d => {
-                    if e.cancel_reason.is_none() {
-                        e.cancel_reason = Some(CancelReason::Deadline);
-                    }
-                    e.cancel.cancel();
-                }
-                Some(d) => next = Some(next.map_or(d, |n| n.min(d))),
-                None => {}
-            }
-        }
-        st = match next {
+        st = match st.tick(now) {
             Some(d) => {
                 shared
                     .changed
@@ -1203,6 +1168,12 @@ impl Response {
         r
     }
 
+    fn err_detail(tag: &str, detail: &str) -> Response {
+        let mut r = Response::err(tag);
+        r.w.str_field("detail", detail);
+        r
+    }
+
     fn send(mut self, out: &mut UnixStream) -> io::Result<()> {
         self.w.close_obj();
         out.write_all(self.w.finish().as_bytes())?;
@@ -1225,8 +1196,7 @@ fn snapshot_fields(r: &mut Response, snap: &JobSnapshot) {
 /// Serves one client connection: a loop of bounded request lines. Any
 /// damage — a half-written line at EOF, malformed JSON, an unknown
 /// command, a vanished peer mid-response — is contained to this
-/// connection; job state only ever changes through the validated
-/// transition path.
+/// connection; job state only ever changes through [`State::apply`].
 fn handle_client(shared: &Arc<Shared>, stream: UnixStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -1256,8 +1226,7 @@ fn handle_client(shared: &Arc<Shared>, stream: UnixStream) {
         let Some(req) = parse_json(&line) else {
             // Covers torn request lines (client died mid-write): the
             // fragment fails to parse and is answered, not executed.
-            let mut r = Response::err("bad_request");
-            r.w.str_field("detail", "request is not a JSON object");
+            let r = Response::err_detail("bad_request", "request is not a JSON object");
             if r.send(&mut out).is_err() {
                 return;
             }
@@ -1274,17 +1243,18 @@ fn dispatch(shared: &Arc<Shared>, req: &Json, out: &mut UnixStream) -> io::Resul
         shared: Arc::clone(shared),
     };
     let Some(cmd) = req.get("cmd").and_then(Json::as_str) else {
-        let mut r = Response::err("bad_request");
-        r.w.str_field("detail", "missing cmd");
-        return r.send(out);
+        return Response::err_detail("bad_request", "missing cmd").send(out);
     };
     let job_id = req.get("job").and_then(Json::as_u64);
+    if job_id.is_none() && matches!(cmd, "status" | "watch" | "fetch" | "cancel") {
+        return Response::err_detail("bad_request", "missing job id").send(out);
+    }
+    let id = job_id.unwrap_or_default();
     match cmd {
         "submit" => {
             let Some(spec) = req.get("spec").and_then(MatrixSpec::from_json) else {
-                let mut r = Response::err("bad_request");
-                r.w.str_field("detail", "submit requires a spec object");
-                return r.send(out);
+                return Response::err_detail("bad_request", "submit requires a spec object")
+                    .send(out);
             };
             match daemon.submit(spec) {
                 Ok(id) => {
@@ -1304,120 +1274,96 @@ fn dispatch(shared: &Arc<Shared>, req: &Json, out: &mut UnixStream) -> io::Resul
                     r.send(out)
                 }
                 Err(SubmitError::BadSpec(detail)) => {
-                    let mut r = Response::err("bad_spec");
-                    r.w.str_field("detail", &detail);
+                    Response::err_detail("bad_spec", &detail).send(out)
+                }
+            }
+        }
+        "status" => match daemon.snapshot(id) {
+            Some(snap) => {
+                let mut r = Response::new(true);
+                snapshot_fields(&mut r, &snap);
+                r.send(out)
+            }
+            None => unknown_job(id, out),
+        },
+        "watch" => {
+            // One line per observed change: after each line, wait
+            // until the job's status differs from the one sent
+            // (intermediate states may be skipped).
+            let mut last = None;
+            loop {
+                let snap = shared
+                    .changed
+                    .wait_while(shared.lock(), |st| {
+                        st.entry(id).is_some_and(|e| last == Some(e.view.status))
+                    })
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .entry(id)
+                    .map(|e| e.view.clone());
+                let Some(snap) = snap else {
+                    return unknown_job(id, out);
+                };
+                last = Some(snap.status);
+                let mut r = Response::new(true);
+                snapshot_fields(&mut r, &snap);
+                r.send(out)?;
+                if snap.status.is_terminal() {
+                    return Ok(());
+                }
+            }
+        }
+        "fetch" => {
+            let Some(snap) = daemon.snapshot(id) else {
+                return unknown_job(id, out);
+            };
+            if snap.status != JobStatus::Settled {
+                let mut r = Response::err("not_settled");
+                r.w.u64_field("job", id);
+                r.w.str_field("state", snap.status.as_str());
+                return r.send(out);
+            }
+            match daemon.report(id) {
+                Ok(report) => {
+                    let mut r = Response::new(true);
+                    snapshot_fields(&mut r, &snap);
+                    r.w.str_field("report", &report);
                     r.send(out)
                 }
+                Err(e) => Response::err_detail("report_unavailable", &e.to_string()).send(out),
             }
         }
-        "status" | "watch" | "fetch" | "cancel" => {
-            let Some(id) = job_id else {
-                let mut r = Response::err("bad_request");
-                r.w.str_field("detail", "missing job id");
-                return r.send(out);
-            };
-            match cmd {
-                "status" => match daemon.snapshot(id) {
-                    Some(snap) => {
-                        let mut r = Response::new(true);
-                        snapshot_fields(&mut r, &snap);
-                        r.send(out)
-                    }
-                    None => unknown_job(id, out),
-                },
-                "watch" => {
-                    // One line per observed change: after each line, wait
-                    // until the job's status differs from the one sent
-                    // (intermediate states may be skipped).
-                    let mut last = None;
-                    loop {
-                        let snap = {
-                            let mut st = shared.lock();
-                            loop {
-                                let Some(e) = job_index(id).and_then(|i| st.jobs.get(i)) else {
-                                    break None;
-                                };
-                                if last != Some(e.status) {
-                                    break Some(snapshot_entry(id, e));
-                                }
-                                st = shared.wait(st);
-                            }
-                        };
-                        let Some(snap) = snap else {
-                            return unknown_job(id, out);
-                        };
-                        last = Some(snap.status);
-                        let mut r = Response::new(true);
-                        snapshot_fields(&mut r, &snap);
-                        r.send(out)?;
-                        if snap.status.is_terminal() {
-                            return Ok(());
-                        }
-                    }
-                }
-                "fetch" => {
-                    let Some(snap) = daemon.snapshot(id) else {
-                        return unknown_job(id, out);
-                    };
-                    if snap.status != JobStatus::Settled {
-                        let mut r = Response::err("not_settled");
-                        r.w.u64_field("job", id);
-                        r.w.str_field("state", snap.status.as_str());
-                        return r.send(out);
-                    }
-                    match daemon.report(id) {
-                        Ok(report) => {
-                            let mut r = Response::new(true);
-                            snapshot_fields(&mut r, &snap);
-                            r.w.str_field("report", &report);
-                            r.send(out)
-                        }
-                        Err(e) => {
-                            let mut r = Response::err("report_unavailable");
-                            r.w.str_field("detail", &e.to_string());
-                            r.send(out)
-                        }
-                    }
-                }
-                _ => match daemon.cancel(id) {
-                    Ok(state) => {
-                        let mut r = Response::new(true);
-                        r.w.u64_field("job", id);
-                        r.w.str_field("state", state.as_str());
-                        r.w.bool_field("cancelling", state == JobStatus::Running);
-                        r.send(out)
-                    }
-                    Err(CancelError::Unknown) => unknown_job(id, out),
-                    Err(CancelError::AlreadyTerminal(state)) => {
-                        let mut r = Response::err("already_terminal");
-                        r.w.u64_field("job", id);
-                        r.w.str_field("state", state.as_str());
-                        r.send(out)
-                    }
-                },
+        "cancel" => match daemon.cancel(id) {
+            Ok(state) => {
+                let mut r = Response::new(true);
+                r.w.u64_field("job", id);
+                r.w.str_field("state", state.as_str());
+                r.w.bool_field("cancelling", state == JobStatus::Running);
+                r.send(out)
             }
-        }
+            Err(CancelError::Unknown) => unknown_job(id, out),
+            Err(CancelError::AlreadyTerminal(state)) => {
+                let mut r = Response::err("already_terminal");
+                r.w.u64_field("job", id);
+                r.w.str_field("state", state.as_str());
+                r.send(out)
+            }
+        },
         "list" => {
-            let snaps = daemon.list();
-            let queued = snaps
-                .iter()
-                .filter(|s| s.status == JobStatus::Queued)
-                .count();
-            let running = snaps
-                .iter()
-                .filter(|s| s.status == JobStatus::Running)
-                .count();
             let mut r = Response::new(true);
-            r.w.u64_field("queued", queued as u64);
-            r.w.u64_field("running", running as u64);
-            r.w.u64_field("log_skipped", daemon.log_skipped() as u64);
-            r.w.key("entries");
-            r.w.open_arr();
-            for snap in &snaps {
-                r.w.open_obj();
-                r.w.u64_field("job", snap.id);
-                r.w.str_field("state", snap.status.as_str());
-                r.w.close_obj();
+            {
+                let st = shared.lock();
+                let count = |s| st.jobs.iter().filter(|e| e.view.status == s).count() as u64;
+                r.w.u64_field("queued", count(JobStatus::Queued));
+                r.w.u64_field("running", count(JobStatus::Running));
+                r.w.u64_field("log_skipped", st.log_skipped as u64);
+                r.w.key("entries");
+                r.w.open_arr();
+                for e in &st.jobs {
+                    r.w.open_obj();
+                    r.w.u64_field("job", e.view.id);
+                    r.w.str_field("state", e.view.status.as_str());
+                    r.w.close_obj();
+                }
             }
             r.w.close_arr();
             r.send(out)
@@ -1445,11 +1391,7 @@ fn dispatch(shared: &Arc<Shared>, req: &Json, out: &mut UnixStream) -> io::Resul
             shared.changed.notify_all();
             sent
         }
-        other => {
-            let mut r = Response::err("bad_request");
-            r.w.str_field("detail", &format!("unknown cmd {other:?}"));
-            r.send(out)
-        }
+        other => Response::err_detail("bad_request", &format!("unknown cmd {other:?}")).send(out),
     }
 }
 
@@ -1463,6 +1405,7 @@ fn unknown_job(id: u64, out: &mut UnixStream) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::testutil::store_load_region;
+    use std::collections::HashMap;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("nachos-daemon-unit").join(name);
@@ -1583,28 +1526,85 @@ mod tests {
             },
         ];
         {
-            let (mut log, loaded, skipped) = load_job_log(&path).unwrap();
+            let (mut log, loaded, skipped) = load(&path);
             assert!(loaded.is_empty());
             assert_eq!(skipped, 0);
             for ev in &events {
-                log.append(ev).unwrap();
+                log.write_all(ev.to_line().as_bytes()).unwrap();
             }
         }
         // Damage: a foreign line, then a torn tail.
         {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(b"garbage line\n").unwrap();
             f.write_all(b"ffffffffffffffff {\"jobd\": \"nachos-jobd")
                 .unwrap();
         }
-        let (mut log, loaded, skipped) = load_job_log(&path).unwrap();
+        let (mut log, loaded, skipped) = load(&path);
         assert_eq!(loaded, events);
         assert_eq!(skipped, 2, "foreign line and torn tail both counted");
         // The torn tail was newline-repaired: a post-crash append parses.
-        log.append(&events[0]).unwrap();
+        log.write_all(events[0].to_line().as_bytes()).unwrap();
         drop(log);
-        let (_, loaded, _) = load_job_log(&path).unwrap();
+        let (_, loaded, _) = load(&path);
         assert_eq!(loaded.len(), events.len() + 1);
+    }
+
+    /// Loads a job journal through the shared framed-log reader: the
+    /// append handle, the events that parse and the skipped-line count.
+    fn load(path: &std::path::Path) -> (fs::File, Vec<JobEvent>, usize) {
+        let mut events = Vec::new();
+        let mut bad = 0;
+        let (file, dropped) = resume_log(path, |line| match JobEvent::from_line(line) {
+            Some(ev) => events.push(ev),
+            None => bad += 1,
+        })
+        .unwrap();
+        (file, events, bad + dropped)
+    }
+
+    /// Events that parse but do not fit the table are journal damage:
+    /// open skips and counts each, and applies every legal event around
+    /// them.
+    #[test]
+    fn inconsistent_journal_events_are_skipped_and_counted() {
+        use JobStatus::*;
+        let dir = scratch("replay-damage");
+        let cfg = DaemonConfig::new(dir.join("state"), dir.join("d.sock"));
+        let submit = |job| JobEvent::Submitted {
+            job,
+            spec: MatrixSpec::default(),
+        };
+        let to = |job, to, mismatches| JobEvent::Transition {
+            job,
+            to,
+            detail: None,
+            mismatches,
+            degraded: 0,
+        };
+        let events = [
+            submit(1),
+            submit(2),
+            to(1, Running, 0),
+            submit(4),         // a gap in the ids
+            submit(2),         // a repeated id
+            to(2, Settled, 0), // queued -> settled is not an edge
+            to(9, Running, 0), // no such job
+            to(1, Settled, 3),
+            submit(3),
+        ];
+        fs::create_dir_all(&cfg.root).unwrap();
+        let text: String = events.iter().map(JobEvent::to_line).collect();
+        fs::write(cfg.root.join("jobs.jsonl"), text).unwrap();
+        let daemon = Daemon::open(cfg, tiny_resolver()).unwrap();
+        assert_eq!(daemon.log_skipped(), 4);
+        let jobs: Vec<_> = daemon
+            .list()
+            .iter()
+            .map(|s| (s.id, s.status, s.mismatches))
+            .collect();
+        assert_eq!(jobs, [(1, Settled, 3), (2, Queued, 0), (3, Queued, 0)]);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1824,5 +1824,382 @@ mod tests {
         server.join().unwrap().unwrap();
         assert!(!sock.exists(), "the socket file is removed on exit");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    // -----------------------------------------------------------------
+    // The explorer: the core under every interleaving of requests,
+    // executor steps and crashes, within a bound
+    // -----------------------------------------------------------------
+
+    /// What the explorer's executor thread is doing.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Exec {
+        Idle,
+        Running(u64),
+        Parked,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Input {
+        Submit,
+        Claim,
+        /// The claimed job's sweep returns.
+        Finish,
+        /// The claimed job fails to run.
+        Quarantine,
+        Cancel(u64),
+        /// The clock passes every armed deadline.
+        Tick,
+        Drain,
+        Shutdown,
+        /// The process dies: a fresh core replays the recorded events
+        /// and recovers.
+        Crash,
+    }
+
+    const INPUTS: [Input; 11] = [
+        Input::Submit,
+        Input::Claim,
+        Input::Finish,
+        Input::Quarantine,
+        Input::Cancel(1),
+        Input::Cancel(2),
+        Input::Cancel(3),
+        Input::Tick,
+        Input::Drain,
+        Input::Shutdown,
+        Input::Crash,
+    ];
+
+    /// The explored bound: at most this many jobs and inputs.
+    const MAX_JOBS: u64 = 3;
+    const MAX_INPUTS: usize = 10;
+
+    /// The seven edges, stated apart from `JobStatus::can_transition`.
+    const EDGES: [(JobStatus, JobStatus); 7] = [
+        (JobStatus::Queued, JobStatus::Running),
+        (JobStatus::Queued, JobStatus::Cancelled),
+        (JobStatus::Running, JobStatus::Settled),
+        (JobStatus::Running, JobStatus::Cancelled),
+        (JobStatus::Running, JobStatus::Quarantined),
+        (JobStatus::Running, JobStatus::DeadlineExceeded),
+        (JobStatus::Running, JobStatus::Queued),
+    ];
+
+    /// One job's durable state: what the journal must reproduce.
+    type Durable = (JobStatus, Option<String>, u64, u64);
+
+    fn durable(st: &State) -> Vec<Durable> {
+        st.jobs
+            .iter()
+            .map(|e| {
+                (
+                    e.view.status,
+                    e.view.detail.clone(),
+                    e.view.mismatches,
+                    e.view.degraded,
+                )
+            })
+            .collect()
+    }
+
+    /// Replays recorded events by the test's own rules: ids in
+    /// sequence, and every transition one of [`EDGES`].
+    fn model(events: &[JobEvent]) -> Vec<Durable> {
+        let mut jobs: Vec<Durable> = Vec::new();
+        for ev in events {
+            match ev {
+                JobEvent::Submitted { job, .. } => {
+                    assert_eq!(*job, jobs.len() as u64 + 1, "journaled id out of sequence");
+                    jobs.push((JobStatus::Queued, None, 0, 0));
+                }
+                JobEvent::Transition {
+                    job,
+                    to,
+                    detail,
+                    mismatches,
+                    degraded,
+                } => {
+                    let j = &mut jobs[*job as usize - 1];
+                    assert!(EDGES.contains(&(j.0, *to)), "journaled {} -> {to}", j.0);
+                    *j = (*to, detail.clone(), *mismatches, *degraded);
+                }
+            }
+        }
+        jobs
+    }
+
+    type Log = Arc<Mutex<Vec<JobEvent>>>;
+
+    fn recorder(log: &Log) -> Box<dyn FnMut(&JobEvent) + Send> {
+        let log = Arc::clone(log);
+        Box::new(move |ev| log.lock().unwrap().push(ev.clone()))
+    }
+
+    /// One explored world: the core, the events its sink recorded, and
+    /// the executor.
+    struct World {
+        st: State,
+        log: Log,
+        exec: Exec,
+        /// A shutdown tripped the in-flight job first, so its run must
+        /// requeue it. A client cancel or a deadline that tripped it
+        /// earlier still decides: that outcome was already promised.
+        requeue: bool,
+    }
+
+    impl World {
+        fn events(&self) -> Vec<JobEvent> {
+            self.log.lock().unwrap().clone()
+        }
+
+        /// A deep copy: tokens are copied by state, not shared, so the
+        /// two worlds evolve apart.
+        fn fork(&self) -> World {
+            let log = Arc::new(Mutex::new(self.events()));
+            let mut st = State::new(recorder(&log));
+            st.draining = self.st.draining;
+            st.stopping = self.st.stopping;
+            st.jobs = self
+                .st
+                .jobs
+                .iter()
+                .map(|e| {
+                    let cancel = CancelToken::new();
+                    if e.cancel.is_cancelled() {
+                        cancel.cancel();
+                    }
+                    JobEntry {
+                        spec: e.spec.clone(),
+                        view: e.view.clone(),
+                        cancel,
+                        ..*e
+                    }
+                })
+                .collect();
+            World {
+                st,
+                log,
+                exec: self.exec,
+                requeue: self.requeue,
+            }
+        }
+
+        /// Everything a later input can tell apart.
+        fn key(&self) -> String {
+            let jobs: Vec<_> = self
+                .st
+                .jobs
+                .iter()
+                .map(|e| {
+                    let control = (
+                        e.cancel.is_cancelled(),
+                        e.cancel_reason,
+                        e.deadline.is_some(),
+                    );
+                    (&e.view, control)
+                })
+                .collect();
+            let flags = (self.st.draining, self.st.stopping, self.exec, self.requeue);
+            format!("{jobs:?} {flags:?}")
+        }
+
+        /// Applies `input` as the shell would, asserting what the input
+        /// itself decides. Returns `false` when the input is not enabled.
+        fn step(&mut self, input: Input, t0: Instant) -> bool {
+            let mut cfg = DaemonConfig::new("root", "socket");
+            cfg.capacity = 2;
+            let st = &mut self.st;
+            match input {
+                Input::Submit => {
+                    let id = st.jobs.len() as u64 + 1;
+                    if id > MAX_JOBS {
+                        return false;
+                    }
+                    let draining = st.draining;
+                    let spec = MatrixSpec {
+                        deadline_secs: id % 2,
+                        ..MatrixSpec::default()
+                    };
+                    let admitted = st.admit(spec, 1, &cfg);
+                    if draining {
+                        assert_eq!(admitted, Err(SubmitError::Draining), "submit after drain");
+                    }
+                }
+                Input::Claim => {
+                    if self.exec != Exec::Idle {
+                        return false;
+                    }
+                    let (draining, stopping, queued) = (st.draining, st.stopping, st.queued());
+                    match st.claim(t0) {
+                        Claim::Run(id, ..) => {
+                            assert!(!stopping, "job {id} claimed after shutdown");
+                            self.exec = Exec::Running(id);
+                        }
+                        Claim::Wait => return false,
+                        Claim::Park => {
+                            assert!(draining, "parked with admission open");
+                            assert!(stopping || queued == 0, "drain parked with {queued} queued");
+                            self.exec = Exec::Parked;
+                        }
+                    }
+                }
+                Input::Finish | Input::Quarantine => {
+                    let Exec::Running(id) = self.exec else {
+                        return false;
+                    };
+                    let end = match input {
+                        Input::Finish => RunEnd::Swept {
+                            mismatches: 1,
+                            degraded: 2,
+                            replayed: 0,
+                            executed: 3,
+                        },
+                        _ => RunEnd::Failed("boom".to_owned()),
+                    };
+                    st.settle(id, end);
+                    self.exec = Exec::Idle;
+                    if std::mem::take(&mut self.requeue) {
+                        let e = st.entry(id).unwrap();
+                        assert_eq!(
+                            (e.view.status, e.view.detail.as_deref()),
+                            (JobStatus::Queued, Some("requeued by shutdown")),
+                            "shutdown's in-flight job"
+                        );
+                    }
+                }
+                Input::Cancel(id) => {
+                    let Some(before) = st.entry(id).map(|e| e.view.status) else {
+                        return false;
+                    };
+                    let want = match before {
+                        JobStatus::Queued => Ok(JobStatus::Cancelled),
+                        JobStatus::Running => Ok(JobStatus::Running),
+                        terminal => Err(CancelError::AlreadyTerminal(terminal)),
+                    };
+                    assert_eq!(st.cancel(id), want);
+                }
+                Input::Tick => {
+                    st.tick(t0 + Duration::from_secs(3600));
+                }
+                Input::Drain => {
+                    if st.draining {
+                        return false;
+                    }
+                    st.drain();
+                }
+                Input::Shutdown => {
+                    if st.stopping {
+                        return false;
+                    }
+                    self.requeue = match self.exec {
+                        Exec::Running(id) => !st.entry(id).unwrap().cancel.is_cancelled(),
+                        Exec::Idle | Exec::Parked => false,
+                    };
+                    st.shutdown();
+                }
+                Input::Crash => {
+                    let mut fresh = State::new(Box::new(|_: &JobEvent| {}));
+                    let events = self.log.lock().unwrap().clone();
+                    for ev in events {
+                        assert!(fresh.apply(ev), "a recorded event replays");
+                    }
+                    fresh.journal = recorder(&self.log);
+                    fresh.recover();
+                    let want: Vec<Durable> = durable(st)
+                        .into_iter()
+                        .map(|d| match d.0 {
+                            JobStatus::Running => {
+                                let detail = Some("recovered after restart".to_owned());
+                                (JobStatus::Queued, detail, 0, 0)
+                            }
+                            _ => d,
+                        })
+                        .collect();
+                    assert_eq!(durable(&fresh), want, "replay plus recovery");
+                    self.st = fresh;
+                    self.exec = Exec::Idle;
+                    self.requeue = false;
+                }
+            }
+            true
+        }
+    }
+
+    /// The invariants that hold after every input, whatever it was.
+    fn check(before: &[Durable], w: &World) {
+        let now = durable(&w.st);
+        assert_eq!(model(&w.events()), now, "in-memory state = journal replay");
+        assert!(now.len() >= before.len());
+        for (b, a) in before.iter().zip(&now) {
+            if b.0.is_terminal() {
+                assert_eq!(a, b, "a terminal job changed");
+            }
+        }
+        let running: Vec<u64> = (1..=now.len() as u64)
+            .filter(|&id| now[id as usize - 1].0 == JobStatus::Running)
+            .collect();
+        match w.exec {
+            Exec::Running(id) => assert_eq!(running, [id], "only the claimed job runs"),
+            Exec::Idle | Exec::Parked => assert!(running.is_empty(), "{running:?} run unclaimed"),
+        }
+    }
+
+    /// Depth-first over every input order, memoized on the reached
+    /// state and the inputs left to spend from it.
+    fn explore(w: &World, left: usize, t0: Instant, seen: &mut HashMap<String, usize>) -> usize {
+        let mut steps = 0;
+        for input in INPUTS {
+            let mut next = w.fork();
+            let before = durable(&next.st);
+            if !next.step(input, t0) {
+                continue;
+            }
+            steps += 1;
+            check(&before, &next);
+            let key = next.key();
+            if left == 1 || seen.get(&key).is_some_and(|&l| l >= left - 1) {
+                continue;
+            }
+            seen.insert(key, left - 1);
+            steps += explore(&next, left - 1, t0, seen);
+        }
+        steps
+    }
+
+    /// Every interleaving of up to ten submits, claims, finishes,
+    /// quarantines, cancels, deadline ticks, drains, shutdowns and
+    /// crashes over up to three jobs keeps the core's invariants: the
+    /// table equals the replay of what was journaled, only the seven
+    /// edges are journaled, a crash recovers the durable state with
+    /// `running` requeued, terminal jobs never change, a drain refuses
+    /// submits and parks only on an empty queue, and a shutdown claims
+    /// nothing more and requeues its in-flight job.
+    #[test]
+    fn core_keeps_its_invariants_over_every_interleaving() {
+        let t0 = Instant::now();
+        let log = Log::default();
+        let root = World {
+            st: State::new(recorder(&log)),
+            log,
+            exec: Exec::Idle,
+            requeue: false,
+        };
+        let mut seen = HashMap::new();
+        let steps = explore(&root, MAX_INPUTS, t0, &mut seen);
+        for reached in [
+            "Settled",
+            "Cancelled",
+            "Quarantined",
+            "DeadlineExceeded",
+            "requeued by shutdown",
+            "recovered after restart",
+        ] {
+            assert!(
+                seen.keys().any(|k| k.contains(reached)),
+                "{reached} never reached"
+            );
+        }
+        eprintln!("explored {} states over {steps} steps", seen.len());
     }
 }

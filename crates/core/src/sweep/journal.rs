@@ -634,64 +634,24 @@ impl Journal {
         let mut replay = HashMap::new();
         let mut skipped = 0usize;
         let mut corrupt = 0usize;
-        let mut torn_tail = false;
-        match File::open(&path) {
-            Ok(f) => {
-                let mut reader = BufReader::new(f);
-                let mut buf = Vec::new();
-                loop {
-                    match read_bounded_line(&mut reader, &mut buf, MAX_RECORD_LEN)? {
-                        BoundedLine::Eof => break,
-                        // An oversized line can only be corruption (no
-                        // legitimate record is near the cap); its bytes
-                        // were discarded as they streamed past.
-                        BoundedLine::Oversized { .. } => {
-                            skipped += 1;
-                            corrupt += 1;
-                            continue;
-                        }
-                        BoundedLine::Line => {}
-                    }
-                    // Invalid UTF-8 is corruption like any other: drop
-                    // the line, keep reading the rest of the file.
-                    let Ok(line) = std::str::from_utf8(&buf) else {
-                        skipped += 1;
-                        corrupt += 1;
-                        continue;
-                    };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match RunRecord::parse_line(line) {
-                        Ok(rec) => {
-                            replay.insert(rec.key.0, rec.outcome);
-                        }
-                        Err(LineError::Corrupt) => {
-                            skipped += 1;
-                            corrupt += 1;
-                        }
-                        Err(LineError::Unusable) => skipped += 1,
-                    }
-                }
-                // A crash mid-append leaves a final record with no
-                // newline. New appends must not concatenate onto it —
-                // that would corrupt the *next* record too.
-                torn_tail = file_lacks_final_newline(&path)?;
+        // An oversized or non-UTF-8 line (`dropped`) can only be
+        // corruption: no legitimate record is near the cap.
+        let (file, dropped) = resume_log(&path, |line| match RunRecord::parse_line(line) {
+            Ok(rec) => {
+                replay.insert(rec.key.0, rec.outcome);
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if torn_tail {
-            file.write_all(b"\n")?;
-            file.flush()?;
-        }
+            Err(LineError::Corrupt) => {
+                skipped += 1;
+                corrupt += 1;
+            }
+            Err(LineError::Unusable) => skipped += 1,
+        })?;
         Ok(Journal {
             path,
             file: Mutex::new(file),
             replay,
-            skipped,
-            corrupt,
+            skipped: skipped + dropped,
+            corrupt: corrupt + dropped,
         })
     }
 
@@ -902,18 +862,63 @@ pub fn read_bounded_line<R: io::BufRead + ?Sized>(
     }
 }
 
-/// Whether the file's last byte is something other than `\n` — the
-/// signature of an append interrupted mid-record.
-pub(crate) fn file_lacks_final_newline(path: &Path) -> io::Result<bool> {
-    let mut f = File::open(path)?;
-    let len = f.seek(SeekFrom::End(0))?;
-    if len == 0 {
-        return Ok(false);
+/// Reads a line-framed log with [`read_bounded_line`], handing each
+/// non-blank line (its trailing newline included) to `each`. Lines that
+/// are oversized or not UTF-8 never reach `each`; they are streamed past
+/// and counted, and the count is returned. Every file reader that
+/// recovers records shares this loop: the run journal, the shard
+/// journals and the daemon's job journal.
+///
+/// # Errors
+///
+/// Propagates read errors.
+pub(crate) fn read_log_lines(
+    mut reader: impl io::BufRead,
+    mut each: impl FnMut(&str),
+) -> io::Result<usize> {
+    let mut buf = Vec::new();
+    let mut dropped = 0usize;
+    loop {
+        match read_bounded_line(&mut reader, &mut buf, MAX_RECORD_LEN)? {
+            BoundedLine::Eof => return Ok(dropped),
+            BoundedLine::Oversized { .. } => dropped += 1,
+            BoundedLine::Line => match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => {}
+                Ok(line) => each(line),
+                Err(_) => dropped += 1,
+            },
+        }
     }
-    f.seek(SeekFrom::End(-1))?;
-    let mut last = [0u8; 1];
-    f.read_exact(&mut last)?;
-    Ok(last[0] != b'\n')
+}
+
+/// Opens the log at `path` for appending, creating it when missing,
+/// after passing every line to `each` through [`read_log_lines`].
+/// Returns the append handle and the count of dropped lines.
+///
+/// A crash mid-append leaves a final line with no newline. New appends
+/// must not fuse onto it — that would corrupt the *next* record too —
+/// so such a torn tail is terminated first.
+///
+/// # Errors
+///
+/// Propagates open, read and repair errors.
+pub(crate) fn resume_log(path: &Path, each: impl FnMut(&str)) -> io::Result<(File, usize)> {
+    let mut file = OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(path)?;
+    let dropped = read_log_lines(BufReader::new(&file), each)?;
+    if file.seek(SeekFrom::End(0))? > 0 {
+        file.seek(SeekFrom::End(-1))?;
+        let mut last = [0u8; 1];
+        file.read_exact(&mut last)?;
+        if last[0] != b'\n' {
+            file.write_all(b"\n")?;
+            file.flush()?;
+        }
+    }
+    Ok((file, dropped))
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ use super::{RunStatus, SweepConfig, SweepJob, SweepResult, SweepStats};
 use crate::engine::SimArena;
 use crate::json::{parse_json, Json, JsonWriter};
 use std::collections::{BTreeMap, HashMap};
-use std::fs;
+use std::fs::{self, File};
 use std::io::{self, BufReader, Read, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -229,19 +229,12 @@ struct ShardScan {
 
 fn scan_shard_journal(path: &Path) -> io::Result<ShardScan> {
     let mut scan = ShardScan::default();
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
+    let file = match File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(scan),
         Err(e) => return Err(e),
     };
-    for raw in bytes.split(|b| *b == b'\n') {
-        if raw.is_empty() {
-            continue;
-        }
-        let Ok(line) = std::str::from_utf8(raw) else {
-            scan.corrupt += 1;
-            continue;
-        };
+    let dropped = journal::read_log_lines(BufReader::new(file), |line| {
         match RunRecord::parse_line(line) {
             Ok(rec) => {
                 if scan.in_flight == Some(rec.key) {
@@ -267,7 +260,8 @@ fn scan_shard_journal(path: &Path) -> io::Result<ShardScan> {
                 }
             }
         }
-    }
+    })?;
+    scan.corrupt += dropped;
     Ok(scan)
 }
 

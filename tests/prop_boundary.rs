@@ -1,19 +1,21 @@
 //! Property: every parser at a trust boundary survives arbitrary bytes.
 //!
-//! Journal lines, heartbeat lines and daemon request specs arrive from
-//! disk or from a socket client, so their parsers see whatever a torn
-//! write, a flipped bit or a hostile peer hands them. Each case decodes a
-//! byte vector lossily (as the line readers do) and feeds it to
-//! `parse_json`, `RunRecord::parse_line`/`from_payload`,
-//! `Heartbeat::from_line`/`from_payload` and `MatrixSpec::from_json`.
+//! Journal lines, heartbeat lines, job-journal lines and daemon request
+//! specs arrive from disk or from a socket client, so their parsers see
+//! whatever a torn write, a flipped bit or a hostile peer hands them.
+//! Each case decodes a byte vector lossily (as the line readers do) and
+//! feeds it to `parse_json`, `RunRecord::parse_line`/`from_payload`,
+//! `Heartbeat::from_line`/`from_payload`, `JobEvent::from_payload` and
+//! `MatrixSpec::from_json`.
 //! None may panic, and every value they accept must re-serialize to text
 //! that parses back to an equal value.
 //!
 //! The same bytes, unmodified, are also written to disk as a whole
-//! journal file and as a result-cache entry, then read back through
-//! `Journal::resume` and `ResultCache::lookup`: both must return a
-//! structured result (counted skips, `Corrupt`, or a verified record),
-//! never panic.
+//! journal file, as a daemon's job journal and as a result-cache entry,
+//! then read back through `Journal::resume`, `Daemon::open` and
+//! `ResultCache::lookup`: each must return a structured result (counted
+//! skips, `Corrupt`, or a verified record), never panic, and a reopened
+//! daemon must rebuild the same job table.
 //!
 //! Purely random bytes almost never reach past the first syntax check,
 //! so most cases start from a valid line of each kind and apply random
@@ -44,7 +46,7 @@ use std::time::Duration;
 use nachos::json::{checksum_unframe, escape, parse_json, Json};
 use nachos::sweep::cache::{CacheLookup, ResultCache};
 use nachos::sweep::daemon::{
-    Daemon, DaemonConfig, JobSnapshot, JobStatus, MatrixSpec, MAX_REQUEST_LEN,
+    Daemon, DaemonConfig, JobEvent, JobSnapshot, JobStatus, MatrixSpec, MAX_REQUEST_LEN,
 };
 use nachos::sweep::heartbeat::{Heartbeat, HeartbeatPhase};
 use nachos::sweep::journal::{Journal, RunKey, RunRecord};
@@ -92,6 +94,23 @@ fn corpus() -> &'static [String] {
             ..MatrixSpec::default()
         };
         corpus.push(spec.to_json());
+        corpus.push(
+            JobEvent::Submitted {
+                job: 1,
+                spec: spec.clone(),
+            }
+            .to_line(),
+        );
+        corpus.push(
+            JobEvent::Transition {
+                job: 1,
+                to: JobStatus::Settled,
+                detail: Some("a \"quoted\" detail".to_owned()),
+                mismatches: 2,
+                degraded: 1,
+            }
+            .to_line(),
+        );
         corpus.push("[1, -2.5e3, \"a\\u00e9\\n\", {\"k\": [true, null, {}]}]".to_owned());
         corpus
     })
@@ -164,6 +183,12 @@ fn to_text(v: &Json) -> String {
     }
 }
 
+/// Parses a framed job-journal line the way `Daemon::open` does.
+fn job_event_line(line: &str) -> Option<JobEvent> {
+    let payload = checksum_unframe(line.trim()).ok()?;
+    JobEvent::from_payload(&parse_json(payload)?)
+}
+
 /// Feeds `text` to every boundary parser and checks each accepted value
 /// round-trips.
 fn check_boundaries(text: &str) {
@@ -173,6 +198,10 @@ fn check_boundaries(text: &str) {
             let back = parse_json(&spec.to_json()).and_then(|v| MatrixSpec::from_json(&v));
             prop_assert_eq!(back, Some(spec), "{:?}", text);
         }
+    }
+    let payload = parse_json(text).and_then(|v| JobEvent::from_payload(&v));
+    for ev in [payload, job_event_line(text)].into_iter().flatten() {
+        prop_assert_eq!(job_event_line(&ev.to_line()), Some(ev), "{:?}", text);
     }
     for rec in [
         RunRecord::parse_line(text).ok(),
@@ -224,6 +253,40 @@ fn check_journal_file(dir: &Path, bytes: &[u8]) {
     }
 }
 
+/// Writes `bytes` as a daemon's whole job journal and opens the daemon
+/// over it: the open must succeed, skip no more lines than the file
+/// holds, leave no job running, and a second open must rebuild the same
+/// table from what the first one left.
+fn check_job_journal(dir: &Path, bytes: &[u8]) {
+    let root = dir.join("daemon");
+    std::fs::create_dir_all(&root).expect("daemon root");
+    std::fs::write(root.join("jobs.jsonl"), bytes).expect("write job journal");
+    let open = || {
+        let cfg = DaemonConfig::new(&root, dir.join("unused.sock"));
+        let resolver = Arc::new(|_: &MatrixSpec| Err("never resolved".to_owned()));
+        Daemon::open(cfg, resolver).expect("a readable job journal always opens")
+    };
+    let lines = bytes
+        .split(|&b| b == b'\n')
+        .filter(|l| std::str::from_utf8(l).map_or(true, |s| !s.trim().is_empty()))
+        .count();
+    let daemon = open();
+    prop_assert!(
+        daemon.log_skipped() <= lines,
+        "{} > {}",
+        daemon.log_skipped(),
+        lines
+    );
+    let jobs = daemon.list();
+    prop_assert!(
+        jobs.iter().all(|j| j.status != JobStatus::Running),
+        "{:?}",
+        jobs
+    );
+    drop(daemon);
+    prop_assert_eq!(open().list(), jobs);
+}
+
 /// Overwrites a stored cache entry with `bytes` and probes it: a hit
 /// must be the probed key's record, anything else must be reported
 /// `Corrupt` with the entry removed.
@@ -272,6 +335,12 @@ fn corpus_lines_are_accepted_by_their_parsers() {
     assert!(c.iter().any(|l| parse_json(l)
         .and_then(|v| MatrixSpec::from_json(&v))
         .is_some()));
+    assert!(c
+        .iter()
+        .any(|l| matches!(job_event_line(l), Some(JobEvent::Submitted { .. }))));
+    assert!(c
+        .iter()
+        .any(|l| matches!(job_event_line(l), Some(JobEvent::Transition { .. }))));
     for line in c {
         check_boundaries(line);
     }
@@ -407,6 +476,7 @@ proptest! {
         let bytes = mutate_bytes(&c[pick % c.len()], &edits, &tail);
         let dir = scratch_dir("files");
         check_journal_file(&dir, &bytes);
+        check_job_journal(&dir, &bytes);
         check_cache_entry(&dir, &bytes);
         std::fs::remove_dir_all(&dir).ok();
     }
