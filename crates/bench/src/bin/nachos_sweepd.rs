@@ -198,9 +198,22 @@ fn run_ctl(socket: &str, cmd: &str, job: Option<u64>, spec_json: Option<&str>) -
     if let Err(e) = out.write_all(request.as_bytes()) {
         return environment_error(&format!("cannot send request: {e}"));
     }
-    // `watch` streams one line per state change; everything else
-    // answers exactly once. Either way: relay every line, judge the
-    // last one.
+    // `watch` streams one line per state change until an error or the
+    // job's terminal state, after which the daemon waits for the next
+    // request on the same connection; everything else answers exactly
+    // once. Either way: relay every line, judge the last one.
+    let watching = |line: &str| {
+        let Some(resp) = parse_json(line.trim()) else {
+            return false;
+        };
+        let ok = resp
+            .get("ok")
+            .is_some_and(|v| matches!(v, Json::Bool(true)));
+        let state = resp.get("state").and_then(Json::as_str);
+        ok && state
+            .and_then(JobStatus::from_label)
+            .is_some_and(|s| !s.is_terminal())
+    };
     let mut last = String::new();
     loop {
         let mut line = String::new();
@@ -209,7 +222,7 @@ fn run_ctl(socket: &str, cmd: &str, job: Option<u64>, spec_json: Option<&str>) -
             Ok(_) => {
                 print!("{line}");
                 last = line;
-                if cmd != "watch" {
+                if cmd != "watch" || !watching(&last) {
                     break;
                 }
             }

@@ -170,7 +170,7 @@ fn environment_error(msg: &str) -> ExitCode {
 
 /// Maps a finished sweep to the documented exit contract.
 fn verdict(sweep: &SweepResult, strict: bool, deadline_hit: bool) -> ExitCode {
-    let (mismatches, degraded) = exitcode::counts(sweep);
+    let (mismatches, degraded) = sweep.mismatched_and_degraded();
     exitcode::classify(mismatches, degraded, strict, deadline_hit).exit()
 }
 

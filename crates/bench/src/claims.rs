@@ -3,10 +3,13 @@
 //! [`Evidence::build`] runs everything the figures read exactly once.
 //! [`figures`] is the table over it: per-row columns plus [`Claim`]s, each
 //! with the paper's value as text (its only place in the code), a measured
-//! value and a [`Check`]. `nachos-claims` prints it; EXPERIMENTS.md holds
-//! its [`Claim::row`]s, kept in sync by `tests/claims.rs`.
+//! value and a [`Check`]. `nachos-claims` prints it and gates on it
+//! ([`verdict`]); EXPERIMENTS.md holds its [`Claim::row`]s, kept in sync
+//! by `tests/claims.rs`.
 
-use crate::opt::{run_opt_suite, OptOptions, OptSuiteReport};
+use crate::exitcode::Verdict;
+use crate::lint::{lint_workload, standard_configs, LintRun};
+use crate::opt::{optimize_workload, OptSuiteReport, MIN_IMPROVED_WORKLOADS};
 use crate::opt::{MIN_FULL_IMPROVED_WORKLOADS, MIN_FULL_MAY_COALESCED_FRACTION};
 use crate::{job_for, try_run_suite_opts, BenchResult, SuiteRun, DEFAULT_INVOCATIONS};
 use nachos::sweep::{run_sweep, SweepConfig, SweepResult, SweepVariant};
@@ -105,7 +108,8 @@ fn forwarding(w: &Workload, config: &SimConfig) -> Result<ForwardRow, String> {
 }
 
 /// Everything the figures read: the bench-matrix suite with its analyses,
-/// the path counts, the ablation sweeps and the optimizer suite.
+/// the path counts, the ablation sweeps and the optimizer suite over
+/// every workload × ablation.
 #[derive(Debug)]
 pub struct Evidence {
     suite: SuiteRun,
@@ -144,13 +148,62 @@ fn variant(label: String, backend: Backend, [s2, s3, s4]: [bool; 3]) -> SweepVar
     }
 }
 
+/// Audits and optimizes every suite workload under every ablation
+/// (differential NO-pair replay and timing runs at `invocations`), one
+/// thread per ablation, in ablation-major order.
+fn audits(suite: &SuiteRun, invocations: u64) -> (Vec<LintRun>, OptSuiteReport) {
+    let per_config = |config| {
+        let mut arena = SimArena::new();
+        let runs = suite.results.iter().map(|r| {
+            let w = &r.workload;
+            let lint = lint_workload(w, config, invocations);
+            (lint, optimize_workload(&mut arena, w, config, invocations))
+        });
+        runs.collect::<Vec<_>>()
+    };
+    let runs = std::thread::scope(|s| {
+        let threads: Vec<_> = standard_configs()
+            .into_iter()
+            .map(|c| s.spawn(move || per_config(c)))
+            .collect();
+        let joined = threads
+            .into_iter()
+            .flat_map(|t| t.join().expect("audit thread"));
+        joined.collect::<Vec<_>>()
+    });
+    let (lint, runs) = runs.into_iter().unzip();
+    (lint, OptSuiteReport { runs })
+}
+
+/// Refuses every soundness finding: an Error diagnostic in either audit
+/// (A-E07 NO-pair collisions and A-E08 refused certificates included),
+/// an optimizer divergence or a failed optimizer simulation.
+fn sound(lint: &[LintRun], opt: &OptSuiteReport) -> Result<(), String> {
+    let mut errors = lint.iter().flat_map(|r| {
+        let errors = r.diagnostics.iter().filter(|d| d.is_error());
+        errors.map(move |d| format!("{} under `{}`: {d}", r.workload, r.config))
+    });
+    if let Some(first) = errors.next() {
+        return Err(format!(
+            "audit: {} error(s), first {first}",
+            1 + errors.count()
+        ));
+    }
+    let (errors, divergences) = (opt.num_cert_errors(), opt.num_divergences());
+    if errors + divergences > 0 {
+        let why = format!("{errors} certificate error(s), {divergences} divergence(s)");
+        return Err(format!("optimizer: {why}"));
+    }
+    Ok(())
+}
+
 impl Evidence {
-    /// Runs every experiment the figures read.
+    /// Runs every experiment the figures read, and every audit.
     ///
     /// # Errors
     ///
     /// Describes the first run that failed or diverged from the reference
-    /// executor, or an optimizer certificate error or divergence.
+    /// executor, or a soundness finding of the audits or the optimizer.
     pub fn build() -> Result<Self, String> {
         let suite = try_run_suite_opts(DEFAULT_INVOCATIONS, 0, false)?;
         let paths = suite.results.iter().map(|r| path_counts(&r.workload));
@@ -176,15 +229,8 @@ impl Evidence {
         let lsq = lsq.collect::<Result<_, _>>()?;
         let forwarding = FORWARD_APPS.iter().map(|&n| forwarding(&workload(n), &sim));
         let forwarding = forwarding.collect::<Result<_, _>>()?;
-        let opt = run_opt_suite(&OptOptions {
-            config: Some("full".to_owned()),
-            ..OptOptions::default()
-        });
-        let (errors, divergences) = (opt.num_cert_errors(), opt.num_divergences());
-        if errors + divergences > 0 {
-            let why = format!("{errors} certificate error(s), {divergences} divergence(s)");
-            return Err(format!("optimizer: {why}"));
-        }
+        let (lint, opt) = audits(&suite, DEFAULT_INVOCATIONS);
+        sound(&lint, &opt)?;
         Ok(Self {
             suite,
             paths,
@@ -196,6 +242,12 @@ impl Evidence {
         })
     }
 
+    /// The optimizer suite over every workload × ablation.
+    #[must_use]
+    pub fn optimizer(&self) -> &OptSuiteReport {
+        &self.opt
+    }
+
     fn results(&self) -> &[BenchResult] {
         &self.suite.results
     }
@@ -204,6 +256,22 @@ impl Evidence {
         let mut rs = self.results().iter().enumerate();
         let found = rs.find(|(_, r)| r.spec.name == name);
         found.expect("witnesses are Table II workloads")
+    }
+}
+
+/// `nachos-claims`' exit verdict: a failed [`Evidence::build`] is a
+/// divergence, a claim of `figures` without a deviation note that does
+/// not hold is [`Verdict::StrictDegraded`].
+#[must_use]
+pub fn verdict(evidence: &Result<Evidence, String>, figures: &[Figure]) -> Verdict {
+    let Ok(e) = evidence else {
+        return Verdict::Divergence;
+    };
+    let mut claims = figures.iter().flat_map(|f| &f.claims);
+    if claims.any(|c| c.verdict(e) == "FAILS") {
+        Verdict::StrictDegraded
+    } else {
+        Verdict::Success
     }
 }
 
@@ -509,10 +577,10 @@ fn span(s: &[u64]) -> String {
     format!("{}→{}", s[0], s[s.len() - 1])
 }
 
-/// Summed over the optimizer runs: MAY edges, coalesced MAY edges, and
-/// comparator sites before and after.
+/// Summed over the `full` optimizer runs: MAY edges, coalesced MAY edges,
+/// and comparator sites before and after.
 fn opt_totals(e: &Evidence) -> [u64; 4] {
-    let sums = e.opt.runs.iter().map(|r| {
+    let sums = e.opt.full_runs().map(|r| {
         let (may, merged) = (r.stats.may_before as u64, r.stats.may_coalesced as u64);
         let sites = (r.comparator_sites_before, r.comparator_sites_after);
         [may, merged, sites.0, sites.1]
@@ -520,6 +588,17 @@ fn opt_totals(e: &Evidence) -> [u64; 4] {
     sums.fold([0; 4], |t, r| {
         [t[0] + r[0], t[1] + r[1], t[2] + r[2], t[3] + r[3]]
     })
+}
+
+/// Optimized `full` runs slower than their unoptimized twin.
+fn full_regressions(e: &Evidence) -> usize {
+    let rows = e.opt.full_runs().flat_map(|r| &r.cycles);
+    rows.filter(|c| c.regressed()).count()
+}
+
+/// Timed optimizer runs: one per MDE backend per workload × ablation.
+fn timed_runs(e: &Evidence) -> usize {
+    e.opt.runs.iter().map(|r| r.cycles.len()).sum()
 }
 
 /// Every figure, in EXPERIMENTS.md order, laid out as a table.
@@ -800,10 +879,10 @@ pub fn figures() -> Vec<Figure> {
                        |e| format!("{} unprofitable at 6×; at 2×: {}", unprofitable(e, 6.0).len(),
                                    unprofitable(e, 2.0).join(", ")),
                        Holds(|e| unprofitable(e, 6.0).is_empty()))]),
-        fig("optimizer", "MDE optimizer under the full pipeline (not in the paper; DESIGN §10)",
+        fig("optimizer", "MDE optimizer, rows under the full pipeline (not in the paper; DESIGN §10)",
             "Optimizer (this repo's addition)",
             &["App", "MAY", "coalesced", "sites", "sites opt", "SW cyc opt", "NACHOS cyc opt"],
-            |e| e.opt.runs.iter().map(|r| vec![
+            |e| e.opt.full_runs().map(|r| vec![
                 r.workload.clone(), r.stats.may_before.to_string(), r.stats.may_coalesced.to_string(),
                 r.comparator_sites_before.to_string(), r.comparator_sites_after.to_string(),
                 r.cycles[0].optimized.to_string(), r.cycles[1].optimized.to_string()]).collect(),
@@ -820,14 +899,27 @@ pub fn figures() -> Vec<Figure> {
                 claim("opt-faster",
                       "Workloads an MDE backend runs faster on (≥ 3), with no regression", "—",
                       |e| {
-                          let faster = e.opt.runs.iter().filter_map(|r| {
+                          let faster = e.opt.full_runs().filter_map(|r| {
                               let best = r.cycles.iter().map(|c| c.optimized as i64 - c.unoptimized as i64);
                               best.min().filter(|&d| d < 0).map(|d| format!("{} {d:+}", r.workload))
                           });
-                          let (v, regressions) = (faster.collect::<Vec<_>>(), e.opt.num_regressions());
-                          format!("{}: {} cycles; {regressions} regressions", v.len(), v.join(", "))
+                          let v = faster.collect::<Vec<_>>();
+                          format!("{}: {} cycles; {} regressions", v.len(), v.join(", "), full_regressions(e))
                       }, Holds(|e| e.opt.full_improved_workloads() >= MIN_FULL_IMPROVED_WORKLOADS
-                          && e.opt.num_regressions() == 0)),
+                          && full_regressions(e) == 0)),
+                claim("opt-faster-ablations",
+                      "Workloads an MDE backend runs faster on under some ablation (≥ 5)", "—",
+                      |e| format!("{} of {}", e.opt.improved_workloads(), workloads(e)),
+                      Holds(|e| e.opt.improved_workloads() >= MIN_IMPROVED_WORKLOADS)),
+                claim("opt-no-regression", "Optimized runs slower than their unoptimized twin, any \
+                       ablation", "—",
+                      |e| format!("{} of {} timed runs", e.opt.num_regressions(), timed_runs(e)),
+                      Holds(|e| e.opt.num_regressions() == 0)),
+                claim("opt-no-slack",
+                      "Avoidable imprecision on optimized compilations (redundant MDEs, losses an \
+                       enabled stage decides), any ablation", "—",
+                      |e| format!("{} findings in {} compilations", e.opt.num_avoidable(), e.opt.runs.len()),
+                      Holds(|e| e.opt.num_avoidable() == 0)),
             ]),
     ]
 }
@@ -835,7 +927,154 @@ pub fn figures() -> Vec<Figure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opt::{BackendCycles, OptRun};
     use nachos::{FaultKind, FaultPlan, FaultSpec};
+    use nachos_alias::{Code, Diagnostic, OptStats, Site};
+
+    fn diag(code: Code, message: &str) -> Diagnostic {
+        Diagnostic {
+            severity: code.severity(),
+            code,
+            region: "r".to_owned(),
+            site: Site::Region,
+            message: message.to_owned(),
+        }
+    }
+
+    /// A hand-built optimizer run: `may` is `(before, coalesced)`;
+    /// `faster` makes NACHOS one cycle quicker with the optimizer.
+    fn opt_run(workload: &str, config: &str, may: (usize, usize), faster: bool) -> OptRun {
+        OptRun {
+            workload: workload.to_owned(),
+            config: config.to_owned(),
+            stats: OptStats {
+                may_before: may.0,
+                may_coalesced: may.1,
+                ..OptStats::default()
+            },
+            certificates: may.1,
+            forward: 0,
+            comparator_sites_before: 2,
+            comparator_sites_after: 1,
+            diagnostics: Vec::new(),
+            failures: Vec::new(),
+            cycles: vec![BackendCycles {
+                backend: Backend::Nachos,
+                unoptimized: 10,
+                optimized: 10 - u64::from(faster),
+                equivalent: true,
+            }],
+        }
+    }
+
+    /// `nachos-claims`' verdict on hand-built audit and optimizer
+    /// reports, judged by the optimizer figure's claims (the others read
+    /// the suite, which is empty here).
+    fn verdict_of(lint: &[LintRun], runs: Vec<OptRun>) -> Verdict {
+        let opt = OptSuiteReport { runs };
+        let empty = SweepResult {
+            invocations: 0,
+            variants: Vec::new(),
+            jobs: Vec::new(),
+        };
+        let built = sound(lint, &opt).map(|()| Evidence {
+            suite: SuiteRun {
+                results: Vec::new(),
+                sweep: empty.clone(),
+            },
+            paths: Vec::new(),
+            stages: empty,
+            comparators: Vec::new(),
+            lsq: Vec::new(),
+            forwarding: Vec::new(),
+            opt,
+        });
+        let mut optimizer = figures();
+        optimizer.retain(|f| f.id == "optimizer");
+        verdict(&built, &optimizer)
+    }
+
+    #[test]
+    fn every_gate_condition_maps_to_its_verdict() {
+        // Three faster workloads under `full`, two more only under an
+        // ablation, and 10 of 100 `full` MAY edges coalesced: every bar
+        // is met exactly. The ablation's coalescing does not count.
+        let passing = vec![
+            opt_run("a", "full", (40, 4), true),
+            opt_run("b", "full", (30, 3), true),
+            opt_run("c", "full", (30, 3), true),
+            opt_run("d", "baseline", (50, 50), true),
+            opt_run("e", "no-prune", (0, 0), true),
+        ];
+        let clean = LintRun {
+            workload: "a".to_owned(),
+            config: "full".to_owned(),
+            diagnostics: vec![diag(Code::FaninOverBudget, "9 tokens converge")],
+        };
+        let lint = vec![clean.clone()];
+        assert_eq!(verdict_of(&lint, passing.clone()), Verdict::Success);
+
+        // Exit 2: an Error in the unoptimized audit, a NO-pair collision,
+        // an Error in the optimized audit (a refused certificate), an
+        // optimizer divergence and a failed optimizer simulation.
+        for code in [Code::UnsoundNo, Code::DynamicCollision] {
+            let mut bad = clean.clone();
+            bad.diagnostics.push(diag(code, "finding"));
+            assert_eq!(verdict_of(&[bad], passing.clone()), Verdict::Divergence);
+        }
+        let mut refused = passing.clone();
+        refused[3]
+            .diagnostics
+            .push(diag(Code::BadCertificate, "witness"));
+        let mut diverged = passing.clone();
+        diverged[4].cycles[0].equivalent = false;
+        let mut failed = passing.clone();
+        failed[1]
+            .failures
+            .push("NACHOS simulation failed".to_owned());
+        for runs in [refused, diverged, failed] {
+            assert_eq!(verdict_of(&lint, runs), Verdict::Divergence);
+        }
+
+        // Exit 3: each improvement bar missed, a cycle regression under
+        // any ablation, and avoidable imprecision after optimizing.
+        let mut low_coalescing = passing.clone();
+        low_coalescing[0].stats.may_coalesced = 3;
+        let mut fewer_full_wins = passing.clone();
+        fewer_full_wins[2].cycles[0].optimized = 10;
+        fewer_full_wins.push(opt_run("c", "baseline", (0, 0), true));
+        let mut fewer_wins = passing.clone();
+        fewer_wins[4].cycles[0].optimized = 10;
+        let mut regressed = passing.clone();
+        let slower = BackendCycles {
+            backend: Backend::NachosSw,
+            unoptimized: 10,
+            optimized: 11,
+            equivalent: true,
+        };
+        regressed[3].cycles.push(slower);
+        let mut slack = passing.clone();
+        slack[3]
+            .diagnostics
+            .push(diag(Code::RedundantMde, "ORDER edge already implied"));
+        for runs in [
+            low_coalescing,
+            fewer_full_wins,
+            fewer_wins,
+            regressed,
+            slack,
+        ] {
+            assert_eq!(verdict_of(&lint, runs), Verdict::StrictDegraded);
+        }
+
+        // Advisories stay advisory: a loss a disabled stage could decide.
+        let mut advisory = passing;
+        let disabled = "provably NO (decidable by stage 2 (disabled))";
+        advisory[3]
+            .diagnostics
+            .push(diag(Code::PrecisionLoss, disabled));
+        assert_eq!(verdict_of(&lint, advisory), Verdict::Success);
+    }
 
     #[test]
     fn forwarding_ablation_is_checked_against_the_reference() {

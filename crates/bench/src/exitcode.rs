@@ -1,4 +1,5 @@
-//! The `sweep` exit-code contract, as data.
+//! The exit-code contract of `sweep`, `nachos-sweepd` and
+//! `nachos-claims`, as data.
 //!
 //! Earlier revisions documented codes 0–3 but folded usage errors, I/O
 //! failures and worker protocol errors into one branch — so two
@@ -7,19 +8,24 @@
 //! the single source of truth: each code is reachable by exactly one
 //! condition, asserted by the unit tests below and by the
 //! `crates/bench/tests/daemon.rs` end-to-end mapping test.
+//!
+//! `nachos-claims` reads the same table for its evidence run: 2 for any
+//! soundness finding (a run diverging from the reference executor, an
+//! audit Error, an optimized run diverging from its unoptimized twin), 3
+//! for a claim that does not hold, 5 when the `--bench` artifact cannot
+//! be written ([`crate::claims::verdict`]).
 
-use nachos::sweep::{RunStatus, SweepResult};
 use std::process::ExitCode;
 
-/// Every way a `sweep` (or `nachos-sweepd`) invocation can end, in
-/// precedence order. One condition per code:
+/// Every way a `sweep`, `nachos-sweepd` or `nachos-claims` invocation
+/// can end, in precedence order. One condition per code:
 ///
 /// | code | verdict            | reachable by                                  |
 /// |------|--------------------|-----------------------------------------------|
 /// | 0    | `Success`          | every run completed (degraded cells included, without `--strict`) |
 /// | 1    | `Usage`            | the invocation itself is wrong (flags, spec)  |
-/// | 2    | `Divergence`       | a run mismatched the reference executor       |
-/// | 3    | `StrictDegraded`   | `--strict` only: no mismatch, ≥1 degraded cell |
+/// | 2    | `Divergence`       | a run mismatched the reference executor (`nachos-claims`: or any soundness finding) |
+/// | 3    | `StrictDegraded`   | `--strict` only: no mismatch, ≥1 degraded cell (`nachos-claims`: a claim fails) |
 /// | 4    | `DeadlineExceeded` | the wall-clock budget cancelled the sweep     |
 /// | 5    | `Environment`      | the environment failed: I/O, sockets, worker protocol |
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,22 +67,6 @@ impl Verdict {
     pub fn exit(self) -> ExitCode {
         ExitCode::from(self.code())
     }
-}
-
-/// Counts a finished sweep's mismatched and degraded (non-ok,
-/// non-mismatch) cells — the two inputs to [`classify`].
-#[must_use]
-pub fn counts(sweep: &SweepResult) -> (u64, u64) {
-    let statuses = sweep.statuses();
-    let mismatches = statuses
-        .iter()
-        .filter(|(_, _, s)| *s == RunStatus::Mismatch)
-        .count() as u64;
-    let degraded = statuses
-        .iter()
-        .filter(|(_, _, s)| !matches!(*s, RunStatus::Ok | RunStatus::Mismatch))
-        .count() as u64;
-    (mismatches, degraded)
 }
 
 /// Maps a finished sweep to its verdict. Precedence: divergence beats

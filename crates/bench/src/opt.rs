@@ -1,42 +1,19 @@
-//! The `nachos-opt` suite runner: runs the certificate-carrying MDE
-//! optimizer ([`nachos_alias::optimize()`]) over every Table II workload
-//! under every compiler ablation, re-audits each optimized region (the
-//! audit's `CertLint` pass re-verifies every rewrite certificate
-//! independently), times the MDE backends with and without the optimizer,
-//! and aggregates everything into the byte-deterministic `nachos-opt-v1`
-//! JSON report.
+//! The certificate-carrying MDE optimizer's evidence: runs
+//! [`nachos_alias::optimize()`] on one Table II workload under one
+//! compiler ablation, re-audits the optimized region (the audit's
+//! `CertLint` pass re-verifies every rewrite certificate independently),
+//! and times the MDE backends with and without the optimizer.
 //!
-//! The report is the CI `opt-audit` gate: a certificate error, a run
-//! diverging from its unoptimized twin, or an optimized cycle count
-//! regressing past its unoptimized baseline all exit nonzero through the
-//! `nachos-opt` binary.
+//! `nachos-claims` runs it over every workload × ablation: a certificate
+//! error or a run diverging from its unoptimized twin fails the evidence
+//! run, and the improvement bars below, the absence of cycle regressions
+//! and of avoidable imprecision are claims.
 
-use crate::lint::{standard_configs, LintConfig};
+use crate::lint::{avoidable, LintConfig};
 use nachos::json::JsonWriter;
 use nachos::{Backend, EnergyModel, Run, SimArena, SimConfig};
-use nachos_alias::OptStats;
-use nachos_workloads::{generate_all, Workload};
-
-/// What to optimize and how long to simulate.
-#[derive(Clone, Debug)]
-pub struct OptOptions {
-    /// Restrict to one workload by Table II name (`None` = all 27).
-    pub workload: Option<String>,
-    /// Restrict to one named ablation (`None` = the full matrix).
-    pub config: Option<String>,
-    /// Invocations for the with/without timing comparison.
-    pub invocations: u64,
-}
-
-impl Default for OptOptions {
-    fn default() -> Self {
-        Self {
-            workload: None,
-            config: None,
-            invocations: crate::DEFAULT_INVOCATIONS,
-        }
-    }
-}
+use nachos_alias::{Diagnostic, OptStats};
+use nachos_workloads::Workload;
 
 /// One MDE backend timed with and without the optimizer.
 #[derive(Clone, Copy, Debug)]
@@ -45,7 +22,7 @@ pub struct BackendCycles {
     pub backend: Backend,
     /// Cycles with the paper's stage-1..4 pipeline alone.
     pub unoptimized: u64,
-    /// Cycles after `nachos-opt` rewrote the MDE plan.
+    /// Cycles after the optimizer rewrote the MDE plan.
     pub optimized: u64,
     /// `true` iff both runs loaded identical value streams and left
     /// identical final memory — the differential equivalence check.
@@ -84,24 +61,25 @@ pub struct OptRun {
     pub comparator_sites_before: u64,
     /// Engine-measured `==?` comparator sites after optimization.
     pub comparator_sites_after: u64,
-    /// Error-severity audit findings on the *optimized* region — any
-    /// entry means `CertLint` (or another audit pass) refused a rewrite.
-    pub audit_errors: Vec<String>,
+    /// Every audit finding on the *optimized* region — an Error means
+    /// `CertLint` (or another audit pass) refused a rewrite.
+    pub diagnostics: Vec<Diagnostic>,
+    /// Simulations that failed, one message each.
+    pub failures: Vec<String>,
     /// With/without timings per MDE backend, `[NACHOS-SW, NACHOS]` order
-    /// (empty only when a simulation failed; the failure is recorded in
-    /// `audit_errors`).
+    /// (a backend whose simulation failed is missing; see `failures`).
     pub cycles: Vec<BackendCycles>,
 }
 
-/// `--strict` bar: the share of MAY edges the `full` pipeline plans that
+/// Improvement bar: the share of MAY edges the `full` pipeline plans that
 /// coalescing must delete.
 pub const MIN_FULL_MAY_COALESCED_FRACTION: f64 = 0.10;
 
-/// `--strict` bar: workloads some MDE backend must run strictly faster
+/// Improvement bar: workloads some MDE backend must run strictly faster
 /// under the optimized `full` pipeline.
 pub const MIN_FULL_IMPROVED_WORKLOADS: usize = 3;
 
-/// `--strict` bar: workloads some MDE backend must run faster under some
+/// Improvement bar: workloads some MDE backend must run faster under some
 /// ablation.
 pub const MIN_IMPROVED_WORKLOADS: usize = 5;
 
@@ -119,18 +97,24 @@ fn improved_workloads<'a>(runs: impl Iterator<Item = &'a OptRun>) -> usize {
 /// The whole suite's optimization outcomes.
 #[derive(Clone, Debug, Default)]
 pub struct OptSuiteReport {
-    /// Invocations each timing run simulated.
-    pub invocations: u64,
     /// One entry per workload × config, in deterministic order.
     pub runs: Vec<OptRun>,
 }
 
 impl OptSuiteReport {
-    /// Audit findings on optimized regions (certificate or soundness
-    /// errors) plus simulation failures — always fatal for the gate.
+    /// Error-severity findings on optimized regions (a refused
+    /// certificate or another soundness error) plus simulation failures.
     #[must_use]
     pub fn num_cert_errors(&self) -> usize {
-        self.runs.iter().map(|r| r.audit_errors.len()).sum()
+        let errors = self.diagnostics().filter(|d| d.is_error()).count();
+        errors + self.runs.iter().map(|r| r.failures.len()).sum::<usize>()
+    }
+
+    /// Avoidable-imprecision findings ([`avoidable`]) on optimized
+    /// regions.
+    #[must_use]
+    pub fn num_avoidable(&self) -> usize {
+        self.diagnostics().filter(|d| avoidable(d)).count()
     }
 
     /// Timed runs whose optimized cycle count exceeds the baseline.
@@ -173,136 +157,30 @@ impl OptSuiteReport {
         }
     }
 
-    /// The `--strict` bars this report misses, one message each (empty
-    /// when every bar is met). Only meaningful for the full suite.
-    #[must_use]
-    pub fn strict_shortfalls(&self) -> Vec<String> {
-        let mut missed = Vec::new();
-        let fraction = self.full_may_coalesced_fraction();
-        if fraction < MIN_FULL_MAY_COALESCED_FRACTION {
-            missed.push(format!(
-                "coalesced {:.1}% of MAY edges under `full` (< {:.0}%)",
-                fraction * 100.0,
-                MIN_FULL_MAY_COALESCED_FRACTION * 100.0
-            ));
-        }
-        let full = self.full_improved_workloads();
-        if full < MIN_FULL_IMPROVED_WORKLOADS {
-            missed.push(format!(
-                "cycles improved on only {full} workload(s) under `full` \
-                 (< {MIN_FULL_IMPROVED_WORKLOADS})"
-            ));
-        }
-        let any = self.improved_workloads();
-        if any < MIN_IMPROVED_WORKLOADS {
-            missed.push(format!(
-                "cycles improved on only {any} workload(s) across ablations \
-                 (< {MIN_IMPROVED_WORKLOADS})"
-            ));
-        }
-        missed
+    /// The runs under the `full` pipeline, in workload order.
+    pub fn full_runs(&self) -> impl Iterator<Item = &OptRun> {
+        self.runs.iter().filter(|r| r.config == "full")
     }
 
-    fn full_runs(&self) -> impl Iterator<Item = &OptRun> {
-        self.runs.iter().filter(|r| r.config == "full")
+    fn diagnostics(&self) -> impl Iterator<Item = &Diagnostic> {
+        self.runs.iter().flat_map(|r| &r.diagnostics)
     }
 
     fn cycle_rows(&self) -> impl Iterator<Item = &BackendCycles> {
         self.runs.iter().flat_map(|r| &r.cycles)
     }
-
-    /// Renders the `nachos-opt-v1` report. Byte-deterministic: depends
-    /// only on the optimized regions and the options.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.open_obj();
-        w.str_field("schema", "nachos-opt-v1");
-        w.u64_field("invocations", self.invocations);
-        w.key("runs");
-        w.open_arr();
-        for run in &self.runs {
-            let s = run.stats;
-            w.open_obj();
-            w.str_field("workload", &run.workload);
-            w.str_field("config", &run.config);
-            w.key("mdes");
-            w.open_obj();
-            w.u64_field("order_before", s.order_before as u64);
-            w.u64_field("order_after", (s.order_before - s.order_removed) as u64);
-            w.u64_field("forward", run.forward as u64);
-            w.u64_field("may_before", s.may_before as u64);
-            w.u64_field("may_after", (s.may_before - s.may_coalesced) as u64);
-            w.close_obj();
-            w.key("rewrites");
-            w.open_obj();
-            w.u64_field("order_removed", s.order_removed as u64);
-            w.u64_field("may_coalesced", s.may_coalesced as u64);
-            w.u64_field("certificates", run.certificates as u64);
-            w.close_obj();
-            w.key("comparator_sites");
-            w.open_obj();
-            w.u64_field("before", run.comparator_sites_before);
-            w.u64_field("after", run.comparator_sites_after);
-            w.close_obj();
-            w.key("cycles");
-            w.open_arr();
-            for c in &run.cycles {
-                w.open_obj();
-                w.str_field("backend", &c.backend.to_string());
-                w.u64_field("unoptimized", c.unoptimized);
-                w.u64_field("optimized", c.optimized);
-                w.bool_field("equivalent", c.equivalent);
-                w.close_obj();
-            }
-            w.close_arr();
-            w.key("audit_errors");
-            w.open_arr();
-            for e in &run.audit_errors {
-                w.open_obj();
-                w.str_field("error", e);
-                w.close_obj();
-            }
-            w.close_arr();
-            w.close_obj();
-        }
-        w.close_arr();
-        w.key("totals");
-        w.open_obj();
-        w.u64_field("runs", self.runs.len() as u64);
-        let sum =
-            |f: fn(&OptStats) -> usize| self.runs.iter().map(|r| f(&r.stats)).sum::<usize>() as u64;
-        w.u64_field("order_before", sum(|s| s.order_before));
-        w.u64_field("order_removed", sum(|s| s.order_removed));
-        w.u64_field("may_before", sum(|s| s.may_before));
-        w.u64_field("may_coalesced", sum(|s| s.may_coalesced));
-        w.f64_field(
-            "full_may_coalesced_fraction",
-            self.full_may_coalesced_fraction(),
-        );
-        w.u64_field("cert_errors", self.num_cert_errors() as u64);
-        w.u64_field("regressions", self.num_regressions() as u64);
-        w.u64_field("divergences", self.num_divergences() as u64);
-        w.u64_field("improved_workloads", self.improved_workloads() as u64);
-        w.u64_field(
-            "full_improved_workloads",
-            self.full_improved_workloads() as u64,
-        );
-        w.close_obj();
-        w.close_obj();
-        w.finish()
-    }
 }
 
 /// Optimizes one workload under one ablation: rewrites the plan, audits
 /// the result, and times both MDE backends with and without the
-/// optimizer (differentially comparing their executions).
+/// optimizer for `invocations` invocations (differentially comparing
+/// their executions).
 #[must_use]
 pub fn optimize_workload(
     arena: &mut SimArena,
     w: &Workload,
     config: LintConfig,
-    options: &OptOptions,
+    invocations: u64,
 ) -> OptRun {
     // Static pass: compile, optimize, and independently re-audit. The
     // timing runs below repeat this inside the driver (whose audit gate
@@ -315,31 +193,20 @@ pub fn optimize_workload(
     let stats = outcome.stats;
     let certificates = outcome.certs.len();
     let forward = analysis.plan.forward.len();
-    let mut audit_errors: Vec<String> = nachos_alias::audit_with(
+    let diagnostics = nachos_alias::audit_with(
         &region,
         &analysis,
         config.stages,
         &nachos_alias::AuditConfig::default(),
-    )
-    .into_iter()
-    .filter(nachos_alias::Diagnostic::is_error)
-    .map(|d| {
-        format!(
-            "[{}] {} at {}: {}",
-            d.code.id(),
-            d.region,
-            d.site,
-            d.message
-        )
-    })
-    .collect();
+    );
 
     // Timing pass: both MDE backends, with and without the optimizer,
     // over the *original* region (the driver re-compiles internally).
     let energy = EnergyModel::default();
-    let base = SimConfig::default().with_invocations(options.invocations);
+    let base = SimConfig::default().with_invocations(invocations);
     let opt = base.clone().with_optimize(true);
     let mut cycles = Vec::new();
+    let mut failures = Vec::new();
     let mut comparator_sites = (0, 0);
     for backend in [Backend::NachosSw, Backend::Nachos] {
         let mut run = |cfg: &SimConfig| {
@@ -360,7 +227,7 @@ pub fn optimize_workload(
                 });
             }
             (Err(e), _) | (_, Err(e)) => {
-                audit_errors.push(format!("{}: {backend} simulation failed: {e}", w.spec.name));
+                failures.push(format!("{}: {backend} simulation failed: {e}", w.spec.name));
             }
         }
     }
@@ -372,44 +239,9 @@ pub fn optimize_workload(
         forward,
         comparator_sites_before: comparator_sites.0,
         comparator_sites_after: comparator_sites.1,
-        audit_errors,
+        diagnostics,
+        failures,
         cycles,
-    }
-}
-
-/// Runs the optimizer matrix and returns the suite report.
-///
-/// # Panics
-///
-/// Panics if `options` names a workload or config that does not exist —
-/// the CLI validates names before calling.
-#[must_use]
-pub fn run_opt_suite(options: &OptOptions) -> OptSuiteReport {
-    let configs: Vec<LintConfig> = standard_configs()
-        .into_iter()
-        .filter(|c| options.config.as_deref().is_none_or(|name| name == c.name))
-        .collect();
-    assert!(!configs.is_empty(), "unknown config filter");
-    let workloads: Vec<Workload> = generate_all()
-        .into_iter()
-        .filter(|w| {
-            options
-                .workload
-                .as_deref()
-                .is_none_or(|name| name == w.spec.name)
-        })
-        .collect();
-    assert!(!workloads.is_empty(), "unknown workload filter");
-    let mut arena = SimArena::new();
-    let mut runs = Vec::with_capacity(workloads.len() * configs.len());
-    for w in &workloads {
-        for &config in &configs {
-            runs.push(optimize_workload(&mut arena, w, config, options));
-        }
-    }
-    OptSuiteReport {
-        invocations: options.invocations,
-        runs,
     }
 }
 
@@ -424,46 +256,48 @@ pub struct SweepTiming {
     pub wall_seconds: f64,
 }
 
+impl SweepTiming {
+    /// Cells per wall-clock second (0 for an unmeasurably short sweep).
+    #[must_use]
+    pub fn runs_per_sec(&self) -> f64 {
+        if self.wall_seconds > 0.0 {
+            self.runs as f64 / self.wall_seconds
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Renders the `nachos-bench-v2` perf artifact (`BENCH_sweep.json`): one
 /// row per Table II workload combining the 27×5 sweep's cycles per
 /// variant, the event-queue shape per variant (events pushed, live-depth
 /// high-water mark), the optimized NACHOS/NACHOS-SW cycles, the MDE
-/// census before vs. after `nachos-opt` (full-pipeline config), the
-/// engine-measured comparator sites, and — when provided — steady-state
-/// heap allocations per arena-reset run plus the sweep's measured
-/// throughput. v2 is additions-only over v1: every v1 field is emitted
+/// census before vs. after the optimizer (full-pipeline config), the
+/// engine-measured comparator sites, steady-state heap allocations per
+/// arena-reset run (when provided) and the sweep's measured throughput. v2 is additions-only over v1: every v1 field is emitted
 /// unchanged.
 ///
 /// `allocs` maps workload name → allocations per run; workloads missing
 /// from it simply omit the field (the library cannot observe the global
-/// allocator — the `nachos-opt` binary measures and passes them in).
+/// allocator — the `nachos-claims` binary measures and passes them in).
 #[must_use]
 pub fn bench_artifact_json(
     suite: &crate::SuiteRun,
     opt: &OptSuiteReport,
     allocs: &[(String, u64)],
     invocations: u64,
-    timing: Option<SweepTiming>,
+    t: SweepTiming,
 ) -> String {
     let mut w = JsonWriter::new();
     w.open_obj();
     w.str_field("schema", "nachos-bench-v2");
     w.u64_field("invocations", invocations);
-    if let Some(t) = timing {
-        w.key("sweep");
-        w.open_obj();
-        w.u64_field("runs", t.runs);
-        w.f64_field("wall_seconds", t.wall_seconds);
-        w.f64_field(
-            "runs_per_sec",
-            if t.wall_seconds > 0.0 {
-                t.runs as f64 / t.wall_seconds
-            } else {
-                0.0
-            },
-        );
-        w.close_obj();
-    }
+    w.key("sweep");
+    w.open_obj();
+    w.u64_field("runs", t.runs);
+    w.f64_field("wall_seconds", t.wall_seconds);
+    w.f64_field("runs_per_sec", t.runs_per_sec());
+    w.close_obj();
     w.key("workloads");
     w.open_arr();
     for r in &suite.results {
@@ -541,95 +375,21 @@ pub fn bench_artifact_json(
 mod tests {
     use super::*;
 
-    fn equake_options() -> OptOptions {
-        OptOptions {
-            workload: Some("183.equake".to_owned()),
-            config: Some("full".to_owned()),
-            invocations: 8,
-        }
-    }
-
     #[test]
     fn optimized_workload_is_certified_equivalent_and_no_slower() {
-        let report = run_opt_suite(&equake_options());
-        assert_eq!(report.runs.len(), 1);
-        let run = &report.runs[0];
-        assert!(run.audit_errors.is_empty(), "{:?}", run.audit_errors);
+        let w = nachos_workloads::generate(&nachos_workloads::by_name("183.equake").unwrap());
+        let full = crate::lint::standard_configs()[0];
+        let run = optimize_workload(&mut SimArena::new(), &w, full, 8);
+        let errors: Vec<_> = run.diagnostics.iter().filter(|d| d.is_error()).collect();
+        assert!(errors.is_empty() && run.failures.is_empty(), "{errors:?}");
         assert_eq!(run.cycles.len(), 2, "both MDE backends timed");
+        let report = OptSuiteReport { runs: vec![run] };
         assert_eq!(report.num_divergences(), 0);
         assert_eq!(report.num_regressions(), 0);
+        assert_eq!(report.num_avoidable(), 0, "optimized runs leave no slack");
         // The ledger and the certificates agree one-for-one.
+        let run = &report.runs[0];
         assert_eq!(run.certificates, run.stats.may_coalesced);
         assert_eq!(run.stats.order_removed, 0);
-    }
-
-    /// A hand-built run: `may` is `(before, coalesced)`; `faster` makes
-    /// NACHOS one cycle quicker with the optimizer.
-    fn run(workload: &str, config: &str, may: (usize, usize), faster: bool) -> OptRun {
-        OptRun {
-            workload: workload.to_owned(),
-            config: config.to_owned(),
-            stats: OptStats {
-                may_before: may.0,
-                may_coalesced: may.1,
-                ..OptStats::default()
-            },
-            certificates: may.1,
-            forward: 0,
-            comparator_sites_before: 0,
-            comparator_sites_after: 0,
-            audit_errors: Vec::new(),
-            cycles: vec![BackendCycles {
-                backend: Backend::Nachos,
-                unoptimized: 10,
-                optimized: 10 - u64::from(faster),
-                equivalent: true,
-            }],
-        }
-    }
-
-    #[test]
-    fn strict_gate_reads_full_coalescing_and_improvements() {
-        // Three faster workloads under `full`, two more only under an
-        // ablation, and 10 of 100 `full` MAY edges coalesced: every bar
-        // is met exactly. The ablation's coalescing does not count.
-        let passing = vec![
-            run("a", "full", (40, 4), true),
-            run("b", "full", (30, 3), true),
-            run("c", "full", (30, 3), true),
-            run("d", "baseline", (50, 50), true),
-            run("e", "no-prune", (0, 0), true),
-        ];
-        let report = |runs: Vec<OptRun>| OptSuiteReport {
-            invocations: 1,
-            runs,
-        };
-        assert!(report(passing.clone()).strict_shortfalls().is_empty());
-
-        let mut low_coalescing = passing.clone();
-        low_coalescing[0].stats.may_coalesced = 3;
-        let missed = report(low_coalescing).strict_shortfalls();
-        assert_eq!(missed.len(), 1, "{missed:?}");
-        assert!(missed[0].contains("9.0% of MAY edges"), "{missed:?}");
-
-        // Losing a `full` win drops both the `full` and the overall count.
-        let mut fewer_wins = passing;
-        fewer_wins[2] = run("c", "full", (30, 3), false);
-        let missed = report(fewer_wins).strict_shortfalls();
-        assert_eq!(missed.len(), 2, "{missed:?}");
-        assert!(missed[0].contains("2 workload(s) under `full`"));
-        assert!(missed[1].contains("4 workload(s) across ablations"));
-    }
-
-    #[test]
-    fn report_is_byte_deterministic_and_carries_the_gate() {
-        let options = equake_options();
-        let a = run_opt_suite(&options).to_json();
-        let b = run_opt_suite(&options).to_json();
-        assert_eq!(a, b);
-        assert!(a.contains("\"schema\": \"nachos-opt-v1\""));
-        assert!(a.contains("\"cert_errors\": 0"));
-        assert!(a.contains("\"divergences\": 0"));
-        assert!(a.contains("\"regressions\": 0"));
     }
 }

@@ -333,3 +333,43 @@ fn deeply_nested_request_is_a_bad_request_not_a_crash() {
     assert_eq!(status.code(), Some(0));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `--ctl watch` relays one line per state change and exits at the
+/// job's terminal state with the documented code. It used to read until
+/// EOF while the daemon waited for the next request on the same
+/// connection, so both sides waited forever.
+#[test]
+fn ctl_watch_exits_at_the_terminal_state() {
+    let dir = scratch("watch");
+    let sock = dir.join("d.sock");
+    let mut daemon = spawn_daemon(&sock, &dir.join("state"), &[]);
+    wait_ready(&sock);
+    let socket = sock.to_str().unwrap();
+
+    let out = sweepd()
+        .args(["--ctl", "submit", "--socket", socket])
+        .args(["--spec", "{\"invocations\": 2, \"filter\": \"gzip\"}"])
+        .output()
+        .expect("ctl submit");
+    assert!(out.status.success(), "submit is accepted");
+    let mut watch = sweepd()
+        .args(["--ctl", "watch", "--socket", socket, "--job", "1"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn ctl watch");
+    let status = wait_within(&mut watch, Duration::from_secs(60), "ctl watch");
+    let mut lines = String::new();
+    std::io::Read::read_to_string(&mut watch.stdout.take().unwrap(), &mut lines).unwrap();
+    assert_eq!(status.code(), Some(0), "a settled job is exit 0: {lines}");
+    let last = lines.lines().last().unwrap_or_default();
+    assert!(last.contains("\"state\": \"settled\""), "last line: {last}");
+
+    let out = sweepd()
+        .args(["--ctl", "drain", "--socket", socket])
+        .output()
+        .expect("ctl drain");
+    assert!(out.status.success());
+    let status = wait_within(&mut daemon, Duration::from_secs(60), "drained daemon");
+    assert_eq!(status.code(), Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -984,6 +984,18 @@ impl SweepResult {
         out
     }
 
+    /// Counts the mismatched cells and the degraded (neither ok nor
+    /// mismatched) ones — the two inputs of every exit verdict.
+    #[must_use]
+    pub fn mismatched_and_degraded(&self) -> (u64, u64) {
+        let runs = self.jobs.iter().flat_map(|j| &j.runs);
+        runs.fold((0, 0), |(m, d), r| match r.status {
+            RunStatus::Ok => (m, d),
+            RunStatus::Mismatch => (m + 1, d),
+            _ => (m, d + 1),
+        })
+    }
+
     /// Every run's `(job, variant, status)` triple, in sweep order.
     #[must_use]
     pub fn statuses(&self) -> Vec<(String, String, RunStatus)> {

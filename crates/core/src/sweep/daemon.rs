@@ -70,7 +70,7 @@
 //! immediately with a journal a future restart resumes from.
 
 use super::journal::{read_bounded_line, resume_log, BoundedLine, Journal};
-use super::{run_sweep_journaled, RunStatus, SweepConfig, SweepJob};
+use super::{run_sweep_journaled, SweepConfig, SweepJob};
 use crate::config::CancelToken;
 use crate::json::{checksum_frame, checksum_unframe, parse_json, write_atomic, Json, JsonWriter};
 use std::fs;
@@ -1113,12 +1113,10 @@ fn run_job(shared: &Shared, id: u64, spec: &MatrixSpec, token: CancelToken) -> R
             return RunEnd::Failed(format!("report write failed: {e}"));
         }
     }
-    let statuses = sweep.statuses();
-    let count =
-        |keep: fn(RunStatus) -> bool| statuses.iter().filter(|(_, _, s)| keep(*s)).count() as u64;
+    let (mismatches, degraded) = sweep.mismatched_and_degraded();
     RunEnd::Swept {
-        mismatches: count(|s| s == RunStatus::Mismatch),
-        degraded: count(|s| !matches!(s, RunStatus::Ok | RunStatus::Mismatch)),
+        mismatches,
+        degraded,
         replayed: stats.replayed as u64,
         executed: stats.executed as u64,
     }
