@@ -32,8 +32,36 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-fn spawn_daemon(sock: &Path, root: &Path, extra: &[&str]) -> Child {
-    sweepd()
+/// A spawned `nachos-sweepd` that is killed and reaped when dropped. A
+/// test that panics — a failed assertion, or `wait_within` giving up on
+/// some other child — would otherwise leave the daemon running, and the
+/// orphan would hold the test binary's inherited stdout open, so
+/// `cargo test … | tail` would wait forever after the failure.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+impl std::ops::Deref for Daemon {
+    type Target = Child;
+
+    fn deref(&self) -> &Child {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Daemon {
+    fn deref_mut(&mut self) -> &mut Child {
+        &mut self.0
+    }
+}
+
+fn spawn_daemon(sock: &Path, root: &Path, extra: &[&str]) -> Daemon {
+    let child = sweepd()
         .args([
             "--socket",
             sock.to_str().unwrap(),
@@ -43,7 +71,8 @@ fn spawn_daemon(sock: &Path, root: &Path, extra: &[&str]) -> Child {
         .args(extra)
         .stderr(Stdio::null())
         .spawn()
-        .expect("spawn nachos-sweepd")
+        .expect("spawn nachos-sweepd");
+    Daemon(child)
 }
 
 /// Polls `--ctl ping` until the daemon answers, within a hard budget.

@@ -13,14 +13,13 @@
 //! the arena before — the golden-snapshot suite pins this down.
 
 use crate::config::{Backend, SimConfig};
-use nachos_ir::NodeId;
 use nachos_mem::MemoryHierarchy;
 
+use super::plan::Plan;
 use super::policy::ideal::IdealPolicy;
 use super::policy::nachos_hw::NachosPolicy;
 use super::policy::nachos_sw::NachosSwPolicy;
 use super::policy::optlsq::OptLsqPolicy;
-use super::policy::DisambiguationPolicy;
 use super::queue::EventQueue;
 use super::state::NodeTable;
 
@@ -29,14 +28,13 @@ use super::state::NodeTable;
 /// holding the buffers.
 #[derive(Default)]
 pub(crate) struct CoreBufs {
+    pub(crate) plan: Plan,
     pub(crate) state: NodeTable,
     pub(crate) queue: EventQueue,
     /// The memory-port calendar's slot vector.
     pub(crate) ports: Vec<u32>,
     /// Pooled hierarchy, reused (reset) when the config matches.
     pub(crate) hierarchy: Option<MemoryHierarchy>,
-    pub(crate) store_nodes: Vec<NodeId>,
-    pub(crate) operands: Vec<u64>,
     /// Iteration-vector scratch (loop nest indices).
     pub(crate) iv: Vec<i64>,
     /// Unknown-pointer value scratch.
@@ -76,8 +74,9 @@ impl SimArena {
         Self::default()
     }
 
-    /// Splits the arena into the core buffers and the (reset) policy for
-    /// `backend`, constructing the policy on first use.
+    /// Splits the arena into the core buffers and the pooled policy for
+    /// `backend`, constructing the policy on first use. The engine resets
+    /// the policy (`prepare_run`) once the run's plan is built.
     pub(crate) fn split(
         &mut self,
         backend: Backend,
@@ -90,31 +89,17 @@ impl SimArena {
             nachos_hw,
             ideal,
         } = self;
-        fn ready<P: DisambiguationPolicy>(p: &mut P, backend: Backend, config: &SimConfig) {
-            debug_assert_eq!(p.backend(), backend, "arena pooled wrong policy");
-            p.prepare_run(config);
-        }
         let policy = match backend {
             Backend::OptLsq => {
-                let p = optlsq.get_or_insert_with(|| OptLsqPolicy::new(config));
-                ready(p, backend, config);
-                PolicyMut::OptLsq(p)
+                PolicyMut::OptLsq(optlsq.get_or_insert_with(|| OptLsqPolicy::new(config)))
             }
             Backend::NachosSw => {
-                let p = nachos_sw.get_or_insert_with(NachosSwPolicy::default);
-                ready(p, backend, config);
-                PolicyMut::NachosSw(p)
+                PolicyMut::NachosSw(nachos_sw.get_or_insert_with(NachosSwPolicy::default))
             }
             Backend::Nachos => {
-                let p = nachos_hw.get_or_insert_with(NachosPolicy::default);
-                ready(p, backend, config);
-                PolicyMut::Nachos(p)
+                PolicyMut::Nachos(nachos_hw.get_or_insert_with(NachosPolicy::default))
             }
-            Backend::Ideal => {
-                let p = ideal.get_or_insert_with(IdealPolicy::default);
-                ready(p, backend, config);
-                PolicyMut::Ideal(p)
-            }
+            Backend::Ideal => PolicyMut::Ideal(ideal.get_or_insert_with(IdealPolicy::default)),
         };
         (bufs, policy)
     }

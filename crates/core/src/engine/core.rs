@@ -8,9 +8,13 @@
 //! schemes diverge is a call through the
 //! [`DisambiguationPolicy`](super::policy::DisambiguationPolicy) trait.
 //!
-//! Hot-path layout: per-node state is a structure of arrays
-//! ([`NodeTable`]), events flow through the bucketed calendar queue
-//! ([`EventQueue`]), and an optional [`TelemetrySink`] observes cycle
+//! Hot-path layout: everything that is the same in every invocation —
+//! operand routes, edge locality, operand sources, the store list and,
+//! where the policy allows, the gate counts — is derived once per run
+//! into a [`Plan`] of flat arrays; per-node state is a structure of arrays
+//! ([`NodeTable`]) that each invocation resets from the plan's gate
+//! template; events flow through the slab-backed calendar queue
+//! ([`EventQueue`]); and an optional [`TelemetrySink`] observes cycle
 //! boundaries and backpressure windows without perturbing either.
 
 use crate::config::{Backend, CancelToken, SimConfig};
@@ -19,12 +23,13 @@ use crate::error::{DeadlockCause, DeadlockInfo, SimError, StalledNode, WaitForEd
 use crate::fault::{FaultClass, FaultKind, FaultState};
 use crate::value::{apply, LoadObserver};
 use nachos_cgra::Placement;
-use nachos_ir::{Binding, EdgeKind, MemSpace, NodeId, OpKind, Region};
+use nachos_ir::{Binding, EdgeKind, NodeId, OpKind, Region};
 use nachos_mem::{DataMemory, MemoryHierarchy};
 
 use super::arena::CoreBufs;
 use super::calendar::Calendar;
-use super::policy::{DisambiguationPolicy, EdgeGate};
+use super::plan::Plan;
+use super::policy::{DisambiguationPolicy, Gating};
 use super::queue::EventQueue;
 use super::state::{Ev, NodeTable, StallCause};
 use super::telemetry::{BackpressureEvent, CycleRecord, RunSummary, TelemetrySink};
@@ -46,7 +51,10 @@ pub(crate) struct SchedCore<'a> {
     pub(crate) loads: LoadObserver,
     pub(crate) counts: EventCounts,
     pub(crate) clock: u64,
-    /// Per-invocation node state (rebuilt each invocation), SoA layout.
+    /// The run's invariants (routes, operand sources, stores, gates).
+    pub(crate) plan: Plan,
+    /// Per-invocation node state (reset from the plan each invocation),
+    /// SoA layout.
     pub(crate) state: NodeTable,
     pub(crate) mem_ports: Calendar,
     /// Cycle-weighted stall attribution for the whole run.
@@ -61,23 +69,12 @@ pub(crate) struct SchedCore<'a> {
     pub(crate) inv: u64,
     pub(crate) iv: Vec<i64>,
     pub(crate) unknown_vals: Vec<u64>,
-    /// This invocation's store nodes, program order (reused scratch).
-    pub(crate) store_nodes: Vec<NodeId>,
-    /// Operand-gathering scratch.
-    operands: Vec<u64>,
 }
 
 /// Node kind lookup that borrows only the region (usable while `self` is
 /// otherwise mutably borrowed).
 pub(crate) fn node_kind(region: &Region, n: NodeId) -> &OpKind {
     &region.dfg.node(n).kind
-}
-
-/// Scratchpad test that borrows only the region.
-pub(crate) fn is_scratch(region: &Region, n: NodeId) -> bool {
-    node_kind(region, n)
-        .mem_ref()
-        .is_some_and(|m| m.space == MemSpace::Scratchpad)
 }
 
 impl<'a> SchedCore<'a> {
@@ -90,9 +87,8 @@ impl<'a> SchedCore<'a> {
         bufs: &mut CoreBufs,
         sink: Option<&'a mut dyn TelemetrySink>,
     ) -> Self {
-        let n = region.dfg.num_nodes();
-        let mut state = std::mem::take(&mut bufs.state);
-        state.reset(n);
+        let mut plan = std::mem::take(&mut bufs.plan);
+        plan.build(region, &placement, &config.latency);
         let mut queue = std::mem::take(&mut bufs.queue);
         queue.clear();
         let hierarchy = match bufs.hierarchy.take() {
@@ -114,7 +110,8 @@ impl<'a> SchedCore<'a> {
             loads: LoadObserver::new(),
             counts: EventCounts::default(),
             clock: 0,
-            state,
+            plan,
+            state: std::mem::take(&mut bufs.state),
             mem_ports,
             stalls: StallCounts::default(),
             fault: FaultState::default(),
@@ -124,33 +121,27 @@ impl<'a> SchedCore<'a> {
             inv: 0,
             iv: std::mem::take(&mut bufs.iv),
             unknown_vals: std::mem::take(&mut bufs.unknown_vals),
-            store_nodes: std::mem::take(&mut bufs.store_nodes),
-            operands: std::mem::take(&mut bufs.operands),
         }
     }
 
     /// Returns the reusable buffers to the arena.
     pub(crate) fn reclaim(self, bufs: &mut CoreBufs) {
         let Self {
-            mut state,
+            plan,
+            state,
             mut queue,
             mem_ports,
             hierarchy,
-            mut store_nodes,
-            operands,
             iv,
             unknown_vals,
             ..
         } = self;
-        state.reset(0);
         queue.clear();
-        store_nodes.clear();
+        bufs.plan = plan;
         bufs.state = state;
         bufs.queue = queue;
         bufs.ports = mem_ports.into_used();
         bufs.hierarchy = Some(hierarchy);
-        bufs.store_nodes = store_nodes;
-        bufs.operands = operands;
         bufs.iv = iv;
         bufs.unknown_vals = unknown_vals;
     }
@@ -164,7 +155,23 @@ impl<'a> SchedCore<'a> {
     }
 
     pub(crate) fn is_scratch(&self, n: NodeId) -> bool {
-        is_scratch(self.region, n)
+        self.plan.scratch[n.index()]
+    }
+
+    /// Completes the plan's gate template for `policy`. A
+    /// [`Gating::PerRun`] verdict reads only the edge, so each non-local
+    /// MDE is classified here, once; a [`Gating::PerInvocation`] policy
+    /// classifies them again at the start of every invocation.
+    pub(crate) fn plan_gates<P: DisambiguationPolicy>(&mut self, policy: &mut P) {
+        if P::GATING == Gating::PerInvocation {
+            return;
+        }
+        let mut plan = std::mem::take(&mut self.plan);
+        for e in &plan.policy_edges {
+            let gate = policy.edge_gate(self, e);
+            plan.gates.add(e.dst.index(), gate);
+        }
+        self.plan = plan;
     }
 
     /// Emits the per-cycle telemetry census for the current `clock`
@@ -208,36 +215,22 @@ impl<'a> SchedCore<'a> {
         self.binding.unknown_values_into(inv, &mut unknown_vals);
         self.unknown_vals = unknown_vals;
 
-        // Rebuild per-invocation node state. The policy decides how each
-        // non-local memory-dependence edge gates its destination; data
-        // edges and scratchpad-local dependencies (register dataflow the
-        // compiler wired explicitly — the LSQ never sees local accesses)
-        // are gated identically under every backend.
+        // Reset per-invocation node state from the plan's gate template.
+        // The policy decides how each non-local memory-dependence edge
+        // gates its destination; data edges and scratchpad-local
+        // dependencies (register dataflow the compiler wired explicitly —
+        // the LSQ never sees local accesses) are gated identically under
+        // every backend, so the template already holds them.
         policy.begin_invocation(self, t0);
-        self.state.reset(region.dfg.num_nodes());
-        for n in region.dfg.node_ids() {
-            let (mut data, mut token, mut may) = (0u32, 0u32, 0u32);
-            for e in region.dfg.in_edges(n) {
-                let local = is_scratch(region, e.src) && is_scratch(region, e.dst);
-                let gate = match e.kind {
-                    EdgeKind::Data => EdgeGate::Data,
-                    EdgeKind::Forward if local => EdgeGate::Data,
-                    EdgeKind::Order | EdgeKind::May if local => EdgeGate::Token,
-                    _ => policy.edge_gate(self, e),
-                };
-                match gate {
-                    EdgeGate::Data => data += 1,
-                    EdgeGate::Token => token += 1,
-                    EdgeGate::May => may += 1,
-                    EdgeGate::Ignore => {}
-                }
+        self.state.reset(&self.plan.gates);
+        if P::GATING == Gating::PerInvocation {
+            for k in 0..self.plan.policy_edges.len() {
+                let e = self.plan.policy_edges[k];
+                let gate = policy.edge_gate(self, &e);
+                self.state.pending.add(e.dst.index(), gate);
             }
-            let i = n.index();
-            self.state.data_pending[i] = data;
-            self.state.token_pending[i] = token;
-            self.state.may_pending[i] = may;
         }
-        // Program-order setup: LSQ allocation, MAY-site construction.
+        // Program-order setup: LSQ allocation.
         policy.after_gating(self, t0);
 
         // Invocations are block-atomic: no event before t0 can be claimed
@@ -249,29 +242,19 @@ impl<'a> SchedCore<'a> {
         // address/data paths of a real LSQ, and like Figure 13's
         // comparator receiving store addresses before the stores execute.
         let agen = self.config.latency.mem_agen;
-        let mut stores = std::mem::take(&mut self.store_nodes);
-        stores.clear();
-        stores.extend(
-            region
-                .dfg
-                .mem_ops()
-                .iter()
-                .copied()
-                .filter(|&n| node_kind(region, n).is_store()),
-        );
-        for &n in &stores {
+        for k in 0..self.plan.stores.len() {
+            let n = self.plan.stores[k];
             let (addr, size) = self.eval_mem_ref(n);
             let i = n.index();
             self.state.addr[i] = addr;
             self.state.size[i] = size;
             self.state.addr_ready[i] = t0 + agen;
         }
-        self.store_nodes = stores;
         policy.on_stores_resolved(self, t0, agen);
 
         // Seed source nodes.
         for n in region.dfg.node_ids() {
-            if self.state.data_pending[n.index()] == 0 {
+            if self.state.pending.data[n.index()] == 0 {
                 self.push(t0, Ev::Data(n)); // zero-pending: fires immediately
             }
         }
@@ -375,9 +358,9 @@ impl<'a> SchedCore<'a> {
                 incomplete[i] = true;
                 stalled.push(StalledNode {
                     node: i,
-                    data_pending: self.state.data_pending[i],
-                    token_pending: self.state.token_pending[i],
-                    may_pending: self.state.may_pending[i],
+                    data_pending: self.state.pending.data[i],
+                    token_pending: self.state.pending.token[i],
+                    may_pending: self.state.pending.may[i],
                     fired: self.state.has_fired(i),
                     issued: self.state.issued[i],
                 });
@@ -441,15 +424,15 @@ impl<'a> SchedCore<'a> {
                 if self.state.has_fired(i) {
                     return Ok(());
                 }
-                self.state.data_pending[i] = self.state.data_pending[i].saturating_sub(1);
-                if self.state.data_pending[i] == 0 {
+                self.state.pending.data[i] = self.state.pending.data[i].saturating_sub(1);
+                if self.state.pending.data[i] == 0 {
                     self.fire(policy, t, n);
                 }
             }
             Ev::Token(n) => {
                 let i = n.index();
-                match self.state.token_pending[i].checked_sub(1) {
-                    Some(left) => self.state.token_pending[i] = left,
+                match self.state.pending.token[i].checked_sub(1) {
+                    Some(left) => self.state.pending.token[i] = left,
                     None => {
                         return Err(SimError::ProtocolViolation {
                             backend: self.backend,
@@ -464,8 +447,8 @@ impl<'a> SchedCore<'a> {
             }
             Ev::Release(n) => {
                 let i = n.index();
-                match self.state.may_pending[i].checked_sub(1) {
-                    Some(left) => self.state.may_pending[i] = left,
+                match self.state.pending.may[i].checked_sub(1) {
+                    Some(left) => self.state.pending.may[i] = left,
                     None => {
                         return Err(SimError::ProtocolViolation {
                             backend: self.backend,
@@ -513,13 +496,13 @@ impl<'a> SchedCore<'a> {
                 // Forwarding happens from the *in-flight* value: the
                 // moment the store's data operand exists, it can be
                 // routed to forwarded loads — before the store commits.
-                for e in region.dfg.out_edges(n) {
+                for k in self.plan.out_range(n.index()) {
+                    let e = self.plan.out_edge(k);
                     if e.kind != EdgeKind::Forward {
                         continue;
                     }
-                    let hops = self.placement.hops(e.src, e.dst);
-                    let at = t + self.config.latency.route_latency(hops);
-                    if is_scratch(region, e.src) && is_scratch(region, e.dst) {
+                    let at = t + e.route;
+                    if e.local {
                         self.counts.data_links += 1;
                         self.push(at, Ev::Data(e.dst));
                     } else {
@@ -550,23 +533,17 @@ impl<'a> SchedCore<'a> {
         }
     }
 
-    /// Applies a node's operator to its data operands (reusing the operand
-    /// scratch buffer).
-    fn eval_node(&mut self, n: NodeId) -> u64 {
-        let region = self.region;
-        let kind = node_kind(region, n);
-        let mut ops = std::mem::take(&mut self.operands);
-        ops.clear();
-        ops.extend(
-            region
-                .dfg
-                .in_edges(n)
-                .filter(|e| e.kind == EdgeKind::Data)
-                .map(|e| self.state.value[e.src.index()]),
-        );
-        let v = apply(kind, &ops, self.inv);
-        self.operands = ops;
-        v
+    /// Applies a node's operator to its data operands, read in place
+    /// through the plan's operand list.
+    fn eval_node(&self, n: NodeId) -> u64 {
+        let kind = node_kind(self.region, n);
+        let value = &self.state.value;
+        let ops = self
+            .plan
+            .operands(n.index())
+            .iter()
+            .map(|s| value[s.index()]);
+        apply(kind, ops, self.inv)
     }
 
     /// Attempts the memory stage of a load/store: the core checks address
@@ -613,22 +590,6 @@ impl<'a> SchedCore<'a> {
         }
     }
 
-    pub(crate) fn has_forward_in(&self, n: NodeId) -> bool {
-        self.region
-            .dfg
-            .in_edges(n)
-            .any(|e| e.kind == EdgeKind::Forward)
-    }
-
-    fn forward_value(&self, n: NodeId) -> u64 {
-        self.region
-            .dfg
-            .in_edges(n)
-            .find(|e| e.kind == EdgeKind::Forward)
-            .map(|e| self.state.value[e.src.index()])
-            .expect("forward edge present")
-    }
-
     /// The gate-free memory stage: all ordering gates passed, go to memory
     /// (or consume the forwarded value).
     pub(crate) fn issue_dataflow(&mut self, t: u64, n: NodeId) {
@@ -639,10 +600,11 @@ impl<'a> SchedCore<'a> {
             self.scratch_access(t, n);
             return;
         }
-        if is_load && self.has_forward_in(n) {
+        let forward = self.plan.forward_src[n.index()].filter(|_| is_load);
+        if let Some(src) = forward {
             // Memory dependence became a data dependence: no cache access.
             self.state.issued[n.index()] = true;
-            let v = self.forward_value(n);
+            let v = self.state.value[src.index()];
             let v = self.consume_forward(t, n, v, "forward into node");
             self.state.value[n.index()] = v;
             self.counts.forwards += 1;
@@ -737,29 +699,24 @@ impl<'a> SchedCore<'a> {
             return;
         }
         self.state.completed[n.index()] = t;
-        let region = self.region;
-        for e in region.dfg.out_edges(n) {
-            let dst = e.dst;
-            let route = self
-                .config
-                .latency
-                .route_latency(self.placement.hops(e.src, dst));
-            let local = is_scratch(region, n) && is_scratch(region, dst);
+        for k in self.plan.out_range(n.index()) {
+            let e = self.plan.out_edge(k);
+            let at = t + e.route;
             match e.kind {
                 EdgeKind::Data => {
                     self.counts.data_links += 1;
-                    self.push(t + route, Ev::Data(dst));
+                    self.push(at, Ev::Data(e.dst));
                 }
                 // Forward payloads were already sent when the store's
                 // value became available (see the Store arm of `fire`).
                 EdgeKind::Forward => {}
                 // Local (scratchpad) dependencies are register dataflow:
                 // honoured everywhere, no MDE energy.
-                EdgeKind::Order | EdgeKind::May if local => {
-                    self.push_token(t + route, dst);
+                EdgeKind::Order | EdgeKind::May if e.local => {
+                    self.push_token(at, e.dst);
                 }
                 EdgeKind::Order | EdgeKind::May => {
-                    policy.on_completion_edge(self, t + route, dst, e.kind);
+                    policy.on_completion_edge(self, at, e.dst, e.kind);
                 }
             }
         }
@@ -779,10 +736,9 @@ impl<'a> SchedCore<'a> {
         // MAY-edge destination hosts one site, however many parents fan
         // in. Scratchpad-local MAY edges become plain tokens (no check).
         let mut site_at = vec![false; self.region.dfg.num_nodes()];
+        let scratch = &self.plan.scratch;
         for e in self.region.dfg.edges() {
-            if e.kind == EdgeKind::May
-                && !(is_scratch(self.region, e.src) && is_scratch(self.region, e.dst))
-            {
+            if e.kind == EdgeKind::May && !(scratch[e.src.index()] && scratch[e.dst.index()]) {
                 site_at[e.dst.index()] = true;
             }
         }

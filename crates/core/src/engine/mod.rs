@@ -13,13 +13,17 @@
 //! * [`core`] — the scheduler core: event calendar, operand readiness,
 //!   functional execution, memory-port arbitration and the watchdog. It
 //!   knows nothing about disambiguation and never branches on the
-//!   backend. Its shared vocabulary lives beside it: [`calendar`] (the
-//!   per-cycle bandwidth calendar) and [`state`] (events, per-node
-//!   scheduler state, stall causes).
+//!   backend. Its shared vocabulary lives beside it: [`plan`] (the
+//!   per-run plan: CSR routes, operand lists, the store list and the gate
+//!   template, derived once instead of in every invocation), [`queue`]
+//!   (the slab-backed calendar event queue), [`calendar`] (the per-cycle
+//!   bandwidth calendar) and [`state`] (events, per-node scheduler state,
+//!   stall causes).
 //! * [`policy`] — the [`policy::DisambiguationPolicy`] trait: hooks for
 //!   op-issue gating, memory-request admission, completion/release and
-//!   stall attribution. One implementation per backend lives under
-//!   `policy/`.
+//!   stall attribution, and [`policy::Gating`], which says whether a
+//!   policy's gates can be decided once per run. One implementation per
+//!   backend lives under `policy/`.
 //! * [`arena`] — [`SimArena`], the reusable per-worker allocation arena:
 //!   repeated runs reset the engine's heap, node table, calendars and
 //!   policy state instead of reallocating them.
@@ -45,6 +49,7 @@ use nachos_mem::{CacheStats, DataMemory};
 pub(crate) mod arena;
 pub(crate) mod calendar;
 pub(crate) mod core;
+pub(crate) mod plan;
 pub(crate) mod policy;
 pub(crate) mod queue;
 pub(crate) mod state;
@@ -242,14 +247,17 @@ pub(crate) fn simulate_observed<'a>(
     result
 }
 
-/// Runs every invocation and finalizes the result for one concrete
-/// policy type.
+/// Completes the run's plan for one concrete policy type, runs every
+/// invocation and finalizes the result.
 fn drive<P: DisambiguationPolicy>(
     core: &mut SchedCore,
     policy: &mut P,
     config: &SimConfig,
     energy: &EnergyModel,
 ) -> Result<SimResult, SimError> {
+    debug_assert_eq!(policy.backend(), core.backend, "arena pooled wrong policy");
+    core.plan_gates(policy);
+    policy.prepare_run(core);
     for inv in 0..config.invocations {
         core.run_invocation(policy, inv)?;
     }

@@ -6,8 +6,10 @@
 //!
 //! | hook                  | decision                                        |
 //! |-----------------------|-------------------------------------------------|
+//! | `GATING`              | whether `edge_gate` is decided per run or per invocation |
 //! | `edge_gate`           | op-issue gating: how a non-local MDE gates issue |
-//! | `after_gating`        | program-order setup (LSQ alloc, MAY sites)       |
+//! | `prepare_run`         | per-run tables (LSQ ages, MAY sites)             |
+//! | `after_gating`        | program-order setup (LSQ allocation)             |
 //! | `on_stores_resolved`  | early store-address broadcast                    |
 //! | `on_load_address`     | load-address broadcast (comparator wake-up)      |
 //! | `on_store_data`       | store data-ready (LSQ data path)                 |
@@ -21,7 +23,7 @@
 //! A new scheme (speculative, scratchpad-routed, hybrid…) is a new
 //! implementation of this trait under `policy/` — not an engine fork.
 
-use crate::config::{Backend, SimConfig};
+use crate::config::Backend;
 use crate::energy::EventCounts;
 use crate::error::SimError;
 use nachos_ir::{Edge, EdgeKind, NodeId};
@@ -49,6 +51,20 @@ pub(crate) enum EdgeGate {
     Ignore,
 }
 
+/// When a policy's [`edge_gate`](DisambiguationPolicy::edge_gate)
+/// verdicts are decided.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Gating {
+    /// The verdict reads only the edge, so it is the same in every
+    /// invocation: the core classifies each non-local MDE once per run
+    /// into the plan's gate template (OPT-LSQ, NACHOS-SW, NACHOS).
+    PerRun,
+    /// The verdict reads the invocation's addresses: the core classifies
+    /// every non-local MDE again at the start of each invocation (the
+    /// IDEAL oracle, whose MAY verdict is the invocation's true overlap).
+    PerInvocation,
+}
+
 /// One memory-disambiguation scheme, driven by the scheduler core.
 ///
 /// Implementations own all backend-specific state (LSQ, MAY-edge tables,
@@ -60,9 +76,14 @@ pub(crate) trait DisambiguationPolicy {
     /// The backend this policy implements (diagnostics / fault scoping).
     fn backend(&self) -> Backend;
 
+    /// When [`edge_gate`](DisambiguationPolicy::edge_gate) is called.
+    const GATING: Gating;
+
     /// Resets all per-run state so a pooled policy can be reused by a new
-    /// simulation with `config`.
-    fn prepare_run(&mut self, config: &SimConfig);
+    /// simulation, and builds the policy's per-run tables from the core's
+    /// plan. Runs once, after the plan's gates are complete and before
+    /// the first invocation.
+    fn prepare_run(&mut self, core: &SchedCore);
 
     /// Starts an invocation: clear per-invocation policy state. Runs
     /// before edge classification.
@@ -70,14 +91,17 @@ pub(crate) trait DisambiguationPolicy {
 
     /// Classifies how one non-local memory-dependence edge (FORWARD,
     /// ORDER or MAY; never DATA, never scratchpad-local) gates its
-    /// destination.
+    /// destination. Called once per run per edge under
+    /// [`Gating::PerRun`], or once per invocation per edge under
+    /// [`Gating::PerInvocation`]; either way in destination-major,
+    /// in-edge order.
     fn edge_gate(&mut self, core: &SchedCore, e: &Edge) -> EdgeGate;
 
-    /// Program-order setup after all node gates are in place: LSQ
-    /// allocation, MAY-site construction.
+    /// Program-order setup after all node gates are in place (LSQ
+    /// allocation).
     fn after_gating(&mut self, _core: &mut SchedCore, _t0: u64) {}
 
-    /// Store addresses resolved (all of `core.store_nodes`, program
+    /// Store addresses resolved (all of `core.plan.stores`, program
     /// order, ready at `t0 + agen`).
     fn on_stores_resolved(&mut self, _core: &mut SchedCore, _t0: u64, _agen: u64) {}
 
@@ -138,8 +162,8 @@ pub(crate) trait DisambiguationPolicy {
 /// window opens against the mechanism still holding it.
 pub(crate) fn dataflow_admit(core: &mut SchedCore, t: u64, n: NodeId, fired: bool) {
     let i = n.index();
-    let tokens = core.state.token_pending[i];
-    if !fired || tokens > 0 || core.state.may_pending[i] > 0 {
+    let tokens = core.state.pending.token[i];
+    if !fired || tokens > 0 || core.state.pending.may[i] > 0 {
         // A fired op with a ready address is stalled purely by the
         // ordering mechanism: start the attribution clock.
         if fired {

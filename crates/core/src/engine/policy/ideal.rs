@@ -5,14 +5,16 @@
 //! energy), and true conflicts hold the younger op exactly until the
 //! older op completes (plus routing) — the minimum any sound mechanism
 //! could achieve. ORDER and FORWARD edges are real dependencies and are
-//! honoured as under NACHOS.
+//! honoured as under NACHOS. Because the MAY verdict reads the
+//! invocation's addresses, this is the one policy whose gates cannot come
+//! from the run's gate template ([`Gating::PerInvocation`]).
 
-use crate::config::{Backend, SimConfig};
+use crate::config::Backend;
 use nachos_ir::{Edge, EdgeKind, NodeId};
 
 use super::super::core::SchedCore;
 use super::super::state::Ev;
-use super::{dataflow_admit, DisambiguationPolicy, EdgeGate};
+use super::{dataflow_admit, DisambiguationPolicy, EdgeGate, Gating};
 
 #[derive(Default)]
 pub(crate) struct IdealPolicy {
@@ -36,7 +38,9 @@ impl DisambiguationPolicy for IdealPolicy {
         Backend::Ideal
     }
 
-    fn prepare_run(&mut self, _config: &SimConfig) {
+    const GATING: Gating = Gating::PerInvocation;
+
+    fn prepare_run(&mut self, _core: &SchedCore) {
         self.waiters.clear();
     }
 

@@ -4,47 +4,49 @@
 //! addresses do not overlap, and otherwise holds it until the older op
 //! completes (paper §VI–VII). One comparator per site arbitrates checks.
 
-use crate::config::{Backend, SimConfig};
+use crate::config::Backend;
 use nachos_ir::{Edge, EdgeKind, NodeId};
 
 use super::super::calendar::Calendar;
-use super::super::core::{is_scratch, SchedCore};
+use super::super::core::SchedCore;
 use super::super::state::Ev;
-use super::{dataflow_admit, DisambiguationPolicy, EdgeGate};
+use super::{dataflow_admit, DisambiguationPolicy, EdgeGate, Gating};
 use crate::fault::{FaultClass, FaultKind};
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct MayEdge {
     older: NodeId,
     younger: NodeId,
     /// Mesh links from the older op's FU to the younger's comparator.
     hops: u32,
-    checked: bool,
 }
 
 /// "Node hosts no comparator site" sentinel in [`NachosPolicy::site_of`].
 const NO_SITE: usize = usize::MAX;
 
+/// The MAY-edge table, the comparator sites and the per-node edge lists
+/// depend only on the region and its placement, so they are built once
+/// per run (`prepare_run`); an invocation resets only the `checked` flags,
+/// the site calendars and the conflict waiters.
 #[derive(Default)]
 pub(crate) struct NachosPolicy {
+    /// The run's non-local MAY edges, in graph edge order.
     may_edges: Vec<MayEdge>,
+    /// Whether each MAY edge's `==?` check ran this invocation.
+    checked: Vec<bool>,
     /// Younger nodes waiting for an older op's completion (conflict case).
     conflict_waiters: Vec<Vec<(NodeId, u32)>>,
-    /// Comparator-site slot per node ([`NO_SITE`] = none), rebuilt each
-    /// invocation. Dense-by-`NodeId` so the check path is an index, not a
-    /// hash probe.
+    /// Comparator-site slot per node ([`NO_SITE`] = none). Dense by
+    /// `NodeId` so the check path is an index, not a hash probe.
     site_of: Vec<usize>,
-    /// Comparator-site calendars, indexed by the slots in `site_of`.
-    /// Pooled across invocations (slots are re-assigned in deterministic
-    /// edge order, so capacity carries over).
+    /// Comparator-site calendars, indexed by the slots in `site_of`; the
+    /// first `sites` are this run's. Pooled across runs.
     site_cals: Vec<Calendar>,
+    sites: usize,
     /// Per-node MAY-edge index lists (edges where the node is older or
-    /// younger), in ascending edge order. Built once per invocation so
-    /// address resolution walks only the node's own edges instead of
-    /// scanning the whole table.
+    /// younger), in ascending edge order, so address resolution walks
+    /// only the node's own edges instead of scanning the whole table.
     edges_of: Vec<Vec<u32>>,
-    /// Scratch for the indices of edges to re-check.
-    to_check: Vec<usize>,
 }
 
 impl NachosPolicy {
@@ -52,23 +54,23 @@ impl NachosPolicy {
     /// participates in (as older: route the address to the younger's
     /// comparator; as younger: its own checks can begin).
     fn propagate_may_addresses(&mut self, core: &mut SchedCore, addr_t: u64, n: NodeId) {
-        let mut to_check = std::mem::take(&mut self.to_check);
-        to_check.clear();
-        to_check.extend(self.edges_of[n.index()].iter().map(|&idx| idx as usize));
-        for &idx in &to_check {
+        for k in 0..self.edges_of[n.index()].len() {
+            let idx = self.edges_of[n.index()][k] as usize;
             self.try_may_check(core, addr_t, idx);
         }
-        self.to_check = to_check;
     }
 
     /// Performs the `==?` check of one MAY edge if both addresses are
     /// available, honouring the per-site single-comparator arbitration.
     fn try_may_check(&mut self, core: &mut SchedCore, now: u64, idx: usize) {
-        let e = &self.may_edges[idx];
-        if e.checked {
+        if self.checked[idx] {
             return;
         }
-        let (older, younger, hops) = (e.older, e.younger, e.hops);
+        let MayEdge {
+            older,
+            younger,
+            hops,
+        } = self.may_edges[idx];
         let (Some(older_addr_t), Some(younger_addr_t)) = (
             core.state.addr_ready_at(older.index()),
             core.state.addr_ready_at(younger.index()),
@@ -84,7 +86,7 @@ impl NachosPolicy {
         let check_t = self.site_cals[slot].claim(ready);
         // Cycles the check spent queued behind the site's single comparator.
         core.stalls.comparator += check_t - ready;
-        self.may_edges[idx].checked = true;
+        self.checked[idx] = true;
         core.counts.may_checks += 1;
         let a = (
             core.state.addr[older.index()],
@@ -130,12 +132,62 @@ impl DisambiguationPolicy for NachosPolicy {
         Backend::Nachos
     }
 
-    fn prepare_run(&mut self, _config: &SimConfig) {
+    const GATING: Gating = Gating::PerRun;
+
+    /// Build the MAY-edge table, the edge lists and the comparator sites
+    /// for this run.
+    fn prepare_run(&mut self, core: &SchedCore) {
+        let region = core.region;
+        let n = region.dfg.num_nodes();
         self.may_edges.clear();
-        self.conflict_waiters.clear();
+        if self.conflict_waiters.len() < n {
+            self.conflict_waiters.resize(n, Vec::new());
+        }
         self.site_of.clear();
-        self.site_cals.clear();
-        self.edges_of.clear();
+        self.site_of.resize(n, NO_SITE);
+        if self.edges_of.len() < n {
+            self.edges_of.resize(n, Vec::new());
+        }
+        for l in &mut self.edges_of {
+            l.clear();
+        }
+        let width = core.config.comparators_per_site;
+        self.sites = 0;
+        let scratch = &core.plan.scratch;
+        for e in region.dfg.edges() {
+            if e.kind == EdgeKind::May && !(scratch[e.src.index()] && scratch[e.dst.index()]) {
+                let idx = u32::try_from(self.may_edges.len()).expect("edge count fits u32");
+                self.edges_of[e.src.index()].push(idx);
+                if e.dst != e.src {
+                    self.edges_of[e.dst.index()].push(idx);
+                }
+                self.may_edges.push(MayEdge {
+                    older: e.src,
+                    younger: e.dst,
+                    hops: core.placement.hops(e.src, e.dst),
+                });
+                if self.site_of[e.dst.index()] == NO_SITE {
+                    self.site_of[e.dst.index()] = self.sites;
+                    if self.sites == self.site_cals.len() {
+                        self.site_cals.push(Calendar::new(width));
+                    }
+                    self.sites += 1;
+                }
+            }
+        }
+    }
+
+    /// Every check and comparator slot is fresh each invocation.
+    fn begin_invocation(&mut self, core: &mut SchedCore, _t0: u64) {
+        self.checked.clear();
+        self.checked.resize(self.may_edges.len(), false);
+        for w in &mut self.conflict_waiters {
+            w.clear();
+        }
+        let width = core.config.comparators_per_site;
+        for cal in &mut self.site_cals[..self.sites] {
+            cal.reset(width);
+        }
     }
 
     fn edge_gate(&mut self, _core: &SchedCore, e: &Edge) -> EdgeGate {
@@ -148,57 +200,9 @@ impl DisambiguationPolicy for NachosPolicy {
         }
     }
 
-    /// Build the MAY-edge table and comparator sites for this invocation.
-    fn after_gating(&mut self, core: &mut SchedCore, _t0: u64) {
-        let region = core.region;
-        let n = region.dfg.num_nodes();
-        self.may_edges.clear();
-        if self.conflict_waiters.len() < n {
-            self.conflict_waiters.resize(n, Vec::new());
-        }
-        for w in &mut self.conflict_waiters {
-            w.clear();
-        }
-        self.site_of.clear();
-        self.site_of.resize(n, NO_SITE);
-        if self.edges_of.len() < n {
-            self.edges_of.resize(n, Vec::new());
-        }
-        for l in &mut self.edges_of {
-            l.clear();
-        }
-        let width = core.config.comparators_per_site;
-        let mut slots = 0usize;
-        for e in region.dfg.edges() {
-            if e.kind == EdgeKind::May && !(is_scratch(region, e.src) && is_scratch(region, e.dst))
-            {
-                let idx = u32::try_from(self.may_edges.len()).expect("edge count fits u32");
-                self.edges_of[e.src.index()].push(idx);
-                if e.dst != e.src {
-                    self.edges_of[e.dst.index()].push(idx);
-                }
-                self.may_edges.push(MayEdge {
-                    older: e.src,
-                    younger: e.dst,
-                    hops: core.placement.hops(e.src, e.dst),
-                    checked: false,
-                });
-                if self.site_of[e.dst.index()] == NO_SITE {
-                    self.site_of[e.dst.index()] = slots;
-                    if slots < self.site_cals.len() {
-                        self.site_cals[slots].reset(width);
-                    } else {
-                        self.site_cals.push(Calendar::new(width));
-                    }
-                    slots += 1;
-                }
-            }
-        }
-    }
-
     fn on_stores_resolved(&mut self, core: &mut SchedCore, t0: u64, agen: u64) {
-        for i in 0..core.store_nodes.len() {
-            let n = core.store_nodes[i];
+        for i in 0..core.plan.stores.len() {
+            let n = core.plan.stores[i];
             self.propagate_may_addresses(core, t0 + agen, n);
         }
     }

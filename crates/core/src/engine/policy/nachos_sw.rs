@@ -2,12 +2,12 @@
 //! like MUST edges (paper §V) — every dependence is a 1-bit completion
 //! token over the operand network, and no comparator hardware exists.
 
-use crate::config::{Backend, SimConfig};
+use crate::config::Backend;
 use nachos_ir::{Edge, EdgeKind, NodeId};
 
 use super::super::core::SchedCore;
 use super::super::state::Ev;
-use super::{dataflow_admit, DisambiguationPolicy, EdgeGate};
+use super::{dataflow_admit, DisambiguationPolicy, EdgeGate, Gating};
 
 #[derive(Default)]
 pub(crate) struct NachosSwPolicy;
@@ -17,7 +17,9 @@ impl DisambiguationPolicy for NachosSwPolicy {
         Backend::NachosSw
     }
 
-    fn prepare_run(&mut self, _config: &SimConfig) {}
+    const GATING: Gating = Gating::PerRun;
+
+    fn prepare_run(&mut self, _core: &SchedCore) {}
 
     fn edge_gate(&mut self, _core: &SchedCore, e: &Edge) -> EdgeGate {
         match e.kind {

@@ -1,4 +1,4 @@
-//! The bucketed calendar event queue.
+//! The slab-backed calendar event queue.
 //!
 //! The scheduler used to order events in a `BinaryHeap<Reverse<(cycle,
 //! seq, Ev)>>`: every push and pop paid `O(log n)` comparisons on a
@@ -8,20 +8,31 @@
 //! tiny compared to the cycle space. [`EventQueue`] exploits that with a
 //! calendar layout:
 //!
-//! * a **ring of per-cycle buckets** covering `[base, base + WINDOW)`.
-//!   A push inside the window appends `(seq, ev)` to its cycle's bucket —
-//!   `O(1)`, and because the global sequence counter is monotonic, every
-//!   bucket is sorted by `seq` for free;
+//! * a **ring of per-cycle FIFO lists** covering `[base, base + WINDOW)`.
+//!   Every entry lives in one slab (`Vec<Entry>`); a cycle slot is just a
+//!   `(head, tail)` pair of slab indices in a fixed inline array, and each
+//!   entry links to the next one of its cycle. A push inside the window
+//!   takes a slab entry (the most recently freed one first, so it is still
+//!   cache-hot) and links it at its cycle's tail — `O(1)`, and because
+//!   pushes are numbered by a monotonic sequence counter, every list is in
+//!   push order for free. A pop unlinks the head and returns the entry to
+//!   the free list;
 //! * a **sorted overflow spill** (a small binary heap) for the rare push
 //!   outside the window — far-future events, or events behind `base`
 //!   (arbitrary schedules; the engine itself never goes back in time).
 //!
-//! `pop` compares the ring's head `(cycle, seq)` against the overflow's
-//! top and takes the smaller, so the pop sequence is **exactly** the
-//! `(cycle, seq, Ev)` total order the heap produced — `seq` is unique,
-//! so the `Ev` field never participates in ordering. The differential
-//! proptest below pins this against the reference heap on random
-//! schedules, and the golden sweep snapshots pin it end-to-end.
+//! `pop` takes the overflow's top when its cycle is at or before the
+//! ring's head cycle, and the ring's head otherwise. That is **exactly**
+//! the `(cycle, seq, Ev)` total order the heap produced (`seq` is unique,
+//! so the `Ev` field never participates in ordering), without storing
+//! `seq` in the ring: the window only moves forward, so an overflow event
+//! whose cycle the window has since reached was pushed before the window
+//! covered that cycle — before every ring event of the same cycle — and
+//! an event pushed behind `base` stays behind it. The slab and its
+//! free list are invisible outside the queue: `len`, `pushes` and
+//! `max_depth` count events, not entries. The differential proptest
+//! below pins both against the reference heap on random schedules, and
+//! the golden sweep snapshots pin the order end-to-end.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -32,21 +43,38 @@ use super::state::Ev;
 /// (DRAM miss + LLC + L1 + routing ≈ 230 cycles) with slack; anything
 /// further spills to the overflow heap.
 const WINDOW: u64 = 1024;
+const SLOTS: usize = WINDOW as usize;
+
+/// "No entry": an empty cycle list, the end of a list, or an empty free
+/// list.
+const NIL: u32 = u32::MAX;
+
+/// One queued event in the slab, linked to the next entry of its cycle
+/// (or of the free list).
+#[derive(Clone, Copy)]
+struct Entry {
+    ev: Ev,
+    next: u32,
+}
 
 /// A calendar queue over `(cycle, seq, Ev)` with exact heap-order pops.
 pub(crate) struct EventQueue {
-    /// `WINDOW` per-cycle buckets; cycle `c` lives at `c % WINDOW` while
-    /// `base <= c < base + WINDOW`. Each bucket is ascending in `seq`.
-    buckets: Vec<Vec<(u64, Ev)>>,
+    /// `(head, tail)` slab entries of each cycle slot's list (head
+    /// [`NIL`] = empty; the tail is meaningful only while the head is
+    /// not). Cycle `c` lives at `c % WINDOW` while
+    /// `base <= c < base + WINDOW`. Each list is in push order.
+    slots: [(u32, u32); SLOTS],
+    /// Every ring entry ever allocated this run, queued or free.
+    slab: Vec<Entry>,
+    /// Head of the free list threaded through consumed slab entries.
+    free: u32,
     /// Smallest cycle still mapped to the ring.
     base: u64,
-    /// Read cursor into the bucket at `base`.
-    head: usize,
-    /// Unconsumed entries across all buckets.
+    /// Queued entries across all cycle lists.
     ring_len: usize,
     /// Events outside the ring window (far future, or behind `base`).
     overflow: BinaryHeap<Reverse<(u64, u64, Ev)>>,
-    /// Monotonic push counter: the deterministic tie-breaker.
+    /// Monotonic push counter: the overflow's deterministic tie-breaker.
     seq: u64,
     /// Total events ever pushed this run (telemetry).
     pushes: u64,
@@ -54,12 +82,15 @@ pub(crate) struct EventQueue {
     max_depth: u64,
 }
 
+/// An empty queue allocates nothing, so the arena can swap queues in
+/// and out with `mem::take`.
 impl Default for EventQueue {
     fn default() -> Self {
         Self {
-            buckets: (0..WINDOW).map(|_| Vec::new()).collect(),
+            slots: [(NIL, NIL); SLOTS],
+            slab: Vec::new(),
+            free: NIL,
             base: 0,
-            head: 0,
             ring_len: 0,
             overflow: BinaryHeap::new(),
             seq: 0,
@@ -70,13 +101,12 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Empties the queue for a fresh run, keeping bucket capacity.
+    /// Empties the queue for a fresh run, keeping slab capacity.
     pub(crate) fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
+        self.slots.fill((NIL, NIL));
+        self.slab.clear();
+        self.free = NIL;
         self.base = 0;
-        self.head = 0;
         self.ring_len = 0;
         self.overflow.clear();
         self.seq = 0;
@@ -100,7 +130,7 @@ impl EventQueue {
     }
 
     #[inline]
-    fn slot(&self, cycle: u64) -> usize {
+    fn slot(cycle: u64) -> usize {
         (cycle % WINDOW) as usize
     }
 
@@ -109,8 +139,24 @@ impl EventQueue {
         self.seq += 1;
         self.pushes += 1;
         if at >= self.base && at < self.base + WINDOW {
-            let slot = self.slot(at);
-            self.buckets[slot].push((self.seq, ev));
+            let entry = Entry { ev, next: NIL };
+            let idx = if self.free == NIL {
+                let idx = u32::try_from(self.slab.len()).expect("live events fit u32");
+                self.slab.push(entry);
+                idx
+            } else {
+                let idx = self.free;
+                self.free = self.slab[idx as usize].next;
+                self.slab[idx as usize] = entry;
+                idx
+            };
+            let (head, tail) = &mut self.slots[Self::slot(at)];
+            if *head == NIL {
+                *head = idx;
+            } else {
+                self.slab[*tail as usize].next = idx;
+            }
+            *tail = idx;
             self.ring_len += 1;
         } else {
             self.overflow.push(Reverse((at, self.seq, ev)));
@@ -123,41 +169,35 @@ impl EventQueue {
 
     /// Pops the minimum `(cycle, seq)` event — exactly the order the
     /// reference binary heap would produce.
+    #[inline]
     pub(crate) fn pop(&mut self) -> Option<(u64, Ev)> {
         if self.ring_len == 0 {
             // Ring empty: serve the overflow and jump the window forward
-            // so successor pushes land in buckets again.
+            // so successor pushes land in the ring again.
             let Reverse((at, _, ev)) = self.overflow.pop()?;
-            if at > self.base {
-                let slot = self.slot(self.base);
-                self.buckets[slot].clear();
-                self.head = 0;
-                self.base = at;
-            }
+            self.base = self.base.max(at);
             return Some((at, ev));
         }
-        // Advance to the ring's next unconsumed entry, retiring spent
-        // buckets along the way.
-        loop {
-            let slot = self.slot(self.base);
-            if self.head < self.buckets[slot].len() {
-                break;
-            }
-            self.buckets[slot].clear();
-            self.head = 0;
+        // Advance to the ring's next non-empty cycle.
+        let mut slot = Self::slot(self.base);
+        while self.slots[slot].0 == NIL {
             self.base += 1;
+            slot = Self::slot(self.base);
         }
-        let slot = self.slot(self.base);
-        let (seq, ev) = self.buckets[slot][self.head];
         // The overflow can hold an earlier event: a past-cycle push, or
-        // an equal-cycle push made while the window sat further back.
-        if let Some(&Reverse((o_at, o_seq, _))) = self.overflow.peek() {
-            if (o_at, o_seq) < (self.base, seq) {
+        // an equal-cycle push made while the window sat further back (and
+        // so before every ring event of that cycle).
+        if let Some(&Reverse((o_at, _, _))) = self.overflow.peek() {
+            if o_at <= self.base {
                 let Reverse((at, _, ev)) = self.overflow.pop().expect("peeked");
                 return Some((at, ev));
             }
         }
-        self.head += 1;
+        let idx = self.slots[slot].0;
+        let Entry { ev, next } = self.slab[idx as usize];
+        self.slots[slot].0 = next;
+        self.slab[idx as usize].next = self.free;
+        self.free = idx;
         self.ring_len -= 1;
         Some((self.base, ev))
     }
@@ -270,33 +310,53 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Differential: on arbitrary interleaved push/pop schedules —
-        /// including past-cycle pushes and far jumps the engine itself
-        /// never produces — the calendar queue pops the exact sequence
-        /// of the reference binary heap.
+        /// Differential: on arbitrary interleaved push/pop/clear
+        /// schedules — including past-cycle pushes and far jumps the
+        /// engine itself never produces — the calendar queue pops the
+        /// exact sequence of the reference binary heap, and after every
+        /// operation its telemetry (`len`, `pushes`, `max_depth`) equals
+        /// a count kept beside the heap. A `clear` mid-schedule leaves
+        /// the slab's free list behind; nothing of it may show.
         #[test]
         fn matches_binary_heap_on_random_schedules(
-            ops in proptest::collection::vec((any::<u16>(), 0u8..4), 1..300),
+            ops in proptest::collection::vec((any::<u16>(), 0u8..5), 1..300),
         ) {
             let mut q = EventQueue::default();
             let mut h = HeapQueue::default();
+            let (mut pushes, mut max_depth) = (0u64, 0u64);
             for (i, &(raw, kind)) in ops.iter().enumerate() {
-                if kind == 3 {
-                    prop_assert_eq!(q.pop(), h.pop());
-                } else {
-                    // Mix tight clusters, far jumps and megacycle spills.
-                    let at = match kind {
-                        0 => u64::from(raw) % 64,
-                        1 => u64::from(raw),
-                        _ => u64::from(raw) * 97,
-                    };
-                    q.push(at, ev(i));
-                    h.push(at, ev(i));
+                match kind {
+                    3 => prop_assert_eq!(q.pop(), h.pop()),
+                    4 if raw % 4 == 0 => {
+                        q.clear();
+                        h = HeapQueue::default();
+                        pushes = 0;
+                        max_depth = 0;
+                    }
+                    4 => prop_assert_eq!(q.pop(), h.pop()),
+                    _ => {
+                        // Mix tight clusters, far jumps and megacycle spills.
+                        let at = match kind {
+                            0 => u64::from(raw) % 64,
+                            1 => u64::from(raw),
+                            _ => u64::from(raw) * 97,
+                        };
+                        q.push(at, ev(i));
+                        h.push(at, ev(i));
+                        pushes += 1;
+                        max_depth = max_depth.max(h.heap.len() as u64);
+                    }
                 }
+                prop_assert_eq!(q.len(), h.heap.len());
+                prop_assert_eq!(q.pushes(), pushes);
+                prop_assert_eq!(q.max_depth(), max_depth);
             }
             loop {
                 let (a, b) = (q.pop(), h.pop());
                 prop_assert_eq!(a, b);
+                prop_assert_eq!(q.len(), h.heap.len());
+                prop_assert_eq!(q.pushes(), pushes);
+                prop_assert_eq!(q.max_depth(), max_depth);
                 if a.is_none() {
                     break;
                 }

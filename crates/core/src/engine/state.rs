@@ -10,6 +10,8 @@
 
 use nachos_ir::NodeId;
 
+use super::plan::Gates;
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Ev {
     /// A data or forward payload arrived at `node`.
@@ -54,19 +56,17 @@ impl StallCause {
 /// watchdog bounds real cycles far below it.
 pub(crate) const NO_CYCLE: u64 = u64::MAX;
 
-/// Structure-of-arrays per-node scheduler state, rebuilt each invocation.
+/// Structure-of-arrays per-node scheduler state, reset each invocation.
 ///
 /// Cycle-valued columns (`fired`, `addr_ready`, `completed`,
 /// `blocked_at`) use [`NO_CYCLE`] as "unset"; the accessors expose the
 /// `Option` view where call sites need it.
 #[derive(Default)]
 pub(crate) struct NodeTable {
-    /// Outstanding data/forward operands before the node can fire.
-    pub(crate) data_pending: Vec<u32>,
-    /// Outstanding ordering tokens before the memory stage may proceed.
-    pub(crate) token_pending: Vec<u32>,
-    /// Outstanding MAY-gate releases before the memory stage may proceed.
-    pub(crate) may_pending: Vec<u32>,
+    /// Outstanding gates: data/forward operands before the node can fire,
+    /// ordering tokens and MAY-gate releases before its memory stage may
+    /// proceed.
+    pub(crate) pending: Gates,
     /// Cycle the node fired ([`NO_CYCLE`] = not yet).
     pub(crate) fired: Vec<u64>,
     /// Cycle the node's address became known ([`NO_CYCLE`] = unknown).
@@ -91,16 +91,18 @@ impl NodeTable {
         self.completed.len()
     }
 
-    /// Resets every column to the default state for `n` nodes, keeping
-    /// capacity.
-    pub(crate) fn reset(&mut self, n: usize) {
+    /// Resets every column for a new invocation, keeping capacity: the
+    /// pending counters copy the plan's gate template, every other column
+    /// returns to its default.
+    pub(crate) fn reset(&mut self, gates: &Gates) {
         fn refill<T: Copy>(v: &mut Vec<T>, n: usize, x: T) {
             v.clear();
             v.resize(n, x);
         }
-        refill(&mut self.data_pending, n, 0);
-        refill(&mut self.token_pending, n, 0);
-        refill(&mut self.may_pending, n, 0);
+        let n = gates.data.len();
+        self.pending.data.clone_from(&gates.data);
+        self.pending.token.clone_from(&gates.token);
+        self.pending.may.clone_from(&gates.may);
         refill(&mut self.fired, n, NO_CYCLE);
         refill(&mut self.addr_ready, n, NO_CYCLE);
         refill(&mut self.completed, n, NO_CYCLE);

@@ -8,8 +8,7 @@
 //! observation, never causation: attaching any sink yields bit-identical
 //! cycles, stall counters and reports to running without one (pinned by
 //! `tests/prop_telemetry.rs`), and runs without a sink pay a single
-//! branch per event (asserted allocation-free by the `engine_reuse`
-//! criterion bench).
+//! branch per event (asserted allocation-free by `tests/arena.rs`).
 //!
 //! [`StatsWriter`] is the stock sink: it streams `nachos-stats-v1` JSON
 //! lines (cyclotron-style `stats.jsonl`) suitable for offline stall

@@ -50,22 +50,23 @@ pub fn execute_cancellable(
     let mut mem = DataMemory::new();
     let mut loads = LoadObserver::new();
     let mut values = vec![0u64; region.dfg.num_nodes()];
+    let (mut iv, mut unknown_vals) = (Vec::new(), Vec::new());
 
     for inv in 0..invocations {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return None;
         }
-        let iv = if region.loops.is_empty() {
-            Vec::new()
-        } else {
-            region.loops.iteration_vector(inv % nest_total)
-        };
-        let unknown_vals = binding.unknown_values(inv);
+        iv.clear();
+        if !region.loops.is_empty() {
+            region
+                .loops
+                .iteration_vector_into(inv % nest_total, &mut iv);
+        }
+        binding.unknown_values_into(inv, &mut unknown_vals);
         let ctx = binding.eval_ctx(&iv, &unknown_vals);
         for &node in &order {
-            let operands = operand_values(region, node, &values);
             let kind = &region.dfg.node(node).kind;
-            values[node.index()] = match kind {
+            let v = match kind {
                 OpKind::Load(mref) => {
                     let addr = mref.eval(&ctx);
                     let v = mem.read(addr, mref.size);
@@ -75,27 +76,31 @@ pub fn execute_cancellable(
                 }
                 OpKind::Store(mref) => {
                     let addr = mref.eval(&ctx);
-                    let v = apply(kind, &operands, inv);
+                    let v = apply(kind, operand_values(region, node, &values), inv);
                     mem.write(addr, mref.size, v);
                     v
                 }
-                other => apply(other, &operands, inv),
+                other => apply(other, operand_values(region, node, &values), inv),
             };
+            values[node.index()] = v;
         }
     }
     Some(ReferenceResult { mem, loads })
 }
 
-/// Collects a node's data-operand values in deterministic (edge-insertion)
-/// order. Forward edges are compiler artifacts and do not contribute
-/// operands in the reference semantics.
-pub(crate) fn operand_values(region: &Region, node: NodeId, values: &[u64]) -> Vec<u64> {
+/// A node's data-operand values in deterministic (edge-insertion) order.
+/// Forward edges are compiler artifacts and do not contribute operands
+/// in the reference semantics.
+fn operand_values<'a>(
+    region: &'a Region,
+    node: NodeId,
+    values: &'a [u64],
+) -> impl Iterator<Item = u64> + 'a {
     region
         .dfg
         .in_edges(node)
         .filter(|e| e.kind == EdgeKind::Data)
         .map(|e| values[e.src.index()])
-        .collect()
 }
 
 #[cfg(test)]

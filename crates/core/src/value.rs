@@ -34,12 +34,12 @@ pub fn input_value(index: u32, invocation: u64) -> u64 {
 ///
 /// Panics when called with a load node.
 #[must_use]
-pub fn apply(kind: &OpKind, operands: &[u64], invocation: u64) -> u64 {
+pub fn apply(kind: &OpKind, operands: impl IntoIterator<Item = u64>, invocation: u64) -> u64 {
     match kind {
         OpKind::Input { index } => input_value(*index, invocation),
         OpKind::Const { value } => *value,
         OpKind::Int(_) | OpKind::Fp(_) | OpKind::Store(_) | OpKind::Output => {
-            operands.iter().fold(0x8422_2325, |acc, &v| fold(acc, v))
+            operands.into_iter().fold(0x8422_2325, fold)
         }
         OpKind::Load(_) => panic!("loads take their value from memory"),
     }
@@ -134,19 +134,19 @@ mod tests {
 
     #[test]
     fn apply_consts_and_compute() {
-        assert_eq!(apply(&OpKind::Const { value: 42 }, &[], 0), 42);
-        let a = apply(&OpKind::Int(IntOp::Add), &[1, 2], 0);
-        let b = apply(&OpKind::Int(IntOp::Add), &[2, 1], 0);
+        assert_eq!(apply(&OpKind::Const { value: 42 }, [], 0), 42);
+        let a = apply(&OpKind::Int(IntOp::Add), [1, 2], 0);
+        let b = apply(&OpKind::Int(IntOp::Add), [2, 1], 0);
         assert_ne!(a, b);
         // Same inputs, same value regardless of invocation for compute.
-        assert_eq!(a, apply(&OpKind::Int(IntOp::Add), &[1, 2], 9));
+        assert_eq!(a, apply(&OpKind::Int(IntOp::Add), [1, 2], 9));
     }
 
     #[test]
     #[should_panic(expected = "memory")]
     fn apply_rejects_loads() {
         let mem = MemRef::affine(nachos_ir::BaseId::new(0), AffineExpr::zero());
-        let _ = apply(&OpKind::Load(mem), &[], 0);
+        let _ = apply(&OpKind::Load(mem), [], 0);
     }
 
     #[test]
