@@ -2,7 +2,7 @@
 //!
 //! Server mode binds a Unix domain socket and serves the
 //! `nachos-jobs-v1` protocol (see `DESIGN.md §12`): clients submit
-//! sweep matrices, watch job state, and fetch `nachos-sweep-v4`
+//! sweep matrices, watch job state, and fetch `nachos-sweep-v5`
 //! reports. Every job transition is journaled durably under `--root`,
 //! so `kill -9` + restart resumes every in-flight job and reproduces
 //! its report byte-for-byte.

@@ -1,6 +1,6 @@
 //! The machine-readable sweep: runs the full 27-workload × 4-variant
 //! differential matrix on the parallel harness and emits the JSON report
-//! (schema `nachos-sweep-v4`).
+//! (schema `nachos-sweep-v5`).
 //!
 //! Crash-recoverable orchestration: with `--journal FILE` every completed
 //! run is fsynced to an append-only JSONL journal as it finishes, and
@@ -148,12 +148,13 @@ Exit codes — each reachable by exactly one condition:
   5  environment failure: journal/report/cache I/O, a worker protocol
      error, or an unreachable daemon socket
 
-Cache layout and invalidation: entries live at <root>/<hh>/<key>.rec,
-one checksum-framed record per file, where <key> is the 16-hex FNV-1a
-content hash of (region, binding, variant, fault plan, simulator
-config) and <hh> its first byte. Any input change changes the key, so
-stale entries are never served — they are merely unreachable. Only
-settled statuses (ok, mismatch, fault_detected) are cached; corrupt
+Cache layout and invalidation: entries live at
+<root>/<hh>/<key>.nachos-journal-v3.rec, one checksum-framed record per
+file, where <key> is the 16-hex FNV-1a content hash of (region, binding,
+variant, fault plan, simulator config) and <hh> its first byte. Any
+input change changes the key, and a new record schema changes the file
+name, so stale entries are never served — they are merely unreachable.
+Only settled statuses (ok, mismatch, fault_detected) are cached; corrupt
 entries are detected by checksum, removed, and re-executed.
 ";
 

@@ -7,7 +7,7 @@
 //! socket resolves to *exactly* the matrix the CLI would run. That
 //! shared path is what makes the daemon's byte-identical-report
 //! guarantee cheap: identical specs produce identical jobs, identical
-//! fingerprints, and therefore identical `nachos-sweep-v4` bytes.
+//! fingerprints, and therefore identical `nachos-sweep-v5` bytes.
 //!
 //! Resolution is strict: an unknown variant label, a filter that
 //! matches nothing, or a poison target that does not exist is an

@@ -101,12 +101,7 @@ impl TelemetrySink for NoopSink {}
 fn stall_fields(w: &mut JsonWriter, s: &StallCounts) {
     w.key("stalls");
     w.open_obj();
-    w.u64_field("lsq_alloc", s.lsq_alloc);
-    w.u64_field("lsq_search", s.lsq_search);
-    w.u64_field("token", s.token);
-    w.u64_field("may_gate", s.may_gate);
-    w.u64_field("comparator", s.comparator);
-    w.u64_field("mem_port", s.mem_port);
+    crate::sweep::journal::stall_fields(w, s);
     w.close_obj();
 }
 

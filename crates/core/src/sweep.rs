@@ -294,8 +294,8 @@ pub enum RunStatus {
     Panic,
     /// Any other structured [`SimError`] outside fault injection.
     Error,
-    /// The run (or its whole job) kept killing workers: it panicked on
-    /// every attempt of an exhausted retry budget, or its job-level setup
+    /// The run (or its whole job) kept panicking: it panicked on every
+    /// attempt of an exhausted retry budget, or its job-level setup
     /// panicked [`SweepConfig::quarantine_after`] times. The run is
     /// parked so the rest of the sweep completes.
     Quarantined,
@@ -612,7 +612,7 @@ fn worker(
                     if strikes >= cfg.quarantine_after.max(1) {
                         let msg = panic_message(payload.as_ref());
                         let detail =
-                            format!("quarantined: job-level panic killed {strikes} workers: {msg}");
+                            format!("quarantined after {strikes} job-level panics; last: {msg}");
                         let status = RunStatus::Quarantined;
                         break unreferenced_job(job, cfg, &cells, |_| None, status, &detail);
                     }
@@ -1008,7 +1008,7 @@ impl SweepResult {
         out
     }
 
-    /// Serializes the sweep to JSON (schema `nachos-sweep-v4`).
+    /// Serializes the sweep to JSON (schema `nachos-sweep-v5`).
     ///
     /// The writer is hand-rolled (the workspace takes no serialization
     /// dependency) and emits keys in a fixed order; the output is
@@ -1016,15 +1016,16 @@ impl SweepResult {
     /// journal-resume boundaries — including for degraded runs, whose
     /// `status`, `detail` and `attempt_log` fields are deterministic.
     ///
-    /// Changes from `nachos-sweep-v3`: each completed run reports its
-    /// `comparator_sites` count and, when the run compiled with the MDE
-    /// optimizer, an `opt` object with the rewrite ledger (edges before,
-    /// removed, coalesced, upgraded). Every v3 field is unchanged.
+    /// Changes from `nachos-sweep-v4`: the `opt` object keeps only
+    /// `order_before`, `may_before` and `may_coalesced` (the README lists
+    /// the four keys it lost), and a job quarantined for job-level panics
+    /// reads `quarantined after N job-level panics; last: …`. Every other
+    /// field is unchanged.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.open_obj();
-        w.str_field("schema", "nachos-sweep-v4");
+        w.str_field("schema", "nachos-sweep-v5");
         w.u64_field("invocations", self.invocations);
         w.key("variants");
         w.open_arr();
@@ -1096,84 +1097,11 @@ impl VariantOutcome {
             }
             w.close_arr();
         }
-        let Some(m) = &self.metrics else {
-            // Degraded run: no simulation result to report.
-            w.close_obj();
-            return;
-        };
-        w.u64_field("cycles", m.cycles);
-        w.key("stalls");
-        {
-            let s = &m.stalls;
-            w.open_obj();
-            w.u64_field("lsq_alloc", s.lsq_alloc);
-            w.u64_field("lsq_search", s.lsq_search);
-            w.u64_field("token", s.token);
-            w.u64_field("may_gate", s.may_gate);
-            w.u64_field("comparator", s.comparator);
-            w.u64_field("mem_port", s.mem_port);
-            w.u64_field("total", s.total());
-            w.close_obj();
-        }
-        w.key("events");
-        {
-            let e = &m.events;
-            w.open_obj();
-            w.u64_field("int_ops", e.int_ops);
-            w.u64_field("fp_ops", e.fp_ops);
-            w.u64_field("data_links", e.data_links);
-            w.u64_field("mem_links", e.mem_links);
-            w.u64_field("may_checks", e.may_checks);
-            w.u64_field("must_tokens", e.must_tokens);
-            w.u64_field("l1_accesses", e.l1_accesses);
-            w.u64_field("lsq_allocs", e.lsq_allocs);
-            w.u64_field("lsq_bank_overflows", e.lsq_bank_overflows);
-            w.u64_field("lsq_bloom_queries", e.lsq_bloom_queries);
-            w.u64_field("lsq_bloom_hits", e.lsq_bloom_hits);
-            w.u64_field("lsq_cam_loads", e.lsq_cam_loads);
-            w.u64_field("lsq_cam_stores", e.lsq_cam_stores);
-            w.u64_field("forwards", e.forwards);
-            w.close_obj();
-        }
-        w.key("energy_fj");
-        {
-            let en = &m.energy;
-            w.open_obj();
-            w.f64_field("compute", en.compute);
-            w.f64_field("mde", en.mde);
-            w.f64_field("lsq_bloom", en.lsq_bloom);
-            w.f64_field("lsq_cam", en.lsq_cam);
-            w.f64_field("l1", en.l1);
-            w.f64_field("total", en.total());
-            w.close_obj();
-        }
-        w.key("l1");
-        cache_json(w, m.l1.hits, m.l1.misses, m.l1.writebacks);
-        w.key("llc");
-        cache_json(w, m.llc.hits, m.llc.misses, m.llc.writebacks);
-        w.u64_field("comparator_sites", m.comparator_sites);
-        if let Some(o) = &m.opt {
-            w.key("opt");
-            w.open_obj();
-            w.u64_field("order_before", o.order_before);
-            w.u64_field("may_before", o.may_before);
-            w.u64_field("order_removed", o.order_removed);
-            w.u64_field("may_coalesced", o.may_coalesced);
-            w.u64_field("may_upgraded", o.may_upgraded);
-            w.u64_field("may_upgraded_edges", o.may_upgraded_edges);
-            w.u64_field("edges_removed", o.edges_removed());
-            w.close_obj();
+        if let Some(m) = &self.metrics {
+            m.write_fields(w);
         }
         w.close_obj();
     }
-}
-
-fn cache_json(w: &mut JsonWriter, hits: u64, misses: u64, writebacks: u64) {
-    w.open_obj();
-    w.u64_field("hits", hits);
-    w.u64_field("misses", misses);
-    w.u64_field("writebacks", writebacks);
-    w.close_obj();
 }
 
 #[cfg(test)]
@@ -1247,7 +1175,7 @@ mod tests {
         let sweep = run_sweep(&jobs, &cfg);
         let json = sweep.to_json();
         assert!(json.starts_with("{\n"));
-        assert!(json.contains("\"schema\": \"nachos-sweep-v4\""));
+        assert!(json.contains("\"schema\": \"nachos-sweep-v5\""));
         assert!(json.contains("\"nachos-sw-baseline\""));
         assert!(json.contains("\"status\": \"ok\""));
         assert!(json.contains("\"matches_reference\": true"));
@@ -1379,7 +1307,7 @@ mod tests {
                 .detail
                 .as_deref()
                 .unwrap_or("")
-                .contains("job-level panic killed 3 workers"));
+                .starts_with("quarantined after 3 job-level panics; last: "));
             assert_eq!(q.reference.loads.digest(), (0, 0), "empty reference");
             let ok_runs = sweep
                 .statuses()
@@ -1468,34 +1396,40 @@ mod tests {
             )),
             demo_job("c"),
         ];
-        let cfg = SweepConfig::default().with_invocations(3);
-        let clean = run_sweep(&jobs, &cfg);
         let dir = std::env::temp_dir().join("nachos-sweep-journal-unit");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("j.jsonl");
-        // First pass journals everything (simulating a completed shard of
-        // an interrupted campaign: only jobs a and b ran).
-        {
-            let jrn = Journal::create(&path).unwrap();
-            let (_, stats) = run_sweep_journaled(&jobs[..2], &cfg, Some(&jrn));
-            assert_eq!(stats.executed, 6);
-            assert_eq!(stats.replayed, 0);
+        // Optimized runs carry an `opt` block, so it round-trips too.
+        for optimize in [false, true] {
+            let cfg = SweepConfig::default()
+                .with_invocations(3)
+                .with_optimize(optimize);
+            let clean = run_sweep(&jobs, &cfg).to_json();
+            assert_eq!(clean.contains("\"opt\""), optimize);
+            let path = dir.join(format!("j-{optimize}.jsonl"));
+            // First pass journals everything (simulating a completed
+            // shard of an interrupted campaign: only jobs a and b ran).
+            {
+                let jrn = Journal::create(&path).unwrap();
+                let (_, stats) = run_sweep_journaled(&jobs[..2], &cfg, Some(&jrn));
+                assert_eq!(stats.executed, 6);
+                assert_eq!(stats.replayed, 0);
+            }
+            // Resume over the full job list: a and b replay, c runs live,
+            // and the report matches an uninterrupted sweep byte for byte.
+            let jrn = Journal::resume(&path).unwrap();
+            assert_eq!(jrn.replay_len(), 6);
+            let (resumed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&jrn));
+            assert_eq!(stats.replayed, 6);
+            assert_eq!(stats.executed, 3);
+            assert_eq!(resumed.to_json(), clean);
+            // A second resume replays everything.
+            drop(jrn);
+            let jrn = Journal::resume(&path).unwrap();
+            let (replayed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&jrn));
+            assert_eq!(stats.replayed, 9);
+            assert_eq!(stats.executed, 0);
+            assert_eq!(replayed.to_json(), clean);
         }
-        // Resume over the full job list: a and b replay, c runs live, and
-        // the report matches an uninterrupted sweep byte for byte.
-        let jrn = Journal::resume(&path).unwrap();
-        assert_eq!(jrn.replay_len(), 6);
-        let (resumed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&jrn));
-        assert_eq!(stats.replayed, 6);
-        assert_eq!(stats.executed, 3);
-        assert_eq!(resumed.to_json(), clean.to_json());
-        // A second resume replays everything.
-        drop(jrn);
-        let jrn = Journal::resume(&path).unwrap();
-        let (replayed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&jrn));
-        assert_eq!(stats.replayed, 9);
-        assert_eq!(stats.executed, 0);
-        assert_eq!(replayed.to_json(), clean.to_json());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

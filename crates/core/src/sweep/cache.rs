@@ -9,17 +9,21 @@
 //! key-addressed store of [`RunRecord`] lines:
 //!
 //! ```text
-//! <root>/ab/abcdef0123456789.rec     // first byte of the key fans out
+//! <root>/ab/abcdef0123456789.nachos-journal-v3.rec
 //! ```
+//!
+//! The first byte of the key fans entries out, and the record schema
+//! ([`JOURNAL_SCHEMA`]) names the file.
 //!
 //! Invalidation is structural, not temporal: any change to a region,
 //! binding, fault plan, variant or simulator knob changes the key, so
-//! stale entries are never *wrong*, merely unreachable garbage. The
-//! schema tag inside each record guards against layout changes, and the
-//! per-record checksum frame ([`crate::json::checksum_frame`]) guards
-//! against disk corruption: a flipped byte makes [`ResultCache::lookup`]
-//! report [`CacheLookup::Corrupt`], the entry is removed, and the cell
-//! simply re-executes.
+//! stale entries are never *wrong*, merely unreachable garbage. A new
+//! record layout changes the schema and so every entry's path: entries
+//! of an older layout are never read, so they miss rather than misparse.
+//! The per-record checksum frame ([`crate::json::checksum_frame`])
+//! guards against disk corruption: a flipped byte makes
+//! [`ResultCache::lookup`] report [`CacheLookup::Corrupt`], the entry is
+//! removed, and the cell simply re-executes.
 //!
 //! Only **settled** outcomes are cached: `ok`, `mismatch` and
 //! `fault_detected` are deterministic conclusions about the inputs.
@@ -27,7 +31,7 @@
 //! cancellations stay campaign-local — a new campaign deserves a fresh
 //! attempt, with its own retry budget, at anything that did not settle.
 
-use super::journal::{RunKey, RunRecord, MAX_RECORD_LEN};
+use super::journal::{RunKey, RunRecord, JOURNAL_SCHEMA, MAX_RECORD_LEN};
 use super::RunStatus;
 use crate::json::write_atomic;
 use std::fs::{self, File};
@@ -120,7 +124,9 @@ impl ResultCache {
 
     fn entry_path(&self, key: RunKey) -> PathBuf {
         let hex = key.to_string();
-        self.root.join(&hex[..2]).join(format!("{hex}.rec"))
+        self.root
+            .join(&hex[..2])
+            .join(format!("{hex}.{JOURNAL_SCHEMA}.rec"))
     }
 
     /// Probes the cache for `key`. Corrupt entries (checksum failure,

@@ -1804,7 +1804,7 @@ mod tests {
         assert_eq!(last_state, "settled");
         let resp = request("{\"cmd\": \"fetch\", \"job\": 1}", &mut out, &mut reader);
         let report = resp.get("report").unwrap().as_str().unwrap();
-        assert!(report.contains("nachos-sweep-v4"));
+        assert!(report.contains("nachos-sweep-v5"));
         // Malformed and unknown requests are answered, not fatal.
         let resp = request("{\"cmd\": \"status\", \"job\": 42}", &mut out, &mut reader);
         assert_eq!(

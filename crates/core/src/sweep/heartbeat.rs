@@ -4,11 +4,13 @@
 //! [`super::journal::RunRecord`]s in the same shard journal file. The
 //! supervisor never trusts heartbeats for *results* — only for
 //! liveness ("is the worker still making progress?") and attribution
-//! ("which cell was in flight when the worker died?"). Heartbeats
-//! therefore carry a sequence number and the in-flight cell key, but
-//! **no wall-clock timestamp**: the supervisor measures silence with
-//! its own clock by watching the journal grow, and nothing from a
-//! heartbeat ever reaches report bytes.
+//! ("which cell was in flight when the worker died?"). A beat therefore
+//! carries only its phase and, for `start` and `done`, the cell's key:
+//! liveness is the journal growing, which the supervisor watches with
+//! its own clock, and attribution is the last `start` without its
+//! `done` or record. There is no sequence number and **no wall-clock
+//! timestamp**, and nothing from a heartbeat ever reaches report
+//! bytes.
 //!
 //! Like every journal line, heartbeats are checksum-framed
 //! ([`crate::json::checksum_frame`]): a torn or corrupted beat is
@@ -16,14 +18,13 @@
 
 use super::journal::RunKey;
 use crate::json::{checksum_frame, checksum_unframe, parse_json, JsonWriter};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Heartbeat line schema tag (the `journal` field, so readers dispatch
 /// on the same key as run records).
-pub const HEARTBEAT_SCHEMA: &str = "nachos-heartbeat-v1";
+pub const HEARTBEAT_SCHEMA: &str = "nachos-heartbeat-v2";
 
 /// Where in a cell's life a heartbeat was emitted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,7 +33,8 @@ pub enum HeartbeatPhase {
     Start,
     /// The worker finished (and journaled) the named cell.
     Done,
-    /// Periodic pulse: the worker is alive, possibly mid-cell.
+    /// Periodic pulse: the worker is alive, possibly mid-cell. Names no
+    /// cell.
     Alive,
 }
 
@@ -62,13 +64,9 @@ impl HeartbeatPhase {
 /// One worker liveness record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Heartbeat {
-    /// Monotonic per-worker sequence number (restarts from the next
-    /// value after a respawn; gaps are meaningless).
-    pub seq: u64,
     /// Phase of the beat.
     pub phase: HeartbeatPhase,
-    /// The cell in flight, when one is (`Start`/`Done` always name it;
-    /// `Alive` names it only mid-cell).
+    /// The cell starting or done (`None` for `Alive`).
     pub cell: Option<RunKey>,
 }
 
@@ -80,7 +78,6 @@ impl Heartbeat {
         let mut w = JsonWriter::compact();
         w.open_obj();
         w.str_field("journal", HEARTBEAT_SCHEMA);
-        w.u64_field("seq", self.seq);
         w.str_field("phase", self.phase.as_str());
         if let Some(cell) = self.cell {
             w.str_field("cell", &cell.to_string());
@@ -113,23 +110,18 @@ impl Heartbeat {
             None => None,
         };
         Some(Heartbeat {
-            seq: v.get("seq")?.as_u64()?,
             phase: HeartbeatPhase::from_label(v.get("phase")?.as_str()?)?,
             cell,
         })
     }
 }
 
-/// Shared state between a worker's main loop and its pulse thread.
-#[derive(Default)]
+/// The pulse thread's stop flag: set once, by drop; `wake` tells the
+/// thread at once instead of at its next beat.
+#[derive(Debug, Default)]
 struct PulseState {
-    seq: AtomicU64,
-    /// Set once, by drop; `wake` tells the pulse thread at once instead
-    /// of at its next beat.
     stop: Mutex<bool>,
     wake: Condvar,
-    /// The cell currently executing, for mid-cell `Alive` beats.
-    in_flight: Mutex<Option<RunKey>>,
 }
 
 /// Emits heartbeats for one worker process: explicit `Start`/`Done`
@@ -143,14 +135,6 @@ pub struct Pulse {
     sink: Arc<dyn Fn(&Heartbeat) + Send + Sync>,
     state: Arc<PulseState>,
     thread: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for PulseState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PulseState")
-            .field("seq", &self.seq.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
 }
 
 impl Pulse {
@@ -178,11 +162,9 @@ impl Pulse {
                     break;
                 }
                 drop(stop);
-                let cell = state.in_flight.lock().ok().and_then(|g| *g);
                 sink(&Heartbeat {
-                    seq: state.seq.fetch_add(1, Ordering::Relaxed),
                     phase: HeartbeatPhase::Alive,
-                    cell,
+                    cell: None,
                 });
             }))
         };
@@ -193,28 +175,21 @@ impl Pulse {
         }
     }
 
-    fn beat(&self, phase: HeartbeatPhase, cell: Option<RunKey>) {
+    fn beat(&self, phase: HeartbeatPhase, cell: RunKey) {
         (self.sink)(&Heartbeat {
-            seq: self.state.seq.fetch_add(1, Ordering::Relaxed),
             phase,
-            cell,
+            cell: Some(cell),
         });
     }
 
-    /// Marks `cell` in flight and emits its `Start` beat.
+    /// Emits `cell`'s `Start` beat.
     pub fn cell_start(&self, cell: RunKey) {
-        if let Ok(mut g) = self.state.in_flight.lock() {
-            *g = Some(cell);
-        }
-        self.beat(HeartbeatPhase::Start, Some(cell));
+        self.beat(HeartbeatPhase::Start, cell);
     }
 
-    /// Clears the in-flight cell and emits its `Done` beat.
+    /// Emits `cell`'s `Done` beat.
     pub fn cell_done(&self, cell: RunKey) {
-        if let Ok(mut g) = self.state.in_flight.lock() {
-            *g = None;
-        }
-        self.beat(HeartbeatPhase::Done, Some(cell));
+        self.beat(HeartbeatPhase::Done, cell);
     }
 }
 
@@ -248,12 +223,10 @@ mod tests {
     fn heartbeat_roundtrips_and_rejects_corruption() {
         for hb in [
             Heartbeat {
-                seq: 0,
                 phase: HeartbeatPhase::Start,
                 cell: Some(RunKey(0xdead_beef_0000_0001)),
             },
             Heartbeat {
-                seq: u64::MAX,
                 phase: HeartbeatPhase::Alive,
                 cell: None,
             },
@@ -300,15 +273,9 @@ mod tests {
             .collect();
         assert!(!alive.is_empty(), "the pulse thread beat while mid-cell");
         assert!(
-            alive.iter().all(|b| b.cell == Some(key)),
-            "mid-cell pulses name the in-flight cell"
+            alive.iter().all(|b| b.cell.is_none()),
+            "pulses name no cell"
         );
-        // Sequence numbers are unique (the pulse thread and the worker
-        // thread share one counter; observation order may race).
-        let mut seqs: Vec<u64> = beats.iter().map(|b| b.seq).collect();
-        seqs.sort_unstable();
-        seqs.dedup();
-        assert_eq!(seqs.len(), beats.len());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   so resuming with a reordered, filtered or extended job list replays
 //!   exactly the cells whose inputs are unchanged and re-runs the rest;
 //! * on restart, [`Journal::resume`] loads the replay map and
-//!   `run_sweep` skips completed keys; the final `nachos-sweep-v4`
+//!   `run_sweep` skips completed keys; the final `nachos-sweep-v5`
 //!   report is byte-identical to an uninterrupted run because the record
 //!   carries every reported field (status, retry attempts, metrics)
 //!   round-tripped losslessly — including `f64` energy values, which use
@@ -50,8 +50,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Journal line schema tag; bump when the record layout changes so stale
-/// journals are skipped (and re-run) instead of misread.
-pub const JOURNAL_SCHEMA: &str = "nachos-journal-v2";
+/// journal lines are skipped (and re-run) instead of misread. Result-cache
+/// entry paths carry it too, so stale cache entries miss.
+pub const JOURNAL_SCHEMA: &str = "nachos-journal-v3";
 
 // ---------------------------------------------------------------------
 // Content hashing
@@ -176,51 +177,36 @@ pub struct Attempt {
     pub seed: u64,
 }
 
-/// Per-run counters of the certificate-carrying MDE optimizer
-/// (`nachos-opt`), mirroring [`nachos_alias::OptStats`] in the fixed-width
-/// form the report emits. Present only when the run compiled with
-/// [`SimConfig::optimize`] on an MDE backend.
+/// Per-run counters of the certificate-carrying MDE optimizer, from
+/// [`nachos_alias::OptStats`] in the fixed-width form the report emits.
+/// Present only when the run compiled with [`SimConfig::optimize`] on an
+/// MDE backend. The optimizer rewrites only MAY edges, by coalescing
+/// comparator sites, so `may_coalesced` is also every edge it removed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OptMetrics {
     /// ORDER/token edges planned before optimization.
     pub order_before: u64,
     /// MAY edges planned before optimization.
     pub may_before: u64,
-    /// ORDER edges deleted (the optimizer rewrites only MAY edges, so
-    /// new runs record 0).
-    pub order_removed: u64,
     /// MAY edges deleted by comparator-site coalescing.
     pub may_coalesced: u64,
-    /// MAY pairs upgraded to NO. No pass upgrades pairs any more, so new
-    /// runs record 0; the field keeps the persisted `opt` block (and older
-    /// journals and caches) readable unchanged.
-    pub may_upgraded: u64,
-    /// MAY edges deleted by upgrades: 0 for new runs, like `may_upgraded`.
-    pub may_upgraded_edges: u64,
 }
 
 impl OptMetrics {
-    /// Total ordering-mechanism edges deleted.
-    #[must_use]
-    pub fn edges_removed(&self) -> u64 {
-        self.order_removed + self.may_coalesced + self.may_upgraded_edges
-    }
-
     fn from_stats(s: &nachos_alias::OptStats) -> Self {
         Self {
             order_before: s.order_before as u64,
             may_before: s.may_before as u64,
-            order_removed: s.order_removed as u64,
             may_coalesced: s.may_coalesced as u64,
-            may_upgraded: 0,
-            may_upgraded_edges: 0,
         }
     }
 }
 
-/// The reportable metrics of a completed run — exactly the scalar fields
-/// `nachos-sweep-v4` emits per run, so a journaled cell reproduces its
-/// report bytes without re-simulation.
+/// The reportable metrics of a completed run — exactly the fields
+/// `nachos-sweep-v5` emits per run, so a journaled cell reproduces its
+/// report bytes without re-simulation. `RunMetrics::write_fields` is
+/// their one encoding: the report writes it flattened into each run and
+/// a journal or cache record nests it under `"metrics"`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunMetrics {
     /// Total simulated cycles.
@@ -268,6 +254,139 @@ impl RunMetrics {
             .and_then(|a| a.opt.as_ref())
             .map(|o| OptMetrics::from_stats(&o.stats));
         m
+    }
+
+    /// Writes the metrics as fields of the object open in `w`, in report
+    /// order. The stall and energy blocks end in a derived `total`, which
+    /// [`Self::from_json`] ignores.
+    pub(crate) fn write_fields(&self, w: &mut JsonWriter) {
+        w.u64_field("cycles", self.cycles);
+        w.key("stalls");
+        w.open_obj();
+        stall_fields(w, &self.stalls);
+        w.u64_field("total", self.stalls.total());
+        w.close_obj();
+        let e = &self.events;
+        w.key("events");
+        w.open_obj();
+        w.u64_field("int_ops", e.int_ops);
+        w.u64_field("fp_ops", e.fp_ops);
+        w.u64_field("data_links", e.data_links);
+        w.u64_field("mem_links", e.mem_links);
+        w.u64_field("may_checks", e.may_checks);
+        w.u64_field("must_tokens", e.must_tokens);
+        w.u64_field("l1_accesses", e.l1_accesses);
+        w.u64_field("lsq_allocs", e.lsq_allocs);
+        w.u64_field("lsq_bank_overflows", e.lsq_bank_overflows);
+        w.u64_field("lsq_bloom_queries", e.lsq_bloom_queries);
+        w.u64_field("lsq_bloom_hits", e.lsq_bloom_hits);
+        w.u64_field("lsq_cam_loads", e.lsq_cam_loads);
+        w.u64_field("lsq_cam_stores", e.lsq_cam_stores);
+        w.u64_field("forwards", e.forwards);
+        w.close_obj();
+        let en = &self.energy;
+        w.key("energy_fj");
+        w.open_obj();
+        w.f64_field("compute", en.compute);
+        w.f64_field("mde", en.mde);
+        w.f64_field("lsq_bloom", en.lsq_bloom);
+        w.f64_field("lsq_cam", en.lsq_cam);
+        w.f64_field("l1", en.l1);
+        w.f64_field("total", en.total());
+        w.close_obj();
+        for (key, c) in [("l1", self.l1), ("llc", self.llc)] {
+            w.key(key);
+            w.open_obj();
+            w.u64_field("hits", c.hits);
+            w.u64_field("misses", c.misses);
+            w.u64_field("writebacks", c.writebacks);
+            w.close_obj();
+        }
+        w.u64_field("comparator_sites", self.comparator_sites);
+        if let Some(o) = &self.opt {
+            w.key("opt");
+            w.open_obj();
+            w.u64_field("order_before", o.order_before);
+            w.u64_field("may_before", o.may_before);
+            w.u64_field("may_coalesced", o.may_coalesced);
+            w.close_obj();
+        }
+    }
+
+    /// Reads the fields [`Self::write_fields`] wrote into `v`. A record
+    /// whose derived totals would overflow is refused, since writing it
+    /// back would panic.
+    fn from_json(v: &Json) -> Option<RunMetrics> {
+        let s = v.get("stalls")?;
+        let e = v.get("events")?;
+        let en = v.get("energy_fj")?;
+        let cache = |key| {
+            let c = v.get(key)?;
+            Some(CacheStats {
+                hits: c.get("hits")?.as_u64()?,
+                misses: c.get("misses")?.as_u64()?,
+                writebacks: c.get("writebacks")?.as_u64()?,
+            })
+        };
+        let stalls = StallCounts {
+            lsq_alloc: s.get("lsq_alloc")?.as_u64()?,
+            lsq_search: s.get("lsq_search")?.as_u64()?,
+            token: s.get("token")?.as_u64()?,
+            may_gate: s.get("may_gate")?.as_u64()?,
+            comparator: s.get("comparator")?.as_u64()?,
+            mem_port: s.get("mem_port")?.as_u64()?,
+        };
+        let energy = EnergyBreakdown {
+            compute: en.get("compute")?.as_f64()?,
+            mde: en.get("mde")?.as_f64()?,
+            lsq_bloom: en.get("lsq_bloom")?.as_f64()?,
+            lsq_cam: en.get("lsq_cam")?.as_f64()?,
+            l1: en.get("l1")?.as_f64()?,
+        };
+        let causes = [
+            stalls.lsq_alloc,
+            stalls.lsq_search,
+            stalls.token,
+            stalls.may_gate,
+            stalls.comparator,
+            stalls.mem_port,
+        ];
+        if causes.into_iter().try_fold(0, u64::checked_add).is_none() || !energy.total().is_finite()
+        {
+            return None;
+        }
+        Some(RunMetrics {
+            cycles: v.get("cycles")?.as_u64()?,
+            stalls,
+            events: EventCounts {
+                int_ops: e.get("int_ops")?.as_u64()?,
+                fp_ops: e.get("fp_ops")?.as_u64()?,
+                data_links: e.get("data_links")?.as_u64()?,
+                mem_links: e.get("mem_links")?.as_u64()?,
+                may_checks: e.get("may_checks")?.as_u64()?,
+                must_tokens: e.get("must_tokens")?.as_u64()?,
+                l1_accesses: e.get("l1_accesses")?.as_u64()?,
+                lsq_allocs: e.get("lsq_allocs")?.as_u64()?,
+                lsq_bank_overflows: e.get("lsq_bank_overflows")?.as_u64()?,
+                lsq_bloom_queries: e.get("lsq_bloom_queries")?.as_u64()?,
+                lsq_bloom_hits: e.get("lsq_bloom_hits")?.as_u64()?,
+                lsq_cam_loads: e.get("lsq_cam_loads")?.as_u64()?,
+                lsq_cam_stores: e.get("lsq_cam_stores")?.as_u64()?,
+                forwards: e.get("forwards")?.as_u64()?,
+            },
+            energy,
+            l1: cache("l1")?,
+            llc: cache("llc")?,
+            comparator_sites: v.get("comparator_sites")?.as_u64()?,
+            opt: match v.get("opt") {
+                Some(o) => Some(OptMetrics {
+                    order_before: o.get("order_before")?.as_u64()?,
+                    may_before: o.get("may_before")?.as_u64()?,
+                    may_coalesced: o.get("may_coalesced")?.as_u64()?,
+                }),
+                None => None,
+            },
+        })
     }
 }
 
@@ -364,57 +483,7 @@ impl RunRecord {
         if let Some(m) = &self.outcome.metrics {
             w.key("metrics");
             w.open_obj();
-            w.u64_field("cycles", m.cycles);
-            w.key("stalls");
-            w.open_obj();
-            w.u64_field("lsq_alloc", m.stalls.lsq_alloc);
-            w.u64_field("lsq_search", m.stalls.lsq_search);
-            w.u64_field("token", m.stalls.token);
-            w.u64_field("may_gate", m.stalls.may_gate);
-            w.u64_field("comparator", m.stalls.comparator);
-            w.u64_field("mem_port", m.stalls.mem_port);
-            w.close_obj();
-            w.key("events");
-            w.open_obj();
-            w.u64_field("int_ops", m.events.int_ops);
-            w.u64_field("fp_ops", m.events.fp_ops);
-            w.u64_field("data_links", m.events.data_links);
-            w.u64_field("mem_links", m.events.mem_links);
-            w.u64_field("may_checks", m.events.may_checks);
-            w.u64_field("must_tokens", m.events.must_tokens);
-            w.u64_field("l1_accesses", m.events.l1_accesses);
-            w.u64_field("lsq_allocs", m.events.lsq_allocs);
-            w.u64_field("lsq_bank_overflows", m.events.lsq_bank_overflows);
-            w.u64_field("lsq_bloom_queries", m.events.lsq_bloom_queries);
-            w.u64_field("lsq_bloom_hits", m.events.lsq_bloom_hits);
-            w.u64_field("lsq_cam_loads", m.events.lsq_cam_loads);
-            w.u64_field("lsq_cam_stores", m.events.lsq_cam_stores);
-            w.u64_field("forwards", m.events.forwards);
-            w.close_obj();
-            w.key("energy_fj");
-            w.open_obj();
-            w.f64_field("compute", m.energy.compute);
-            w.f64_field("mde", m.energy.mde);
-            w.f64_field("lsq_bloom", m.energy.lsq_bloom);
-            w.f64_field("lsq_cam", m.energy.lsq_cam);
-            w.f64_field("l1", m.energy.l1);
-            w.close_obj();
-            w.key("l1");
-            cache_line(&mut w, m.l1);
-            w.key("llc");
-            cache_line(&mut w, m.llc);
-            w.u64_field("comparator_sites", m.comparator_sites);
-            if let Some(o) = &m.opt {
-                w.key("opt");
-                w.open_obj();
-                w.u64_field("order_before", o.order_before);
-                w.u64_field("may_before", o.may_before);
-                w.u64_field("order_removed", o.order_removed);
-                w.u64_field("may_coalesced", o.may_coalesced);
-                w.u64_field("may_upgraded", o.may_upgraded);
-                w.u64_field("may_upgraded_edges", o.may_upgraded_edges);
-                w.close_obj();
-            }
+            m.write_fields(&mut w);
             w.close_obj();
         }
         w.close_obj();
@@ -483,7 +552,7 @@ impl RunRecord {
             None => Vec::new(),
         };
         let metrics = match v.get("metrics") {
-            Some(m) => Some(parse_metrics(m)?),
+            Some(m) => Some(RunMetrics::from_json(m)?),
             None => None,
         };
         Some(RunRecord {
@@ -501,74 +570,16 @@ impl RunRecord {
     }
 }
 
-fn cache_line(w: &mut JsonWriter, c: CacheStats) {
-    w.open_obj();
-    w.u64_field("hits", c.hits);
-    w.u64_field("misses", c.misses);
-    w.u64_field("writebacks", c.writebacks);
-    w.close_obj();
-}
-
-fn parse_cache(v: &Json) -> Option<CacheStats> {
-    Some(CacheStats {
-        hits: v.get("hits")?.as_u64()?,
-        misses: v.get("misses")?.as_u64()?,
-        writebacks: v.get("writebacks")?.as_u64()?,
-    })
-}
-
-fn parse_metrics(v: &Json) -> Option<RunMetrics> {
-    let s = v.get("stalls")?;
-    let e = v.get("events")?;
-    let en = v.get("energy_fj")?;
-    Some(RunMetrics {
-        cycles: v.get("cycles")?.as_u64()?,
-        stalls: StallCounts {
-            lsq_alloc: s.get("lsq_alloc")?.as_u64()?,
-            lsq_search: s.get("lsq_search")?.as_u64()?,
-            token: s.get("token")?.as_u64()?,
-            may_gate: s.get("may_gate")?.as_u64()?,
-            comparator: s.get("comparator")?.as_u64()?,
-            mem_port: s.get("mem_port")?.as_u64()?,
-        },
-        events: EventCounts {
-            int_ops: e.get("int_ops")?.as_u64()?,
-            fp_ops: e.get("fp_ops")?.as_u64()?,
-            data_links: e.get("data_links")?.as_u64()?,
-            mem_links: e.get("mem_links")?.as_u64()?,
-            may_checks: e.get("may_checks")?.as_u64()?,
-            must_tokens: e.get("must_tokens")?.as_u64()?,
-            l1_accesses: e.get("l1_accesses")?.as_u64()?,
-            lsq_allocs: e.get("lsq_allocs")?.as_u64()?,
-            lsq_bank_overflows: e.get("lsq_bank_overflows")?.as_u64()?,
-            lsq_bloom_queries: e.get("lsq_bloom_queries")?.as_u64()?,
-            lsq_bloom_hits: e.get("lsq_bloom_hits")?.as_u64()?,
-            lsq_cam_loads: e.get("lsq_cam_loads")?.as_u64()?,
-            lsq_cam_stores: e.get("lsq_cam_stores")?.as_u64()?,
-            forwards: e.get("forwards")?.as_u64()?,
-        },
-        energy: EnergyBreakdown {
-            compute: en.get("compute")?.as_f64()?,
-            mde: en.get("mde")?.as_f64()?,
-            lsq_bloom: en.get("lsq_bloom")?.as_f64()?,
-            lsq_cam: en.get("lsq_cam")?.as_f64()?,
-            l1: en.get("l1")?.as_f64()?,
-        },
-        l1: parse_cache(v.get("l1")?)?,
-        llc: parse_cache(v.get("llc")?)?,
-        comparator_sites: v.get("comparator_sites")?.as_u64()?,
-        opt: match v.get("opt") {
-            Some(o) => Some(OptMetrics {
-                order_before: o.get("order_before")?.as_u64()?,
-                may_before: o.get("may_before")?.as_u64()?,
-                order_removed: o.get("order_removed")?.as_u64()?,
-                may_coalesced: o.get("may_coalesced")?.as_u64()?,
-                may_upgraded: o.get("may_upgraded")?.as_u64()?,
-                may_upgraded_edges: o.get("may_upgraded_edges")?.as_u64()?,
-            }),
-            None => None,
-        },
-    })
+/// Writes the six stall causes as fields of the object open in `w`: the
+/// one encoding of their keys, shared by [`RunMetrics::write_fields`] and
+/// the per-cycle stats stream.
+pub(crate) fn stall_fields(w: &mut JsonWriter, s: &StallCounts) {
+    w.u64_field("lsq_alloc", s.lsq_alloc);
+    w.u64_field("lsq_search", s.lsq_search);
+    w.u64_field("token", s.token);
+    w.u64_field("may_gate", s.may_gate);
+    w.u64_field("comparator", s.comparator);
+    w.u64_field("mem_port", s.mem_port);
 }
 
 // ---------------------------------------------------------------------
@@ -979,10 +990,7 @@ mod tests {
                     opt: Some(OptMetrics {
                         order_before: 6,
                         may_before: 4,
-                        order_removed: 1,
                         may_coalesced: 2,
-                        may_upgraded: 1,
-                        may_upgraded_edges: 1,
                     }),
                 }),
             },

@@ -35,7 +35,7 @@
 //! single merged journal and runs the ordinary in-process
 //! [`super::run_sweep_journaled`] over it: recorded cells replay
 //! byte-exactly and any cell no worker completed (respawn budget
-//! exhausted, hostile cell) executes inline. The final `nachos-sweep-v4`
+//! exhausted, hostile cell) executes inline. The final `nachos-sweep-v5`
 //! report is therefore **byte-identical** to a single-process run of
 //! the same matrix, for any shard count, worker death or resume
 //! history.

@@ -305,18 +305,19 @@ fn find_cycle(region: &Region, kinds: &[EdgeKind]) -> Option<Vec<NodeId>> {
         if color[start] != 0 {
             continue;
         }
-        // Iterative DFS; each frame is (node, next successor index).
+        // Iterative DFS; each frame is (node, position of the next
+        // out-edge to try), so a step allocates nothing.
         let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
         color[start] = 1;
         while let Some(&(node, next)) = stack.last() {
-            let succs: Vec<usize> = dfg
+            let succ = dfg
                 .out_edges(NodeId::new(node))
-                .filter(|e| kinds.contains(&e.kind) && e.dst.index() < n)
-                .map(|e| e.dst.index())
-                .collect();
-            if next < succs.len() {
-                stack.last_mut().expect("frame just read").1 += 1;
-                let d = succs[next];
+                .enumerate()
+                .skip(next)
+                .find(|(_, e)| kinds.contains(&e.kind) && e.dst.index() < n);
+            if let Some((pos, e)) = succ {
+                stack.last_mut().expect("frame just read").1 = pos + 1;
+                let d = e.dst.index();
                 match color[d] {
                     0 => {
                         color[d] = 1;

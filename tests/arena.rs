@@ -135,18 +135,11 @@ fn reused_arena_never_runs_a_stale_plan() {
 }
 
 /// Steady-state allocations of one arena-reset run of the workload
-/// below, per backend, as measured before the engine pooled its per-run
-/// plan (debug and release agree). What still allocates is the per-run
-/// placement pass and what the result owns (final memory, load digest,
-/// fault log); a change that pools less than that engine did fails here.
-fn reuse_ceiling(backend: Backend) -> u64 {
-    match backend {
-        Backend::OptLsq => 4676,
-        Backend::NachosSw => 3492,
-        Backend::Nachos => 3779,
-        Backend::Ideal => 3492,
-    }
-}
+/// below, measured the same on every backend (debug and release agree).
+/// What still allocates is the per-run placement pass and what the
+/// result owns (final memory, load digest, fault log); a change that
+/// allocates more per run fails here.
+const REUSE_CEILING: u64 = 259;
 
 fn povray() -> (Region, Region, Binding) {
     let w = generate(&by_name("453.povray").expect("spec"));
@@ -176,9 +169,8 @@ fn arena_reuse_and_telemetry_off_allocate_less() {
              ({reused} vs {fresh})"
         );
         assert!(
-            reused <= reuse_ceiling(backend),
-            "{backend}: a reused-arena run allocates {reused}, above the committed {}",
-            reuse_ceiling(backend)
+            reused <= REUSE_CEILING,
+            "{backend}: a reused-arena run allocates {reused}, above the committed {REUSE_CEILING}"
         );
 
         // Telemetry off must be free: a `Run` with a `NoopSink` allocates

@@ -1,7 +1,7 @@
 //! Golden-snapshot parity suite.
 //!
-//! The committed fixture (`tests/goldens/sweep-v4.json`) pins the
-//! `nachos-sweep-v4` report of the layered scheduler-core + policy-trait
+//! The committed fixture (`tests/goldens/sweep-v5.json`) pins the
+//! `nachos-sweep-v5` report of the layered scheduler-core + policy-trait
 //! engine; any engine or orchestration change must reproduce it
 //! **byte-identically** — cycles, stall attribution, event counts,
 //! energy, cache statistics, attempt counts and the reference digests,
@@ -27,7 +27,7 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("goldens")
-        .join("sweep-v4.json")
+        .join("sweep-v5.json")
 }
 
 fn golden_sweep_json() -> String {

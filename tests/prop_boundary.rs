@@ -76,7 +76,6 @@ fn corpus() -> &'static [String] {
             corpus.push(checksum_unframe(line).expect("framed").to_owned());
         }
         let beat = Heartbeat {
-            seq: 7,
             phase: HeartbeatPhase::Start,
             cell: Some(RunKey(0x0123_4567_89ab_cdef)),
         };
@@ -348,19 +347,36 @@ fn corpus_lines_are_accepted_by_their_parsers() {
 
 #[test]
 fn non_finite_numbers_never_reach_the_writer() {
-    // A record whose energy overflows `f64` must be rejected on read:
-    // the writer refuses non-finite numbers, so accepting it would turn
-    // a corrupt journal line into a panic at report time.
+    // A record whose energy overflows `f64`, or whose derived stall or
+    // energy total overflows, must be rejected on read: the writer
+    // refuses non-finite numbers and derives both totals, so accepting
+    // it would turn a corrupt journal line into a panic at write time.
     let payload = corpus()
         .iter()
         .find(|l| RunRecord::from_payload(l).is_some_and(|r| r.outcome.metrics.is_some()))
         .expect("a record with metrics");
-    let at = payload.find("\"compute\":").expect("energy field") + "\"compute\":".len();
-    let end = at + payload[at..].find([',', '}']).expect("number end");
-    let overflowing = format!("{}1e999{}", &payload[..at], &payload[end..]);
-    assert!(parse_json(&overflowing).is_some(), "still well-formed JSON");
-    assert!(RunRecord::from_payload(&overflowing).is_none());
-    check_boundaries(&overflowing);
+    // Sets each `"key":` value that follows `block` in the payload.
+    let set = |block: &str, fields: &[(&str, &str)]| {
+        let mut out = payload.clone();
+        let from = out.find(block).expect("block");
+        for (key, value) in fields {
+            let key = format!("\"{key}\":");
+            let at = from + out[from..].find(&key).expect("field") + key.len();
+            let end = at + out[at..].find([',', '}']).expect("number end");
+            out.replace_range(at..end, value);
+        }
+        out
+    };
+    let max = u64::MAX.to_string();
+    for overflowing in [
+        set("\"energy_fj\"", &[("compute", "1e999")]),
+        set("\"energy_fj\"", &[("compute", "1e308"), ("mde", "1e308")]),
+        set("\"stalls\"", &[("lsq_alloc", &max), ("token", "1")]),
+    ] {
+        assert!(parse_json(&overflowing).is_some(), "still well-formed JSON");
+        assert!(RunRecord::from_payload(&overflowing).is_none());
+        check_boundaries(&overflowing);
+    }
 }
 
 /// The two-job matrix the shard-worker cases dispatch from.

@@ -122,7 +122,6 @@ fn scatter(campaign: &std::path::Path, lines: &[String], files: usize) {
         let slot = &mut contents[i % files.max(1)];
         slot.push_str(
             &Heartbeat {
-                seq: i as u64,
                 phase: HeartbeatPhase::Alive,
                 cell: None,
             }

@@ -4,7 +4,7 @@
 //! random regions under every backend (proptest), and a real Table II
 //! workload with live MAY-edge traffic — and additionally pin the
 //! `nachos-stats-v1` stream itself as byte-deterministic across
-//! repeated runs. (The sweep-v4 *report* bytes are pinned separately by
+//! repeated runs. (The sweep-v5 *report* bytes are pinned separately by
 //! `tests/golden.rs`, which runs the whole matrix sinkless; together
 //! with the identity proven here, report bytes cannot depend on
 //! telemetry.)

@@ -11,6 +11,8 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use nachos::json::{checksum_frame, checksum_unframe, parse_json, Json};
+use nachos::sweep::cache::{CacheLookup, ResultCache};
 use nachos::sweep::heartbeat::{Heartbeat, HeartbeatPhase};
 use nachos::sweep::journal::Journal;
 use nachos::sweep::shard::{
@@ -113,6 +115,74 @@ fn interrupted_sweep_resumes_byte_identically() {
     assert_eq!(stats.replayed, 3 * variants);
     assert_eq!(replayed.to_json(), clean);
     std::fs::remove_file(&path).ok();
+}
+
+/// The `nachos-sweep-v4` → `v5` migration. A `nachos-journal-v2` record
+/// line, as the v4 code wrote it for gzip's `nachos` cell under
+/// `--optimize` (dead `opt` keys included), sits in a journal beside
+/// current records of the other cells. Resume skips it as a foreign
+/// schema, not as corruption; its cell re-executes; and the report is
+/// byte-identical to an uninterrupted run. The same bytes as a v4 cache
+/// entry, at the v4 entry path, are a miss and stay on disk.
+#[test]
+fn v4_journal_lines_rerun_and_v4_cache_entries_miss() {
+    const V4_LINE: &str = r#"8a1dc31dec38f50e {"journal": "nachos-journal-v2", "key": "96c41a1939177271", "job": "gzip", "variant": "nachos", "status": "ok", "attempts": [{"status": "ok", "seed": 1354152592518245887}], "metrics": {"cycles": 1076, "stalls": {"lsq_alloc": 0, "lsq_search": 0, "token": 0, "may_gate": 0, "comparator": 0, "mem_port": 0}, "events": {"int_ops": 248, "fp_ops": 0, "data_links": 248, "mem_links": 32, "may_checks": 0, "must_tokens": 0, "l1_accesses": 16, "lsq_allocs": 0, "lsq_bank_overflows": 0, "lsq_bloom_queries": 0, "lsq_bloom_hits": 0, "lsq_cam_loads": 0, "lsq_cam_stores": 0, "forwards": 0}, "energy_fj": {"compute": 272800.0, "mde": 0.0, "lsq_bloom": 0.0, "lsq_cam": 0.0, "l1": 83200.0}, "l1": {"hits": 0, "misses": 16, "writebacks": 0}, "llc": {"hits": 0, "misses": 16, "writebacks": 0}, "comparator_sites": 0, "opt": {"order_before": 0, "may_before": 0, "order_removed": 0, "may_coalesced": 0, "may_upgraded": 0, "may_upgraded_edges": 0}}}"#;
+    let jobs = vec![job("gzip")];
+    let cfg = SweepConfig::default()
+        .with_invocations(4)
+        .with_optimize(true)
+        .with_threads(1);
+    let cells = enumerate_cells(&jobs, &cfg);
+    let key = cells[2].key;
+    // The v4 line names the cell by its v4 key, which v5 did not change;
+    // re-keying keeps the check meaningful if a later change moves the
+    // fingerprint.
+    let payload = checksum_unframe(V4_LINE).expect("the captured frame verifies");
+    let v4_key = parse_json(payload)
+        .expect("JSON")
+        .get("key")
+        .and_then(Json::as_str)
+        .map(str::to_owned)
+        .expect("key");
+    let v4_line = checksum_frame(&payload.replace(&v4_key, &key.to_string()));
+    let clean = run_sweep(&jobs, &cfg).to_json();
+
+    let path = tmp_path("v4-migration.jsonl");
+    {
+        let journal = Journal::create(&path).expect("create journal");
+        let (_, stats) = run_sweep_journaled(&jobs, &cfg, Some(&journal));
+        assert_eq!(stats.executed, cells.len());
+    }
+    let current = std::fs::read_to_string(&path).expect("read journal");
+    let mut mixed = format!("{v4_line}\n");
+    for line in current.lines() {
+        if !line.contains(&format!("\"key\": \"{key}\"")) {
+            mixed += &format!("{line}\n");
+        }
+    }
+    std::fs::write(&path, mixed).expect("write mixed journal");
+
+    let journal = Journal::resume(&path).expect("resume journal");
+    assert_eq!(journal.skipped(), 1, "the v4 line is skipped");
+    assert_eq!(journal.corrupt(), 0, "a foreign schema is not corruption");
+    assert_eq!(journal.replay_len(), cells.len() - 1);
+    assert!(journal.lookup(key).is_none());
+    let (resumed, stats) = run_sweep_journaled(&jobs, &cfg, Some(&journal));
+    assert_eq!(stats.replayed, cells.len() - 1);
+    assert_eq!(stats.executed, 1, "the v4 line's cell re-executes");
+    assert_eq!(resumed.to_json(), clean);
+    std::fs::remove_file(&path).ok();
+
+    let root = tmp_path("v4-cache");
+    std::fs::remove_dir_all(&root).ok();
+    let cache = ResultCache::open(&root).expect("open cache");
+    let hex = key.to_string();
+    let v4_entry = root.join(&hex[..2]).join(format!("{hex}.rec"));
+    std::fs::create_dir_all(v4_entry.parent().expect("fan-out dir")).expect("mkdir");
+    std::fs::write(&v4_entry, format!("{v4_line}\n")).expect("write v4 entry");
+    assert_eq!(cache.lookup(key), CacheLookup::Miss);
+    assert!(v4_entry.exists(), "a v4 entry is left on disk");
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// The quarantine acceptance bar: the full 27-workload Table II matrix
@@ -235,7 +305,6 @@ fn sigkilled_workers_resume_byte_identically() {
     let in_flight = cells[done];
     contents[1].push_str(
         &Heartbeat {
-            seq: 99,
             phase: HeartbeatPhase::Start,
             cell: Some(in_flight.key),
         }
@@ -298,7 +367,6 @@ fn cell_that_kills_workers_is_quarantined_by_the_supervisor() {
     std::fs::write(
         shard_journal_path(&sdir, shard_of(victim.key, shards)),
         Heartbeat {
-            seq: 0,
             phase: HeartbeatPhase::Start,
             cell: Some(victim.key),
         }
