@@ -11,13 +11,13 @@
 //! deterministically derived seeds before giving up (a run panicking
 //! through its whole budget is reported as `quarantined`).
 //!
-//! Process isolation: `--shards N` partitions the matrix by run key and
-//! executes each shard in a separate worker OS process (this binary
-//! re-invoked with `--shard-exec`), so an abort, OOM kill or segfault in
-//! one cell costs one worker, not the campaign. The supervisor watches
-//! per-shard journals for heartbeat growth, respawns dead or silent
-//! workers under deterministic backoff, merges every shard into the
-//! `--journal` file and emits a report byte-identical to a
+//! Process isolation: `--shards N` runs the matrix in up to N worker OS
+//! processes (this binary re-invoked with `--shard-exec`) that take whole
+//! jobs on demand, so an abort, OOM kill or segfault in one cell costs
+//! one worker, not the campaign. The supervisor watches per-shard
+//! journals for heartbeat growth, respawns dead or silent workers under
+//! deterministic backoff, merges each acknowledged job into the
+//! `--journal` file as it lands and emits a report byte-identical to a
 //! single-process run. `--cache PATH` adds a persistent cross-campaign
 //! result cache keyed by the same content hashes (`default` picks
 //! `$XDG_CACHE_HOME/nachos/sweep`).
@@ -101,9 +101,10 @@ Flags:
   --filter SUBSTR         keep only workloads whose name contains SUBSTR
   --variants LIST         comma-separated variant labels to run
   --poison NAME           inject a deterministic panic into workload NAME
-  --shards N              run the matrix across N worker OS processes
-                          (requires --journal; report stays byte-identical
-                          to a single-process run)
+  --shards N              run the matrix across N worker OS processes,
+                          each taking one whole job at a time as it
+                          finishes the last (requires --journal; report
+                          stays byte-identical to a single-process run)
   --cache PATH            promote settled runs into a persistent
                           content-addressed cache at PATH and serve future
                           campaigns from it; the literal 'default' means
@@ -132,7 +133,8 @@ Flags:
   --strict                degraded cells (quarantined, cancelled, panic,
                           deadlock, error, fault_detected) fail the run
   --shard-exec            internal: run as a shard worker, reading the
-                          dispatch header and cell list from stdin
+                          dispatch header and job batches from stdin and
+                          acking each batch on stdout
   --help                  this text
 
 Exit codes — each reachable by exactly one condition:
@@ -365,7 +367,7 @@ fn main() -> ExitCode {
     // Worker mode: execute the shard streamed over stdin and
     // exit — no report of its own.
     if shard_exec {
-        return match run_shard_worker(&jobs, &cfg, std::io::stdin()) {
+        return match run_shard_worker(&jobs, &cfg, std::io::stdin(), std::io::stdout()) {
             Ok(s) => {
                 eprintln!(
                     "shard {}: {} executed, {} replayed, {} protocol errors{}",
@@ -507,8 +509,9 @@ fn main() -> ExitCode {
         }
         sweep
     };
-    if !sweep.all_match() {
-        eprintln!("DIVERGENCE: {:?}", sweep.mismatches());
+    let diverged = sweep.mismatches();
+    if !diverged.is_empty() {
+        eprintln!("DIVERGENCE: {diverged:?}");
     }
     let summary = format!(
         "{} jobs x {} variants",

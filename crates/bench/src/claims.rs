@@ -129,7 +129,7 @@ fn sweep(apps: &[&str], sim: SimConfig, variants: Vec<SweepVariant>) -> Sweep {
     let mut cfg = SweepConfig::default().with_variants(variants);
     cfg.sim = sim;
     let sweep = run_sweep(&jobs, &cfg);
-    let bad = sweep.mismatches();
+    let bad = sweep.not_ok();
     let why = format!("ablation runs diverged: {bad:?}");
     bad.is_empty().then_some(sweep).ok_or(why)
 }

@@ -6,8 +6,13 @@
 //! to the documented contract: the sharded report is byte-identical to
 //! the single-process report through worker death, supervisor death,
 //! resume under a different shard count, and cache corruption; exit
-//! codes follow the `--help` table.
+//! codes follow the `--help` table. One case runs the supervisor in
+//! process, with the bin as its worker, to inspect the cache it fills.
 
+use nachos::sweep::cache::ResultCache;
+use nachos::sweep::daemon::MatrixSpec;
+use nachos::sweep::journal::{RunRecord, JOURNAL_SCHEMA};
+use nachos::sweep::shard::{enumerate_cells, run_sweep_sharded, ShardConfig};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::time::Duration;
@@ -159,6 +164,91 @@ fn cache_serves_campaigns_and_heals_corrupt_entries() {
         "the healed cell was promoted back into the cache"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Results reach the cache while the workers run. With nothing left
+/// for the inline pass, every cacheable cell's entry was promoted from a
+/// worker's acknowledged record, and its bytes are exactly the record
+/// the final report gives for that cell.
+#[test]
+fn cache_entries_promoted_mid_campaign_match_the_report() {
+    let dir = scratch("mid-campaign-cache");
+    let spec = MatrixSpec {
+        invocations: 2,
+        filter: Some("mcf".to_owned()),
+        ..MatrixSpec::default()
+    };
+    let (jobs, cfg) = nachos_bench::matrix::resolve(&spec).expect("matrix");
+    let worker = [
+        env!("CARGO_BIN_EXE_sweep"),
+        "--shard-exec",
+        "--invocations",
+        "2",
+        "--filter",
+        "mcf",
+    ]
+    .map(str::to_owned)
+    .to_vec();
+    let root = dir.join("cache");
+    let mut scfg = ShardConfig::new(2, worker, dir.join("j.jsonl"));
+    scfg.cache = Some(ResultCache::open(&root).expect("cache"));
+    let (report, sweep_stats, stats) = run_sweep_sharded(&jobs, &cfg, &scfg).expect("campaign");
+    assert_eq!(sweep_stats.executed, 0, "every cell came from a worker");
+    let mut cacheable = 0;
+    for c in enumerate_cells(&jobs, &cfg) {
+        let (job, hex) = (&report.jobs[c.job], c.key.to_string());
+        let run = &job.runs[c.variant];
+        let entry = root
+            .join(&hex[..2])
+            .join(format!("{hex}.{JOURNAL_SCHEMA}.rec"));
+        if !ResultCache::cacheable(run.status) {
+            assert!(
+                !entry.exists(),
+                "{} [{}] is not cacheable",
+                job.name,
+                run.variant
+            );
+            continue;
+        }
+        cacheable += 1;
+        let rec = RunRecord {
+            key: c.key,
+            job: job.name.clone(),
+            variant: run.variant.clone(),
+            outcome: run.to_record(),
+        };
+        assert_eq!(
+            read(&entry),
+            rec.to_line(),
+            "{} [{}]",
+            job.name,
+            run.variant
+        );
+    }
+    assert!(cacheable > 0);
+    assert_eq!(stats.cache.stored, cacheable);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A quarantined cell is degraded, not divergent: a poisoned campaign
+/// names no cell on a `DIVERGENCE` line.
+#[test]
+fn quarantined_cells_are_not_reported_as_divergence() {
+    let out = run(&[
+        "--filter",
+        "parser",
+        "--poison",
+        "parser",
+        "--invocations",
+        "4",
+        "--max-retries",
+        "1",
+        "--out",
+        "/dev/null",
+    ]);
+    assert_success(&out, "poisoned sweep");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("DIVERGENCE"), "{stderr}");
 }
 
 /// The exit-code table from `--help`: a quarantined poison workload is

@@ -417,8 +417,10 @@ impl VariantOutcome {
         &self.injected
     }
 
-    /// The journal form of this outcome.
-    fn to_record(&self) -> OutcomeRecord {
+    /// The journal form of this outcome: what a journal or a cache entry
+    /// records for it, and what replays to identical report bytes.
+    #[must_use]
+    pub fn to_record(&self) -> OutcomeRecord {
         OutcomeRecord {
             status: self.status,
             detail: self.detail.clone(),
@@ -972,16 +974,26 @@ impl SweepResult {
     /// `(job, variant)` labels of every non-[`RunStatus::Ok`] run, in
     /// sweep order.
     #[must_use]
+    pub fn not_ok(&self) -> Vec<(String, String)> {
+        self.labels(|s| s != RunStatus::Ok)
+    }
+
+    /// `(job, variant)` labels of every [`RunStatus::Mismatch`] run — a
+    /// divergence from the reference executor — in sweep order.
+    /// Degraded runs (quarantined, cancelled, ...) are not divergences.
+    #[must_use]
     pub fn mismatches(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for j in &self.jobs {
-            for r in &j.runs {
-                if r.status != RunStatus::Ok {
-                    out.push((j.name.clone(), r.variant.clone()));
-                }
-            }
-        }
-        out
+        self.labels(|s| s == RunStatus::Mismatch)
+    }
+
+    fn labels(&self, keep: impl Fn(RunStatus) -> bool) -> Vec<(String, String)> {
+        let runs = self
+            .jobs
+            .iter()
+            .flat_map(|j| j.runs.iter().map(move |r| (j, r)));
+        runs.filter(|(_, r)| keep(r.status))
+            .map(|(j, r)| (j.name.clone(), r.variant.clone()))
+            .collect()
     }
 
     /// Counts the mismatched cells and the degraded (neither ok nor
@@ -1123,7 +1135,7 @@ mod tests {
         assert_eq!(sweep.jobs.len(), 2);
         assert_eq!(sweep.variants, ["opt-lsq", "nachos-sw", "nachos"]);
         assert!(sweep.all_match());
-        assert!(sweep.mismatches().is_empty());
+        assert!(sweep.not_ok().is_empty());
         for (_, _, status) in sweep.statuses() {
             assert_eq!(status, RunStatus::Ok);
         }
@@ -1204,10 +1216,8 @@ mod tests {
         let cfg = SweepConfig::default().with_invocations(2);
         let sweep = run_sweep(&jobs, &cfg);
         assert!(!sweep.all_match());
-        assert_eq!(
-            sweep.mismatches(),
-            [("b".to_string(), "nachos".to_string())]
-        );
+        assert_eq!(sweep.not_ok(), [("b".to_string(), "nachos".to_string())]);
+        assert!(sweep.mismatches().is_empty(), "a panic is no divergence");
         let bad = &sweep.jobs[1].runs[2];
         assert_eq!(bad.status, RunStatus::Panic, "no retries by default");
         assert!(bad.run.is_none());

@@ -18,7 +18,8 @@
 
 use super::journal::RunKey;
 use crate::json::{checksum_frame, checksum_unframe, parse_json, JsonWriter};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -83,10 +84,7 @@ impl Heartbeat {
             w.str_field("cell", &cell.to_string());
         }
         w.close_obj();
-        let payload = w.finish();
-        let mut framed = checksum_frame(payload.trim_end_matches('\n'));
-        framed.push('\n');
-        framed
+        checksum_frame(w.finish().trim_end_matches('\n')) + "\n"
     }
 
     /// Parses one framed journal line as a heartbeat. Returns `None`
@@ -116,24 +114,16 @@ impl Heartbeat {
     }
 }
 
-/// The pulse thread's stop flag: set once, by drop; `wake` tells the
-/// thread at once instead of at its next beat.
-#[derive(Debug, Default)]
-struct PulseState {
-    stop: Mutex<bool>,
-    wake: Condvar,
-}
-
 /// Emits heartbeats for one worker process: explicit `Start`/`Done`
 /// beats around each cell from the worker's own thread, plus periodic
 /// `Alive` beats from a background pulse thread so that a long-running
 /// cell still grows the journal and the supervisor can tell "slow" from
 /// "dead". Dropping the pulse stops the thread and returns promptly: the
-/// thread waits on a condition variable, not a sleep, so a worker's exit
-/// never waits out the rest of a heartbeat interval.
+/// thread waits on a channel whose sender the drop closes, not on a
+/// sleep, so a worker's exit never waits out a heartbeat interval.
 pub struct Pulse {
     sink: Arc<dyn Fn(&Heartbeat) + Send + Sync>,
-    state: Arc<PulseState>,
+    stop: Option<Sender<()>>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -144,33 +134,21 @@ impl Pulse {
     /// beats still flow.
     #[must_use]
     pub fn start(sink: Arc<dyn Fn(&Heartbeat) + Send + Sync>, interval: Duration) -> Pulse {
-        let state = Arc::new(PulseState::default());
-        let thread = if interval.is_zero() {
-            None
-        } else {
-            let state = Arc::clone(&state);
+        let (stop, stopped) = mpsc::channel::<()>();
+        let thread = (!interval.is_zero()).then(|| {
             let sink = Arc::clone(&sink);
-            Some(std::thread::spawn(move || loop {
-                // `wait_timeout_while` re-waits the remaining time after a
-                // spurious wake-up, so `Alive` beats keep their period.
-                let stop = state.stop.lock().unwrap_or_else(PoisonError::into_inner);
-                let (stop, _) = state
-                    .wake
-                    .wait_timeout_while(stop, interval, |stop| !*stop)
-                    .unwrap_or_else(PoisonError::into_inner);
-                if *stop {
-                    break;
+            std::thread::spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                    sink(&Heartbeat {
+                        phase: HeartbeatPhase::Alive,
+                        cell: None,
+                    });
                 }
-                drop(stop);
-                sink(&Heartbeat {
-                    phase: HeartbeatPhase::Alive,
-                    cell: None,
-                });
-            }))
-        };
+            })
+        });
         Pulse {
             sink,
-            state,
+            stop: Some(stop),
             thread,
         }
     }
@@ -195,12 +173,7 @@ impl Pulse {
 
 impl Drop for Pulse {
     fn drop(&mut self) {
-        *self
-            .state
-            .stop
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = true;
-        self.state.wake.notify_all();
+        drop(self.stop.take());
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -210,7 +183,7 @@ impl Drop for Pulse {
 impl std::fmt::Debug for Pulse {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pulse")
-            .field("state", &self.state)
+            .field("running", &self.thread.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -218,6 +191,7 @@ impl std::fmt::Debug for Pulse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn heartbeat_roundtrips_and_rejects_corruption() {

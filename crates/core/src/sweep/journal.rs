@@ -726,8 +726,10 @@ impl Journal {
 
     /// Appends one pre-framed single-line record (heartbeats and other
     /// non-[`RunRecord`] lines share the journal file in sharded mode).
-    /// Flushed but **not** fsynced: these lines carry liveness, not
-    /// completed work, and losing them costs nothing on resume.
+    /// Flushed but **not** fsynced: a heartbeat carries liveness, and
+    /// losing it costs nothing on resume; a shard worker also appends its
+    /// records this way and makes a whole batch durable with one
+    /// [`Journal::sync`].
     ///
     /// # Errors
     ///
@@ -743,6 +745,20 @@ impl Journal {
             file.write_all(b"\n")?;
         }
         file.flush()
+    }
+
+    /// Fsyncs everything appended so far: the group commit behind
+    /// [`Journal::append_raw`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates fsync errors (and a poisoned append lock as
+    /// [`io::ErrorKind::Other`]).
+    pub fn sync(&self) -> io::Result<()> {
+        self.file
+            .lock()
+            .map_err(|_| io::Error::other("journal append lock poisoned"))?
+            .sync_data()
     }
 
     /// Merges one record recovered from elsewhere (a shard journal, the

@@ -2,6 +2,7 @@
 //! disambiguation backend preserves sequential semantics.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Page granularity: 4 KiB, the sweet spot between page-table sparsity
 /// and per-access locality for the suite's working sets.
@@ -33,6 +34,35 @@ impl Page {
     }
 }
 
+/// Hashes page numbers for the page map: one multiply-and-fold instead
+/// of SipHash on every memory access. Page numbers come from the
+/// simulator, not from an adversary, so SipHash's flooding resistance
+/// buys nothing here. Deterministic across processes; the map's
+/// iteration order stays unspecified.
+#[derive(Clone, Copy, Debug, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // Fibonacci hashing, folded so that the low bits (the bucket
+        // index) depend on every bit of the page number.
+        let x = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 32);
+    }
+}
+
+type PageMap = HashMap<u64, Page, BuildHasherDefault<PageHasher>>;
+
 /// Sparse byte-addressable memory. Unwritten bytes read as zero.
 ///
 /// This is the *functional* half of the simulator: the timing models decide
@@ -48,7 +78,7 @@ impl Page {
 /// equality distinguishes a written zero from an unwritten byte.
 #[derive(Clone, Debug, Default)]
 pub struct DataMemory {
-    pages: HashMap<u64, Page>,
+    pages: PageMap,
     footprint: usize,
 }
 

@@ -30,7 +30,7 @@ fn all_workloads_all_backends_match_reference() {
     assert!(
         sweep.all_match(),
         "backend-vs-reference divergence: {:?}",
-        sweep.mismatches()
+        sweep.not_ok()
     );
 }
 

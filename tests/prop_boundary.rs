@@ -22,11 +22,14 @@
 //! byte edits to it; one seed in the corpus is empty, which makes that
 //! case purely random.
 //!
-//! The shard worker's stdin is the last boundary here: random and mutated
-//! dispatch headers, and valid headers followed by mutated cell lists,
-//! are fed to `run_shard_worker` over a two-job matrix. It must return
-//! its counters or `InvalidData`, execute only cells whose key it
-//! verified, and leave exactly those records in its shard journal.
+//! The shard pipe is the last boundary here, in both directions. Random
+//! and mutated dispatch headers, and valid headers followed by mutated
+//! batch lines, are fed to `run_shard_worker` over a two-job matrix. It
+//! must return its counters or `InvalidData`, execute only cells whose
+//! key it verified, leave exactly those records in its shard journal,
+//! and ack its batches in order. Mutated and oversized ack lines are fed
+//! to the supervisor's `read_worker_line`, which must classify each one
+//! as an ack that really is one or as a protocol error.
 //!
 //! The daemon's request handler is fed the same way, over its socket: an
 //! in-process daemon with one settled job receives random, oversized,
@@ -50,7 +53,9 @@ use nachos::sweep::daemon::{
 };
 use nachos::sweep::heartbeat::{Heartbeat, HeartbeatPhase};
 use nachos::sweep::journal::{Journal, RunKey, RunRecord};
-use nachos::sweep::shard::{enumerate_cells, run_shard_worker, SHARD_SCHEMA};
+use nachos::sweep::shard::{
+    enumerate_cells, read_worker_line, run_shard_worker, WorkerLine, MAX_ACK_LEN, SHARD_SCHEMA,
+};
 use nachos::sweep::{run_sweep_journaled, SweepConfig, SweepJob};
 use nachos::testutil::store_load_region;
 use proptest::prelude::*;
@@ -397,15 +402,32 @@ fn shard_header(journal: &Path) -> String {
     format!("{{\"shard\":\"{SHARD_SCHEMA}\",\"index\":0,\"journal\":\"{journal}\",\"heartbeat_ms\":1000}}\n")
 }
 
-/// Every cell of the matrix as dispatch lines, then the end marker.
+/// Every cell of the matrix as batch lines, one per job, then the end
+/// marker.
 fn shard_body(jobs: &[SweepJob], cfg: &SweepConfig) -> String {
     let mut body = String::new();
-    for c in enumerate_cells(jobs, cfg) {
-        let (job, variant, key) = (c.job, c.variant, c.key);
-        body +=
-            &format!("{{\"cell\":{{\"job\":{job},\"variant\":{variant},\"key\":\"{key}\"}}}}\n");
+    let cells = enumerate_cells(jobs, cfg);
+    for group in cells.chunk_by(|a, b| a.job == b.job) {
+        let entries: Vec<String> = group
+            .iter()
+            .map(|c| {
+                let (job, variant, key) = (c.job, c.variant, c.key);
+                format!("{{\"job\":{job},\"variant\":{variant},\"key\":\"{key}\"}}")
+            })
+            .collect();
+        body += &format!("{{\"batch\":[{}]}}\n", entries.join(","));
     }
     body + "{\"end\":true}\n"
+}
+
+/// Every line a worker wrote to its stdout, as the supervisor reads it.
+fn worker_lines(mut out: &[u8]) -> Vec<WorkerLine> {
+    let mut buf = Vec::new();
+    std::iter::from_fn(|| match read_worker_line(&mut out, &mut buf) {
+        WorkerLine::Closed => None,
+        line => Some(line),
+    })
+    .collect()
 }
 
 /// Stands in for a supervisor that keeps the pipe open: without it the
@@ -434,12 +456,25 @@ fn check_shard_worker(
     // Hold the pipe open only when the end marker survived intact: a
     // worker still waiting for it must see EOF, not block forever.
     let intact = stdin.split(|&b| b == b'\n').any(|l| l == b"{\"end\":true}");
+    let lines = stdin.split(|&b| b == b'\n').count();
     let input = std::io::Cursor::new(stdin);
+    let mut out = Vec::new();
     let outcome = if intact {
-        run_shard_worker(jobs, cfg, input.chain(HoldOpen))
+        run_shard_worker(jobs, cfg, input.chain(HoldOpen), &mut out)
     } else {
-        run_shard_worker(jobs, cfg, input)
+        run_shard_worker(jobs, cfg, input, &mut out)
     };
+    // Acks count the worker's batches in order, one line each.
+    let acks = worker_lines(&out);
+    prop_assert!(
+        acks.len() < lines,
+        "{} acks for {} lines",
+        acks.len(),
+        lines
+    );
+    for (i, ack) in acks.iter().enumerate() {
+        prop_assert_eq!(*ack, WorkerLine::Ack(i as u64 + 1));
+    }
     match outcome {
         Err(e) => {
             prop_assert!(!valid_header, "a valid header's worker failed: {}", e);
@@ -523,6 +558,31 @@ proptest! {
         };
         check_shard_worker(&jobs, &cfg, &journal, stdin, !mutate_header);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A worker's stdout as the supervisor sees it: valid acks with
+    /// random edits, plus a line over the ack cap. Each line reads as
+    /// an ack only when it is one; everything else is a protocol error.
+    #[test]
+    fn supervisor_reads_any_worker_stdout_as_acks_or_protocol_errors(
+        edits in proptest::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 0..6),
+        tail in proptest::collection::vec(any::<u8>(), 0..24),
+        oversized in 0usize..4,
+    ) {
+        let mut seed = (1..=3).map(|n| format!("{{\"ack\": {n}}}\n")).collect::<String>();
+        seed.insert_str(seed.len() * oversized / 4, &format!("{{\"ack\": {}}}\n", "7".repeat(MAX_ACK_LEN)));
+        let bytes = mutate_bytes(&seed, &edits, &tail);
+        let lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+        let read = worker_lines(&bytes);
+        prop_assert_eq!(read.len(), lines.len());
+        for (line, got) in lines.iter().zip(read) {
+            let ack = std::str::from_utf8(line)
+                .ok()
+                .filter(|_| line.len() <= MAX_ACK_LEN)
+                .and_then(|l| parse_json(l.trim()))
+                .and_then(|v| v.get("ack")?.as_u64());
+            prop_assert_eq!(got, ack.map_or(WorkerLine::Malformed, WorkerLine::Ack), "{:?}", String::from_utf8_lossy(line));
+        }
     }
 }
 

@@ -56,7 +56,7 @@ proptest! {
             prop_assert!(
                 sweep.all_match(),
                 "sweep (optimize: {optimize}) diverged: {:?} (ops: {ops:?})",
-                sweep.mismatches()
+                sweep.not_ok()
             );
         }
     }

@@ -16,7 +16,7 @@ use nachos::sweep::cache::{CacheLookup, ResultCache};
 use nachos::sweep::heartbeat::{Heartbeat, HeartbeatPhase};
 use nachos::sweep::journal::Journal;
 use nachos::sweep::shard::{
-    enumerate_cells, run_sweep_sharded, shard_dir, shard_journal_path, shard_of, ShardConfig,
+    enumerate_cells, run_sweep_sharded, shard_dir, shard_journal_path, ShardConfig,
 };
 use nachos::sweep::{run_sweep, run_sweep_journaled, RunStatus, SweepConfig, SweepJob};
 use nachos::{Backend, FaultKind, FaultPlan, FaultSpec};
@@ -361,11 +361,13 @@ fn cell_that_kills_workers_is_quarantined_by_the_supervisor() {
     std::fs::create_dir_all(&sdir).expect("shard dir");
 
     // The hostile cell's shard journal holds its `start` heartbeat and
-    // no record: the worker died executing it.
+    // no record: the worker died executing it. The victim's job is the
+    // first in the queue, so slot 0 — the first spawned — takes it.
     let shards = 2usize;
     let victim = cells[0];
+    assert_eq!(victim.job, 0);
     std::fs::write(
-        shard_journal_path(&sdir, shard_of(victim.key, shards)),
+        shard_journal_path(&sdir, 0),
         Heartbeat {
             phase: HeartbeatPhase::Start,
             cell: Some(victim.key),
@@ -409,8 +411,8 @@ fn silent_workers_are_killed_and_their_cells_run_inline() {
     let cells = enumerate_cells(&jobs, &cfg);
     let shards = 2usize;
     assert!(
-        (0..shards).all(|s| cells.iter().any(|c| shard_of(c.key, shards) == s)),
-        "every shard has work, so every shard spawns a worker"
+        jobs.len() >= shards,
+        "every slot takes a job, so every slot spawns a worker"
     );
 
     let dir = tmp_path("silence-kill");
@@ -439,5 +441,73 @@ fn silent_workers_are_killed_and_their_cells_run_inline() {
         run_sweep(&jobs, &cfg).to_json(),
         "silence kills must not change a single report byte"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Pull dispatch under skew: job 0 costs more than all the other jobs
+/// together, so while the worker that drew it is busy, the other worker
+/// takes every remaining job. The workers are a shell script speaking
+/// the wire protocol: it logs each batch it receives and acks without
+/// journaling, so every cell falls to the inline pass and the report
+/// stays byte-identical. Job 0 holds its worker until the other worker
+/// has logged three batches (or 10 s pass), which makes it the costlier
+/// job by construction rather than by a timing guess.
+#[test]
+fn the_idle_worker_takes_every_job_behind_a_heavy_one() {
+    let jobs = vec![job("gzip"), job("fft-2d"), job("parser"), job("lbm")];
+    let cfg = SweepConfig::default().with_invocations(2);
+    let cells = enumerate_cells(&jobs, &cfg);
+    let dir = tmp_path("heavy-job");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let script = format!(
+        r#"read -r header
+case "$header" in *'"index": 0,'*) log={dir}/slot-0 ;; *) log={dir}/slot-1 ;; esac
+n=0
+while read -r line; do
+  case "$line" in
+    *'"batch"'*) n=$((n+1)); echo "$line" >> "$log"
+      case "$line" in *'"job": 0,'*)
+        for _ in $(seq 1000); do
+          [ "$(cat {dir}/slot-1 2>/dev/null | wc -l)" -ge 3 ] && break; sleep 0.01
+        done ;;
+      esac
+      echo "{{\"ack\":$n}}" ;;
+    *) exit 0 ;;
+  esac
+done"#,
+        dir = dir.display()
+    );
+    let worker = vec!["/bin/sh".into(), "-c".into(), script];
+    let mut scfg = ShardConfig::new(2, worker, dir.join("campaign.jsonl"));
+    scfg.silence_budget = Duration::ZERO;
+    scfg.poll = Duration::from_millis(10);
+    let (sharded, _, stats) = run_sweep_sharded(&jobs, &cfg, &scfg).expect("sharded sweep");
+    let batches = |slot: &str| -> Vec<usize> {
+        std::fs::read_to_string(dir.join(slot))
+            .unwrap_or_default()
+            .lines()
+            .map(|l| {
+                let v = parse_json(l).expect("a batch line");
+                let cells = v.get("batch").and_then(Json::as_arr).expect("batch");
+                let job = cells[0].get("job").and_then(Json::as_u64).expect("job");
+                assert!(cells
+                    .iter()
+                    .all(|c| c.get("job").and_then(Json::as_u64) == Some(job)));
+                assert_eq!(cells.len(), cfg.variants.len(), "a batch is a whole job");
+                job as usize
+            })
+            .collect()
+    };
+    assert_eq!(batches("slot-0"), [0], "the heavy job holds its worker");
+    assert_eq!(
+        batches("slot-1"),
+        [1, 2, 3],
+        "the other worker takes every remaining job"
+    );
+    assert_eq!(stats.workers_spawned, 2);
+    assert_eq!(stats.dispatched, cells.len());
+    assert_eq!(stats.abandoned, cells.len(), "nothing was journaled");
+    assert_eq!(sharded.to_json(), run_sweep(&jobs, &cfg).to_json());
     std::fs::remove_dir_all(&dir).ok();
 }
