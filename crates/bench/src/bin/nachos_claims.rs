@@ -30,7 +30,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nachos::{simulate_in, Backend, EnergyModel, SimArena, SimConfig};
+use nachos::{compile_for_backend, simulate_in, Backend, EnergyModel, SimArena, SimConfig};
 use nachos_alias::StageConfig;
 use nachos_bench::claims::{figures, verdict, Evidence};
 use nachos_bench::exitcode::Verdict;
@@ -68,9 +68,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Steady-state heap allocations of one arena-reset NACHOS engine run:
 /// the first run warms the arena, the second is measured.
 fn allocs_per_run(w: &nachos_workloads::Workload) -> u64 {
-    let mut region = w.region.clone();
-    let _ = nachos_alias::compile(&mut region, StageConfig::full());
     let config = SimConfig::default().with_invocations(DEFAULT_INVOCATIONS);
+    let compiled = compile_for_backend(&w.region, Backend::Nachos, &config, StageConfig::full());
+    let region = compiled.expect("suite workloads compile cleanly").region;
     let energy = EnergyModel::default();
     let mut arena = SimArena::new();
     let mut run = || {

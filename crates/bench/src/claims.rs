@@ -14,7 +14,7 @@ use crate::opt::{MIN_FULL_IMPROVED_WORKLOADS, MIN_FULL_MAY_COALESCED_FRACTION};
 use crate::{job_for, try_run_suite_opts, BenchResult, SuiteRun, DEFAULT_INVOCATIONS};
 use nachos::sweep::{run_sweep, SweepConfig, SweepResult, SweepVariant};
 use nachos::{pct_slowdown, reference, simulate_in, Backend, DecentralizedModel};
-use nachos::{EnergyModel, ExperimentRun, SimArena, SimConfig};
+use nachos::{CompileMemo, EnergyModel, ExperimentRun, SimArena, SimConfig};
 use nachos_alias::{analyze, compile, may_fanin, LabelCounts, PairKind, StageConfig};
 use nachos_ir::{EdgeKind, Region};
 use nachos_workloads::{by_name, generate, generate_path, Workload};
@@ -156,8 +156,10 @@ fn audits(suite: &SuiteRun, invocations: u64) -> (Vec<LintRun>, OptSuiteReport) 
         let mut arena = SimArena::new();
         let runs = suite.results.iter().map(|r| {
             let w = &r.workload;
-            let lint = lint_workload(w, config, invocations);
-            (lint, optimize_workload(&mut arena, w, config, invocations))
+            let mut memo = CompileMemo::new(&w.region);
+            let lint = lint_workload(&mut memo, w, config, invocations);
+            let opt = optimize_workload(&mut arena, &mut memo, w, config, invocations);
+            (lint, opt)
         });
         runs.collect::<Vec<_>>()
     };
@@ -927,8 +929,9 @@ pub fn figures() -> Vec<Figure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint::audited;
     use crate::opt::{BackendCycles, OptRun};
-    use nachos::{FaultKind, FaultPlan, FaultSpec};
+    use nachos::{FaultKind, FaultPlan, FaultSpec, SimError};
     use nachos_alias::{Code, Diagnostic, OptStats, Site};
 
     fn diag(code: Code, message: &str) -> Diagnostic {
@@ -1016,7 +1019,8 @@ mod tests {
 
         // Exit 2: an Error in the unoptimized audit, a NO-pair collision,
         // an Error in the optimized audit (a refused certificate), an
-        // optimizer divergence and a failed optimizer simulation.
+        // optimizer divergence, a failed optimizer simulation and an
+        // optimized compile the memo refused.
         for code in [Code::UnsoundNo, Code::DynamicCollision] {
             let mut bad = clean.clone();
             bad.diagnostics.push(diag(code, "finding"));
@@ -1032,9 +1036,34 @@ mod tests {
         failed[1]
             .failures
             .push("NACHOS simulation failed".to_owned());
-        for runs in [refused, diverged, failed] {
+        let mut refused_compile = passing.clone();
+        refused_compile[0].diagnostics = audited(
+            Err(SimError::Audit(vec![diag(Code::BadCertificate, "witness")])),
+            StageConfig::full(),
+        )
+        .1;
+        for runs in [refused, diverged, failed, refused_compile] {
             assert_eq!(verdict_of(&lint, runs), Verdict::Divergence);
         }
+
+        // Exit 2 naming the first error: a compile the memo refused
+        // leaves its quick audit's errors as the audit's findings.
+        let first = diag(Code::MissingChain, "no chain");
+        let errors = vec![first.clone(), diag(Code::UnsoundNo, "overlap")];
+        let refused_compile = LintRun {
+            diagnostics: audited(Err(SimError::Audit(errors)), StageConfig::full()).1,
+            ..clean.clone()
+        };
+        let opt = OptSuiteReport {
+            runs: passing.clone(),
+        };
+        let why = sound(std::slice::from_ref(&refused_compile), &opt).unwrap_err();
+        assert_eq!(
+            why,
+            format!("audit: 2 error(s), first a under `full`: {first}")
+        );
+        let verdict = verdict_of(&[refused_compile], passing.clone());
+        assert_eq!(verdict, Verdict::Divergence);
 
         // Exit 3: each improvement bar missed, a cycle regression under
         // any ablation, and avoidable imprecision after optimizing.

@@ -10,7 +10,10 @@
 //!
 //! [`nachos_alias::audit`]: mod@nachos_alias::audit
 
-use nachos_alias::{audit_with, compile, AuditConfig, Code, Diagnostic, StageConfig};
+use nachos::{Backend, CompileMemo, CompiledRegion, SimConfig, SimError};
+use nachos_alias::{audit_with, differential_no_collisions, AuditConfig, Code, Diagnostic};
+use nachos_alias::{Analysis, StageConfig};
+use nachos_ir::Region;
 use nachos_workloads::Workload;
 
 /// One named compiler ablation the suite audits.
@@ -78,20 +81,41 @@ pub fn avoidable(d: &Diagnostic) -> bool {
     }
 }
 
-/// Audits one workload's unoptimized compilation under one ablation and
-/// replays its NO pairs through the reference address walk for
-/// `invocations` invocations.
+/// The full audit of one memo entry, an MDE compile under `stages`, with
+/// the compile it audited; a compile the memo refused has no compile and
+/// the Errors of the quick audit that refused it.
+pub(crate) fn audited(
+    entry: Result<&CompiledRegion, SimError>,
+    stages: StageConfig,
+) -> (Option<(&Region, &Analysis)>, Vec<Diagnostic>) {
+    match entry {
+        Ok(c) => {
+            let analysis = c.analysis.as_ref().expect("MDE compiles carry analyses");
+            let audit = AuditConfig::default();
+            let findings = audit_with(&c.region, analysis, stages, &audit);
+            (Some((&c.region, analysis)), findings)
+        }
+        Err(SimError::Audit(errors)) => (None, errors),
+        Err(e) => panic!("a generated workload failed validation: {e}"),
+    }
+}
+
+/// Audits one workload's unoptimized compilation, `memo`'s entry for
+/// `w.region`, under one ablation and replays its NO pairs through the
+/// reference address walk for `invocations` invocations.
 #[must_use]
-pub fn lint_workload(w: &Workload, config: LintConfig, invocations: u64) -> LintRun {
-    let mut region = w.region.clone();
-    let analysis = compile(&mut region, config.stages);
-    let mut diagnostics = audit_with(&region, &analysis, config.stages, &AuditConfig::default());
-    diagnostics.extend(nachos_alias::differential_no_collisions(
-        &region,
-        &analysis.matrix,
-        &w.binding,
-        invocations,
-    ));
+pub fn lint_workload(
+    memo: &mut CompileMemo<'_>,
+    w: &Workload,
+    config: LintConfig,
+    invocations: u64,
+) -> LintRun {
+    let entry = memo.get(Backend::Nachos, &SimConfig::default(), config.stages);
+    let (compiled, mut diagnostics) = audited(entry, config.stages);
+    if let Some((region, a)) = compiled {
+        let no_pairs = differential_no_collisions(region, &a.matrix, &w.binding, invocations);
+        diagnostics.extend(no_pairs);
+    }
     LintRun {
         workload: w.spec.name.to_owned(),
         config: config.name.to_owned(),
@@ -108,7 +132,7 @@ mod tests {
     fn audited_workload_has_zero_errors_under_every_config() {
         let w = nachos_workloads::generate(&nachos_workloads::by_name("183.equake").unwrap());
         for config in standard_configs() {
-            let run = lint_workload(&w, config, 8);
+            let run = lint_workload(&mut CompileMemo::new(&w.region), &w, config, 8);
             let errors: Vec<_> = run.diagnostics.iter().filter(|d| d.is_error()).collect();
             assert!(errors.is_empty(), "{}: {errors:?}", config.name);
         }

@@ -9,9 +9,9 @@
 //! run, and the improvement bars below, the absence of cycle regressions
 //! and of avoidable imprecision are claims.
 
-use crate::lint::{avoidable, LintConfig};
+use crate::lint::{audited, avoidable, LintConfig};
 use nachos::json::JsonWriter;
-use nachos::{Backend, EnergyModel, Run, SimArena, SimConfig};
+use nachos::{Backend, CompileMemo, EnergyModel, Run, SimArena, SimConfig};
 use nachos_alias::{Diagnostic, OptStats};
 use nachos_workloads::Workload;
 
@@ -174,34 +174,26 @@ impl OptSuiteReport {
 /// Optimizes one workload under one ablation: rewrites the plan, audits
 /// the result, and times both MDE backends with and without the
 /// optimizer for `invocations` invocations (differentially comparing
-/// their executions).
+/// their executions). Every compile is `memo`'s, over `w.region`.
 #[must_use]
 pub fn optimize_workload(
     arena: &mut SimArena,
+    memo: &mut CompileMemo<'_>,
     w: &Workload,
     config: LintConfig,
     invocations: u64,
 ) -> OptRun {
-    // Static pass: compile, optimize, and independently re-audit. The
-    // timing runs below repeat this inside the driver (whose audit gate
-    // refuses bad certificates outright); doing it here as well captures
-    // the findings instead of just an error.
-    let mut region = w.region.clone();
-    let mut analysis = nachos_alias::compile(&mut region, config.stages);
-    nachos_alias::optimize(&mut region, &mut analysis);
-    let outcome = analysis.opt.as_ref().expect("optimizer records an outcome");
-    let stats = outcome.stats;
-    let certificates = outcome.certs.len();
-    let forward = analysis.plan.forward.len();
-    let diagnostics = nachos_alias::audit_with(
-        &region,
-        &analysis,
-        config.stages,
-        &nachos_alias::AuditConfig::default(),
-    );
+    // Static pass: the memo's quick audit only refuses; the full audit
+    // keeps every finding.
+    let optimized = SimConfig::default().with_optimize(true);
+    let entry = memo.get(Backend::Nachos, &optimized, config.stages);
+    let (compiled, diagnostics) = audited(entry, config.stages);
+    let (stats, certificates, forward) = compiled.map_or((OptStats::default(), 0, 0), |(_, a)| {
+        let outcome = a.opt.as_ref().expect("optimizer records an outcome");
+        (outcome.stats, outcome.certs.len(), a.plan.forward.len())
+    });
 
-    // Timing pass: both MDE backends, with and without the optimizer,
-    // over the *original* region (the driver re-compiles internally).
+    // Timing pass: both MDE backends, with and without the optimizer.
     let energy = EnergyModel::default();
     let base = SimConfig::default().with_invocations(invocations);
     let opt = base.clone().with_optimize(true);
@@ -213,6 +205,7 @@ pub fn optimize_workload(
             Run::new(&w.region, &w.binding, backend)
                 .stages(config.stages)
                 .arena(&mut *arena)
+                .memo(&mut *memo)
                 .execute(cfg, &energy)
         };
         match (run(&base), run(&opt)) {
@@ -379,7 +372,8 @@ mod tests {
     fn optimized_workload_is_certified_equivalent_and_no_slower() {
         let w = nachos_workloads::generate(&nachos_workloads::by_name("183.equake").unwrap());
         let full = crate::lint::standard_configs()[0];
-        let run = optimize_workload(&mut SimArena::new(), &w, full, 8);
+        let memo = &mut CompileMemo::new(&w.region);
+        let run = optimize_workload(&mut SimArena::new(), memo, &w, full, 8);
         let errors: Vec<_> = run.diagnostics.iter().filter(|d| d.is_error()).collect();
         assert!(errors.is_empty() && run.failures.is_empty(), "{errors:?}");
         assert_eq!(run.cycles.len(), 2, "both MDE backends timed");

@@ -15,7 +15,7 @@ use std::fs::File;
 use std::io::BufWriter;
 
 use nachos::sweep::{SweepConfig, SweepJob};
-use nachos::{Run, SimArena, StatsWriter};
+use nachos::{CompileMemo, Run, SimArena, StatsWriter};
 
 /// Runs every `(job, variant)` cell of the matrix serially with a
 /// [`StatsWriter`] attached and writes the combined `nachos-stats-v1`
@@ -35,12 +35,14 @@ pub fn write_stats_stream(path: &str, jobs: &[SweepJob], cfg: &SweepConfig) -> R
     let mut runs = 0u64;
     for job in jobs {
         let config = job.sim_config(cfg);
+        let mut memo = CompileMemo::new(&job.region);
         for v in &cfg.variants {
             let label = format!("{}/{}", job.name, v.label);
             writer.begin_run(&label, Some(v.backend));
             match Run::new(&job.region, &job.binding, v.backend)
                 .stages(v.stages)
                 .arena(&mut arena)
+                .memo(&mut memo)
                 .sink(&mut writer)
                 .execute(&config, &cfg.energy)
             {

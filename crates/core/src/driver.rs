@@ -18,11 +18,7 @@ pub struct ExperimentRun {
 
 /// A region prepared for simulation under one backend class: MDEs
 /// compiled (and audited) for the NACHOS backends, or stripped and
-/// rewired for OPT-LSQ. Compilation is deterministic in `(region,
-/// stages, optimize, uses_mdes)`, so a `CompiledRegion` can be reused
-/// across backends that share those inputs — the sweep harness compiles
-/// each workload once per distinct stage configuration instead of once
-/// per cell.
+/// rewired for OPT-LSQ. A [`CompileMemo`] keeps one per compile key.
 #[derive(Clone, Debug)]
 pub struct CompiledRegion {
     /// The compiled (or de-MDE'd) region, ready for
@@ -89,6 +85,59 @@ pub fn compile_for_backend(
     })
 }
 
+/// The one compile memo: the [`compile_for_backend`] result for one
+/// region per `(backend.uses_mdes(), stages, config.optimize)` key, all
+/// that compilation reads, built on the key's first request and kept,
+/// a refusal included. It borrows the single region it compiles.
+pub struct CompileMemo<'r> {
+    region: &'r Region,
+    entries: Vec<(CompileKey, Result<CompiledRegion, SimError>)>,
+}
+
+/// `(backend.uses_mdes(), stages, config.optimize)`.
+type CompileKey = (bool, StageConfig, bool);
+
+impl<'r> CompileMemo<'r> {
+    /// An empty memo over `region`.
+    #[must_use]
+    pub fn new(region: &'r Region) -> Self {
+        Self {
+            region,
+            entries: Vec::new(),
+        }
+    }
+
+    /// The compiles made so far: one per distinct key requested.
+    #[must_use]
+    pub fn compiles(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The region compiled as `backend` requires under `config` and
+    /// `stages`, or the key's [`compile_for_backend`] error.
+    ///
+    /// # Errors
+    ///
+    /// The key's compile was refused.
+    pub fn get(
+        &mut self,
+        backend: Backend,
+        config: &SimConfig,
+        stages: StageConfig,
+    ) -> Result<&CompiledRegion, SimError> {
+        let key = (backend.uses_mdes(), stages, config.optimize);
+        let i = match self.entries.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                let compiled = compile_for_backend(self.region, backend, config, stages);
+                self.entries.push((key, compiled));
+                self.entries.len() - 1
+            }
+        };
+        self.entries[i].1.as_ref().map_err(Clone::clone)
+    }
+}
+
 /// One region run on one backend: [compile](compile_for_backend) its
 /// MDEs as the backend requires, then simulate it. The only way to run
 /// a raw region; [`simulate_in`](crate::simulate_in) times a region that
@@ -108,18 +157,20 @@ pub fn compile_for_backend(
 /// # Ok::<(), nachos::SimError>(())
 /// ```
 #[must_use = "a `Run` does nothing until `execute`"]
-pub struct Run<'a> {
+pub struct Run<'a, 'r> {
     region: &'a Region,
     binding: &'a Binding,
     backend: Backend,
     stages: StageConfig,
     arena: Option<&'a mut SimArena>,
+    memo: Option<&'a mut CompileMemo<'r>>,
     sink: Option<&'a mut dyn TelemetrySink>,
 }
 
-impl<'a> Run<'a> {
+impl<'a, 'r> Run<'a, 'r> {
     /// A run of `region` under `binding` on `backend`, with the full
-    /// compiler pipeline, a fresh arena and no telemetry.
+    /// compiler pipeline, a fresh compile, a fresh arena and no
+    /// telemetry.
     pub fn new(region: &'a Region, binding: &'a Binding, backend: Backend) -> Self {
         Self {
             region,
@@ -127,6 +178,7 @@ impl<'a> Run<'a> {
             backend,
             stages: StageConfig::full(),
             arena: None,
+            memo: None,
             sink: None,
         }
     }
@@ -145,6 +197,13 @@ impl<'a> Run<'a> {
         self
     }
 
+    /// Reads the compiled region from `memo` instead of compiling the
+    /// region given to [`Run::new`]; `memo` must compile that region.
+    pub fn memo(mut self, memo: &'a mut CompileMemo<'r>) -> Self {
+        self.memo = Some(memo);
+        self
+    }
+
     /// Streams the simulation to `sink`. Observation only: cycles, stall
     /// counters and report bytes are bit-identical to the unobserved run.
     pub fn sink(mut self, sink: &'a mut dyn TelemetrySink) -> Self {
@@ -152,7 +211,7 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// Compiles and simulates the region.
+    /// Compiles the region (or reads it from the memo) and simulates it.
     ///
     /// # Errors
     ///
@@ -163,7 +222,14 @@ impl<'a> Run<'a> {
         config: &SimConfig,
         energy: &EnergyModel,
     ) -> Result<ExperimentRun, SimError> {
-        let compiled = compile_for_backend(self.region, self.backend, config, self.stages)?;
+        let fresh;
+        let compiled = match self.memo {
+            Some(memo) => memo.get(self.backend, config, self.stages)?,
+            None => {
+                fresh = compile_for_backend(self.region, self.backend, config, self.stages)?;
+                &fresh
+            }
+        };
         let mut fresh = None;
         let arena = match self.arena {
             Some(arena) => arena,
@@ -180,7 +246,7 @@ impl<'a> Run<'a> {
             self.sink.map(|sink| sink as &mut dyn TelemetrySink),
         )?;
         Ok(ExperimentRun {
-            analysis: compiled.analysis,
+            analysis: compiled.analysis.clone(),
             sim,
         })
     }
@@ -200,6 +266,64 @@ pub fn pct_slowdown(test_cycles: u64, baseline_cycles: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::store_load_region;
+
+    fn optimized(optimize: bool) -> SimConfig {
+        SimConfig::default().with_optimize(optimize)
+    }
+
+    #[test]
+    fn the_memo_compiles_once_per_key() {
+        let (region, binding) = store_load_region("memo");
+        let mut memo = CompileMemo::new(&region);
+        let (full, base) = (StageConfig::full(), StageConfig::baseline());
+        // NACHOS-SW, NACHOS and IDEAL share the MDE compile of a stage set.
+        for backend in [Backend::NachosSw, Backend::Nachos, Backend::Ideal] {
+            memo.get(backend, &optimized(false), full).unwrap();
+            memo.get(backend, &optimized(false), full).unwrap();
+        }
+        assert_eq!(memo.compiles(), 1);
+        memo.get(Backend::NachosSw, &optimized(false), base)
+            .unwrap();
+        memo.get(Backend::OptLsq, &optimized(false), full).unwrap();
+        assert_eq!(memo.compiles(), 3);
+        // A run given the memo reads the entry instead of compiling.
+        let config = optimized(false).with_invocations(2);
+        for backend in [Backend::Nachos, Backend::OptLsq] {
+            Run::new(&region, &binding, backend)
+                .memo(&mut memo)
+                .execute(&config, &EnergyModel::default())
+                .unwrap();
+        }
+        assert_eq!(memo.compiles(), 3);
+    }
+
+    #[test]
+    fn optimize_on_and_off_are_separate_entries() {
+        let (region, _) = store_load_region("memo");
+        let mut memo = CompileMemo::new(&region);
+        for optimize in [false, true, false, true] {
+            let entry = memo.get(Backend::Nachos, &optimized(optimize), StageConfig::full());
+            let analysis = entry.unwrap().analysis.as_ref().unwrap();
+            assert_eq!(analysis.opt.is_some(), optimize);
+        }
+        assert_eq!(memo.compiles(), 2);
+    }
+
+    #[test]
+    fn each_entry_equals_a_fresh_compile() {
+        let (region, _) = store_load_region("memo");
+        let mut memo = CompileMemo::new(&region);
+        for backend in [Backend::OptLsq, Backend::NachosSw, Backend::Nachos] {
+            for stages in [StageConfig::full(), StageConfig::baseline()] {
+                for config in [optimized(false), optimized(true)] {
+                    let fresh = compile_for_backend(&region, backend, &config, stages).unwrap();
+                    let entry = memo.get(backend, &config, stages).unwrap();
+                    assert_eq!(format!("{entry:?}"), format!("{fresh:?}"));
+                }
+            }
+        }
+    }
 
     #[test]
     fn slowdown_sign_convention() {

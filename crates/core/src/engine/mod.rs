@@ -165,9 +165,10 @@ impl SimResult {
 /// For [`Backend::OptLsq`] the region's MDEs are ignored (the LSQ is the
 /// ordering mechanism); for the NACHOS backends (and the IDEAL oracle)
 /// the region must already carry its MDEs (see
-/// [`compile_for_backend`](crate::compile_for_backend)). To compile and
-/// simulate in one step, or to attach a [`TelemetrySink`], use
-/// [`Run`](crate::Run).
+/// [`compile_for_backend`](crate::compile_for_backend), or an entry of a
+/// [`CompileMemo`](crate::CompileMemo)). To compile and simulate in one
+/// step, to share compiles through a memo, or to attach a
+/// [`TelemetrySink`], use [`Run`](crate::Run).
 ///
 /// # Errors
 ///

@@ -52,7 +52,9 @@ pub mod value;
 
 pub use analytic::DecentralizedModel;
 pub use config::{Backend, CancelToken, SimConfig, WatchdogConfig};
-pub use driver::{compile_for_backend, pct_slowdown, CompiledRegion, ExperimentRun, Run};
+pub use driver::{
+    compile_for_backend, pct_slowdown, CompileMemo, CompiledRegion, ExperimentRun, Run,
+};
 pub use energy::{EnergyBreakdown, EnergyModel, EventCounts};
 pub use engine::{
     simulate_in, BackpressureEvent, CycleRecord, NoopSink, RunSummary, SimArena, SimResult,

@@ -68,9 +68,9 @@ pub mod journal;
 pub mod shard;
 
 use crate::config::{Backend, CancelToken, SimConfig};
-use crate::driver::{compile_for_backend, CompiledRegion, ExperimentRun};
+use crate::driver::{CompileMemo, ExperimentRun, Run};
 use crate::energy::EnergyModel;
-use crate::engine::{simulate_in, SimArena};
+use crate::engine::SimArena;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::json::JsonWriter;
@@ -699,10 +699,9 @@ fn run_cells<E>(
         ));
     };
     let sim_cfg = job.sim_config(cfg);
-    // Variants sharing a stage configuration and MDE requirement reuse
-    // one compile: within a job, compilation depends only on those two
-    // inputs (and `sim_cfg.optimize`, constant across the matrix).
-    let mut compiles = CompileCache::default();
+    // Variants sharing a compile key reuse one compile: the bench matrix
+    // compiles full and baseline stages plus one MDE-free rewire.
+    let mut compiles = CompileMemo::new(&job.region);
     let mut cancelled = false;
     let mut runs = Vec::with_capacity(cells.len());
     for &c in cells {
@@ -796,7 +795,7 @@ fn run_cell(
     energy: &EnergyModel,
     reference: &ReferenceResult,
     arena: &mut SimArena,
-    compiles: &mut CompileCache,
+    compiles: &mut CompileMemo<'_>,
     key: RunKey,
     max_retries: u32,
 ) -> VariantOutcome {
@@ -825,38 +824,6 @@ fn run_cell(
     }
 }
 
-/// A job-local cache of [`CompiledRegion`]s keyed by what compilation
-/// actually depends on: the stage configuration and whether the backend
-/// consumes MDEs (`sim_cfg.optimize` is constant across a job's variant
-/// matrix, and fault plans apply at simulation time, never at compile
-/// time). The bench matrix compiles each workload twice (full +
-/// baseline stages) plus one MDE-free rewire instead of once per cell.
-#[derive(Default)]
-struct CompileCache {
-    entries: Vec<(bool, StageConfig, CompiledRegion)>,
-}
-
-impl CompileCache {
-    fn get_or_compile(
-        &mut self,
-        region: &Region,
-        v: &SweepVariant,
-        sim_cfg: &SimConfig,
-    ) -> Result<&CompiledRegion, SimError> {
-        let key = (v.backend.uses_mdes(), v.stages);
-        if let Some(i) = self
-            .entries
-            .iter()
-            .position(|(mdes, stages, _)| (*mdes, *stages) == key)
-        {
-            return Ok(&self.entries[i].2);
-        }
-        let compiled = compile_for_backend(region, v.backend, sim_cfg, v.stages)?;
-        self.entries.push((key.0, key.1, compiled));
-        Ok(&self.entries.last().expect("just pushed").2)
-    }
-}
-
 /// Runs one attempt of a (job, variant) cell and classifies the outcome.
 /// This is the per-run isolation boundary: a panic inside the engine is
 /// caught here and recorded as [`RunStatus::Panic`] instead of poisoning
@@ -868,23 +835,15 @@ fn run_variant(
     energy: &EnergyModel,
     reference: &ReferenceResult,
     arena: &mut SimArena,
-    compiles: &mut CompileCache,
+    compiles: &mut CompileMemo<'_>,
 ) -> VariantOutcome {
     let fault_active = sim_cfg.fault.applies_to(v.backend);
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        let compiled = compiles.get_or_compile(&job.region, v, sim_cfg)?;
-        let sim = simulate_in(
-            arena,
-            &compiled.region,
-            &job.binding,
-            v.backend,
-            sim_cfg,
-            energy,
-        )?;
-        Ok(ExperimentRun {
-            analysis: compiled.analysis.clone(),
-            sim,
-        })
+        Run::new(&job.region, &job.binding, v.backend)
+            .stages(v.stages)
+            .arena(&mut *arena)
+            .memo(&mut *compiles)
+            .execute(sim_cfg, energy)
     }));
     let (status, run, error, detail) = match caught {
         Err(payload) => {
