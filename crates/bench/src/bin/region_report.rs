@@ -5,8 +5,8 @@
 //! Usage: `cargo run --release -p nachos-bench --bin region_report -- <name> [--dot]`
 //! (e.g. `183.equake`, `401.bzip2`; run without arguments to list names).
 
-use nachos::{Backend, EnergyModel, Run, SimConfig};
-use nachos_alias::{analyze, compile, may_fanin, StageConfig};
+use nachos::{Backend, CompileMemo, EnergyModel, Run, SimConfig};
+use nachos_alias::{may_fanin, StageConfig};
 use nachos_workloads::{by_name, generate};
 
 fn main() {
@@ -33,7 +33,16 @@ fn main() {
         spec.miss,
     );
 
-    let a = analyze(&w.region, StageConfig::full());
+    // One memo serves the compiler story, the three runs and `--dot`:
+    // NACHOS-SW and NACHOS share its full-stage entry.
+    let config = SimConfig::default().with_invocations(64);
+    let mut memo = CompileMemo::new(&w.region);
+    let full = memo.get(Backend::Nachos, &config, StageConfig::full());
+    let a = full
+        .expect("compiled")
+        .analysis
+        .clone()
+        .expect("MDE analysis");
     let r = &a.report;
     println!();
     println!("compiler ({} tracked pairs):", r.num_pairs);
@@ -61,9 +70,9 @@ fn main() {
         println!("  MAY fan-in: none (fully resolved at compile time)");
     }
 
-    let config = SimConfig::default().with_invocations(64);
     let runs = Backend::ALL.map(|backend| {
         Run::new(&w.region, &w.binding, backend)
+            .memo(&mut memo)
             .execute(&config, &EnergyModel::default())
             .expect("simulate")
     });
@@ -85,9 +94,8 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "--dot") {
-        let mut compiled = w.region.clone();
-        compile(&mut compiled, StageConfig::full());
+        let compiled = memo.get(Backend::Nachos, &config, StageConfig::full());
         println!();
-        println!("{}", nachos_ir::to_dot(&compiled));
+        println!("{}", nachos_ir::to_dot(&compiled.expect("compiled").region));
     }
 }

@@ -14,13 +14,13 @@
 //! Process isolation: `--shards N` runs the matrix in up to N worker OS
 //! processes (this binary re-invoked with `--shard-exec`) that take whole
 //! jobs on demand, so an abort, OOM kill or segfault in one cell costs
-//! one worker, not the campaign. The supervisor watches per-shard
-//! journals for heartbeat growth, respawns dead or silent workers under
-//! deterministic backoff, merges each acknowledged job into the
-//! `--journal` file as it lands and emits a report byte-identical to a
-//! single-process run. `--cache PATH` adds a persistent cross-campaign
-//! result cache keyed by the same content hashes (`default` picks
-//! `$XDG_CACHE_HOME/nachos/sweep`).
+//! one worker, not the campaign. Each worker reports its acks and its
+//! `start`/`done`/`alive` beats on stdout; the supervisor respawns dead
+//! or silent workers under deterministic backoff, merges each
+//! acknowledged job into the `--journal` file as it lands and emits a
+//! report byte-identical to a single-process run. `--cache PATH` adds a
+//! persistent cross-campaign result cache keyed by the same content
+//! hashes (`default` picks `$XDG_CACHE_HOME/nachos/sweep`).
 //!
 //! `--deadline-secs N` puts the whole invocation under a wall-clock
 //! budget: when it expires, the sweep is cancelled cooperatively through
@@ -80,9 +80,8 @@ use std::time::{Duration, Instant};
 const USAGE: &str = "usage: sweep [--threads N] [--invocations N] [--out FILE] [--ideal] \
                      [--optimize] [--journal FILE] [--resume] [--max-retries N] \
                      [--filter SUBSTR] [--variants LIST] [--poison NAME] [--shards N] \
-                      [--cache PATH|default] [--heartbeat-interval MS] \
-                     [--deadline-secs N] [--connect PATH] [--stats FILE] [--strict] \
-                     [--shard-exec] [--help]";
+                     [--cache PATH|default] [--deadline-secs N] [--connect PATH] \
+                     [--stats FILE] [--strict] [--shard-exec] [--help]";
 
 const HELP: &str = "\
 The NACHOS differential sweep harness.
@@ -104,13 +103,13 @@ Flags:
   --shards N              run the matrix across N worker OS processes,
                           each taking one whole job at a time as it
                           finishes the last (requires --journal; report
-                          stays byte-identical to a single-process run)
+                          stays byte-identical to a single-process run);
+                          a worker that writes nothing on stdout for 10 s
+                          (it beats every 200 ms) is killed and respawned
   --cache PATH            promote settled runs into a persistent
                           content-addressed cache at PATH and serve future
                           campaigns from it; the literal 'default' means
                           $XDG_CACHE_HOME/nachos/sweep (requires --shards)
-  --heartbeat-interval MS worker liveness pulse period (0 disables; a
-                          worker silent for ~10 intervals is respawned)
   --deadline-secs N       wall-clock budget for the whole sweep: on
                           expiry the remaining cells are cancelled
                           cooperatively (shard workers included), the
@@ -193,7 +192,6 @@ fn main() -> ExitCode {
     let mut shards = 0usize;
     let mut shard_exec = false;
     let mut cache_arg: Option<String> = None;
-    let mut heartbeat_ms = 200u64;
     let mut deadline_secs = 0u64;
     let mut connect: Option<String> = None;
     let mut stats_path: Option<String> = None;
@@ -228,20 +226,9 @@ fn main() -> ExitCode {
             _ => {}
         }
         let Some(value) = (match a.as_str() {
-            "--threads"
-            | "--invocations"
-            | "--out"
-            | "--journal"
-            | "--max-retries"
-            | "--filter"
-            | "--variants"
-            | "--poison"
-            | "--shards"
-            | "--cache"
-            | "--heartbeat-interval"
-            | "--deadline-secs"
-            | "--connect"
-            | "--stats" => args.next(),
+            "--threads" | "--invocations" | "--out" | "--journal" | "--max-retries"
+            | "--filter" | "--variants" | "--poison" | "--shards" | "--cache"
+            | "--deadline-secs" | "--connect" | "--stats" => args.next(),
             other => return usage_error(&format!("unknown argument: {other}")),
         }) else {
             return usage_error(&format!("{a} requires a value"));
@@ -266,14 +253,6 @@ fn main() -> ExitCode {
             "--shards" => match value.parse() {
                 Ok(n) => shards = n,
                 Err(_) => return usage_error(&format!("--shards takes a count, got {value:?}")),
-            },
-            "--heartbeat-interval" => match value.parse() {
-                Ok(ms) => heartbeat_ms = ms,
-                Err(_) => {
-                    return usage_error(&format!(
-                        "--heartbeat-interval takes milliseconds, got {value:?}"
-                    ))
-                }
             },
             "--deadline-secs" => match value.parse() {
                 Ok(s) => deadline_secs = s,
@@ -427,12 +406,6 @@ fn main() -> ExitCode {
         }
         let mut scfg = ShardConfig::new(shards, worker_cmd, &journal);
         scfg.resume = resume;
-        scfg.heartbeat = Duration::from_millis(heartbeat_ms);
-        scfg.silence_budget = if heartbeat_ms == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_millis((heartbeat_ms * 10).max(2000))
-        };
         if let Some(arg) = &cache_arg {
             let root = if arg == "default" {
                 ResultCache::default_root()

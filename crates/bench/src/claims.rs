@@ -13,9 +13,9 @@ use crate::opt::{optimize_workload, OptSuiteReport, MIN_IMPROVED_WORKLOADS};
 use crate::opt::{MIN_FULL_IMPROVED_WORKLOADS, MIN_FULL_MAY_COALESCED_FRACTION};
 use crate::{job_for, try_run_suite_opts, BenchResult, SuiteRun, DEFAULT_INVOCATIONS};
 use nachos::sweep::{run_sweep, SweepConfig, SweepResult, SweepVariant};
-use nachos::{pct_slowdown, reference, simulate_in, Backend, DecentralizedModel};
-use nachos::{CompileMemo, EnergyModel, ExperimentRun, SimArena, SimConfig};
-use nachos_alias::{analyze, compile, may_fanin, LabelCounts, PairKind, StageConfig};
+use nachos::{compile_for_backend, pct_slowdown, reference, simulate_in, Backend};
+use nachos::{CompileMemo, DecentralizedModel, EnergyModel, ExperimentRun, SimArena, SimConfig};
+use nachos_alias::{analyze, may_fanin, LabelCounts, PairKind, StageConfig};
 use nachos_ir::{EdgeKind, Region};
 use nachos_workloads::{by_name, generate, generate_path, Workload};
 
@@ -76,11 +76,20 @@ fn path_counts(w: &Workload) -> PathCounts {
 struct ForwardRow(&'static str, usize, u64, u64);
 
 /// Runs the forwarding ablation on `w` under NACHOS, checking both runs
-/// against the reference executor (final memory and load digest).
+/// against the reference executor (final memory and load digest). The
+/// region comes validated and audited, unoptimized, from
+/// [`compile_for_backend`].
 fn forwarding(w: &Workload, config: &SimConfig) -> Result<ForwardRow, String> {
     let name = w.spec.name;
-    let mut with_fwd = w.region.clone();
-    compile(&mut with_fwd, StageConfig::full());
+    let unoptimized = SimConfig {
+        optimize: false,
+        ..config.clone()
+    };
+    let (binding, nachos) = (&w.binding, Backend::Nachos);
+    let compiled = compile_for_backend(&w.region, nachos, &unoptimized, StageConfig::full());
+    let with_fwd = compiled
+        .map_err(|e| format!("{name}: compile refused: {e}"))?
+        .region;
     let mdes: Vec<_> = with_fwd.dfg.edges().copied().collect();
     let mut without_fwd = with_fwd.clone();
     without_fwd.dfg.clear_mdes();
@@ -92,7 +101,6 @@ fn forwarding(w: &Workload, config: &SimConfig) -> Result<ForwardRow, String> {
     }
     let reference = reference::execute(&w.region, &w.binding, config.invocations);
     let (mut arena, energy) = (SimArena::new(), EnergyModel::default());
-    let (binding, nachos) = (&w.binding, Backend::Nachos);
     let mut cycles = |region: &Region| {
         let sim = simulate_in(&mut arena, region, binding, nachos, config, &energy);
         let sim = sim.map_err(|e| format!("{name}: forwarding ablation failed: {e}"))?;

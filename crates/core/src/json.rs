@@ -217,7 +217,7 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------
-// Checksummed line framing (journal / heartbeat / cache records)
+// Checksummed line framing (run and job journals, cache entries)
 // ---------------------------------------------------------------------
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

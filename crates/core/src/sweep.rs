@@ -63,7 +63,6 @@
 
 pub mod cache;
 pub mod daemon;
-pub mod heartbeat;
 pub mod journal;
 pub mod shard;
 

@@ -425,8 +425,8 @@ pub struct RunRecord {
 /// drives the journal's corruption accounting: [`LineError::Corrupt`]
 /// lines carried a checksum frame that no longer matches their bytes
 /// (flipped bits, partial overwrite), while [`LineError::Unusable`]
-/// covers everything else (torn tails, foreign schemas, heartbeat
-/// records, hand-edited junk). Both are dropped — and their cells
+/// covers everything else (torn tails, foreign schemas, hand-edited
+/// junk). Both are dropped — and their cells
 /// re-executed — rather than trusted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LineError {
@@ -724,12 +724,9 @@ impl Journal {
         file.sync_data()
     }
 
-    /// Appends one pre-framed single-line record (heartbeats and other
-    /// non-[`RunRecord`] lines share the journal file in sharded mode).
-    /// Flushed but **not** fsynced: a heartbeat carries liveness, and
-    /// losing it costs nothing on resume; a shard worker also appends its
-    /// records this way and makes a whole batch durable with one
-    /// [`Journal::sync`].
+    /// Appends one pre-framed single-line record. Flushed but **not**
+    /// fsynced: a shard worker appends its records this way and makes a
+    /// whole batch durable with one [`Journal::sync`].
     ///
     /// # Errors
     ///

@@ -11,30 +11,34 @@
 //! records are merged and promoted into the result cache while the
 //! workers keep computing. A worker that dies or stays silent is
 //! respawned under [`backoff_delay`] and first re-runs its predecessor's
-//! unrecorded cells; the cell in flight at a death ([`Heartbeat`]) is
-//! charged a strike, and a cell that keeps killing workers is
-//! quarantined.
+//! unrecorded cells; the cell in flight at a death is charged a strike,
+//! and a cell that keeps killing workers is quarantined.
 //!
-//! # Wire format (`nachos-shard-v2`)
+//! # Wire format (`nachos-shard-v3`)
 //!
 //! ```text
-//! stdin:  {"shard": "nachos-shard-v2", "index": 0, "journal": "<path>", "heartbeat_ms": 200}
+//! stdin:  {"shard": "nachos-shard-v3", "index": 0, "journal": "<path>"}
 //!         {"batch": [{"job": 3, "variant": 0, "key": "<16 hex>"}, ...]}
 //!         {"end":true}  or  {"cancel":true}
-//! stdout: {"ack": N}
+//! stdout: {"start": "<16 hex>"}  {"done": "<16 hex>"}  {"alive": true}
+//!         {"ack": N}
 //! ```
 //!
 //! The header comes first, then one batch per ack, then `end`. A worker
-//! acks its `N`-th batch once the batch's records are fsynced, and takes
-//! stdin EOF as cancel. Lines are bounded both ways ([`MAX_RECORD_LEN`],
-//! [`read_worker_line`]); a worker whose stdout line is not the ack it
-//! owes is killed. Time and the race for jobs decide liveness and
-//! placement only: the report comes from [`super::run_sweep_journaled`]
-//! over the merged journal, so it is **byte-identical** to a
-//! single-process run for any shard count, death or resume history.
+//! brackets each cell it runs with `start` and `done`, writes `alive`
+//! every 200 ms from a pulse thread, acks its `N`-th batch once the
+//! batch's records are fsynced, and takes stdin EOF as cancel. Its shard
+//! journal holds run records only. Every stdout line restarts the
+//! worker's silence clock, and the last `start` with neither a `done`
+//! nor a record after it names the cell in flight when it died. Lines are
+//! bounded both ways ([`MAX_RECORD_LEN`], [`read_worker_line`]); a worker
+//! whose stdout line is none of these shapes, or an ack it does not owe,
+//! is killed. Time and the race for jobs decide liveness and placement
+//! only: the report comes from [`super::run_sweep_journaled`] over the
+//! merged journal, so it is **byte-identical** to a single-process run
+//! for any shard count, death or resume history.
 
 use super::cache::{CacheCounters, CacheLookup, ResultCache};
-use super::heartbeat::{Heartbeat, HeartbeatPhase, Pulse};
 use super::journal::{self, read_bounded_line, BoundedLine, Journal, LineError};
 use super::journal::{RunKey, RunRecord, MAX_RECORD_LEN};
 use super::{job_cells, run_cells, unrun_record};
@@ -46,17 +50,22 @@ use std::fs::{self, File};
 use std::io::{self, BufRead, BufReader, Read, Seek as _, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::mpsc::{self, SyncSender};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Dispatch header schema tag; bumped with the pipe protocol so that a
 /// mismatched supervisor/worker pair fails loudly.
-pub const SHARD_SCHEMA: &str = "nachos-shard-v2";
+pub const SHARD_SCHEMA: &str = "nachos-shard-v3";
 
-/// Longest stdout line a supervisor reads from a worker. An ack is a
-/// dozen bytes; a longer line is a protocol error and is never buffered.
-pub const MAX_ACK_LEN: usize = 64;
+/// Longest stdout line a supervisor reads from a worker. The longest
+/// line a worker writes, a `start` or `done`, is 30 bytes; a longer line
+/// is a protocol error and is never buffered.
+pub const MAX_WORKER_LINE_LEN: usize = 64;
+
+/// How often a worker writes an `alive` line, so that a long cell still
+/// restarts the supervisor's silence clock.
+const PULSE: Duration = Duration::from_millis(200);
 
 const END_LINE: &str = "{\"end\":true}\n";
 const CANCEL_LINE: &str = "{\"cancel\":true}\n";
@@ -130,13 +139,18 @@ struct Death {
 }
 
 /// The supervisor's dispatch decisions, free of I/O: one queue of job
-/// groups in job order, and per slot the group its worker holds and the
-/// respawns it has used. A group leaves the queue for one slot and never
-/// moves to another, so a job's cells never split across live workers.
+/// groups in job order, and per slot the group its worker holds, the
+/// cell in flight and the respawns it has used. A group leaves the queue
+/// for one slot and never moves to another, so a job's cells never split
+/// across live workers.
 #[derive(Debug)]
 struct Dispatcher {
     queue: VecDeque<Vec<Cell>>,
     held: Vec<Vec<Cell>>,
+    /// Per slot and across respawns, the last `start` with no `done`
+    /// after it. A record after it is checked at death: a recorded cell
+    /// is no longer held.
+    in_flight: Vec<Option<RunKey>>,
     respawns: Vec<u32>,
     strikes: HashMap<u64, u32>,
     max_respawns: u32,
@@ -150,6 +164,7 @@ impl Dispatcher {
         Dispatcher {
             queue: groups.map(<[Cell]>::to_vec).collect(),
             held: vec![Vec::new(); slots],
+            in_flight: vec![None; slots],
             respawns: vec![0; slots],
             strikes: HashMap::new(),
             max_respawns,
@@ -173,18 +188,27 @@ impl Dispatcher {
         group.iter().filter(|c| !recorded(c.key)).count()
     }
 
-    /// `slot`'s worker died with `in_flight` named by its heartbeat trail.
-    /// Its unrecorded cells stay held for a respawn; a slot out of
-    /// respawns abandons them while the other slots drain the queue.
-    fn died(
-        &mut self,
-        slot: usize,
-        in_flight: Option<RunKey>,
-        recorded: impl Fn(RunKey) -> bool,
-    ) -> Death {
+    /// `slot`'s worker wrote `start` for `key`.
+    fn started(&mut self, slot: usize, key: RunKey) {
+        self.in_flight[slot] = Some(key);
+    }
+
+    /// `slot`'s worker wrote `done` for `key`.
+    fn done(&mut self, slot: usize, key: RunKey) {
+        if self.in_flight[slot] == Some(key) {
+            self.in_flight[slot] = None;
+        }
+    }
+
+    /// `slot`'s worker died; its unrecorded in-flight cell, if any, is
+    /// charged a strike. Its unrecorded cells stay held for a respawn; a
+    /// slot out of respawns abandons them while the other slots drain
+    /// the queue.
+    fn died(&mut self, slot: usize, recorded: impl Fn(RunKey) -> bool) -> Death {
         let held = &mut self.held[slot];
         held.retain(|c| !recorded(c.key));
         let mut death = Death::default();
+        let in_flight = self.in_flight[slot];
         if let Some(i) = in_flight.and_then(|k| held.iter().position(|c| c.key == k)) {
             let n = self.strikes.entry(held[i].key.0).or_insert(0);
             *n += 1;
@@ -211,26 +235,24 @@ impl Dispatcher {
     }
 }
 
-fn header_line(index: usize, journal: &Path, heartbeat_ms: u64) -> String {
+fn header_line(index: usize, journal: &Path) -> String {
     let mut w = JsonWriter::compact();
     w.open_obj();
     w.str_field("shard", SHARD_SCHEMA);
     w.u64_field("index", index as u64);
     w.str_field("journal", &journal.display().to_string());
-    w.u64_field("heartbeat_ms", heartbeat_ms);
     w.close_obj();
     w.finish().trim_end_matches('\n').to_owned() + "\n"
 }
 
-/// The dispatch header's shard index, journal path and heartbeat period.
-fn parse_header(line: &str) -> Option<(usize, PathBuf, u64)> {
+/// The dispatch header's shard index and journal path.
+fn parse_header(line: &str) -> Option<(usize, PathBuf)> {
     let v = parse_json(line.trim())?;
     if v.get("shard")?.as_str()? != SHARD_SCHEMA {
         return None;
     }
     let index = usize::try_from(v.get("index")?.as_u64()?).ok()?;
-    let journal = PathBuf::from(v.get("journal")?.as_str()?);
-    Some((index, journal, v.get("heartbeat_ms")?.as_u64()?))
+    Some((index, PathBuf::from(v.get("journal")?.as_str()?)))
 }
 
 fn batch_line(cells: &[Cell]) -> String {
@@ -293,36 +315,76 @@ fn read_inbound(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Inbound {
 pub enum WorkerLine {
     /// `{"ack": N}`: batch `N` is settled, its records on disk.
     Ack(u64),
-    /// Anything else: oversized, not UTF-8, not an ack.
+    /// `{"start": "<key>"}`: the worker is about to run the cell.
+    Start(RunKey),
+    /// `{"done": "<key>"}`: the worker finished (and journaled) the cell.
+    Done(RunKey),
+    /// `{"alive": true}`: the pulse thread's periodic line.
+    Alive,
+    /// Anything else: oversized, not UTF-8, none of the shapes above.
     Malformed,
     /// EOF or a read error: the worker is exiting.
     Closed,
 }
 
-/// Reads one line of a worker's stdout, never buffering more than
-/// [`MAX_ACK_LEN`] bytes of it.
+/// Reads one line of a worker's stdout into `buf`, never buffering more
+/// than [`MAX_WORKER_LINE_LEN`] bytes of it and never allocating once
+/// `buf` holds that many.
 #[must_use]
 pub fn read_worker_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> WorkerLine {
-    match read_bounded_line(reader, buf, MAX_ACK_LEN) {
-        Ok(BoundedLine::Line) => std::str::from_utf8(buf)
-            .ok()
-            .and_then(|line| parse_json(line.trim()))
-            .and_then(|v| v.get("ack")?.as_u64())
-            .map_or(WorkerLine::Malformed, WorkerLine::Ack),
+    match read_bounded_line(reader, buf, MAX_WORKER_LINE_LEN) {
+        Ok(BoundedLine::Line) => parse_worker_line(buf).unwrap_or(WorkerLine::Malformed),
         Ok(BoundedLine::Oversized { .. }) => WorkerLine::Malformed,
         Ok(BoundedLine::Eof) | Err(_) => WorkerLine::Closed,
     }
 }
 
+/// Matches one of the fixed stdout shapes, a one-field JSON object with
+/// JSON whitespace allowed around its tokens, byte by byte.
+fn parse_worker_line(line: &[u8]) -> Option<WorkerLine> {
+    /// `t` after optional whitespace, and the rest after whitespace.
+    fn token<'a>(s: &'a [u8], t: &[u8]) -> Option<&'a [u8]> {
+        let ws = |s: &'a [u8]| {
+            let n = s.iter().take_while(|b| b" \t\n\r".contains(b)).count();
+            &s[n..]
+        };
+        ws(s).strip_prefix(t).map(ws)
+    }
+    let rest = token(line, b"{")?.strip_prefix(b"\"")?;
+    let end = rest.iter().position(|&b| b == b'"')?;
+    let (name, rest) = (&rest[..end], token(&rest[end + 1..], b":")?);
+    let (parsed, rest) = match name {
+        b"ack" => {
+            let n = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+            let count = std::str::from_utf8(&rest[..n]).ok()?.parse().ok()?;
+            (WorkerLine::Ack(count), &rest[n..])
+        }
+        b"start" | b"done" => {
+            let quoted = rest.strip_prefix(b"\"")?;
+            let (hex, rest) = (quoted.get(..16)?, quoted[16..].strip_prefix(b"\"")?);
+            let hex = std::str::from_utf8(hex).ok()?;
+            // `RunKey::parse` alone would take a leading `+`.
+            let key = RunKey::parse(hex).filter(|_| hex.bytes().all(|b| b.is_ascii_hexdigit()))?;
+            let beat = if name == b"start" {
+                WorkerLine::Start(key)
+            } else {
+                WorkerLine::Done(key)
+            };
+            (beat, rest)
+        }
+        b"alive" => (WorkerLine::Alive, rest.strip_prefix(b"true")?),
+        _ => return None,
+    };
+    token(rest, b"}")?.is_empty().then_some(parsed)
+}
+
 /// An incremental reader of one shard journal: a scan reads the complete
 /// lines after a kept offset, so a line still being written is never
-/// counted as corrupt. It tracks the cell in flight (the last `start`
-/// beat with neither a `done` nor a record after it).
+/// counted as corrupt.
 #[derive(Debug, Default)]
 struct ShardTail {
     path: PathBuf,
     offset: u64,
-    in_flight: Option<RunKey>,
     corrupt: usize,
 }
 
@@ -352,29 +414,13 @@ impl ShardTail {
                 BoundedLine::Oversized { .. } => None,
             };
             self.offset = reader.stream_position()?;
-            // Heartbeats share the file; other unusable lines are torn
-            // or foreign and cost nothing.
-            let beat = match line.map(RunRecord::parse_line) {
-                Some(Ok(rec)) => {
-                    if self.in_flight == Some(rec.key) {
-                        self.in_flight = None;
-                    }
-                    records.push(rec);
-                    continue;
-                }
-                Some(Err(LineError::Unusable)) => line.and_then(Heartbeat::from_line),
+            match line.map(RunRecord::parse_line) {
+                Some(Ok(rec)) => records.push(rec),
+                // Torn or foreign lines (the heartbeats an older worker
+                // interleaved among them) cost nothing.
+                Some(Err(LineError::Unusable)) => {}
                 // Oversized, not UTF-8, or failing its checksum frame.
-                Some(Err(LineError::Corrupt)) | None => {
-                    self.corrupt += 1;
-                    continue;
-                }
-            };
-            match beat.map(|b| (b.phase, b.cell)) {
-                Some((HeartbeatPhase::Start, cell)) => self.in_flight = cell,
-                Some((HeartbeatPhase::Done, cell)) if cell == self.in_flight => {
-                    self.in_flight = None;
-                }
-                _ => {}
+                Some(Err(LineError::Corrupt)) | None => self.corrupt += 1,
             }
         }
     }
@@ -400,10 +446,8 @@ pub struct ShardConfig {
     /// Optional cross-campaign result cache, probed before dispatch and
     /// fed each worker's records as they are acknowledged.
     pub cache: Option<ResultCache>,
-    /// Worker `alive` beat interval (zero disables them).
-    pub heartbeat: Duration,
-    /// Kill a worker whose shard journal has not grown for this long
-    /// (zero disables silence kills; exit status still covers death).
+    /// Kill a worker that has written no stdout line for this long (zero
+    /// disables silence kills; exit status still covers death).
     pub silence_budget: Duration,
     /// Respawn budget per worker slot; a slot that exhausts it gives the
     /// group it holds to the inline final pass.
@@ -415,8 +459,8 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// A config with conventional liveness settings: 200 ms heartbeats,
-    /// a 10 s silence budget and 4 respawns per shard.
+    /// A config with conventional liveness settings: a 10 s silence
+    /// budget and 4 respawns per shard.
     #[must_use]
     pub fn new(shards: usize, worker_cmd: Vec<String>, journal_path: impl Into<PathBuf>) -> Self {
         Self {
@@ -425,7 +469,6 @@ impl ShardConfig {
             journal_path: journal_path.into(),
             resume: false,
             cache: None,
-            heartbeat: Duration::from_millis(200),
             silence_budget: Duration::from_secs(10),
             max_respawns: 4,
             poll: Duration::from_millis(20),
@@ -449,7 +492,7 @@ pub struct ShardStats {
     pub recovered: usize,
     /// Journal lines (any shard) dropped as corrupt.
     pub corrupt_lines: usize,
-    /// Workers killed for journal silence.
+    /// Workers killed for stdout silence.
     pub silent_kills: usize,
     /// Cells the supervisor quarantined for repeatedly killing workers.
     pub quarantined: usize,
@@ -470,10 +513,13 @@ struct Worker {
     id: usize,
     /// Batches sent, and so the ack the worker owes next.
     sent: u64,
-    last_len: u64,
-    last_growth: Instant,
-    /// When the worker's stdout reached EOF: it is exiting.
+    /// When the worker last wrote a line: its silence clock.
+    last_line: Instant,
+    /// When the worker's stdout reached EOF: every line it wrote has
+    /// been handled, and it is exiting.
     closed_at: Option<Instant>,
+    /// When the worker was first seen exited.
+    exited_at: Option<Instant>,
 }
 
 impl Worker {
@@ -522,13 +568,14 @@ impl WorkerSlot {
             .spawn()?;
         let id = stats.workers_spawned;
         stats.workers_spawned += 1;
-        // Acks arrive on stdout, and its EOF (the worker's exit) wakes the
-        // monitor. This thread never allocates (its buffers come from here,
-        // the channel is preallocated), so it costs no malloc arena.
+        // Acks and beats arrive on stdout, and its EOF (the worker's exit)
+        // wakes the monitor. This thread never allocates (its buffers come
+        // from here, the channel is preallocated), so it costs no malloc
+        // arena.
         if let Some(out) = child.stdout.take() {
             let (events, slot) = (events.clone(), self.index);
-            let mut out = BufReader::with_capacity(MAX_ACK_LEN, out);
-            let mut buf = Vec::with_capacity(MAX_ACK_LEN);
+            let mut out = BufReader::with_capacity(MAX_WORKER_LINE_LEN, out);
+            let mut buf = Vec::with_capacity(MAX_WORKER_LINE_LEN);
             let _ = std::thread::Builder::new().spawn(move || loop {
                 let line = read_worker_line(&mut out, &mut buf);
                 if events.send((slot, id, line)).is_err() || line == WorkerLine::Closed {
@@ -541,12 +588,11 @@ impl WorkerSlot {
             child,
             id,
             sent: 0,
-            last_len: fs::metadata(&self.tail.path).map_or(0, |m| m.len()),
-            last_growth: Instant::now(),
+            last_line: Instant::now(),
             closed_at: None,
+            exited_at: None,
         };
-        let heartbeat_ms = scfg.heartbeat.as_millis() as u64;
-        worker.send(&header_line(self.index, &self.tail.path, heartbeat_ms));
+        worker.send(&header_line(self.index, &self.tail.path));
         worker.send_batch(group, stats);
         self.worker = Some(worker);
         Ok(())
@@ -718,22 +764,26 @@ pub fn run_sweep_sharded(
                 }
                 continue;
             };
-            if worker.child.try_wait()?.is_none() {
-                // Alive: journal growth is the liveness signal.
-                let len = fs::metadata(&slot.tail.path).map_or(0, |m| m.len());
-                if len != worker.last_len {
-                    worker.last_len = len;
-                    worker.last_growth = Instant::now();
-                } else if !scfg.silence_budget.is_zero()
-                    && worker.last_growth.elapsed() > scfg.silence_budget
+            if worker.exited_at.is_none() && worker.child.try_wait()?.is_some() {
+                worker.exited_at = Some(Instant::now());
+            }
+            let Some(exited) = worker.exited_at else {
+                if !scfg.silence_budget.is_zero()
+                    && worker.last_line.elapsed() > scfg.silence_budget
                 {
                     // A killed child may not be waitable at the next
                     // tick: restart the clock so the kill is counted
                     // (and sent) once.
                     stats.silent_kills += 1;
-                    worker.last_growth = Instant::now();
+                    worker.last_line = Instant::now();
                     let _ = worker.child.kill();
                 }
+                continue;
+            };
+            // A death is attributed from every line the worker wrote, so
+            // its stdout is read to EOF first — unless another process
+            // (a grandchild) holds the pipe open past the grace period.
+            if worker.closed_at.is_none() && exited.elapsed() < GRACE {
                 continue;
             }
             // Reaped: the exit status is deliberately not trusted for
@@ -742,7 +792,7 @@ pub fn run_sweep_sharded(
             let records = slot.tail.scan()?;
             recorded.extend(records.iter().map(|r| r.key.0));
             let _ = to_merge.send(records);
-            let death = dispatch.died(slot.index, slot.tail.in_flight, |k| recorded.contains(&k.0));
+            let death = dispatch.died(slot.index, |k| recorded.contains(&k.0));
             if let Some((cell, n)) = death.quarantined {
                 // Deterministic, so resumes reproduce it byte for byte.
                 let detail = format!("quarantined: cell killed or stalled {n} worker processes");
@@ -767,7 +817,7 @@ pub fn run_sweep_sharded(
             break;
         }
 
-        // Sleep until the next event: a worker's ack or stdout EOF, the
+        // Sleep until the next event: a worker's line or stdout EOF, the
         // next spawn, or the fallback tick — which shrinks to REAP_TICK
         // for a worker that closed its stdout but is not waitable yet.
         let now = Instant::now();
@@ -787,8 +837,12 @@ pub fn run_sweep_sharded(
             let Some(worker) = slot.worker.as_mut().filter(|w| w.id == id) else {
                 continue;
             };
+            worker.last_line = Instant::now();
             match line {
                 WorkerLine::Closed => worker.closed_at = Some(Instant::now()),
+                WorkerLine::Alive => {}
+                WorkerLine::Start(key) => dispatch.started(index, key),
+                WorkerLine::Done(key) => dispatch.done(index, key),
                 WorkerLine::Ack(_) if cancel_sent.is_some() => {}
                 WorkerLine::Ack(n) if n == worker.sent => {
                     let records = slot.tail.scan()?;
@@ -869,9 +923,10 @@ pub struct WorkerSummary {
 
 /// Executes one shard worker: reads the dispatch header from `input`
 /// (stdin), runs each batch that follows through the in-process job
-/// runner into the header's shard journal, and writes one ack per
-/// settled batch to `acks` (stdout). `jobs` and `cfg` must match the
-/// supervisor's: every dispatched cell is checked against them.
+/// runner into the header's shard journal, and writes to `out` (stdout)
+/// a `start` and a `done` line around each cell it runs, an `alive` line
+/// every 200 ms and one ack per settled batch. `jobs` and `cfg` must
+/// match the supervisor's: every dispatched cell is checked against them.
 ///
 /// # Errors
 ///
@@ -882,11 +937,11 @@ pub fn run_shard_worker<R, W>(
     jobs: &[SweepJob],
     cfg: &SweepConfig,
     input: R,
-    mut acks: W,
+    out: W,
 ) -> io::Result<WorkerSummary>
 where
     R: Read + Send + 'static,
-    W: Write,
+    W: Write + Send,
 {
     let mut reader = BufReader::new(input);
     let mut buf = Vec::new();
@@ -896,7 +951,7 @@ where
         BoundedLine::Line => std::str::from_utf8(&buf).ok(),
         BoundedLine::Oversized { .. } | BoundedLine::Eof => None,
     };
-    let (shard, journal_path, heartbeat_ms) = header.and_then(parse_header).ok_or_else(|| {
+    let (shard, journal_path) = header.and_then(parse_header).ok_or_else(|| {
         let line = String::from_utf8_lossy(&buf);
         let why = format!(
             "shard worker: missing or bad dispatch header: {}",
@@ -928,76 +983,101 @@ where
 
     // Resume (never truncate) the shard journal: a respawned worker
     // inherits its predecessor's completed records and skips them.
-    let shard_journal = Arc::new(Journal::resume(&journal_path)?);
-    let sink = {
-        let j = Arc::clone(&shard_journal);
-        Arc::new(move |hb: &Heartbeat| {
-            let _ = j.append_raw(&hb.to_line());
-        }) as Arc<dyn Fn(&Heartbeat) + Send + Sync>
-    };
-    let pulse = Pulse::start(sink, Duration::from_millis(heartbeat_ms));
+    let shard_journal = Journal::resume(&journal_path)?;
     let mut cfg = cfg.clone();
     cfg.sim.cancel = Some(token);
-    let mut arena = SimArena::new();
-    let mut batches = 0u64;
-    'batches: loop {
-        let (cells, refused) = match inbound.recv() {
-            Ok(Inbound::Batch(cells, refused)) => (cells, refused),
-            Ok(Inbound::End) => break,
-            Ok(Inbound::Stop) | Err(_) => {
+    let out = &Mutex::new(out);
+    std::thread::scope(|scope| {
+        // `_stop_pulse` drops on every way out of this closure, which ends
+        // the pulse thread at once.
+        let (_stop_pulse, stopped) = mpsc::channel::<()>();
+        scope.spawn(move || pulse(out, PULSE, stopped));
+        let mut arena = SimArena::new();
+        let mut batches = 0u64;
+        'batches: loop {
+            let (cells, refused) = match inbound.recv() {
+                Ok(Inbound::Batch(cells, refused)) => (cells, refused),
+                Ok(Inbound::End) => break,
+                Ok(Inbound::Stop) | Err(_) => {
+                    summary.cancelled = true;
+                    break;
+                }
+            };
+            summary.protocol_errors += refused;
+            // One reference execution per job, as in the in-process sweep.
+            let mut by_job: BTreeMap<usize, Vec<Cell>> = BTreeMap::new();
+            for c in cells {
+                by_job.entry(c.job).or_default().push(c);
+            }
+            for (ji, mut group) in by_job {
+                // Only cells identical to one of the worker's own — job,
+                // variant and key — run; the rest are protocol errors.
+                let Some(job) = jobs.get(ji) else {
+                    summary.protocol_errors += group.len();
+                    continue;
+                };
+                let own = job_cells(ji, job, &cfg);
+                let dispatched = group.len();
+                group.retain(|c| own.contains(c));
+                summary.protocol_errors += dispatched - group.len();
+                let lookup = |c: Cell| {
+                    let rec = shard_journal.lookup(c.key)?.clone();
+                    summary.replayed += 1;
+                    Some(rec)
+                };
+                // A beat the supervisor can no longer read is no error
+                // here: stdin EOF cancels the worker.
+                let before = |c: Cell| {
+                    let _ = say(out, format_args!("{{\"start\": \"{}\"}}", c.key));
+                };
+                let record = |c: Cell, rec: Option<RunRecord>| {
+                    if let Some(rec) = rec {
+                        shard_journal.append_raw(&rec.to_line())?;
+                        summary.executed += 1;
+                    }
+                    let _ = say(out, format_args!("{{\"done\": \"{}\"}}", c.key));
+                    Ok::<(), io::Error>(())
+                };
+                let outcome = run_cells(job, &cfg, &group, &mut arena, lookup, before, record)?;
+                if outcome
+                    .runs
+                    .iter()
+                    .any(|r| r.status == RunStatus::Cancelled)
+                {
+                    summary.cancelled = true;
+                    break 'batches;
+                }
+            }
+            // Durability before the ack: one fsync per batch.
+            shard_journal.sync()?;
+            batches += 1;
+            if say(out, format_args!("{{\"ack\": {batches}}}")).is_err() {
                 summary.cancelled = true;
                 break;
             }
-        };
-        summary.protocol_errors += refused;
-        // One reference execution per job, as in the in-process sweep.
-        let mut by_job: BTreeMap<usize, Vec<Cell>> = BTreeMap::new();
-        for c in cells {
-            by_job.entry(c.job).or_default().push(c);
         }
-        for (ji, mut group) in by_job {
-            // Only cells identical to one of the worker's own — job,
-            // variant and key — run; the rest are protocol errors.
-            let Some(job) = jobs.get(ji) else {
-                summary.protocol_errors += group.len();
-                continue;
-            };
-            let own = job_cells(ji, job, &cfg);
-            let dispatched = group.len();
-            group.retain(|c| own.contains(c));
-            summary.protocol_errors += dispatched - group.len();
-            let lookup = |c: Cell| {
-                let rec = shard_journal.lookup(c.key)?.clone();
-                summary.replayed += 1;
-                Some(rec)
-            };
-            let before = |c: Cell| pulse.cell_start(c.key);
-            let record = |c: Cell, rec: Option<RunRecord>| {
-                if let Some(rec) = rec {
-                    shard_journal.append_raw(&rec.to_line())?;
-                    summary.executed += 1;
-                }
-                pulse.cell_done(c.key);
-                Ok::<(), io::Error>(())
-            };
-            let out = run_cells(job, &cfg, &group, &mut arena, lookup, before, record)?;
-            if out.runs.iter().any(|r| r.status == RunStatus::Cancelled) {
-                summary.cancelled = true;
-                break 'batches;
-            }
-        }
-        // Durability before the ack: one fsync per batch.
-        shard_journal.sync()?;
-        batches += 1;
-        if writeln!(acks, "{{\"ack\": {batches}}}")
-            .and_then(|()| acks.flush())
-            .is_err()
-        {
-            summary.cancelled = true;
-            break;
-        }
-    }
+        Ok::<_, io::Error>(())
+    })?;
     Ok(summary)
+}
+
+/// Writes one line to a worker's stdout and flushes it, under the lock
+/// that keeps the pulse thread's lines from splitting the main thread's.
+fn say<W: Write>(out: &Mutex<W>, line: std::fmt::Arguments<'_>) -> io::Result<()> {
+    let mut out = out
+        .lock()
+        .map_err(|_| io::Error::other("worker stdout lock poisoned"))?;
+    writeln!(out, "{line}")?;
+    out.flush()
+}
+
+/// Writes an `alive` line every `period` until `stop` disconnects. It
+/// waits on the channel, not on a sleep, so a worker's exit never waits
+/// out a period.
+fn pulse<W: Write>(out: &Mutex<W>, period: Duration, stop: Receiver<()>) {
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(period) {
+        let _ = say(out, format_args!("{{\"alive\": true}}"));
+    }
 }
 
 #[cfg(test)]
@@ -1042,15 +1122,23 @@ mod tests {
         io::Cursor::new(input.into()).chain(HoldOpen)
     }
 
-    /// The acks a worker wrote, parsed back the way the supervisor reads
-    /// them.
-    fn acks(out: &[u8]) -> Vec<WorkerLine> {
+    /// The lines a worker wrote but its timed `alive` beats, parsed back
+    /// the way the supervisor reads them.
+    fn lines(out: &[u8]) -> Vec<WorkerLine> {
         let (mut reader, mut buf) = (out, Vec::new());
         std::iter::from_fn(|| {
             let line = read_worker_line(&mut reader, &mut buf);
             (line != WorkerLine::Closed).then_some(line)
         })
+        .filter(|line| *line != WorkerLine::Alive)
         .collect()
+    }
+
+    /// The acks among a worker's lines.
+    fn acks(out: &[u8]) -> Vec<WorkerLine> {
+        let mut lines = lines(out);
+        lines.retain(|line| matches!(line, WorkerLine::Ack(_)));
+        lines
     }
 
     /// `n` pending cells per job for `jobs` jobs, in job order.
@@ -1076,12 +1164,13 @@ mod tests {
             Inbound::Batch(parsed, 0) => assert_eq!(parsed, cells),
             other => panic!("{other:?}"),
         }
-        let header = header_line(7, Path::new("/tmp/x/shard-0007.jsonl"), 250);
+        let header = header_line(7, Path::new("/tmp/x/shard-0007.jsonl"));
         assert_eq!(
             parse_header(&header),
-            Some((7, PathBuf::from("/tmp/x/shard-0007.jsonl"), 250))
+            Some((7, PathBuf::from("/tmp/x/shard-0007.jsonl")))
         );
-        assert!(parse_header("{\"shard\":\"nachos-shard-v1\"}").is_none());
+        let v2 = r#"{"shard": "nachos-shard-v2", "index": 0, "journal": "j", "heartbeat_ms": 200}"#;
+        assert!(parse_header(v2).is_none());
         let mut stdin = format!("\n{END_LINE}{CANCEL_LINE}{{\"cell\":{{}}}}\n").into_bytes();
         stdin.extend([0xff, b'\n']);
         let mut reader = stdin.as_slice();
@@ -1096,13 +1185,30 @@ mod tests {
     }
 
     #[test]
-    fn worker_lines_are_acks_or_protocol_errors() {
-        let long = format!("{{\"ack\":{}}}\n", "1".repeat(MAX_ACK_LEN));
-        let out = format!("{{\"ack\":1}}\n{long}{{\"ack\":-1}}\nack\n{{\"ack\":2}}");
+    fn worker_lines_are_acks_beats_or_protocol_errors() {
+        let long = format!("{{\"ack\":{}}}\n", "1".repeat(MAX_WORKER_LINE_LEN));
+        let key = RunKey(0x0123_4567_89ab_cdef);
+        let out = format!(
+            "{{\"ack\":1}}\n{long}{{\"ack\":-1}}\nack\n{{\"start\": \"{key}\"}}\n\
+             \t{{ \"done\" :\"{key}\" }}\r\n{{\"alive\": true}}\n{{\"alive\": false}}\n\
+             {{\"start\": \"{key}0\"}}\n{{\"ack\": 1, \"ack\": 2}}\n{{\"ack\":2}}"
+        );
+        let (mut reader, mut buf) = (out.as_bytes(), Vec::new());
+        let read: Vec<WorkerLine> = std::iter::from_fn(|| {
+            let line = read_worker_line(&mut reader, &mut buf);
+            (line != WorkerLine::Closed).then_some(line)
+        })
+        .collect();
         assert_eq!(
-            acks(out.as_bytes()),
+            read,
             [
                 WorkerLine::Ack(1),
+                WorkerLine::Malformed,
+                WorkerLine::Malformed,
+                WorkerLine::Malformed,
+                WorkerLine::Start(key),
+                WorkerLine::Done(key),
+                WorkerLine::Alive,
                 WorkerLine::Malformed,
                 WorkerLine::Malformed,
                 WorkerLine::Malformed,
@@ -1157,7 +1263,7 @@ mod tests {
                 if rng % 3 == 0 {
                     let done = (rng >> 8) as usize % (group.len() + 1);
                     recorded.extend(group[..done].iter().map(|c| c.key.0));
-                    let death = d.died(slot, None, |k| recorded.contains(&k.0));
+                    let death = d.died(slot, |k| recorded.contains(&k.0));
                     abandoned += death.abandoned;
                     if death.respawn.is_none() {
                         live.retain(|&s| s != slot);
@@ -1178,7 +1284,8 @@ mod tests {
         let mut d = Dispatcher::new(&cells, 2, 1, 3);
         assert_eq!(d.next(0), Some(&cells[0..3]));
         assert_eq!(d.next(1), Some(&cells[3..6]));
-        let death = d.died(0, Some(cells[1].key), |k| k == cells[0].key);
+        d.started(0, cells[1].key);
+        let death = d.died(0, |k| k == cells[0].key);
         assert_eq!(death.respawn, Some(1));
         assert_eq!(death.quarantined, None, "one strike of three");
         assert_eq!(d.next(0), Some(&cells[1..3]), "not the queued job 2");
@@ -1192,7 +1299,7 @@ mod tests {
         let mut d = Dispatcher::new(&cells, 2, 0, 3);
         d.next(0);
         d.next(1);
-        let death = d.died(0, None, |_| false);
+        let death = d.died(0, |_| false);
         assert_eq!((death.respawn, death.abandoned), (None, 2));
         // The surviving slot drains the rest of the queue.
         for group in [&cells[4..6], &cells[6..8]] {
@@ -1211,27 +1318,42 @@ mod tests {
         d.next(0);
         d.next(1);
         // Worker 1 recorded one cell before dying.
-        assert_eq!(d.died(0, None, |_| false).abandoned, 2);
-        assert_eq!(d.died(1, None, |k| k == cells[2].key).abandoned, 1);
+        assert_eq!(d.died(0, |_| false).abandoned, 2);
+        assert_eq!(d.died(1, |k| k == cells[2].key).abandoned, 1);
         assert_eq!(d.abandon_rest(), 6, "jobs 2..5 were never dispatched");
         assert_eq!(d.next(0), None);
     }
 
+    /// The in-flight cell is the last `start` with neither a `done` nor
+    /// a record after it, and it stays in flight across respawns: a
+    /// respawn that dies before its first `start` is charged to it too.
     #[test]
     fn an_in_flight_cell_strikes_out_into_quarantine() {
         let cells = pending(1, 3);
         let mut d = Dispatcher::new(&cells, 1, 4, 2);
         d.next(0);
-        let victim = Some(cells[1].key);
-        assert_eq!(d.died(0, victim, |_| false).quarantined, None);
-        let death = d.died(0, victim, |_| false);
+        d.started(0, cells[0].key);
+        d.done(0, cells[0].key);
+        d.started(0, cells[2].key);
+        // A record after the `start`: a cell that finished is not charged.
+        let death = d.died(0, |k| k == cells[2].key);
+        assert_eq!(death.quarantined, None);
+        d.started(0, cells[1].key);
+        d.done(0, cells[0].key);
+        assert_eq!(d.died(0, |k| k == cells[2].key).quarantined, None);
+        let death = d.died(0, |k| k == cells[2].key);
         assert_eq!(death.quarantined, Some((cells[1], 2)));
         assert_eq!(
             death.respawn,
-            Some(2),
-            "the other cells still need a worker"
+            Some(3),
+            "the other cell still needs a worker"
         );
-        assert_eq!(d.next(0), Some(&[cells[0], cells[2]][..]));
+        assert_eq!(d.next(0), Some(&cells[..1]));
+        d.started(0, cells[0].key);
+        d.done(0, cells[0].key);
+        let death = d.died(0, |_| false);
+        assert_eq!(death.quarantined, None, "a `done` ends the flight");
+        assert_eq!(d.strikes.get(&cells[0].key.0), None);
     }
 
     #[test]
@@ -1245,20 +1367,16 @@ mod tests {
         let lines = fs::read_to_string(donor.path()).unwrap();
         let (first, rest) = lines.split_at(lines.find('\n').unwrap() + 1);
         let second = rest.lines().next().unwrap();
-        let start = Heartbeat {
-            phase: HeartbeatPhase::Start,
-            cell: RunRecord::from_line(second).map(|r| r.key),
-        };
         let mut tail = ShardTail::new(path.clone());
         // A worker mid-way through its second record.
         let half = &second[..second.len() / 2];
-        fs::write(&path, format!("{first}{}{half}", start.to_line())).unwrap();
+        fs::write(&path, format!("{first}{half}")).unwrap();
         assert_eq!(tail.scan().unwrap().len(), 1);
-        assert_eq!((tail.corrupt, tail.in_flight), (0, start.cell));
+        assert_eq!(tail.corrupt, 0);
         // The write completes: exactly the new lines are read, once.
-        fs::write(&path, format!("{first}{}{rest}", start.to_line())).unwrap();
+        fs::write(&path, format!("{first}{rest}")).unwrap();
         assert_eq!(tail.scan().unwrap().len(), cfg.variants.len() - 1);
-        assert_eq!((tail.corrupt, tail.in_flight), (0, None));
+        assert_eq!(tail.corrupt, 0);
         assert!(tail.scan().unwrap().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1284,7 +1402,7 @@ mod tests {
         let cfg = demo_cfg();
         let cells = enumerate_cells(&jobs, &cfg);
         let journal_path = dir.join("shard-0000.jsonl");
-        let mut input = header_line(0, &journal_path, 0);
+        let mut input = header_line(0, &journal_path);
         for group in cells.chunk_by(|a, b| a.job == b.job) {
             input.push_str(&batch_line(group));
         }
@@ -1294,15 +1412,73 @@ mod tests {
         assert_eq!(summary.executed, cells.len());
         assert_eq!(summary.protocol_errors, 0);
         assert!(!summary.cancelled);
-        assert_eq!(acks(&out), [WorkerLine::Ack(1), WorkerLine::Ack(2)]);
+        // Each cell bracketed by its beats, each batch by its ack.
+        let mut want = Vec::new();
+        for (n, group) in cells.chunk_by(|a, b| a.job == b.job).enumerate() {
+            for c in group {
+                want.extend([WorkerLine::Start(c.key), WorkerLine::Done(c.key)]);
+            }
+            want.push(WorkerLine::Ack(n as u64 + 1));
+        }
+        assert_eq!(lines(&out), want);
         let j = Journal::resume(&journal_path).unwrap();
         assert_eq!(j.replay_len(), cells.len());
+        let text = fs::read_to_string(&journal_path).unwrap();
+        assert!(
+            text.lines().all(|l| RunRecord::parse_line(l).is_ok()),
+            "a shard journal holds run records only"
+        );
         // A respawned worker re-dispatched the same cells replays, not
-        // re-executes.
-        let again = run_shard_worker(&jobs, &cfg, held_open(input), io::sink()).unwrap();
+        // re-executes, and so brackets no cell with beats.
+        let mut out = Vec::new();
+        let again = run_shard_worker(&jobs, &cfg, held_open(input), &mut out).unwrap();
         assert_eq!(again.executed, 0);
         assert_eq!(again.replayed, cells.len());
+        assert_eq!(lines(&out), [WorkerLine::Ack(1), WorkerLine::Ack(2)]);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pulse_writes_alive_lines_until_stopped() {
+        let out = Mutex::new(Vec::new());
+        let (stop, stopped) = mpsc::channel::<()>();
+        let beat = b"{\"alive\": true}\n";
+        std::thread::scope(|s| {
+            let beats = &out;
+            s.spawn(move || pulse(beats, Duration::from_millis(5), stopped));
+            let t0 = Instant::now();
+            while out.lock().unwrap().len() < 2 * beat.len() {
+                assert!(t0.elapsed() < Duration::from_secs(10), "no beats");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            drop(stop);
+        });
+        let out = out.into_inner().unwrap();
+        assert!(
+            out.chunks(beat.len()).all(|line| line == beat),
+            "whole lines"
+        );
+        assert!(out.len() >= 2 * beat.len());
+    }
+
+    #[test]
+    fn stopping_a_pulse_does_not_wait_out_its_period() {
+        let out = Mutex::new(io::sink());
+        let (stop, stopped) = mpsc::channel::<()>();
+        let mut stopped_at = Instant::now();
+        std::thread::scope(|s| {
+            let out = &out;
+            s.spawn(move || pulse(out, Duration::from_secs(60), stopped));
+            // Let the thread reach its wait before stopping it.
+            std::thread::sleep(Duration::from_millis(20));
+            stopped_at = Instant::now();
+            drop(stop);
+        });
+        assert!(
+            stopped_at.elapsed() < Duration::from_secs(1),
+            "the pulse took {:?} to stop against a 60 s period",
+            stopped_at.elapsed()
+        );
     }
 
     #[test]
@@ -1312,7 +1488,7 @@ mod tests {
         let cfg = demo_cfg();
         let cells = enumerate_cells(&jobs, &cfg);
         let journal_path = dir.join("shard-0000.jsonl");
-        let mut input = header_line(0, &journal_path, 0);
+        let mut input = header_line(0, &journal_path);
         // Wrong key, unknown job, unknown variant: all refused.
         input.push_str(&batch_line(&[
             Cell {
@@ -1353,7 +1529,7 @@ mod tests {
         }
         // An oversized or non-UTF-8 batch line is one protocol error
         // each, acked like a batch; the rest run.
-        let mut input = header_line(0, &journal_path, 0).into_bytes();
+        let mut input = header_line(0, &journal_path).into_bytes();
         input.extend(format!("{huge}\n").bytes().chain([0xff, b'\n']));
         input.extend(batch_line(&cells).bytes());
         input.extend(END_LINE.bytes());
@@ -1373,13 +1549,13 @@ mod tests {
         let dir = scratch("worker-eof");
         let path = dir.join("s.jsonl");
         // The supervisor died before its first batch: nothing runs.
-        let input = io::Cursor::new(header_line(0, &path, 0));
+        let input = io::Cursor::new(header_line(0, &path));
         let summary = run_shard_worker(&jobs, &cfg, input, io::sink()).unwrap();
         assert!(summary.cancelled);
         assert_eq!(summary.executed, 0);
         // It died after one: the worker winds down, and whatever ran
         // before the cancel landed is journaled and nothing more.
-        let input = io::Cursor::new(header_line(0, &path, 0) + &batch_line(&cells));
+        let input = io::Cursor::new(header_line(0, &path) + &batch_line(&cells));
         let summary = run_shard_worker(&jobs, &cfg, input, io::sink()).unwrap();
         assert!(summary.cancelled);
         assert_eq!(

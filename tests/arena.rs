@@ -14,8 +14,11 @@
 //!   a steady-state run on a warmed arena allocates strictly less than a
 //!   run on fresh state and no more than the committed ceiling, and
 //!   attaching a `NoopSink` allocates nothing extra (telemetry off is
-//!   free).
+//!   free). The shard supervisor's stdout reader allocates nothing per
+//!   worker line, so its per-worker threads cost no malloc arena.
 
+use nachos::sweep::journal::RunKey;
+use nachos::sweep::shard::{read_worker_line, WorkerLine, MAX_WORKER_LINE_LEN};
 use nachos::{simulate_in, Backend, EnergyModel, NoopSink, Run, SimArena, SimConfig, SimResult};
 use nachos_alias::StageConfig;
 use nachos_ir::{Binding, EdgeKind, Region};
@@ -199,4 +202,41 @@ fn arena_reuse_and_telemetry_off_allocate_less() {
              than sinkless runs ({noop} vs {sinkless})"
         );
     }
+}
+
+/// Every line shape a worker writes (and a malformed and an oversized
+/// one) is read into the caller's buffer without a heap allocation.
+#[test]
+fn worker_lines_are_read_without_allocating() {
+    let key = RunKey(0x0123_4567_89ab_cdef);
+    let lines = [
+        "{\"ack\": 12}\n".to_owned(),
+        format!("{{\"start\": \"{key}\"}}\n"),
+        format!("{{\"done\": \"{key}\"}}\n"),
+        "{\"alive\": true}\n".to_owned(),
+        "{\"ack\": \"12\"}\n".to_owned(),
+        format!("{{\"ack\": {}}}\n", "1".repeat(MAX_WORKER_LINE_LEN)),
+    ];
+    let stdout = lines.concat();
+    let mut buf = Vec::with_capacity(MAX_WORKER_LINE_LEN);
+    let mut reader = stdout.as_bytes();
+    let mut read = Vec::with_capacity(lines.len());
+    let allocs = allocs_of(|| {
+        for _ in &lines {
+            read.push(read_worker_line(&mut reader, &mut buf));
+        }
+    });
+    assert_eq!(allocs, 0, "{read:?}");
+    assert_eq!(read.len(), lines.len());
+    assert_eq!(
+        read,
+        [
+            WorkerLine::Ack(12),
+            WorkerLine::Start(key),
+            WorkerLine::Done(key),
+            WorkerLine::Alive,
+            WorkerLine::Malformed,
+            WorkerLine::Malformed,
+        ]
+    );
 }

@@ -1,12 +1,13 @@
 //! Property: every parser at a trust boundary survives arbitrary bytes.
 //!
-//! Journal lines, heartbeat lines, job-journal lines and daemon request
-//! specs arrive from disk or from a socket client, so their parsers see
-//! whatever a torn write, a flipped bit or a hostile peer hands them.
-//! Each case decodes a byte vector lossily (as the line readers do) and
-//! feeds it to `parse_json`, `RunRecord::parse_line`/`from_payload`,
-//! `Heartbeat::from_line`/`from_payload`, `JobEvent::from_payload` and
-//! `MatrixSpec::from_json`.
+//! Journal lines, job-journal lines and daemon request specs arrive from
+//! disk or from a socket client, so their parsers see whatever a torn
+//! write, a flipped bit or a hostile peer hands them. Each case decodes
+//! a byte vector lossily (as the line readers do) and feeds it to
+//! `parse_json`, `RunRecord::parse_line`/`from_payload`,
+//! `JobEvent::from_payload` and `MatrixSpec::from_json`. The corpus also
+//! holds a heartbeat line of the kind older shard workers wrote into
+//! their journals, which every reader must skip.
 //! None may panic, and every value they accept must re-serialize to text
 //! that parses back to an equal value.
 //!
@@ -27,9 +28,10 @@
 //! batch lines, are fed to `run_shard_worker` over a two-job matrix. It
 //! must return its counters or `InvalidData`, execute only cells whose
 //! key it verified, leave exactly those records in its shard journal,
-//! and ack its batches in order. Mutated and oversized ack lines are fed
-//! to the supervisor's `read_worker_line`, which must classify each one
-//! as an ack that really is one or as a protocol error.
+//! bracket each cell it runs with `start` and `done` lines and ack its
+//! batches in order. Mutated and oversized worker lines are fed to the
+//! supervisor's `read_worker_line`, which must classify each one as the
+//! ack or beat it really is, or as a protocol error.
 //!
 //! The daemon's request handler is fed the same way, over its socket: an
 //! in-process daemon with one settled job receives random, oversized,
@@ -46,15 +48,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use nachos::json::{checksum_unframe, escape, parse_json, Json};
+use nachos::json::{checksum_frame, checksum_unframe, escape, parse_json, Json};
 use nachos::sweep::cache::{CacheLookup, ResultCache};
 use nachos::sweep::daemon::{
     Daemon, DaemonConfig, JobEvent, JobSnapshot, JobStatus, MatrixSpec, MAX_REQUEST_LEN,
 };
-use nachos::sweep::heartbeat::{Heartbeat, HeartbeatPhase};
 use nachos::sweep::journal::{Journal, RunKey, RunRecord};
 use nachos::sweep::shard::{
-    enumerate_cells, read_worker_line, run_shard_worker, WorkerLine, MAX_ACK_LEN, SHARD_SCHEMA,
+    enumerate_cells, read_worker_line, run_shard_worker, WorkerLine, MAX_WORKER_LINE_LEN,
+    SHARD_SCHEMA,
 };
 use nachos::sweep::{run_sweep_journaled, SweepConfig, SweepJob};
 use nachos::testutil::store_load_region;
@@ -80,17 +82,12 @@ fn corpus() -> &'static [String] {
             corpus.push(format!("{line}\n"));
             corpus.push(checksum_unframe(line).expect("framed").to_owned());
         }
-        let beat = Heartbeat {
-            phase: HeartbeatPhase::Start,
-            cell: Some(RunKey(0x0123_4567_89ab_cdef)),
-        };
-        let line = beat.to_line();
-        corpus.push(
-            checksum_unframe(line.trim_end())
-                .expect("framed")
-                .to_owned(),
+        let beat = format!(
+            "{{\"journal\": \"nachos-heartbeat-v2\", \"phase\": \"start\", \"cell\": \"{}\"}}",
+            RunKey(0x0123_4567_89ab_cdef)
         );
-        corpus.push(line);
+        corpus.push(checksum_frame(&beat) + "\n");
+        corpus.push(beat);
         let spec = MatrixSpec {
             filter: Some("gzip".to_owned()),
             variants: Some(vec!["nachos".to_owned()]),
@@ -221,17 +218,6 @@ fn check_boundaries(text: &str) {
             text
         );
     }
-    for beat in [Heartbeat::from_line(text), Heartbeat::from_payload(text)]
-        .into_iter()
-        .flatten()
-    {
-        prop_assert_eq!(
-            Heartbeat::from_line(&beat.to_line()),
-            Some(beat),
-            "{:?}",
-            text
-        );
-    }
 }
 
 /// Writes `bytes` as a whole journal file and resumes it: the load must
@@ -334,8 +320,6 @@ fn corpus_lines_are_accepted_by_their_parsers() {
             .as_ref()
             .is_some_and(|m| m.opt.is_some()))));
     assert!(c.iter().any(|l| RunRecord::from_payload(l).is_some()));
-    assert!(c.iter().any(|l| Heartbeat::from_line(l).is_some()));
-    assert!(c.iter().any(|l| Heartbeat::from_payload(l).is_some()));
     assert!(c.iter().any(|l| parse_json(l)
         .and_then(|v| MatrixSpec::from_json(&v))
         .is_some()));
@@ -399,7 +383,16 @@ fn shard_matrix() -> (Vec<SweepJob>, SweepConfig) {
 /// A valid dispatch header naming `journal`.
 fn shard_header(journal: &Path) -> String {
     let journal = escape(&journal.display().to_string());
-    format!("{{\"shard\":\"{SHARD_SCHEMA}\",\"index\":0,\"journal\":\"{journal}\",\"heartbeat_ms\":1000}}\n")
+    format!("{{\"shard\":\"{SHARD_SCHEMA}\",\"index\":0,\"journal\":\"{journal}\"}}\n")
+}
+
+/// The journal a dispatch header line names, if the line is a valid
+/// header.
+fn named_journal(line: &[u8]) -> Option<PathBuf> {
+    let v = parse_json(std::str::from_utf8(line).ok()?.trim())?;
+    v.get("index")?.as_u64()?;
+    (v.get("shard")?.as_str()? == SHARD_SCHEMA).then_some(())?;
+    Some(PathBuf::from(v.get("journal")?.as_str()?))
 }
 
 /// Every cell of the matrix as batch lines, one per job, then the end
@@ -457,6 +450,11 @@ fn check_shard_worker(
     // worker still waiting for it must see EOF, not block forever.
     let intact = stdin.split(|&b| b == b'\n').any(|l| l == b"{\"end\":true}");
     let lines = stdin.split(|&b| b == b'\n').count();
+    let header = stdin
+        .split(|&b| b == b'\n')
+        .next()
+        .unwrap_or_default()
+        .to_vec();
     let input = std::io::Cursor::new(stdin);
     let mut out = Vec::new();
     let outcome = if intact {
@@ -464,8 +462,15 @@ fn check_shard_worker(
     } else {
         run_shard_worker(jobs, cfg, input, &mut out)
     };
-    // Acks count the worker's batches in order, one line each.
-    let acks = worker_lines(&out);
+    // Every line is an ack or a beat. Acks count the worker's batches in
+    // order, one line each, and each cell run is a `start` then its
+    // `done`.
+    let read = worker_lines(&out);
+    prop_assert!(!read.contains(&WorkerLine::Malformed), "{:?}", read);
+    let acks: Vec<_> = read
+        .iter()
+        .filter(|l| matches!(l, WorkerLine::Ack(_)))
+        .collect();
     prop_assert!(
         acks.len() < lines,
         "{} acks for {} lines",
@@ -473,17 +478,38 @@ fn check_shard_worker(
         lines
     );
     for (i, ack) in acks.iter().enumerate() {
-        prop_assert_eq!(*ack, WorkerLine::Ack(i as u64 + 1));
+        prop_assert_eq!(**ack, WorkerLine::Ack(i as u64 + 1));
     }
+    let beats: Vec<_> = read
+        .iter()
+        .filter(|l| matches!(l, WorkerLine::Start(_) | WorkerLine::Done(_)))
+        .collect();
+    for pair in beats.chunks(2) {
+        match pair {
+            [WorkerLine::Start(a), WorkerLine::Done(b)] => prop_assert_eq!(a, b),
+            _ => panic!("unbracketed beats {pair:?}"),
+        }
+    }
+    let started = beats.len() / 2;
     match outcome {
         Err(e) => {
             prop_assert!(!valid_header, "a valid header's worker failed: {}", e);
-            prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{}", e);
+            // A mutated header is refused, unless it still parses and
+            // names a journal in a directory that does not exist.
+            if e.kind() != std::io::ErrorKind::InvalidData {
+                let named = named_journal(&header);
+                prop_assert!(
+                    named.is_some_and(|p| !p.parent().is_some_and(Path::is_dir)),
+                    "{}",
+                    e
+                );
+            }
             prop_assert!(!journal.exists(), "a refused header opened the journal");
         }
         Ok(summary) => {
             let cells = enumerate_cells(jobs, cfg);
             prop_assert!(summary.executed + summary.replayed <= cells.len() * 2);
+            prop_assert!(summary.executed <= started);
             if !journal.exists() {
                 prop_assert_eq!(summary.executed, 0);
                 return;
@@ -546,8 +572,8 @@ proptest! {
         let dir = scratch_dir("shard");
         let journal = dir.join("shard-0.jsonl");
         let header = shard_header(&journal);
-        // A mutated header ends the input: whatever path it might name,
-        // the worker reads no end marker and so never opens a journal.
+        // A mutated header ends the input: whatever journal it may name,
+        // the worker reads no batch and so executes nothing.
         let stdin = if mutate_header {
             let seed = if edits.len() % 2 == 0 { header } else { String::new() };
             mutate_bytes(&seed, &edits, &tail)
@@ -560,30 +586,59 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A worker's stdout as the supervisor sees it: valid acks with
-    /// random edits, plus a line over the ack cap. Each line reads as
-    /// an ack only when it is one; everything else is a protocol error.
+    /// A worker's stdout as the supervisor sees it: valid acks and beats
+    /// with random edits, plus a line over the length cap. Each line
+    /// reads as the ack or beat it is by the JSON parser's account;
+    /// everything else is a protocol error.
     #[test]
     fn supervisor_reads_any_worker_stdout_as_acks_or_protocol_errors(
         edits in proptest::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 0..6),
         tail in proptest::collection::vec(any::<u8>(), 0..24),
         oversized in 0usize..4,
     ) {
-        let mut seed = (1..=3).map(|n| format!("{{\"ack\": {n}}}\n")).collect::<String>();
-        seed.insert_str(seed.len() * oversized / 4, &format!("{{\"ack\": {}}}\n", "7".repeat(MAX_ACK_LEN)));
+        let key = RunKey(0x0123_4567_89ab_cdef);
+        let mut seed = format!("{{\"start\": \"{key}\"}}\n{{\"alive\": true}}\n{{\"done\": \"{key}\"}}\n");
+        seed.extend((1..=3).map(|n| format!("{{\"ack\": {n}}}\n")));
+        seed.insert_str(seed.len() * oversized / 4, &format!("{{\"ack\": {}}}\n", "7".repeat(MAX_WORKER_LINE_LEN)));
         let bytes = mutate_bytes(&seed, &edits, &tail);
         let lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
         let read = worker_lines(&bytes);
         prop_assert_eq!(read.len(), lines.len());
         for (line, got) in lines.iter().zip(read) {
-            let ack = std::str::from_utf8(line)
-                .ok()
-                .filter(|_| line.len() <= MAX_ACK_LEN)
-                .and_then(|l| parse_json(l.trim()))
-                .and_then(|v| v.get("ack")?.as_u64());
-            prop_assert_eq!(got, ack.map_or(WorkerLine::Malformed, WorkerLine::Ack), "{:?}", String::from_utf8_lossy(line));
+            prop_assert_eq!(got, expected_worker_line(line), "{:?}", String::from_utf8_lossy(line));
         }
     }
+}
+
+/// What a worker's stdout line is by `parse_json`'s account: a one-field
+/// object holding an ack count, a `start` or `done` key, or `alive:
+/// true`, within the length cap. Worker lines carry no escapes.
+fn expected_worker_line(line: &[u8]) -> WorkerLine {
+    let field = std::str::from_utf8(line)
+        .ok()
+        .filter(|l| line.len() <= MAX_WORKER_LINE_LEN && !l.contains('\\'))
+        .and_then(parse_json)
+        .and_then(|v| match v {
+            Json::Obj(mut fields) if fields.len() == 1 => fields.pop(),
+            _ => None,
+        });
+    let Some((name, value)) = field else {
+        return WorkerLine::Malformed;
+    };
+    let key = value
+        .as_str()
+        .filter(|k| k.bytes().all(|b| b.is_ascii_hexdigit()))
+        .and_then(RunKey::parse);
+    let line = match (name.as_str(), &value) {
+        ("ack", Json::Num(raw)) if raw.bytes().all(|b| b.is_ascii_digit()) => {
+            raw.parse().ok().map(WorkerLine::Ack)
+        }
+        ("start", _) => key.map(WorkerLine::Start),
+        ("done", _) => key.map(WorkerLine::Done),
+        ("alive", Json::Bool(true)) => Some(WorkerLine::Alive),
+        _ => None,
+    };
+    line.unwrap_or(WorkerLine::Malformed)
 }
 
 /// Panics on any thread since the daemon fixture started. Handler

@@ -5,9 +5,13 @@
 //! ```
 //!
 //! The IDEAL oracle resolves every MAY edge with perfect knowledge and
-//! zero check latency, so it lower-bounds NACHOS; NACHOS only relaxes
-//! MAY edges that NACHOS-SW serializes unconditionally, so it never
-//! loses to the software scheme on the same compiled region.
+//! zero check latency, so it lower-bounds NACHOS when the shared memory
+//! resources are unconstrained; NACHOS only relaxes MAY edges that
+//! NACHOS-SW serializes unconditionally, so it never loses to the
+//! software scheme on the same compiled region. The edge ports and the
+//! MSHRs are granted first come, first served, in event-pop order, so
+//! under the paper's 4 ports and 16 MSHRs an earlier IDEAL issue can
+//! queue where NACHOS's gated issue happens not to (DESIGN §8(d)).
 
 use nachos::testutil::{build_plan_region, OpPlan};
 use nachos::{Backend, EnergyModel, Run, SimConfig};
@@ -20,12 +24,11 @@ fn cycles(
     binding: &Binding,
     backend: Backend,
     stages: StageConfig,
-    invocations: u64,
+    cfg: &SimConfig,
 ) -> u64 {
-    let cfg = SimConfig::default().with_invocations(invocations);
     Run::new(region, binding, backend)
         .stages(stages)
-        .execute(&cfg, &EnergyModel::default())
+        .execute(cfg, &EnergyModel::default())
         .expect("simulation succeeds")
         .sim
         .cycles
@@ -51,9 +54,10 @@ proptest! {
     ) {
         let (region, binding) = build_plan_region(&ops);
         let full = StageConfig::full();
-        let ideal = cycles(&region, &binding, Backend::Ideal, full, 6);
-        let hw = cycles(&region, &binding, Backend::Nachos, full, 6);
-        let sw = cycles(&region, &binding, Backend::NachosSw, full, 6);
+        let cfg = SimConfig::default().with_invocations(6);
+        let ideal = cycles(&region, &binding, Backend::Ideal, full, &cfg);
+        let hw = cycles(&region, &binding, Backend::Nachos, full, &cfg);
+        let sw = cycles(&region, &binding, Backend::NachosSw, full, &cfg);
         prop_assert!(
             ideal <= hw,
             "IDEAL ({ideal}) must lower-bound NACHOS ({hw}) (ops: {ops:?})"
@@ -65,13 +69,21 @@ proptest! {
     }
 }
 
-/// IDEAL-above-NACHOS cells of the suite at 12 invocations: the oracle
-/// loses to NACHOS on these two irregular workloads under the two
-/// ablations without stages 2 and 4 (by 10 and 288 cycles). The cause is
-/// not diagnosed yet; at 64 invocations the bound holds on every cell.
+/// IDEAL-above-NACHOS cells of the suite at 12 invocations, each with its
+/// measured cause: first-come-first-served arbitration of a shared memory
+/// resource, where IDEAL's ungated issue queues and NACHOS's gated issue
+/// happens to be staggered past the contention. L1 and LLC hit/miss
+/// counts are identical in each pair, and `stage1-only` times exactly as
+/// `baseline` does on both workloads. With the ports and MSHRs relaxed
+/// together the bound holds on every cell (the second assertion of
+/// [`oracle_bounds_hold_on_every_sweep_workload`]).
 const KNOWN_IDEAL_ABOVE_NACHOS: [(&str, &str); 4] = [
+    // Edge ports: IDEAL 3468 against NACHOS 3458, with 216 against 12
+    // `mem_port` stall cycles; 64 ports give 3444 <= 3451.
     ("freqmi.", "baseline"),
     ("freqmi.", "stage1-only"),
+    // MSHRs: IDEAL 6804 against NACHOS 6516. 64 ports alone still give
+    // 6804 > 6432; 4,096 MSHRs give 4116 <= 4488.
     ("histog.", "baseline"),
     ("histog.", "stage1-only"),
 ];
@@ -80,15 +92,22 @@ const KNOWN_IDEAL_ABOVE_NACHOS: [(&str, &str); 4] = [
 /// every Table II sweep workload under every compiler ablation the audit
 /// covers, apart from the pinned [`KNOWN_IDEAL_ABOVE_NACHOS`] cells —
 /// a new violation, or a pinned one that disappears, fails the test.
+/// With the ports and MSHRs unconstrained, the full ordering holds on
+/// every cell with no pin.
 #[test]
 fn oracle_bounds_hold_on_every_sweep_workload() {
+    let paper = SimConfig::default().with_invocations(12);
+    // The shared memory resources relaxed: 64 edge ports and 4,096 MSHRs
+    // against the paper's 4 and 16.
+    let mut relaxed = paper.clone();
+    (relaxed.mem_ports, relaxed.hierarchy.mshrs) = (64, 4096);
     let mut above = Vec::new();
     for w in nachos_workloads::generate_all() {
         for config in nachos_bench::lint::standard_configs() {
-            let run = |backend| cycles(&w.region, &w.binding, backend, config.stages, 12);
-            let (ideal, hw) = (run(Backend::Ideal), run(Backend::Nachos));
-            let sw = run(Backend::NachosSw);
             let name = w.spec.name;
+            let run = |backend, cfg| cycles(&w.region, &w.binding, backend, config.stages, cfg);
+            let (ideal, hw) = (run(Backend::Ideal, &paper), run(Backend::Nachos, &paper));
+            let sw = run(Backend::NachosSw, &paper);
             assert!(
                 hw <= sw,
                 "{name} under `{}`: NACHOS ({hw}) must not lose to NACHOS-SW ({sw})",
@@ -97,6 +116,17 @@ fn oracle_bounds_hold_on_every_sweep_workload() {
             if ideal > hw {
                 above.push((name, config.name));
             }
+            let (ideal, hw) = (
+                run(Backend::Ideal, &relaxed),
+                run(Backend::Nachos, &relaxed),
+            );
+            let sw = run(Backend::NachosSw, &relaxed);
+            assert!(
+                ideal <= hw && hw <= sw,
+                "{name} under `{}` with unconstrained memory: IDEAL ({ideal}) <= \
+                 NACHOS ({hw}) <= NACHOS-SW ({sw}) must hold",
+                config.name
+            );
         }
     }
     assert_eq!(

@@ -5,17 +5,17 @@
 //! whether a crash-respawn left benign duplicate records are all
 //! invisible to the final report. Resuming a supervisor over *any*
 //! scattering of the same records — across any number of shard journal
-//! files, in any order, with heartbeats interleaved and records
-//! duplicated — must absorb every cell and reproduce the single-process
-//! report byte for byte. And a flipped byte in any shard journal must
-//! never panic or corrupt the report: the damaged record is dropped,
-//! counted, and its cell re-executed.
+//! files, in any order, with a `nachos-shard-v2` worker's heartbeats
+//! interleaved and records duplicated — must absorb every cell and
+//! reproduce the single-process report byte for byte. And a flipped byte
+//! in any shard journal must never panic or corrupt the report: the
+//! damaged record is dropped, counted, and its cell re-executed.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use nachos::sweep::heartbeat::{Heartbeat, HeartbeatPhase};
+use nachos::json::checksum_frame;
 use nachos::sweep::journal::{Journal, RunRecord};
 use nachos::sweep::shard::{run_sweep_sharded, shard_dir, shard_journal_path, ShardConfig};
 use nachos::sweep::{run_sweep, run_sweep_journaled, SweepConfig, SweepJob};
@@ -113,20 +113,16 @@ fn shuffle<T>(items: &mut [T], mut seed: u64) {
 
 /// Scatters `lines` round-robin across `files` shard journals under the
 /// campaign's shard dir, interleaving an `alive` heartbeat before every
-/// record the way a real worker does.
+/// record, as a journal a `nachos-shard-v2` worker left holds them.
 fn scatter(campaign: &std::path::Path, lines: &[String], files: usize) {
     let dir = shard_dir(campaign);
     std::fs::create_dir_all(&dir).expect("shard dir");
+    let beat = checksum_frame("{\"journal\": \"nachos-heartbeat-v2\", \"phase\": \"alive\"}");
     let mut contents: Vec<String> = vec![String::new(); files.max(1)];
     for (i, line) in lines.iter().enumerate() {
         let slot = &mut contents[i % files.max(1)];
-        slot.push_str(
-            &Heartbeat {
-                phase: HeartbeatPhase::Alive,
-                cell: None,
-            }
-            .to_line(),
-        );
+        slot.push_str(&beat);
+        slot.push('\n');
         slot.push_str(line);
         slot.push('\n');
     }

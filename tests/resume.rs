@@ -13,10 +13,9 @@ use std::time::{Duration, Instant};
 
 use nachos::json::{checksum_frame, checksum_unframe, parse_json, Json};
 use nachos::sweep::cache::{CacheLookup, ResultCache};
-use nachos::sweep::heartbeat::{Heartbeat, HeartbeatPhase};
 use nachos::sweep::journal::Journal;
 use nachos::sweep::shard::{
-    enumerate_cells, run_sweep_sharded, shard_dir, shard_journal_path, ShardConfig,
+    enumerate_cells, run_sweep_sharded, shard_dir, shard_journal_path, Cell, ShardConfig,
 };
 use nachos::sweep::{run_sweep, run_sweep_journaled, RunStatus, SweepConfig, SweepJob};
 use nachos::{Backend, FaultKind, FaultPlan, FaultSpec};
@@ -256,11 +255,11 @@ fn quarantined_poison_job_leaves_the_rest_of_the_sweep_intact() {
 }
 
 /// The process-isolation acceptance bar: a sharded campaign whose worker
-/// processes all die by SIGKILL — mid-shard, with a torn record and a
-/// dangling `start` heartbeat in their journals, exactly what `kill -9`
-/// leaves — must exhaust its respawn budget, hand the unfinished cells
-/// to the inline pass, and still emit the uninterrupted single-process
-/// report byte for byte.
+/// processes all die by SIGKILL — mid-shard, with a torn record in a
+/// journal, exactly what `kill -9` leaves, and a `start` heartbeat an
+/// older worker interleaved with its records — must exhaust its respawn
+/// budget, hand the unfinished cells to the inline pass, and still emit
+/// the uninterrupted single-process report byte for byte.
 #[test]
 fn sigkilled_workers_resume_byte_identically() {
     let jobs = vec![job("gzip"), token_job("drop-token"), job("fft-2d")];
@@ -298,18 +297,17 @@ fn sigkilled_workers_resume_byte_identically() {
         contents[i % shards].push_str(line);
         contents[i % shards].push('\n');
     }
-    // The kill -9 residue: a torn half-record on one journal, a `start`
-    // heartbeat with no matching record (the cell in flight at the time
-    // of death) on the other.
+    // The kill -9 residue: a torn half-record on one journal, and on the
+    // other a `start` heartbeat with no matching record, which shard
+    // journals held before beats moved to the worker's stdout. Resume
+    // skips it as a foreign line, not a corrupt one.
     contents[0].push_str("f00dface00000000 {\"journal\": \"nachos-journal-v1\", \"key");
     let in_flight = cells[done];
-    contents[1].push_str(
-        &Heartbeat {
-            phase: HeartbeatPhase::Start,
-            cell: Some(in_flight.key),
-        }
-        .to_line(),
+    let beat = format!(
+        "{{\"journal\": \"nachos-heartbeat-v2\", \"phase\": \"start\", \"cell\": \"{}\"}}",
+        in_flight.key
     );
+    contents[1].push_str(&(checksum_frame(&beat) + "\n"));
     for (i, content) in contents.iter().enumerate() {
         std::fs::write(shard_journal_path(&sdir, i), content).expect("write shard journal");
     }
@@ -327,6 +325,7 @@ fn sigkilled_workers_resume_byte_identically() {
     let (sharded, sweep_stats, stats) =
         run_sweep_sharded(&jobs, &cfg, &scfg).expect("sharded sweep");
     assert_eq!(stats.recovered, done, "the completed prefix is absorbed");
+    assert_eq!(stats.corrupt_lines, 0, "neither residue line is corrupt");
     assert!(stats.respawns >= 1, "dead workers are respawned");
     assert_eq!(
         stats.quarantined, 0,
@@ -343,42 +342,28 @@ fn sigkilled_workers_resume_byte_identically() {
 }
 
 /// A hostile cell that kills every worker that touches it is quarantined
-/// *by the supervisor* — attributed through the heartbeat trail, charged
-/// a strike per dead worker, and parked with a deterministic record —
-/// while every other cell completes normally.
+/// *by the supervisor* — attributed through the `start` line its worker
+/// wrote, charged a strike per dead worker, and parked with a
+/// deterministic record — while every other cell completes normally.
 #[test]
 fn cell_that_kills_workers_is_quarantined_by_the_supervisor() {
     let jobs = vec![job("gzip"), job("fft-2d")];
     let mut cfg = SweepConfig::default().with_invocations(2);
     cfg.quarantine_after = 1;
     let cells = enumerate_cells(&jobs, &cfg);
-
     let dir = tmp_path("supervisor-quarantine");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let campaign = dir.join("campaign.jsonl");
-    let sdir = shard_dir(&campaign);
-    std::fs::create_dir_all(&sdir).expect("shard dir");
 
-    // The hostile cell's shard journal holds its `start` heartbeat and
-    // no record: the worker died executing it. The victim's job is the
-    // first in the queue, so slot 0 — the first spawned — takes it.
-    let shards = 2usize;
+    // Every worker writes the hostile cell's `start` line and exits
+    // without a record: it died executing that cell. The victim's job is
+    // the first in the queue, so slot 0 — the first spawned — holds it;
+    // slot 1's worker names a cell its slot does not hold, which costs
+    // nothing.
     let victim = cells[0];
     assert_eq!(victim.job, 0);
-    std::fs::write(
-        shard_journal_path(&sdir, 0),
-        Heartbeat {
-            phase: HeartbeatPhase::Start,
-            cell: Some(victim.key),
-        }
-        .to_line(),
-    )
-    .expect("write heartbeat");
-
-    // Workers exit without completing anything, so the strike is charged
-    // on the very first reap.
-    let mut scfg = ShardConfig::new(shards, vec!["true".into()], &campaign);
+    let worker = sh(format!("{}; exit 0", echo_start(victim)));
+    let mut scfg = ShardConfig::new(2, worker, dir.join("campaign.jsonl"));
     scfg.max_respawns = 0;
     scfg.poll = Duration::from_millis(2);
     scfg.silence_budget = Duration::ZERO;
@@ -398,6 +383,56 @@ fn cell_that_kills_workers_is_quarantined_by_the_supervisor() {
     assert!(sharded
         .to_json()
         .contains("quarantined: cell killed or stalled 1 worker processes"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A worker that runs `script` in `/bin/sh`.
+fn sh(script: String) -> Vec<String> {
+    vec!["/bin/sh".into(), "-c".into(), script]
+}
+
+/// The shell command that writes `cell`'s `start` line on stdout.
+fn echo_start(cell: Cell) -> String {
+    format!("echo '{{\"start\": \"{}\"}}'", cell.key)
+}
+
+/// A `start` written just before an abort is never lost: a death is
+/// attributed only once the dead worker's stdout has been read to EOF.
+/// Each worker writes a burst of `alive` lines, its victim's `start`,
+/// and SIGKILLs itself at once, so the supervisor sees the exit long
+/// before it has read the `start` behind the burst.
+#[test]
+fn a_start_written_just_before_an_abort_is_never_lost() {
+    let (region, binding) = nachos::testutil::store_load_region("abort");
+    let jobs = vec![SweepJob::new("abort", region, binding)];
+    let mut cfg = SweepConfig::default().with_invocations(2);
+    cfg.quarantine_after = 1;
+    let cells = enumerate_cells(&jobs, &cfg);
+    let victim = cells[1];
+    let burst = "printf '{\"alive\": true}\\n%.0s' $(seq 300)";
+    let worker = sh(format!("{burst}; {}; kill -9 $$", echo_start(victim)));
+    let dir = tmp_path("start-before-abort");
+    for attempt in 0..20 {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let mut scfg = ShardConfig::new(1, worker.clone(), dir.join("campaign.jsonl"));
+        scfg.max_respawns = 0;
+        scfg.poll = Duration::from_millis(2);
+        scfg.silence_budget = Duration::ZERO;
+        let (sharded, _, stats) = run_sweep_sharded(&jobs, &cfg, &scfg).expect("sharded sweep");
+        assert_eq!(
+            stats.quarantined, 1,
+            "attempt {attempt}: the start was lost"
+        );
+        assert_eq!(stats.abandoned, cells.len() - 1);
+        let quarantined: Vec<_> = sharded
+            .statuses()
+            .into_iter()
+            .filter(|(_, _, s)| *s == RunStatus::Quarantined)
+            .map(|(_, v, _)| v)
+            .collect();
+        assert_eq!(quarantined, [cfg.variants[victim.variant].label.clone()]);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
