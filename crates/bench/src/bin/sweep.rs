@@ -14,13 +14,16 @@
 //! Process isolation: `--shards N` runs the matrix in up to N worker OS
 //! processes (this binary re-invoked with `--shard-exec`) that take whole
 //! jobs on demand, so an abort, OOM kill or segfault in one cell costs
-//! one worker, not the campaign. Each worker reports its acks and its
-//! `start`/`done`/`alive` beats on stdout; the supervisor respawns dead
-//! or silent workers under deterministic backoff, merges each
-//! acknowledged job into the `--journal` file as it lands and emits a
-//! report byte-identical to a single-process run. `--cache PATH` adds a
-//! persistent cross-campaign result cache keyed by the same content
-//! hashes (`default` picks `$XDG_CACHE_HOME/nachos/sweep`).
+//! one worker, not the campaign. Each worker writes its run records, its
+//! acks and its `start`/`alive` beats on stdout and no file; the
+//! supervisor respawns dead or silent workers under deterministic
+//! backoff, merges each acknowledged job's records into the `--journal`
+//! file as it lands and emits a report byte-identical to a
+//! single-process run. Shard journals a `nachos-shard-v3` supervisor
+//! left in `<journal>.d/` are removed, and their cells re-run.
+//! `--cache PATH` adds a persistent cross-campaign result cache keyed
+//! by the same content hashes (`default` picks
+//! `$XDG_CACHE_HOME/nachos/sweep`).
 //!
 //! `--deadline-secs N` puts the whole invocation under a wall-clock
 //! budget: when it expires, the sweep is cancelled cooperatively through
@@ -133,7 +136,8 @@ Flags:
                           deadlock, error, fault_detected) fail the run
   --shard-exec            internal: run as a shard worker, reading the
                           dispatch header and job batches from stdin and
-                          acking each batch on stdout
+                          writing each cell's run record and each batch's
+                          ack on stdout
   --help                  this text
 
 Exit codes — each reachable by exactly one condition:
@@ -281,8 +285,8 @@ fn main() -> ExitCode {
     }
     if shard_exec && (shards > 0 || journal_path.is_some() || out.is_some()) {
         return usage_error(
-            "--shard-exec is the worker side: it takes its journal from the dispatch \
-             header, not from --shards/--journal/--out",
+            "--shard-exec is the worker side: it writes its records to stdout, not to \
+             --shards/--journal/--out",
         );
     }
     if stats_path.is_some() && shard_exec {
@@ -349,10 +353,9 @@ fn main() -> ExitCode {
         return match run_shard_worker(&jobs, &cfg, std::io::stdin(), std::io::stdout()) {
             Ok(s) => {
                 eprintln!(
-                    "shard {}: {} executed, {} replayed, {} protocol errors{}",
+                    "shard {}: {} executed, {} protocol errors{}",
                     s.shard,
                     s.executed,
-                    s.replayed,
                     s.protocol_errors,
                     if s.cancelled { ", cancelled" } else { "" },
                 );
@@ -422,15 +425,16 @@ fn main() -> ExitCode {
             Err(e) => return environment_error(&format!("sharded sweep failed: {e}")),
         };
         eprintln!(
-            "orchestration: {} shards, {} workers spawned ({} respawns, {} silent kills), \
-             {} cells dispatched, {} recovered from shard journals, {} corrupt lines \
-             dropped, {} quarantined by the supervisor, {} abandoned to the inline pass",
+            "orchestration: {} shards, {} workers spawned ({} respawns, {} silent kills, \
+             {} protocol kills), {} cells dispatched, {} received from workers, {} corrupt \
+             lines dropped, {} quarantined by the supervisor, {} abandoned to the inline pass",
             sstats.shards,
             sstats.workers_spawned,
             sstats.respawns,
             sstats.silent_kills,
+            sstats.protocol_kills,
             sstats.dispatched,
-            sstats.recovered,
+            sstats.received,
             sstats.corrupt_lines,
             sstats.quarantined,
             sstats.abandoned,

@@ -724,42 +724,8 @@ impl Journal {
         file.sync_data()
     }
 
-    /// Appends one pre-framed single-line record. Flushed but **not**
-    /// fsynced: a shard worker appends its records this way and makes a
-    /// whole batch durable with one [`Journal::sync`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates write errors (and a poisoned append lock as
-    /// [`io::ErrorKind::Other`]).
-    pub fn append_raw(&self, line: &str) -> io::Result<()> {
-        let mut file = self
-            .file
-            .lock()
-            .map_err(|_| io::Error::other("journal append lock poisoned"))?;
-        file.write_all(line.as_bytes())?;
-        if !line.ends_with('\n') {
-            file.write_all(b"\n")?;
-        }
-        file.flush()
-    }
-
-    /// Fsyncs everything appended so far: the group commit behind
-    /// [`Journal::append_raw`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates fsync errors (and a poisoned append lock as
-    /// [`io::ErrorKind::Other`]).
-    pub fn sync(&self) -> io::Result<()> {
-        self.file
-            .lock()
-            .map_err(|_| io::Error::other("journal append lock poisoned"))?
-            .sync_data()
-    }
-
-    /// Merges one record recovered from elsewhere (a shard journal, the
-    /// result cache) into this journal: appends it durably *and* makes
+    /// Merges one record from elsewhere (a shard worker, the result
+    /// cache) into this journal: appends it durably *and* makes
     /// it immediately replayable through [`Journal::lookup`]. A key the
     /// replay map already holds is left untouched (first absorption
     /// wins; within one merge pass every source of a key records the
@@ -890,8 +856,8 @@ pub fn read_bounded_line<R: io::BufRead + ?Sized>(
 /// non-blank line (its trailing newline included) to `each`. Lines that
 /// are oversized or not UTF-8 never reach `each`; they are streamed past
 /// and counted, and the count is returned. Every file reader that
-/// recovers records shares this loop: the run journal, the shard
-/// journals and the daemon's job journal.
+/// recovers records shares this loop: the run journal and the daemon's
+/// job journal.
 ///
 /// # Errors
 ///

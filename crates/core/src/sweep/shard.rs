@@ -14,40 +14,42 @@
 //! unrecorded cells; the cell in flight at a death is charged a strike,
 //! and a cell that keeps killing workers is quarantined.
 //!
-//! # Wire format (`nachos-shard-v3`)
+//! # Wire format (`nachos-shard-v4`)
 //!
 //! ```text
-//! stdin:  {"shard": "nachos-shard-v3", "index": 0, "journal": "<path>"}
+//! stdin:  {"shard": "nachos-shard-v4", "index": 0}
 //!         {"batch": [{"job": 3, "variant": 0, "key": "<16 hex>"}, ...]}
 //!         {"end":true}  or  {"cancel":true}
-//! stdout: {"start": "<16 hex>"}  {"done": "<16 hex>"}  {"alive": true}
+//! stdout: {"start": "<16 hex>"}  <16 hex> <run record>  {"alive": true}
 //!         {"ack": N}
 //! ```
 //!
 //! The header comes first, then one batch per ack, then `end`. A worker
-//! brackets each cell it runs with `start` and `done`, writes `alive`
-//! every 200 ms from a pulse thread, acks its `N`-th batch once the
-//! batch's records are fsynced, and takes stdin EOF as cancel. Its shard
-//! journal holds run records only. Every stdout line restarts the
-//! worker's silence clock, and the last `start` with neither a `done`
-//! nor a record after it names the cell in flight when it died. Lines are
-//! bounded both ways ([`MAX_RECORD_LEN`], [`read_worker_line`]); a worker
-//! whose stdout line is none of these shapes, or an ack it does not owe,
-//! is killed. Time and the race for jobs decide liveness and placement
-//! only: the report comes from [`super::run_sweep_journaled`] over the
-//! merged journal, so it is **byte-identical** to a single-process run
-//! for any shard count, death or resume history.
+//! writes `start` before each cell it runs and the cell's framed run
+//! record ([`RunRecord::to_line`]) once it settles, `alive` every 200 ms
+//! from a pulse thread, and acks its `N`-th batch after the batch's
+//! records. It writes no file, and takes stdin EOF as cancel. Every
+//! stdout line restarts the worker's silence clock, and the last `start`
+//! with no record after it names the cell in flight when it died. Lines
+//! are bounded both ways ([`MAX_RECORD_LEN`]); a worker is killed for a
+//! line of none of these shapes, an ack it does not owe, or a record
+//! that is not for an unrecorded cell of the group it holds. A group's
+//! records are merged at its ack or its worker's death. Time and the
+//! race for jobs decide liveness and placement only: the report comes
+//! from [`super::run_sweep_journaled`] over the merged journal, so it is
+//! **byte-identical** to a single-process run for any shard count, death
+//! or resume history.
 
 use super::cache::{CacheCounters, CacheLookup, ResultCache};
-use super::journal::{self, read_bounded_line, BoundedLine, Journal, LineError};
+use super::journal::{self, read_bounded_line, BoundedLine, Journal};
 use super::journal::{RunKey, RunRecord, MAX_RECORD_LEN};
 use super::{job_cells, run_cells, unrun_record};
 use super::{RunStatus, SweepConfig, SweepJob, SweepResult, SweepStats};
 use crate::engine::SimArena;
-use crate::json::{parse_json, Json, JsonWriter};
+use crate::json::{checksum_unframe, parse_json, Json, JsonWriter};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::fs::{self, File};
-use std::io::{self, BufRead, BufReader, Read, Seek as _, SeekFrom, Write};
+use std::fs;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
@@ -56,12 +58,11 @@ use std::time::{Duration, Instant};
 
 /// Dispatch header schema tag; bumped with the pipe protocol so that a
 /// mismatched supervisor/worker pair fails loudly.
-pub const SHARD_SCHEMA: &str = "nachos-shard-v3";
+pub const SHARD_SCHEMA: &str = "nachos-shard-v4";
 
-/// Longest stdout line a supervisor reads from a worker. The longest
-/// line a worker writes, a `start` or `done`, is 30 bytes; a longer line
-/// is a protocol error and is never buffered.
-pub const MAX_WORKER_LINE_LEN: usize = 64;
+/// Buffers each worker's stdout reader reads record lines into: one it
+/// fills while the monitor parses the other.
+const RECORD_BUFFERS: usize = 2;
 
 /// How often a worker writes an `alive` line, so that a long cell still
 /// restarts the supervisor's silence clock.
@@ -101,8 +102,9 @@ pub fn enumerate_cells(jobs: &[SweepJob], cfg: &SweepConfig) -> Vec<Cell> {
         .collect()
 }
 
-/// The directory holding per-shard journals for a merged journal at
-/// `journal_path`: the sibling `<file-name>.d`.
+/// The sibling `<file-name>.d` of a merged journal at `journal_path`,
+/// where a `nachos-shard-v3` supervisor kept its shard journals. A
+/// campaign removes it when it starts, and the cells it held re-run.
 #[must_use]
 pub fn shard_dir(journal_path: &Path) -> PathBuf {
     let mut name = journal_path
@@ -110,12 +112,6 @@ pub fn shard_dir(journal_path: &Path) -> PathBuf {
         .map_or_else(|| std::ffi::OsString::from("journal"), ToOwned::to_owned);
     name.push(".d");
     journal_path.with_file_name(name)
-}
-
-/// The journal path for shard `index` inside `dir`.
-#[must_use]
-pub fn shard_journal_path(dir: &Path, index: usize) -> PathBuf {
-    dir.join(format!("shard-{index:04}.jsonl"))
 }
 
 /// The deterministic delay before respawn attempt `respawn` (1-based) of
@@ -139,17 +135,17 @@ struct Death {
 }
 
 /// The supervisor's dispatch decisions, free of I/O: one queue of job
-/// groups in job order, and per slot the group its worker holds, the
-/// cell in flight and the respawns it has used. A group leaves the queue
-/// for one slot and never moves to another, so a job's cells never split
-/// across live workers.
+/// groups in job order, and per slot the unrecorded cells of the group
+/// its worker holds, the cell in flight and the respawns it has used. A
+/// group leaves the queue for one slot and never moves to another, so a
+/// job's cells never split across live workers.
 #[derive(Debug)]
 struct Dispatcher {
     queue: VecDeque<Vec<Cell>>,
+    /// Per slot, the cells of its group that no record has settled yet.
     held: Vec<Vec<Cell>>,
-    /// Per slot and across respawns, the last `start` with no `done`
-    /// after it. A record after it is checked at death: a recorded cell
-    /// is no longer held.
+    /// Per slot and across respawns, the last `start` with no record
+    /// after it.
     in_flight: Vec<Option<RunKey>>,
     respawns: Vec<u32>,
     strikes: HashMap<u64, u32>,
@@ -183,9 +179,8 @@ impl Dispatcher {
 
     /// `slot`'s worker acked its group. Returns how many cells it left
     /// unrecorded (refused): they fall to the inline pass.
-    fn ack(&mut self, slot: usize, recorded: impl Fn(RunKey) -> bool) -> usize {
-        let group = std::mem::take(&mut self.held[slot]);
-        group.iter().filter(|c| !recorded(c.key)).count()
+    fn ack(&mut self, slot: usize) -> usize {
+        std::mem::take(&mut self.held[slot]).len()
     }
 
     /// `slot`'s worker wrote `start` for `key`.
@@ -193,20 +188,27 @@ impl Dispatcher {
         self.in_flight[slot] = Some(key);
     }
 
-    /// `slot`'s worker wrote `done` for `key`.
-    fn done(&mut self, slot: usize, key: RunKey) {
+    /// `slot`'s worker wrote a record for `key`. It is accepted only for
+    /// an unrecorded cell of the group `slot` holds, which it settles;
+    /// any other record is a protocol error.
+    fn record(&mut self, slot: usize, key: RunKey) -> bool {
+        let held = &mut self.held[slot];
+        let Some(i) = held.iter().position(|c| c.key == key) else {
+            return false;
+        };
+        held.remove(i);
         if self.in_flight[slot] == Some(key) {
             self.in_flight[slot] = None;
         }
+        true
     }
 
-    /// `slot`'s worker died; its unrecorded in-flight cell, if any, is
+    /// `slot`'s worker died; its in-flight cell, if still unrecorded, is
     /// charged a strike. Its unrecorded cells stay held for a respawn; a
     /// slot out of respawns abandons them while the other slots drain
     /// the queue.
-    fn died(&mut self, slot: usize, recorded: impl Fn(RunKey) -> bool) -> Death {
+    fn died(&mut self, slot: usize) -> Death {
         let held = &mut self.held[slot];
-        held.retain(|c| !recorded(c.key));
         let mut death = Death::default();
         let in_flight = self.in_flight[slot];
         if let Some(i) = in_flight.and_then(|k| held.iter().position(|c| c.key == k)) {
@@ -235,24 +237,22 @@ impl Dispatcher {
     }
 }
 
-fn header_line(index: usize, journal: &Path) -> String {
+fn header_line(index: usize) -> String {
     let mut w = JsonWriter::compact();
     w.open_obj();
     w.str_field("shard", SHARD_SCHEMA);
     w.u64_field("index", index as u64);
-    w.str_field("journal", &journal.display().to_string());
     w.close_obj();
     w.finish().trim_end_matches('\n').to_owned() + "\n"
 }
 
-/// The dispatch header's shard index and journal path.
-fn parse_header(line: &str) -> Option<(usize, PathBuf)> {
+/// The dispatch header's shard index.
+fn parse_header(line: &str) -> Option<usize> {
     let v = parse_json(line.trim())?;
     if v.get("shard")?.as_str()? != SHARD_SCHEMA {
         return None;
     }
-    let index = usize::try_from(v.get("index")?.as_u64()?).ok()?;
-    Some((index, PathBuf::from(v.get("journal")?.as_str()?)))
+    usize::try_from(v.get("index")?.as_u64()?).ok()
 }
 
 fn batch_line(cells: &[Cell]) -> String {
@@ -313,26 +313,29 @@ fn read_inbound(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Inbound {
 /// One line a worker wrote to its stdout, as the supervisor reads it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkerLine {
-    /// `{"ack": N}`: batch `N` is settled, its records on disk.
+    /// `{"ack": N}`: batch `N` is settled, its records written.
     Ack(u64),
     /// `{"start": "<key>"}`: the worker is about to run the cell.
     Start(RunKey),
-    /// `{"done": "<key>"}`: the worker finished (and journaled) the cell.
-    Done(RunKey),
+    /// `<16 hex> <payload>`: a run record whose checksum frame holds.
+    /// Its bytes stay in the reader's buffer, to be parsed off the
+    /// reader thread.
+    Record,
     /// `{"alive": true}`: the pulse thread's periodic line.
     Alive,
-    /// Anything else: oversized, not UTF-8, none of the shapes above.
+    /// Anything else: oversized, not UTF-8, a failed frame, none of the
+    /// shapes above.
     Malformed,
     /// EOF or a read error: the worker is exiting.
     Closed,
 }
 
 /// Reads one line of a worker's stdout into `buf`, never buffering more
-/// than [`MAX_WORKER_LINE_LEN`] bytes of it and never allocating once
-/// `buf` holds that many.
+/// than [`MAX_RECORD_LEN`] bytes of it and never allocating once `buf`
+/// holds that many.
 #[must_use]
 pub fn read_worker_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> WorkerLine {
-    match read_bounded_line(reader, buf, MAX_WORKER_LINE_LEN) {
+    match read_bounded_line(reader, buf, MAX_RECORD_LEN) {
         Ok(BoundedLine::Line) => parse_worker_line(buf).unwrap_or(WorkerLine::Malformed),
         Ok(BoundedLine::Oversized { .. }) => WorkerLine::Malformed,
         Ok(BoundedLine::Eof) | Err(_) => WorkerLine::Closed,
@@ -340,7 +343,8 @@ pub fn read_worker_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> WorkerL
 }
 
 /// Matches one of the fixed stdout shapes, a one-field JSON object with
-/// JSON whitespace allowed around its tokens, byte by byte.
+/// JSON whitespace allowed around its tokens, byte by byte; any other
+/// line must carry a verified checksum frame.
 fn parse_worker_line(line: &[u8]) -> Option<WorkerLine> {
     /// `t` after optional whitespace, and the rest after whitespace.
     fn token<'a>(s: &'a [u8], t: &[u8]) -> Option<&'a [u8]> {
@@ -350,7 +354,13 @@ fn parse_worker_line(line: &[u8]) -> Option<WorkerLine> {
         };
         ws(s).strip_prefix(t).map(ws)
     }
-    let rest = token(line, b"{")?.strip_prefix(b"\"")?;
+    let Some(rest) = token(line, b"{") else {
+        let framed = std::str::from_utf8(line)
+            .ok()?
+            .trim_end_matches(['\n', '\r']);
+        return checksum_unframe(framed).ok().map(|_| WorkerLine::Record);
+    };
+    let rest = rest.strip_prefix(b"\"")?;
     let end = rest.iter().position(|&b| b == b'"')?;
     let (name, rest) = (&rest[..end], token(&rest[end + 1..], b":")?);
     let (parsed, rest) = match name {
@@ -359,71 +369,18 @@ fn parse_worker_line(line: &[u8]) -> Option<WorkerLine> {
             let count = std::str::from_utf8(&rest[..n]).ok()?.parse().ok()?;
             (WorkerLine::Ack(count), &rest[n..])
         }
-        b"start" | b"done" => {
+        b"start" => {
             let quoted = rest.strip_prefix(b"\"")?;
             let (hex, rest) = (quoted.get(..16)?, quoted[16..].strip_prefix(b"\"")?);
             let hex = std::str::from_utf8(hex).ok()?;
             // `RunKey::parse` alone would take a leading `+`.
             let key = RunKey::parse(hex).filter(|_| hex.bytes().all(|b| b.is_ascii_hexdigit()))?;
-            let beat = if name == b"start" {
-                WorkerLine::Start(key)
-            } else {
-                WorkerLine::Done(key)
-            };
-            (beat, rest)
+            (WorkerLine::Start(key), rest)
         }
         b"alive" => (WorkerLine::Alive, rest.strip_prefix(b"true")?),
         _ => return None,
     };
     token(rest, b"}")?.is_empty().then_some(parsed)
-}
-
-/// An incremental reader of one shard journal: a scan reads the complete
-/// lines after a kept offset, so a line still being written is never
-/// counted as corrupt.
-#[derive(Debug, Default)]
-struct ShardTail {
-    path: PathBuf,
-    offset: u64,
-    corrupt: usize,
-}
-
-impl ShardTail {
-    fn new(path: PathBuf) -> Self {
-        ShardTail {
-            path,
-            ..ShardTail::default()
-        }
-    }
-
-    /// The records completed since the last scan.
-    fn scan(&mut self) -> io::Result<Vec<RunRecord>> {
-        let mut records = Vec::new();
-        let mut reader = match File::open(&self.path) {
-            Ok(f) => BufReader::new(f),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(records),
-            Err(e) => return Err(e),
-        };
-        reader.seek(SeekFrom::Start(self.offset))?;
-        let mut buf = Vec::new();
-        loop {
-            let line = match read_bounded_line(&mut reader, &mut buf, MAX_RECORD_LEN)? {
-                BoundedLine::Line if buf.ends_with(b"\n") => std::str::from_utf8(&buf).ok(),
-                // An unterminated tail is still being written.
-                BoundedLine::Line | BoundedLine::Eof => return Ok(records),
-                BoundedLine::Oversized { .. } => None,
-            };
-            self.offset = reader.stream_position()?;
-            match line.map(RunRecord::parse_line) {
-                Some(Ok(rec)) => records.push(rec),
-                // Torn or foreign lines (the heartbeats an older worker
-                // interleaved among them) cost nothing.
-                Some(Err(LineError::Unusable)) => {}
-                // Oversized, not UTF-8, or failing its checksum frame.
-                Some(Err(LineError::Corrupt)) | None => self.corrupt += 1,
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -438,10 +395,9 @@ pub struct ShardConfig {
     /// The worker argv, which must rebuild the identical job list and
     /// [`SweepConfig`] (usually this `sweep` binary with `--shard-exec`).
     pub worker_cmd: Vec<String>,
-    /// The merged campaign journal; shard journals live in the sibling
-    /// [`shard_dir`].
+    /// The merged campaign journal.
     pub journal_path: PathBuf,
-    /// Resume from the merged journal and leftover shard journals.
+    /// Resume from the merged journal.
     pub resume: bool,
     /// Optional cross-campaign result cache, probed before dispatch and
     /// fed each worker's records as they are acknowledged.
@@ -488,12 +444,15 @@ pub struct ShardStats {
     pub respawns: usize,
     /// Cells sent to workers, respawns' re-sends included.
     pub dispatched: usize,
-    /// Records recovered from shard journals into the merged journal.
-    pub recovered: usize,
-    /// Journal lines (any shard) dropped as corrupt.
+    /// Records received from workers and merged into the journal.
+    pub received: usize,
+    /// Merged-journal lines dropped as corrupt on resume.
     pub corrupt_lines: usize,
     /// Workers killed for stdout silence.
     pub silent_kills: usize,
+    /// Workers killed for a line out of protocol: a malformed line, a
+    /// record the dispatcher refused, or an ack they did not owe.
+    pub protocol_kills: usize,
     /// Cells the supervisor quarantined for repeatedly killing workers.
     pub quarantined: usize,
     /// Cells left to the inline final pass: groups of slots out of
@@ -520,6 +479,10 @@ struct Worker {
     closed_at: Option<Instant>,
     /// When the worker was first seen exited.
     exited_at: Option<Instant>,
+    /// Killed for a protocol error: its later lines are not trusted.
+    rejected: bool,
+    /// Returns parsed record buffers to the worker's stdout reader.
+    pool: SyncSender<Vec<u8>>,
 }
 
 impl Worker {
@@ -535,6 +498,14 @@ impl Worker {
         self.sent += 1;
         stats.dispatched += group.len();
     }
+
+    /// Kills a worker out of step with the protocol; its slot's death
+    /// handling takes over, and its later lines are ignored.
+    fn reject(&mut self, stats: &mut ShardStats) {
+        self.rejected = true;
+        stats.protocol_kills += 1;
+        let _ = self.child.kill();
+    }
 }
 
 impl Drop for Worker {
@@ -544,11 +515,12 @@ impl Drop for Worker {
     }
 }
 
-/// A worker slot: its shard journal, live worker and next spawn time.
+/// A worker slot: its live worker, the records it accepted since the
+/// group's last merge, and its next spawn time.
 struct WorkerSlot {
     index: usize,
-    tail: ShardTail,
     worker: Option<Worker>,
+    records: Vec<RunRecord>,
     spawn_at: Option<Instant>,
 }
 
@@ -558,7 +530,7 @@ impl WorkerSlot {
         scfg: &ShardConfig,
         group: &[Cell],
         stats: &mut ShardStats,
-        events: &SyncSender<(usize, usize, WorkerLine)>,
+        events: &SyncSender<(usize, usize, WorkerLine, Option<Vec<u8>>)>,
     ) -> io::Result<()> {
         let mut child = Command::new(&scfg.worker_cmd[0])
             .args(&scfg.worker_cmd[1..])
@@ -568,17 +540,29 @@ impl WorkerSlot {
             .spawn()?;
         let id = stats.workers_spawned;
         stats.workers_spawned += 1;
-        // Acks and beats arrive on stdout, and its EOF (the worker's exit)
-        // wakes the monitor. This thread never allocates (its buffers come
-        // from here, the channel is preallocated), so it costs no malloc
-        // arena.
+        // Records, acks and beats arrive on stdout, and its EOF (the
+        // worker's exit) wakes the monitor. This thread never allocates:
+        // its reader and buffers come from here, each record leaves in
+        // its buffer and the next line is read into a spare that the
+        // monitor returns once it has parsed one, and both channels are
+        // preallocated. So it costs no malloc arena.
+        let (pool, spares) = mpsc::sync_channel(RECORD_BUFFERS);
         if let Some(out) = child.stdout.take() {
             let (events, slot) = (events.clone(), self.index);
-            let mut out = BufReader::with_capacity(MAX_WORKER_LINE_LEN, out);
-            let mut buf = Vec::with_capacity(MAX_WORKER_LINE_LEN);
+            let mut out = BufReader::new(out);
+            let mut buf = Vec::with_capacity(MAX_RECORD_LEN);
+            for _ in 1..RECORD_BUFFERS {
+                let _ = pool.try_send(Vec::with_capacity(MAX_RECORD_LEN));
+            }
             let _ = std::thread::Builder::new().spawn(move || loop {
                 let line = read_worker_line(&mut out, &mut buf);
-                if events.send((slot, id, line)).is_err() || line == WorkerLine::Closed {
+                let record = if line == WorkerLine::Record {
+                    let Ok(spare) = spares.recv() else { break };
+                    Some(std::mem::replace(&mut buf, spare))
+                } else {
+                    None
+                };
+                if events.send((slot, id, line, record)).is_err() || line == WorkerLine::Closed {
                     break;
                 }
             });
@@ -591,8 +575,10 @@ impl WorkerSlot {
             last_line: Instant::now(),
             closed_at: None,
             exited_at: None,
+            rejected: false,
+            pool,
         };
-        worker.send(&header_line(self.index, &self.tail.path));
+        worker.send(&header_line(self.index));
         worker.send_batch(group, stats);
         self.worker = Some(worker);
         Ok(())
@@ -606,16 +592,15 @@ struct Merge {
     cache: Option<ResultCache>,
     /// Keys cached before or promoted during the campaign.
     promoted: HashSet<u64>,
-    recovered: usize,
+    received: usize,
     stored: usize,
 }
 
 impl Merge {
-    /// Absorbs `records` from a shard journal in one group commit, then
-    /// promotes the newly absorbed ones into the cache.
-    fn absorb(&mut self, mut records: Vec<RunRecord>) -> io::Result<()> {
-        records.retain(|r| self.journal.lookup(r.key).is_none());
-        self.recovered += self.journal.absorb_all(&records)?;
+    /// Absorbs one group's accepted records in one group commit, then
+    /// promotes them into the cache.
+    fn absorb(&mut self, records: Vec<RunRecord>) -> io::Result<()> {
+        self.received += self.journal.absorb_all(&records)?;
         if let Some(cache) = &self.cache {
             for rec in &records {
                 if self.promoted.insert(rec.key.0) && matches!(cache.store(rec), Ok(true)) {
@@ -660,40 +645,13 @@ pub fn run_sweep_sharded(
         journal,
         cache: scfg.cache.clone(),
         promoted: HashSet::new(),
-        recovered: 0,
+        received: 0,
         stored: 0,
     };
-
-    // Every slot's first worker is due at once.
-    let dir = shard_dir(&scfg.journal_path);
-    fs::create_dir_all(&dir)?;
-    let mut slots: Vec<WorkerSlot> = (0..shards)
-        .map(|s| WorkerSlot {
-            index: s,
-            tail: ShardTail::new(shard_journal_path(&dir, s)),
-            worker: None,
-            spawn_at: Some(Instant::now()),
-        })
-        .collect();
-
-    // A resumed campaign may find shard journals from a crashed
-    // supervisor, perhaps under another shard count. Absorb every record
-    // they hold before dispatching: matching is by key, not by shard.
-    if scfg.resume {
-        let mut leftovers: Vec<PathBuf> = fs::read_dir(&dir)?
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
-            .collect();
-        leftovers.sort();
-        for path in leftovers {
-            let mut tail = ShardTail::new(path);
-            merge.absorb(tail.scan()?)?;
-            match slots.iter_mut().find(|s| s.tail.path == tail.path) {
-                Some(slot) => slot.tail = tail,
-                None => stats.corrupt_lines += tail.corrupt,
-            }
-        }
+    // Shard journals a v3 supervisor left are not read: their cells re-run.
+    match fs::remove_dir_all(shard_dir(&scfg.journal_path)) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+        _ => {}
     }
 
     // Cross-campaign cache: serve every still-missing cell we can, in
@@ -715,12 +673,13 @@ pub fn run_sweep_sharded(
         merge.journal.absorb_all(&hits)?;
     }
 
-    // From here on the merge runs on its own thread; `recorded` is the
-    // monitor's view of which keys it holds or is about to.
-    let (done, pending): (Vec<Cell>, Vec<Cell>) = cells
+    // From here on the merge runs on its own thread, and the dispatcher
+    // knows which cells are still unrecorded.
+    let pending: Vec<Cell> = cells
         .iter()
-        .partition(|c| merge.journal.lookup(c.key).is_some());
-    let mut recorded: HashSet<u64> = done.iter().map(|c| c.key.0).collect();
+        .filter(|c| merge.journal.lookup(c.key).is_none())
+        .copied()
+        .collect();
     let (to_merge, merging) = mpsc::channel::<Vec<RunRecord>>();
     let merger = std::thread::spawn(move || {
         for records in merging {
@@ -731,6 +690,15 @@ pub fn run_sweep_sharded(
     let mut quarantined = Vec::new();
     let mut dispatch = Dispatcher::new(&pending, shards, scfg.max_respawns, cfg.quarantine_after);
     let (events_tx, events) = mpsc::sync_channel(4 * shards);
+    // Every slot's first worker is due at once.
+    let mut slots: Vec<WorkerSlot> = (0..shards)
+        .map(|s| WorkerSlot {
+            index: s,
+            worker: None,
+            records: Vec::new(),
+            spawn_at: Some(Instant::now()),
+        })
+        .collect();
 
     // Monitor loop: spawn due workers, answer acks with the next batch,
     // reap and respawn the dead, kill the silent, forward cancellation.
@@ -787,12 +755,14 @@ pub fn run_sweep_sharded(
                 continue;
             }
             // Reaped: the exit status is deliberately not trusted for
-            // success — only the journal is.
+            // success — only the records are. After a cancel, a death is
+            // no evidence against the cell in flight, and nothing respawns.
             slot.worker = None;
-            let records = slot.tail.scan()?;
-            recorded.extend(records.iter().map(|r| r.key.0));
-            let _ = to_merge.send(records);
-            let death = dispatch.died(slot.index, |k| recorded.contains(&k.0));
+            let _ = to_merge.send(std::mem::take(&mut slot.records));
+            if cancel_sent.is_some() {
+                continue;
+            }
+            let death = dispatch.died(slot.index);
             if let Some((cell, n)) = death.quarantined {
                 // Deterministic, so resumes reproduce it byte for byte.
                 let detail = format!("quarantined: cell killed or stalled {n} worker processes");
@@ -802,10 +772,9 @@ pub fn run_sweep_sharded(
                     variant: cfg.variants[cell.variant].label.clone(),
                     outcome: unrun_record(cell.key, RunStatus::Quarantined, &detail),
                 });
-                recorded.insert(cell.key.0);
             }
             stats.abandoned += death.abandoned;
-            if let Some(n) = death.respawn.filter(|_| cancel_sent.is_none()) {
+            if let Some(n) = death.respawn {
                 stats.respawns += 1;
                 slot.spawn_at = Some(Instant::now() + backoff_delay(slot.index, n));
             }
@@ -832,49 +801,55 @@ pub fn run_sweep_sharded(
             }
         }
         let first = events.recv_timeout(wait).ok();
-        for (index, id, line) in first.into_iter().chain(events.try_iter()) {
+        for (index, id, line, bytes) in first.into_iter().chain(events.try_iter()) {
             let slot = &mut slots[index];
             let Some(worker) = slot.worker.as_mut().filter(|w| w.id == id) else {
                 continue;
             };
             worker.last_line = Instant::now();
+            // A record is parsed here, off the reader thread, and its
+            // buffer goes back to the reader.
+            let record = bytes.and_then(|b| {
+                let record = std::str::from_utf8(&b).ok().and_then(RunRecord::from_line);
+                let _ = worker.pool.try_send(b);
+                record
+            });
+            if worker.rejected && line != WorkerLine::Closed {
+                continue;
+            }
             match line {
                 WorkerLine::Closed => worker.closed_at = Some(Instant::now()),
                 WorkerLine::Alive => {}
                 WorkerLine::Start(key) => dispatch.started(index, key),
-                WorkerLine::Done(key) => dispatch.done(index, key),
+                WorkerLine::Record => match record {
+                    Some(rec) if dispatch.record(index, rec.key) => slot.records.push(rec),
+                    _ => worker.reject(&mut stats),
+                },
                 WorkerLine::Ack(_) if cancel_sent.is_some() => {}
                 WorkerLine::Ack(n) if n == worker.sent => {
-                    let records = slot.tail.scan()?;
-                    recorded.extend(records.iter().map(|r| r.key.0));
-                    let _ = to_merge.send(records);
-                    stats.abandoned += dispatch.ack(slot.index, |k| recorded.contains(&k.0));
-                    match dispatch.next(slot.index) {
+                    let _ = to_merge.send(std::mem::take(&mut slot.records));
+                    stats.abandoned += dispatch.ack(index);
+                    match dispatch.next(index) {
                         Some(group) => worker.send_batch(group, &mut stats),
                         None => worker.send(END_LINE),
                     }
                 }
-                // A worker out of step with the protocol is killed, and
-                // its slot's death handling takes over.
-                WorkerLine::Ack(_) | WorkerLine::Malformed => {
-                    let _ = worker.child.kill();
-                }
+                WorkerLine::Ack(_) | WorkerLine::Malformed => worker.reject(&mut stats),
             }
         }
     }
     if cancel_sent.is_none() {
         stats.abandoned += dispatch.abandon_rest();
     }
-    stats.corrupt_lines += slots.iter().map(|s| s.tail.corrupt).sum::<usize>();
     drop((slots, to_merge));
     let mut merge = merger
         .join()
         .unwrap_or_else(|p| std::panic::resume_unwind(p))?;
     stats.quarantined = quarantined.len();
     merge.journal.absorb_all(&quarantined)?;
-    (stats.recovered, stats.cache.stored) = (merge.recovered, merge.stored);
+    (stats.received, stats.cache.stored) = (merge.received, merge.stored);
 
-    // Final pass: replay everything recovered and execute anything left
+    // Final pass: replay everything received and execute anything left
     // inline, exactly as a single-process run would: byte-identity is
     // structural, not a merge-ordering accident.
     let (result, sweep_stats) = super::run_sweep_journaled(jobs, cfg, Some(&merge.journal));
@@ -909,30 +884,27 @@ pub fn run_sweep_sharded(
 pub struct WorkerSummary {
     /// The shard index from the dispatch header.
     pub shard: usize,
-    /// Cells executed and journaled this invocation.
+    /// Cells executed and their records written this invocation.
     pub executed: usize,
-    /// Dispatched cells already in the shard journal.
-    pub replayed: usize,
     /// Refused lines and cells: a malformed line, or a cell not among
     /// the worker's own (the two sides disagree on the matrix).
     pub protocol_errors: usize,
-    /// Stopped early: a cancel line, stdin EOF, a cancelled cell, or an
-    /// ack the supervisor could no longer read.
+    /// Stopped early: a cancel line, stdin EOF, a cancelled cell, or a
+    /// record or ack the supervisor could no longer read.
     pub cancelled: bool,
 }
 
 /// Executes one shard worker: reads the dispatch header from `input`
 /// (stdin), runs each batch that follows through the in-process job
-/// runner into the header's shard journal, and writes to `out` (stdout)
-/// a `start` and a `done` line around each cell it runs, an `alive` line
-/// every 200 ms and one ack per settled batch. `jobs` and `cfg` must
-/// match the supervisor's: every dispatched cell is checked against them.
+/// runner, and writes to `out` (stdout) a `start` line before each cell
+/// it runs and the cell's framed run record after it, an `alive` line
+/// every 200 ms and one ack per settled batch, after its records. `jobs`
+/// and `cfg` must match the supervisor's: every dispatched cell is
+/// checked against them.
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` for a missing or malformed dispatch header and
-/// propagates journal I/O errors — a worker that cannot record results
-/// durably must die (and be respawned) rather than burn work.
+/// Returns `InvalidData` for a missing or malformed dispatch header.
 pub fn run_shard_worker<R, W>(
     jobs: &[SweepJob],
     cfg: &SweepConfig,
@@ -951,7 +923,7 @@ where
         BoundedLine::Line => std::str::from_utf8(&buf).ok(),
         BoundedLine::Oversized { .. } | BoundedLine::Eof => None,
     };
-    let (shard, journal_path) = header.and_then(parse_header).ok_or_else(|| {
+    let shard = header.and_then(parse_header).ok_or_else(|| {
         let line = String::from_utf8_lossy(&buf);
         let why = format!(
             "shard worker: missing or bad dispatch header: {}",
@@ -966,7 +938,9 @@ where
 
     // One bounded reader thread owns stdin from here on. It forwards each
     // message and trips the cancel token itself on a cancel line or EOF
-    // (a dead supervisor), so that a running cell stops too.
+    // (a dead supervisor), so that a running cell stops too. It drains
+    // stdin on its own, so a supervisor's write never waits on this
+    // worker's stdout.
     let token = cfg.sim.cancel.clone().unwrap_or_default();
     let (inbox, inbound) = mpsc::channel();
     let stop = token.clone();
@@ -981,9 +955,6 @@ where
         }
     });
 
-    // Resume (never truncate) the shard journal: a respawned worker
-    // inherits its predecessor's completed records and skips them.
-    let shard_journal = Journal::resume(&journal_path)?;
     let mut cfg = cfg.clone();
     cfg.sim.cancel = Some(token);
     let out = &Mutex::new(out);
@@ -1020,44 +991,37 @@ where
                 let dispatched = group.len();
                 group.retain(|c| own.contains(c));
                 summary.protocol_errors += dispatched - group.len();
-                let lookup = |c: Cell| {
-                    let rec = shard_journal.lookup(c.key)?.clone();
-                    summary.replayed += 1;
-                    Some(rec)
-                };
                 // A beat the supervisor can no longer read is no error
                 // here: stdin EOF cancels the worker.
                 let before = |c: Cell| {
                     let _ = say(out, format_args!("{{\"start\": \"{}\"}}", c.key));
                 };
-                let record = |c: Cell, rec: Option<RunRecord>| {
+                let record = |_, rec: Option<RunRecord>| {
                     if let Some(rec) = rec {
-                        shard_journal.append_raw(&rec.to_line())?;
+                        say(
+                            out,
+                            format_args!("{}", rec.to_line().trim_end_matches('\n')),
+                        )?;
                         summary.executed += 1;
                     }
-                    let _ = say(out, format_args!("{{\"done\": \"{}\"}}", c.key));
                     Ok::<(), io::Error>(())
                 };
-                let outcome = run_cells(job, &cfg, &group, &mut arena, lookup, before, record)?;
-                if outcome
-                    .runs
-                    .iter()
-                    .any(|r| r.status == RunStatus::Cancelled)
-                {
+                let outcome = run_cells(job, &cfg, &group, &mut arena, |_| None, before, record);
+                let cancelled = outcome.map_or(true, |o| {
+                    o.runs.iter().any(|r| r.status == RunStatus::Cancelled)
+                });
+                if cancelled {
                     summary.cancelled = true;
                     break 'batches;
                 }
             }
-            // Durability before the ack: one fsync per batch.
-            shard_journal.sync()?;
             batches += 1;
             if say(out, format_args!("{{\"ack\": {batches}}}")).is_err() {
                 summary.cancelled = true;
                 break;
             }
         }
-        Ok::<_, io::Error>(())
-    })?;
+    });
     Ok(summary)
 }
 
@@ -1083,6 +1047,7 @@ fn pulse<W: Write>(out: &Mutex<W>, period: Duration, stop: Receiver<()>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::checksum_frame;
     use crate::testutil::store_load_region;
 
     fn demo_jobs(n: usize) -> Vec<SweepJob> {
@@ -1123,22 +1088,27 @@ mod tests {
     }
 
     /// The lines a worker wrote but its timed `alive` beats, parsed back
-    /// the way the supervisor reads them.
-    fn lines(out: &[u8]) -> Vec<WorkerLine> {
+    /// the way the supervisor reads them, each record with its key.
+    fn lines(out: &[u8]) -> Vec<(WorkerLine, Option<RunKey>)> {
         let (mut reader, mut buf) = (out, Vec::new());
         std::iter::from_fn(|| {
             let line = read_worker_line(&mut reader, &mut buf);
-            (line != WorkerLine::Closed).then_some(line)
+            let key = (line == WorkerLine::Record).then(|| {
+                let text = std::str::from_utf8(&buf).unwrap();
+                RunRecord::from_line(text).expect("a run record").key
+            });
+            (line != WorkerLine::Closed).then_some((line, key))
         })
-        .filter(|line| *line != WorkerLine::Alive)
+        .filter(|(line, _)| *line != WorkerLine::Alive)
         .collect()
     }
 
     /// The acks among a worker's lines.
     fn acks(out: &[u8]) -> Vec<WorkerLine> {
-        let mut lines = lines(out);
-        lines.retain(|line| matches!(line, WorkerLine::Ack(_)));
+        let lines = lines(out).into_iter().map(|(line, _)| line);
         lines
+            .filter(|line| matches!(line, WorkerLine::Ack(_)))
+            .collect()
     }
 
     /// `n` pending cells per job for `jobs` jobs, in job order.
@@ -1164,13 +1134,9 @@ mod tests {
             Inbound::Batch(parsed, 0) => assert_eq!(parsed, cells),
             other => panic!("{other:?}"),
         }
-        let header = header_line(7, Path::new("/tmp/x/shard-0007.jsonl"));
-        assert_eq!(
-            parse_header(&header),
-            Some((7, PathBuf::from("/tmp/x/shard-0007.jsonl")))
-        );
-        let v2 = r#"{"shard": "nachos-shard-v2", "index": 0, "journal": "j", "heartbeat_ms": 200}"#;
-        assert!(parse_header(v2).is_none());
+        assert_eq!(parse_header(&header_line(7)), Some(7));
+        let v3 = r#"{"shard": "nachos-shard-v3", "index": 0, "journal": "j"}"#;
+        assert!(parse_header(v3).is_none());
         let mut stdin = format!("\n{END_LINE}{CANCEL_LINE}{{\"cell\":{{}}}}\n").into_bytes();
         stdin.extend([0xff, b'\n']);
         let mut reader = stdin.as_slice();
@@ -1185,13 +1151,17 @@ mod tests {
     }
 
     #[test]
-    fn worker_lines_are_acks_beats_or_protocol_errors() {
-        let long = format!("{{\"ack\":{}}}\n", "1".repeat(MAX_WORKER_LINE_LEN));
+    fn worker_lines_are_acks_beats_records_or_protocol_errors() {
+        let long = format!("{{\"ack\":{}}}\n", "1".repeat(64));
+        let huge = format!("{}\n", checksum_frame(&"x".repeat(MAX_RECORD_LEN)));
         let key = RunKey(0x0123_4567_89ab_cdef);
+        let record = checksum_frame("{\"any\": \"payload\"}");
+        let flipped = record.replace("any", "anz");
         let out = format!(
-            "{{\"ack\":1}}\n{long}{{\"ack\":-1}}\nack\n{{\"start\": \"{key}\"}}\n\
-             \t{{ \"done\" :\"{key}\" }}\r\n{{\"alive\": true}}\n{{\"alive\": false}}\n\
-             {{\"start\": \"{key}0\"}}\n{{\"ack\": 1, \"ack\": 2}}\n{{\"ack\":2}}"
+            "{{\"ack\":1}}\n{long}{{\"ack\":-1}}\nack\n\t{{ \"start\" :\"{key}\" }}\r\n\
+             {record}\r\n{flipped}\n{huge}{{\"done\": \"{key}\"}}\n{{\"alive\": true}}\n\
+             {{\"alive\": false}}\n{{\"start\": \"{key}0\"}}\n{{\"ack\": 1, \"ack\": 2}}\n\
+             {{\"ack\":2}}"
         );
         let (mut reader, mut buf) = (out.as_bytes(), Vec::new());
         let read: Vec<WorkerLine> = std::iter::from_fn(|| {
@@ -1207,7 +1177,10 @@ mod tests {
                 WorkerLine::Malformed,
                 WorkerLine::Malformed,
                 WorkerLine::Start(key),
-                WorkerLine::Done(key),
+                WorkerLine::Record,
+                WorkerLine::Malformed,
+                WorkerLine::Malformed,
+                WorkerLine::Malformed,
                 WorkerLine::Alive,
                 WorkerLine::Malformed,
                 WorkerLine::Malformed,
@@ -1227,8 +1200,10 @@ mod tests {
             let mut d = Dispatcher::new(&cells, shards, 0, 1);
             let mut seen = Vec::new();
             while let Some(slot) = (0..shards).find(|&s| d.next(s).is_some()) {
-                seen.extend_from_slice(d.next(slot).unwrap());
-                assert_eq!(d.ack(slot, |_| true), 0);
+                let group = d.next(slot).unwrap().to_vec();
+                assert!(group.iter().all(|c| d.record(slot, c.key)));
+                assert_eq!(d.ack(slot), 0);
+                seen.extend(group);
             }
             assert_eq!(seen, cells, "every cell lands in exactly one group");
         }
@@ -1237,8 +1212,9 @@ mod tests {
     }
 
     /// Drives a dispatcher through a seeded interleaving of acks and
-    /// deaths (each death recording a random prefix of the held group)
-    /// and checks the two partition invariants at every step.
+    /// deaths (each death recording a random prefix of the held group,
+    /// each ack a random prefix too) and checks the two partition
+    /// invariants at every step.
     #[test]
     fn dispatch_sends_every_cell_and_never_splits_a_job() {
         for seed in 0..200u64 {
@@ -1246,8 +1222,7 @@ mod tests {
             let slots = 1 + (seed % 4) as usize;
             let mut d = Dispatcher::new(&cells, slots, 2, 3);
             let mut owner: HashMap<usize, usize> = HashMap::new();
-            let mut recorded: HashSet<u64> = HashSet::new();
-            let (mut abandoned, mut rng) = (0, seed);
+            let (mut recorded, mut abandoned, mut rng) = (0, 0, seed);
             let mut live: Vec<usize> = (0..slots).collect();
             while !live.is_empty() {
                 rng = journal::splitmix64(rng);
@@ -1260,21 +1235,25 @@ mod tests {
                     let first = *owner.entry(c.job).or_insert(slot);
                     assert_eq!(first, slot, "seed {seed}: job {} split", c.job);
                 }
+                let done = (rng >> 8) as usize % (group.len() + 1);
+                for c in &group[..done] {
+                    assert!(d.record(slot, c.key), "seed {seed}");
+                    assert!(!d.record(slot, c.key), "seed {seed}: a duplicate");
+                }
+                recorded += done;
                 if rng % 3 == 0 {
-                    let done = (rng >> 8) as usize % (group.len() + 1);
-                    recorded.extend(group[..done].iter().map(|c| c.key.0));
-                    let death = d.died(slot, |k| recorded.contains(&k.0));
+                    let death = d.died(slot);
                     abandoned += death.abandoned;
                     if death.respawn.is_none() {
                         live.retain(|&s| s != slot);
                     }
                 } else {
-                    recorded.extend(group.iter().map(|c| c.key.0));
-                    assert_eq!(d.ack(slot, |k| recorded.contains(&k.0)), 0);
+                    assert_eq!(d.ack(slot), group.len() - done);
+                    abandoned += group.len() - done;
                 }
             }
             abandoned += d.abandon_rest();
-            assert_eq!(recorded.len() + abandoned, cells.len(), "seed {seed}");
+            assert_eq!(recorded + abandoned, cells.len(), "seed {seed}");
         }
     }
 
@@ -1284,12 +1263,13 @@ mod tests {
         let mut d = Dispatcher::new(&cells, 2, 1, 3);
         assert_eq!(d.next(0), Some(&cells[0..3]));
         assert_eq!(d.next(1), Some(&cells[3..6]));
+        assert!(d.record(0, cells[0].key));
         d.started(0, cells[1].key);
-        let death = d.died(0, |k| k == cells[0].key);
+        let death = d.died(0);
         assert_eq!(death.respawn, Some(1));
         assert_eq!(death.quarantined, None, "one strike of three");
         assert_eq!(d.next(0), Some(&cells[1..3]), "not the queued job 2");
-        assert_eq!(d.ack(0, |_| true), 0);
+        assert_eq!(d.ack(0), 2, "refused cells fall to the inline pass");
         assert_eq!(d.next(0), Some(&cells[6..9]));
     }
 
@@ -1299,14 +1279,14 @@ mod tests {
         let mut d = Dispatcher::new(&cells, 2, 0, 3);
         d.next(0);
         d.next(1);
-        let death = d.died(0, |_| false);
+        let death = d.died(0);
         assert_eq!((death.respawn, death.abandoned), (None, 2));
         // The surviving slot drains the rest of the queue.
         for group in [&cells[4..6], &cells[6..8]] {
-            assert_eq!(d.ack(1, |_| true), 0);
+            assert_eq!(d.ack(1), 2);
             assert_eq!(d.next(1), Some(group));
         }
-        assert_eq!(d.ack(1, |_| true), 0);
+        assert_eq!(d.ack(1), 2);
         assert_eq!(d.next(1), None);
         assert_eq!(d.abandon_rest(), 0);
     }
@@ -1318,67 +1298,55 @@ mod tests {
         d.next(0);
         d.next(1);
         // Worker 1 recorded one cell before dying.
-        assert_eq!(d.died(0, |_| false).abandoned, 2);
-        assert_eq!(d.died(1, |k| k == cells[2].key).abandoned, 1);
+        assert!(d.record(1, cells[2].key));
+        assert_eq!(d.died(0).abandoned, 2);
+        assert_eq!(d.died(1).abandoned, 1);
         assert_eq!(d.abandon_rest(), 6, "jobs 2..5 were never dispatched");
         assert_eq!(d.next(0), None);
     }
 
-    /// The in-flight cell is the last `start` with neither a `done` nor
-    /// a record after it, and it stays in flight across respawns: a
-    /// respawn that dies before its first `start` is charged to it too.
+    /// The in-flight cell is the last `start` with no record after it,
+    /// and it stays in flight across respawns: a respawn that dies
+    /// before its first `start` is charged to it too.
     #[test]
     fn an_in_flight_cell_strikes_out_into_quarantine() {
         let cells = pending(1, 3);
         let mut d = Dispatcher::new(&cells, 1, 4, 2);
         d.next(0);
         d.started(0, cells[0].key);
-        d.done(0, cells[0].key);
+        assert!(d.record(0, cells[0].key));
         d.started(0, cells[2].key);
         // A record after the `start`: a cell that finished is not charged.
-        let death = d.died(0, |k| k == cells[2].key);
-        assert_eq!(death.quarantined, None);
+        assert!(d.record(0, cells[2].key));
+        assert_eq!(d.died(0).quarantined, None);
         d.started(0, cells[1].key);
-        d.done(0, cells[0].key);
-        assert_eq!(d.died(0, |k| k == cells[2].key).quarantined, None);
-        let death = d.died(0, |k| k == cells[2].key);
+        assert_eq!(d.died(0).quarantined, None);
+        let death = d.died(0);
         assert_eq!(death.quarantined, Some((cells[1], 2)));
-        assert_eq!(
-            death.respawn,
-            Some(3),
-            "the other cell still needs a worker"
-        );
-        assert_eq!(d.next(0), Some(&cells[..1]));
-        d.started(0, cells[0].key);
-        d.done(0, cells[0].key);
-        let death = d.died(0, |_| false);
-        assert_eq!(death.quarantined, None, "a `done` ends the flight");
+        assert_eq!(death.respawn, None, "nothing is left to run");
+        assert_eq!(d.next(0), None);
         assert_eq!(d.strikes.get(&cells[0].key.0), None);
     }
 
+    /// A record settles only an unrecorded cell of the group its slot
+    /// holds: a queued cell, another slot's cell, a cell of no group and
+    /// a second record of one cell are all refused.
     #[test]
-    fn a_live_journals_unterminated_line_is_never_read() {
-        let dir = scratch("tail");
-        let path = dir.join("shard-0000.jsonl");
-        let jobs = demo_jobs(1);
-        let cfg = demo_cfg();
-        let donor = Journal::create(dir.join("donor.jsonl")).unwrap();
-        let _ = super::super::run_sweep_journaled(&jobs, &cfg, Some(&donor));
-        let lines = fs::read_to_string(donor.path()).unwrap();
-        let (first, rest) = lines.split_at(lines.find('\n').unwrap() + 1);
-        let second = rest.lines().next().unwrap();
-        let mut tail = ShardTail::new(path.clone());
-        // A worker mid-way through its second record.
-        let half = &second[..second.len() / 2];
-        fs::write(&path, format!("{first}{half}")).unwrap();
-        assert_eq!(tail.scan().unwrap().len(), 1);
-        assert_eq!(tail.corrupt, 0);
-        // The write completes: exactly the new lines are read, once.
-        fs::write(&path, format!("{first}{rest}")).unwrap();
-        assert_eq!(tail.scan().unwrap().len(), cfg.variants.len() - 1);
-        assert_eq!(tail.corrupt, 0);
-        assert!(tail.scan().unwrap().is_empty());
-        let _ = fs::remove_dir_all(&dir);
+    fn records_are_accepted_only_for_unrecorded_cells_the_slot_holds() {
+        let cells = pending(3, 2);
+        let mut d = Dispatcher::new(&cells, 2, 1, 3);
+        d.next(0);
+        d.next(1);
+        assert!(!d.record(0, cells[4].key), "still queued");
+        assert!(!d.record(0, cells[2].key), "slot 1 holds it");
+        assert!(!d.record(0, RunKey(u64::MAX)), "no cell of the matrix");
+        d.started(0, cells[1].key);
+        assert!(d.record(0, cells[1].key));
+        assert!(!d.record(0, cells[1].key), "already recorded");
+        // The recorded cell is out of flight: a death charges nothing.
+        let death = d.died(0);
+        assert_eq!((death.quarantined, death.respawn), (None, Some(1)));
+        assert_eq!(d.next(0), Some(&cells[..1]));
     }
 
     #[test]
@@ -1396,46 +1364,32 @@ mod tests {
     }
 
     #[test]
-    fn worker_executes_dispatched_cells_and_respawn_replays_them() {
-        let dir = scratch("worker-exec");
+    fn worker_writes_each_cells_record_before_its_batchs_ack() {
         let jobs = demo_jobs(2);
         let cfg = demo_cfg();
         let cells = enumerate_cells(&jobs, &cfg);
-        let journal_path = dir.join("shard-0000.jsonl");
-        let mut input = header_line(0, &journal_path);
+        let mut input = header_line(0);
         for group in cells.chunk_by(|a, b| a.job == b.job) {
             input.push_str(&batch_line(group));
         }
         input.push_str(END_LINE);
         let mut out = Vec::new();
-        let summary = run_shard_worker(&jobs, &cfg, held_open(input.clone()), &mut out).unwrap();
+        let summary = run_shard_worker(&jobs, &cfg, held_open(input), &mut out).unwrap();
         assert_eq!(summary.executed, cells.len());
         assert_eq!(summary.protocol_errors, 0);
         assert!(!summary.cancelled);
-        // Each cell bracketed by its beats, each batch by its ack.
+        // Each cell's `start`, then its record; each batch's ack last.
         let mut want = Vec::new();
         for (n, group) in cells.chunk_by(|a, b| a.job == b.job).enumerate() {
             for c in group {
-                want.extend([WorkerLine::Start(c.key), WorkerLine::Done(c.key)]);
+                want.extend([
+                    (WorkerLine::Start(c.key), None),
+                    (WorkerLine::Record, Some(c.key)),
+                ]);
             }
-            want.push(WorkerLine::Ack(n as u64 + 1));
+            want.push((WorkerLine::Ack(n as u64 + 1), None));
         }
         assert_eq!(lines(&out), want);
-        let j = Journal::resume(&journal_path).unwrap();
-        assert_eq!(j.replay_len(), cells.len());
-        let text = fs::read_to_string(&journal_path).unwrap();
-        assert!(
-            text.lines().all(|l| RunRecord::parse_line(l).is_ok()),
-            "a shard journal holds run records only"
-        );
-        // A respawned worker re-dispatched the same cells replays, not
-        // re-executes, and so brackets no cell with beats.
-        let mut out = Vec::new();
-        let again = run_shard_worker(&jobs, &cfg, held_open(input), &mut out).unwrap();
-        assert_eq!(again.executed, 0);
-        assert_eq!(again.replayed, cells.len());
-        assert_eq!(lines(&out), [WorkerLine::Ack(1), WorkerLine::Ack(2)]);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1483,12 +1437,10 @@ mod tests {
 
     #[test]
     fn worker_rejects_mismatched_keys_and_unknown_indexes() {
-        let dir = scratch("worker-proto");
         let jobs = demo_jobs(1);
         let cfg = demo_cfg();
         let cells = enumerate_cells(&jobs, &cfg);
-        let journal_path = dir.join("shard-0000.jsonl");
-        let mut input = header_line(0, &journal_path);
+        let mut input = header_line(0);
         // Wrong key, unknown job, unknown variant: all refused.
         input.push_str(&batch_line(&[
             Cell {
@@ -1510,16 +1462,13 @@ mod tests {
         assert_eq!(summary.executed, 0);
         assert_eq!(summary.protocol_errors, 3);
         assert_eq!(acks(&out), [WorkerLine::Ack(1)], "the batch is still acked");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn worker_bounds_every_stdin_line() {
-        let dir = scratch("worker-bounded");
         let jobs = demo_jobs(1);
         let cfg = demo_cfg();
         let cells = enumerate_cells(&jobs, &cfg);
-        let journal_path = dir.join("shard-0000.jsonl");
         let huge = "x".repeat(MAX_RECORD_LEN + 1);
         // An oversized or non-UTF-8 header is refused outright.
         for header in [format!("{huge}\n").into_bytes(), vec![0xff, b'\n']] {
@@ -1529,7 +1478,7 @@ mod tests {
         }
         // An oversized or non-UTF-8 batch line is one protocol error
         // each, acked like a batch; the rest run.
-        let mut input = header_line(0, &journal_path).into_bytes();
+        let mut input = header_line(0).into_bytes();
         input.extend(format!("{huge}\n").bytes().chain([0xff, b'\n']));
         input.extend(batch_line(&cells).bytes());
         input.extend(END_LINE.bytes());
@@ -1538,7 +1487,6 @@ mod tests {
         assert_eq!(summary.protocol_errors, 2);
         assert_eq!(summary.executed, cells.len());
         assert_eq!(acks(&out).len(), 3);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1546,23 +1494,19 @@ mod tests {
         let jobs = demo_jobs(1);
         let cfg = demo_cfg();
         let cells = enumerate_cells(&jobs, &cfg);
-        let dir = scratch("worker-eof");
-        let path = dir.join("s.jsonl");
         // The supervisor died before its first batch: nothing runs.
-        let input = io::Cursor::new(header_line(0, &path));
+        let input = io::Cursor::new(header_line(0));
         let summary = run_shard_worker(&jobs, &cfg, input, io::sink()).unwrap();
         assert!(summary.cancelled);
         assert_eq!(summary.executed, 0);
         // It died after one: the worker winds down, and whatever ran
-        // before the cancel landed is journaled and nothing more.
-        let input = io::Cursor::new(header_line(0, &path) + &batch_line(&cells));
-        let summary = run_shard_worker(&jobs, &cfg, input, io::sink()).unwrap();
+        // before the cancel landed is written and nothing more.
+        let input = io::Cursor::new(header_line(0) + &batch_line(&cells));
+        let mut out = Vec::new();
+        let summary = run_shard_worker(&jobs, &cfg, input, &mut out).unwrap();
         assert!(summary.cancelled);
-        assert_eq!(
-            Journal::resume(&path).unwrap().replay_len(),
-            summary.executed
-        );
-        let _ = fs::remove_dir_all(&dir);
+        let records = lines(&out).iter().filter(|(_, key)| key.is_some()).count();
+        assert_eq!(records, summary.executed);
     }
 
     #[test]
@@ -1619,39 +1563,27 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_absorbs_prefilled_shard_journals_without_spawning_real_work() {
-        // Simulate recovery: a previous campaign's workers completed
-        // every cell into shard journals, then the supervisor crashed
-        // before merging. Resume must absorb them and spawn no work.
-        let dir = scratch("supervisor-absorb");
+    fn a_v3_shard_directory_is_removed_and_its_cells_rerun() {
+        // A v3 supervisor crashed with every cell in its shard journals.
+        // Resume does not read them: the directory goes, and every cell
+        // re-runs (here inline, as the workers are `true`).
+        let dir = scratch("supervisor-v3-leftovers");
         let jobs = demo_jobs(2);
         let cfg = demo_cfg();
         let journal_path = dir.join("campaign.jsonl");
-        // Run single-process with a journal to get authentic records.
-        let donor = Journal::create(dir.join("donor.jsonl")).unwrap();
-        let (single, _) = super::super::run_sweep_journaled(&jobs, &cfg, Some(&donor));
-        drop(donor);
         let sdir = shard_dir(&journal_path);
         fs::create_dir_all(&sdir).unwrap();
-        // Scatter the donor lines across three shard journals (a
-        // different count than we resume with).
-        let donor_lines = fs::read_to_string(dir.join("donor.jsonl")).unwrap();
-        let mut writers: Vec<String> = vec![String::new(); 3];
-        for (i, l) in donor_lines.lines().enumerate() {
-            writers[i % 3].push_str(l);
-            writers[i % 3].push('\n');
-        }
-        for (i, content) in writers.iter().enumerate() {
-            fs::write(shard_journal_path(&sdir, i), content).unwrap();
-        }
+        let donor = Journal::create(sdir.join("shard-0000.jsonl")).unwrap();
+        let (single, _) = super::super::run_sweep_journaled(&jobs, &cfg, Some(&donor));
+        drop(donor);
         let mut scfg = ShardConfig::new(2, vec!["true".into()], &journal_path);
         scfg.resume = true;
         scfg.max_respawns = 0;
         scfg.poll = Duration::from_millis(2);
         let (sharded, sweep_stats, stats) = run_sweep_sharded(&jobs, &cfg, &scfg).unwrap();
-        assert_eq!(stats.recovered, jobs.len() * cfg.variants.len());
-        assert_eq!(stats.workers_spawned, 0, "nothing left to dispatch");
-        assert_eq!(sweep_stats.executed, 0);
+        assert!(!sdir.exists());
+        assert_eq!(stats.received, 0);
+        assert_eq!(sweep_stats.executed, jobs.len() * cfg.variants.len());
         assert_eq!(sharded.to_json(), single.to_json());
         let _ = fs::remove_dir_all(&dir);
     }

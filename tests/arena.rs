@@ -15,10 +15,12 @@
 //!   run on fresh state and no more than the committed ceiling, and
 //!   attaching a `NoopSink` allocates nothing extra (telemetry off is
 //!   free). The shard supervisor's stdout reader allocates nothing per
-//!   worker line, so its per-worker threads cost no malloc arena.
+//!   worker line, record lines included, so its per-worker threads cost
+//!   no malloc arena.
 
-use nachos::sweep::journal::RunKey;
-use nachos::sweep::shard::{read_worker_line, WorkerLine, MAX_WORKER_LINE_LEN};
+use nachos::json::checksum_frame;
+use nachos::sweep::journal::{RunKey, MAX_RECORD_LEN};
+use nachos::sweep::shard::{read_worker_line, WorkerLine};
 use nachos::{simulate_in, Backend, EnergyModel, NoopSink, Run, SimArena, SimConfig, SimResult};
 use nachos_alias::StageConfig;
 use nachos_ir::{Binding, EdgeKind, Region};
@@ -204,39 +206,55 @@ fn arena_reuse_and_telemetry_off_allocate_less() {
     }
 }
 
-/// Every line shape a worker writes (and a malformed and an oversized
-/// one) is read into the caller's buffer without a heap allocation.
+/// Every line shape a worker writes (and a malformed, a flipped and an
+/// oversized one) is read without a heap allocation: a control line
+/// into the reader's buffer, and a record line into a buffer that then
+/// leaves for the monitor while the next line is read into a spare from
+/// a preallocated pool, as the supervisor's reader threads do.
 #[test]
 fn worker_lines_are_read_without_allocating() {
     let key = RunKey(0x0123_4567_89ab_cdef);
+    let record = checksum_frame(&format!("{{\"journal\": \"any\", \"key\": \"{key}\"}}")) + "\n";
     let lines = [
         "{\"ack\": 12}\n".to_owned(),
         format!("{{\"start\": \"{key}\"}}\n"),
-        format!("{{\"done\": \"{key}\"}}\n"),
+        record.clone(),
         "{\"alive\": true}\n".to_owned(),
         "{\"ack\": \"12\"}\n".to_owned(),
-        format!("{{\"ack\": {}}}\n", "1".repeat(MAX_WORKER_LINE_LEN)),
+        record.replace("any", "anz"),
+        format!("{}\n", "x".repeat(MAX_RECORD_LEN)),
+        record,
     ];
     let stdout = lines.concat();
-    let mut buf = Vec::with_capacity(MAX_WORKER_LINE_LEN);
+    let (pool, spares) = std::sync::mpsc::sync_channel(2);
+    pool.send(Vec::with_capacity(MAX_RECORD_LEN)).unwrap();
+    let mut buf = Vec::with_capacity(MAX_RECORD_LEN);
     let mut reader = stdout.as_bytes();
     let mut read = Vec::with_capacity(lines.len());
     let allocs = allocs_of(|| {
         for _ in &lines {
-            read.push(read_worker_line(&mut reader, &mut buf));
+            let line = read_worker_line(&mut reader, &mut buf);
+            if line == WorkerLine::Record {
+                // The record leaves in its buffer, and the monitor hands
+                // the buffer back once it has parsed it.
+                let full = std::mem::replace(&mut buf, spares.recv().unwrap());
+                pool.send(full).unwrap();
+            }
+            read.push(line);
         }
     });
     assert_eq!(allocs, 0, "{read:?}");
-    assert_eq!(read.len(), lines.len());
     assert_eq!(
         read,
         [
             WorkerLine::Ack(12),
             WorkerLine::Start(key),
-            WorkerLine::Done(key),
+            WorkerLine::Record,
             WorkerLine::Alive,
             WorkerLine::Malformed,
             WorkerLine::Malformed,
+            WorkerLine::Malformed,
+            WorkerLine::Record,
         ]
     );
 }

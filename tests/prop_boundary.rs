@@ -27,11 +27,12 @@
 //! and mutated dispatch headers, and valid headers followed by mutated
 //! batch lines, are fed to `run_shard_worker` over a two-job matrix. It
 //! must return its counters or `InvalidData`, execute only cells whose
-//! key it verified, leave exactly those records in its shard journal,
-//! bracket each cell it runs with `start` and `done` lines and ack its
-//! batches in order. Mutated and oversized worker lines are fed to the
-//! supervisor's `read_worker_line`, which must classify each one as the
-//! ack or beat it really is, or as a protocol error.
+//! key it verified, write exactly those cells' records, each after its
+//! cell's `start` line, and ack its batches in order. Mutated and
+//! oversized worker lines (beats, acks and framed run records) are fed
+//! to the supervisor's `read_worker_line`, which must classify each one
+//! as the ack, beat or verified record it really is, or as a protocol
+//! error.
 //!
 //! The daemon's request handler is fed the same way, over its socket: an
 //! in-process daemon with one settled job receives random, oversized,
@@ -53,10 +54,9 @@ use nachos::sweep::cache::{CacheLookup, ResultCache};
 use nachos::sweep::daemon::{
     Daemon, DaemonConfig, JobEvent, JobSnapshot, JobStatus, MatrixSpec, MAX_REQUEST_LEN,
 };
-use nachos::sweep::journal::{Journal, RunKey, RunRecord};
+use nachos::sweep::journal::{Journal, RunKey, RunRecord, MAX_RECORD_LEN};
 use nachos::sweep::shard::{
-    enumerate_cells, read_worker_line, run_shard_worker, WorkerLine, MAX_WORKER_LINE_LEN,
-    SHARD_SCHEMA,
+    enumerate_cells, read_worker_line, run_shard_worker, WorkerLine, SHARD_SCHEMA,
 };
 use nachos::sweep::{run_sweep_journaled, SweepConfig, SweepJob};
 use nachos::testutil::store_load_region;
@@ -380,19 +380,9 @@ fn shard_matrix() -> (Vec<SweepJob>, SweepConfig) {
     )
 }
 
-/// A valid dispatch header naming `journal`.
-fn shard_header(journal: &Path) -> String {
-    let journal = escape(&journal.display().to_string());
-    format!("{{\"shard\":\"{SHARD_SCHEMA}\",\"index\":0,\"journal\":\"{journal}\"}}\n")
-}
-
-/// The journal a dispatch header line names, if the line is a valid
-/// header.
-fn named_journal(line: &[u8]) -> Option<PathBuf> {
-    let v = parse_json(std::str::from_utf8(line).ok()?.trim())?;
-    v.get("index")?.as_u64()?;
-    (v.get("shard")?.as_str()? == SHARD_SCHEMA).then_some(())?;
-    Some(PathBuf::from(v.get("journal")?.as_str()?))
+/// A valid dispatch header.
+fn shard_header() -> String {
+    format!("{{\"shard\":\"{SHARD_SCHEMA}\",\"index\":0}}\n")
 }
 
 /// Every cell of the matrix as batch lines, one per job, then the end
@@ -413,12 +403,17 @@ fn shard_body(jobs: &[SweepJob], cfg: &SweepConfig) -> String {
     body + "{\"end\":true}\n"
 }
 
-/// Every line a worker wrote to its stdout, as the supervisor reads it.
-fn worker_lines(mut out: &[u8]) -> Vec<WorkerLine> {
+/// Every line a worker wrote to its stdout, as the supervisor reads it,
+/// with each record line parsed.
+fn worker_lines(mut out: &[u8]) -> Vec<(WorkerLine, Option<RunRecord>)> {
     let mut buf = Vec::new();
     std::iter::from_fn(|| match read_worker_line(&mut out, &mut buf) {
         WorkerLine::Closed => None,
-        line => Some(line),
+        WorkerLine::Record => {
+            let text = std::str::from_utf8(&buf).ok();
+            Some((WorkerLine::Record, text.and_then(RunRecord::from_line)))
+        }
+        line => Some((line, None)),
     })
     .collect()
 }
@@ -435,26 +430,14 @@ impl Read for HoldOpen {
     }
 }
 
-/// Feeds `stdin` to a shard worker whose journal is `journal` and checks
-/// its outcome against the matrix's verified cell keys. Behind a valid
-/// header, no cell line can fail the worker: each bad one is a counted
-/// protocol error.
-fn check_shard_worker(
-    jobs: &[SweepJob],
-    cfg: &SweepConfig,
-    journal: &Path,
-    stdin: Vec<u8>,
-    valid_header: bool,
-) {
+/// Feeds `stdin` to a shard worker and checks its outcome against the
+/// matrix's verified cell keys. Behind a valid header, no cell line can
+/// fail the worker: each bad one is a counted protocol error.
+fn check_shard_worker(jobs: &[SweepJob], cfg: &SweepConfig, stdin: Vec<u8>, valid_header: bool) {
     // Hold the pipe open only when the end marker survived intact: a
     // worker still waiting for it must see EOF, not block forever.
     let intact = stdin.split(|&b| b == b'\n').any(|l| l == b"{\"end\":true}");
     let lines = stdin.split(|&b| b == b'\n').count();
-    let header = stdin
-        .split(|&b| b == b'\n')
-        .next()
-        .unwrap_or_default()
-        .to_vec();
     let input = std::io::Cursor::new(stdin);
     let mut out = Vec::new();
     let outcome = if intact {
@@ -462,14 +445,17 @@ fn check_shard_worker(
     } else {
         run_shard_worker(jobs, cfg, input, &mut out)
     };
-    // Every line is an ack or a beat. Acks count the worker's batches in
-    // order, one line each, and each cell run is a `start` then its
-    // `done`.
+    // Every line is an ack, a beat or a record. Acks count the worker's
+    // batches in order, one line each.
     let read = worker_lines(&out);
-    prop_assert!(!read.contains(&WorkerLine::Malformed), "{:?}", read);
+    prop_assert!(
+        read.iter().all(|(l, _)| *l != WorkerLine::Malformed),
+        "{:?}",
+        read
+    );
     let acks: Vec<_> = read
         .iter()
-        .filter(|l| matches!(l, WorkerLine::Ack(_)))
+        .filter(|(l, _)| matches!(l, WorkerLine::Ack(_)))
         .collect();
     prop_assert!(
         acks.len() < lines,
@@ -477,54 +463,42 @@ fn check_shard_worker(
         acks.len(),
         lines
     );
-    for (i, ack) in acks.iter().enumerate() {
-        prop_assert_eq!(**ack, WorkerLine::Ack(i as u64 + 1));
+    for (i, (ack, _)) in acks.iter().enumerate() {
+        prop_assert_eq!(*ack, WorkerLine::Ack(i as u64 + 1));
     }
-    let beats: Vec<_> = read
-        .iter()
-        .filter(|l| matches!(l, WorkerLine::Start(_) | WorkerLine::Done(_)))
-        .collect();
-    for pair in beats.chunks(2) {
-        match pair {
-            [WorkerLine::Start(a), WorkerLine::Done(b)] => prop_assert_eq!(a, b),
-            _ => panic!("unbracketed beats {pair:?}"),
+    // Each record parses, is a verified cell's, and follows that cell's
+    // `start`.
+    let cells = enumerate_cells(jobs, cfg);
+    let (mut started, mut starts, mut records) = (None, 0, 0);
+    for (line, rec) in &read {
+        match line {
+            WorkerLine::Start(key) => (started, starts) = (Some(*key), starts + 1),
+            WorkerLine::Record => {
+                let key = rec.as_ref().map(|r| r.key);
+                prop_assert!(key.is_some(), "a record that does not parse");
+                prop_assert_eq!(started.take(), key, "a record without its start");
+                prop_assert!(
+                    cells.iter().any(|c| Some(c.key) == key),
+                    "an unverified key"
+                );
+                records += 1;
+            }
+            _ => {}
         }
     }
-    let started = beats.len() / 2;
     match outcome {
         Err(e) => {
             prop_assert!(!valid_header, "a valid header's worker failed: {}", e);
-            // A mutated header is refused, unless it still parses and
-            // names a journal in a directory that does not exist.
-            if e.kind() != std::io::ErrorKind::InvalidData {
-                let named = named_journal(&header);
-                prop_assert!(
-                    named.is_some_and(|p| !p.parent().is_some_and(Path::is_dir)),
-                    "{}",
-                    e
-                );
-            }
-            prop_assert!(!journal.exists(), "a refused header opened the journal");
+            prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{}", e);
+            prop_assert!(
+                read.is_empty(),
+                "a refused header's worker wrote {:?}",
+                read
+            );
         }
         Ok(summary) => {
-            let cells = enumerate_cells(jobs, cfg);
-            prop_assert!(summary.executed + summary.replayed <= cells.len() * 2);
-            prop_assert!(summary.executed <= started);
-            if !journal.exists() {
-                prop_assert_eq!(summary.executed, 0);
-                return;
-            }
-            let recorded = Journal::resume(journal).expect("the worker's journal resumes");
-            let verified = cells
-                .iter()
-                .filter(|c| recorded.lookup(c.key).is_some())
-                .count();
-            prop_assert_eq!(
-                recorded.replay_len(),
-                verified,
-                "a record for an unverified key"
-            );
-            prop_assert_eq!(recorded.replay_len(), summary.executed);
+            prop_assert_eq!(summary.executed, records);
+            prop_assert!(summary.executed <= starts);
         }
     }
 }
@@ -569,11 +543,9 @@ proptest! {
         tail in proptest::collection::vec(any::<u8>(), 0..24),
     ) {
         let (jobs, cfg) = shard_matrix();
-        let dir = scratch_dir("shard");
-        let journal = dir.join("shard-0.jsonl");
-        let header = shard_header(&journal);
-        // A mutated header ends the input: whatever journal it may name,
-        // the worker reads no batch and so executes nothing.
+        let header = shard_header();
+        // A mutated header ends the input: the worker reads no batch and
+        // so executes nothing.
         let stdin = if mutate_header {
             let seed = if edits.len() % 2 == 0 { header } else { String::new() };
             mutate_bytes(&seed, &edits, &tail)
@@ -582,41 +554,66 @@ proptest! {
             stdin.extend(mutate_bytes(&shard_body(&jobs, &cfg), &edits, &tail));
             stdin
         };
-        check_shard_worker(&jobs, &cfg, &journal, stdin, !mutate_header);
-        std::fs::remove_dir_all(&dir).ok();
+        check_shard_worker(&jobs, &cfg, stdin, !mutate_header);
     }
 
-    /// A worker's stdout as the supervisor sees it: valid acks and beats
-    /// with random edits, plus a line over the length cap. Each line
-    /// reads as the ack or beat it is by the JSON parser's account;
-    /// everything else is a protocol error.
+    /// A worker's stdout as the supervisor sees it: valid acks, beats
+    /// and a framed record, a record with a flipped byte, all with
+    /// random edits, plus a framed record over the length cap. Each line
+    /// reads as the ack or beat it is by the JSON parser's account, or
+    /// as a record when its checksum frame verifies; everything else is
+    /// a protocol error.
     #[test]
     fn supervisor_reads_any_worker_stdout_as_acks_or_protocol_errors(
         edits in proptest::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 0..6),
         tail in proptest::collection::vec(any::<u8>(), 0..24),
         oversized in 0usize..4,
+        flip in 20usize..1024,
     ) {
         let key = RunKey(0x0123_4567_89ab_cdef);
-        let mut seed = format!("{{\"start\": \"{key}\"}}\n{{\"alive\": true}}\n{{\"done\": \"{key}\"}}\n");
+        let record = corpus()[1].clone();
+        let mut flipped = record.clone().into_bytes();
+        flipped[flip % (record.len() - 1)] ^= 0x01;
+        let mut seed = format!("{{\"start\": \"{key}\"}}\n{{\"alive\": true}}\n{record}");
+        seed += &String::from_utf8(flipped).expect("ASCII stays ASCII");
         seed.extend((1..=3).map(|n| format!("{{\"ack\": {n}}}\n")));
-        seed.insert_str(seed.len() * oversized / 4, &format!("{{\"ack\": {}}}\n", "7".repeat(MAX_WORKER_LINE_LEN)));
-        let bytes = mutate_bytes(&seed, &edits, &tail);
+        let mut bytes = mutate_bytes(&seed, &edits, &tail);
+        let at = bytes.len() * oversized / 4;
+        bytes.splice(at..at, oversized_record().bytes());
         let lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
         let read = worker_lines(&bytes);
         prop_assert_eq!(read.len(), lines.len());
-        for (line, got) in lines.iter().zip(read) {
-            prop_assert_eq!(got, expected_worker_line(line), "{:?}", String::from_utf8_lossy(line));
+        for (line, (got, _)) in lines.iter().zip(read) {
+            let shown = String::from_utf8_lossy(&line[..line.len().min(256)]);
+            prop_assert_eq!(got, expected_worker_line(line), "{:?}", shown);
         }
     }
 }
 
-/// What a worker's stdout line is by `parse_json`'s account: a one-field
-/// object holding an ack count, a `start` or `done` key, or `alive:
-/// true`, within the length cap. Worker lines carry no escapes.
+/// A framed record one byte over [`MAX_RECORD_LEN`], newline included.
+fn oversized_record() -> &'static str {
+    static LINE: OnceLock<String> = OnceLock::new();
+    LINE.get_or_init(|| {
+        let payload = "x".repeat(MAX_RECORD_LEN - 17);
+        let line = checksum_frame(&payload) + "\n";
+        assert_eq!(line.len(), MAX_RECORD_LEN + 1);
+        line
+    })
+}
+
+/// What a worker's stdout line is: a record when its checksum frame
+/// verifies, else by `parse_json`'s account a one-field object holding
+/// an ack count, a `start` key, or `alive: true`. Either way within the
+/// length cap; worker control lines carry no escapes.
 fn expected_worker_line(line: &[u8]) -> WorkerLine {
-    let field = std::str::from_utf8(line)
+    let text = std::str::from_utf8(line)
         .ok()
-        .filter(|l| line.len() <= MAX_WORKER_LINE_LEN && !l.contains('\\'))
+        .filter(|_| line.len() <= MAX_RECORD_LEN);
+    if text.is_some_and(|t| checksum_unframe(t.trim_end_matches(['\n', '\r'])).is_ok()) {
+        return WorkerLine::Record;
+    }
+    let field = text
+        .filter(|l| !l.contains('\\'))
         .and_then(parse_json)
         .and_then(|v| match v {
             Json::Obj(mut fields) if fields.len() == 1 => fields.pop(),
@@ -634,7 +631,6 @@ fn expected_worker_line(line: &[u8]) -> WorkerLine {
             raw.parse().ok().map(WorkerLine::Ack)
         }
         ("start", _) => key.map(WorkerLine::Start),
-        ("done", _) => key.map(WorkerLine::Done),
         ("alive", Json::Bool(true)) => Some(WorkerLine::Alive),
         _ => None,
     };

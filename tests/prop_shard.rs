@@ -1,24 +1,26 @@
-//! Property: shard-merge is invariant to how records reached the shards.
+//! Property: a sharded report is invariant to how records reached the
+//! supervisor.
 //!
-//! A sharded campaign's shard journals are a scheduling accident: which
-//! worker completed a cell, in what order, under which shard count, and
-//! whether a crash-respawn left benign duplicate records are all
-//! invisible to the final report. Resuming a supervisor over *any*
-//! scattering of the same records — across any number of shard journal
-//! files, in any order, with a `nachos-shard-v2` worker's heartbeats
-//! interleaved and records duplicated — must absorb every cell and
-//! reproduce the single-process report byte for byte. And a flipped byte
-//! in any shard journal must never panic or corrupt the report: the
-//! damaged record is dropped, counted, and its cell re-executed.
+//! Which worker ran a cell, under which shard count, and in what order a
+//! worker wrote its batch's records are scheduling accidents, invisible
+//! to the final report. The workers here are shell scripts that replay a
+//! donor run's records for the cells of each batch they are sent, in a
+//! shuffled order, so every case drives the real supervisor and pipe
+//! without simulating a cell. Every record must be accepted, merged
+//! byte for byte, and the single-process report reproduced. And a
+//! flipped byte in a record on the pipe must never panic or reach the
+//! journal, the cache or the report: the line fails its checksum frame,
+//! the worker is killed as a protocol error, and the cell re-runs in the
+//! inline pass.
 
-use std::path::PathBuf;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use nachos::json::checksum_frame;
-use nachos::sweep::journal::{Journal, RunRecord};
-use nachos::sweep::shard::{run_sweep_sharded, shard_dir, shard_journal_path, ShardConfig};
-use nachos::sweep::{run_sweep, run_sweep_journaled, SweepConfig, SweepJob};
+use nachos::sweep::journal::{Journal, RunKey, RunRecord};
+use nachos::sweep::shard::{run_sweep_sharded, ShardConfig, ShardStats};
+use nachos::sweep::{run_sweep, run_sweep_journaled, SweepConfig, SweepJob, SweepStats};
 use nachos::{Backend, FaultKind, FaultPlan, FaultSpec};
 use nachos_ir::{AffineExpr, Binding, IntOp, MemRef, RegionBuilder};
 use nachos_workloads::{by_name, generate};
@@ -26,7 +28,8 @@ use proptest::prelude::*;
 
 /// Shared fixture: the jobs, the uninterrupted report, and the journal
 /// record lines a complete run leaves behind. Built once — every case
-/// only re-scatters the lines and resumes a supervisor over them.
+/// only re-orders the lines and runs a supervisor over workers that
+/// replay them.
 struct Fixture {
     jobs: Vec<SweepJob>,
     cfg: SweepConfig,
@@ -111,74 +114,100 @@ fn shuffle<T>(items: &mut [T], mut seed: u64) {
     }
 }
 
-/// Scatters `lines` round-robin across `files` shard journals under the
-/// campaign's shard dir, interleaving an `alive` heartbeat before every
-/// record, as a journal a `nachos-shard-v2` worker left holds them.
-fn scatter(campaign: &std::path::Path, lines: &[String], files: usize) {
-    let dir = shard_dir(campaign);
-    std::fs::create_dir_all(&dir).expect("shard dir");
-    let beat = checksum_frame("{\"journal\": \"nachos-heartbeat-v2\", \"phase\": \"alive\"}");
-    let mut contents: Vec<String> = vec![String::new(); files.max(1)];
-    for (i, line) in lines.iter().enumerate() {
-        let slot = &mut contents[i % files.max(1)];
-        slot.push_str(&beat);
-        slot.push('\n');
-        slot.push_str(line);
-        slot.push('\n');
-    }
-    for (i, content) in contents.iter().enumerate() {
-        std::fs::write(shard_journal_path(&dir, i), content).expect("write shard journal");
-    }
+/// A worker that, for each batch, writes the records of `records` (a
+/// file of `<key> <record line>` lines) whose key the batch names, in
+/// the file's order, then acks the batch.
+fn replaying_worker(records: &Path) -> Vec<String> {
+    let script = format!(
+        r#"read -r header
+n=0
+while read -r line; do
+  case "$line" in
+    *'"batch"'*) n=$((n+1))
+      while read -r key rec; do
+        case "$line" in *"\"$key\""*) printf '%s\n' "$rec" ;; esac
+      done < '{}'
+      echo "{{\"ack\":$n}}" ;;
+    *) exit 0 ;;
+  esac
+done"#,
+        records.display()
+    );
+    vec!["/bin/sh".into(), "-c".into(), script]
 }
 
-/// A supervisor config whose workers can never do real work (`true`
-/// exits without reading a cell), so everything the report contains
-/// came from the scattered records or the inline final pass.
-fn inert_supervisor(shards: usize, campaign: &std::path::Path) -> ShardConfig {
-    let mut scfg = ShardConfig::new(shards, vec!["true".into()], campaign);
-    scfg.resume = true;
-    scfg.max_respawns = 0;
+/// The fixture's record lines, each with its cell's key, in an order
+/// shuffled by `seed`.
+fn keyed_lines(seed: u64) -> Vec<(RunKey, String)> {
+    let mut lines: Vec<(RunKey, String)> = fixture()
+        .lines
+        .iter()
+        .map(|l| {
+            (
+                RunRecord::from_line(l).expect("a donor record").key,
+                l.clone(),
+            )
+        })
+        .collect();
+    shuffle(&mut lines, seed);
+    lines
+}
+
+/// Writes `lines` in order as a [`replaying_worker`]'s record file under
+/// `dir`, runs a campaign over such workers, and returns its report, its
+/// stats and the merged journal's lines.
+fn replay(dir: &Path, lines: &[(RunKey, String)], shards: usize) -> Replayed {
+    let fx = fixture();
+    let records = dir.join("records");
+    let keyed: String = lines
+        .iter()
+        .map(|(key, l)| format!("{key} {l}\n"))
+        .collect();
+    std::fs::write(&records, keyed).expect("write record file");
+    let campaign = dir.join("campaign.jsonl");
+    let mut scfg = ShardConfig::new(shards, replaying_worker(&records), &campaign);
+    scfg.max_respawns = 1;
     scfg.poll = Duration::from_millis(2);
     scfg.silence_budget = Duration::ZERO;
-    scfg
+    let (sharded, sweep_stats, stats) =
+        run_sweep_sharded(&fx.jobs, &fx.cfg, &scfg).expect("sharded sweep");
+    let merged = std::fs::read_to_string(&campaign).expect("read merged journal");
+    let merged = merged.lines().map(str::to_owned).collect();
+    (sharded.to_json(), sweep_stats, stats, merged)
 }
+
+/// A campaign's report, stats and merged journal lines.
+type Replayed = (String, SweepStats, ShardStats, Vec<String>);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Any scattering of the campaign's records — across any file count,
-    /// in any order, with one record duplicated as a crash-respawn can
-    /// leave — resumes to the uninterrupted report without dispatching
-    /// a single cell. The supervisor absorbs each shard journal as one
-    /// group commit, and that batch writes the same bytes as absorbing
-    /// the records one at a time.
+    /// Any shard count and any order of each batch's records reproduce
+    /// the uninterrupted report with every cell received from a worker,
+    /// and the merged journal holds the donor's record lines byte for
+    /// byte. The journal's group commit writes the same bytes as
+    /// absorbing the records one at a time, a duplicate included.
     #[test]
-    fn merge_is_invariant_to_shard_count_order_and_duplicates(
+    fn report_is_invariant_to_shard_count_and_record_order(
         seed in any::<u64>(),
-        scatter_files in 1usize..6,
-        resume_shards in 1usize..6,
+        shards in 1usize..6,
         dup in 0usize..32,
     ) {
         let fx = fixture();
-        let mut lines = fx.lines.clone();
-        let dup_line = lines[dup % lines.len()].clone();
-        lines.push(dup_line);
-        shuffle(&mut lines, seed);
-
-        let dir = scratch(&format!("merge-{seed:016x}-{scatter_files}-{resume_shards}-{dup}"));
-        let campaign = dir.join("campaign.jsonl");
-        scatter(&campaign, &lines, scatter_files);
-
-        let scfg = inert_supervisor(resume_shards, &campaign);
-        let (sharded, sweep_stats, stats) =
-            run_sweep_sharded(&fx.jobs, &fx.cfg, &scfg).expect("sharded sweep");
-        prop_assert_eq!(stats.recovered, fx.lines.len(), "duplicates absorb once");
-        prop_assert_eq!(stats.workers_spawned, 0, "nothing left to dispatch");
-        prop_assert_eq!(stats.corrupt_lines, 0);
+        let lines = keyed_lines(seed);
+        let dir = scratch(&format!("order-{seed:016x}-{shards}-{dup}"));
+        let (report, sweep_stats, stats, merged) = replay(&dir, &lines, shards);
+        prop_assert_eq!(stats.received, fx.lines.len());
+        prop_assert_eq!(stats.protocol_kills, 0);
+        prop_assert_eq!(stats.abandoned, 0);
         prop_assert_eq!(sweep_stats.executed, 0);
-        prop_assert_eq!(sharded.to_json(), fx.clean_json.clone());
+        prop_assert_eq!(report, fx.clean_json.clone());
+        let donor: HashSet<&String> = fx.lines.iter().collect();
+        prop_assert_eq!(merged.iter().collect::<HashSet<_>>(), donor);
+        prop_assert_eq!(merged.len(), fx.lines.len());
 
-        let records: Vec<RunRecord> = lines.iter().filter_map(|l| RunRecord::from_line(l)).collect();
+        let mut records: Vec<RunRecord> = lines.iter().filter_map(|(_, l)| RunRecord::from_line(l)).collect();
+        records.push(records[dup % records.len()].clone());
         let (single_path, batch_path) = (dir.join("single.jsonl"), dir.join("batch.jsonl"));
         let mut single = Journal::create(&single_path).expect("single journal");
         for rec in &records {
@@ -191,41 +220,40 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A flipped byte in any record of any shard journal never panics
-    /// and never reaches the report: the record fails its checksum
-    /// frame, is dropped and counted, and the orphaned cell re-executes
-    /// in the inline pass — the report stays byte-identical.
+    /// A flipped byte in any record a worker writes never panics and
+    /// never reaches the merged journal or the report: the line fails
+    /// its checksum frame, the worker (and its respawn, which writes the
+    /// same line) is killed as a protocol error, and the cell re-runs in
+    /// the inline pass — the report stays byte-identical.
     #[test]
-    fn flipped_byte_in_a_shard_journal_drops_one_record_and_reexecutes(
+    fn flipped_byte_on_the_pipe_is_a_protocol_error_and_its_cell_reruns(
         seed in any::<u64>(),
-        scatter_files in 1usize..4,
+        shards in 1usize..4,
         victim in 0usize..32,
         pos_seed in 0usize..1024,
     ) {
         let fx = fixture();
-        let mut lines = fx.lines.clone();
-        shuffle(&mut lines, seed);
-        // Flip one byte inside the victim record's payload (past the
-        // 16-hex checksum + space frame prefix). XOR 0x01 on printable
-        // JSON never produces a newline, so exactly one line is hit.
+        let mut lines = keyed_lines(seed);
+        // Flip one byte of the victim record (its frame included). XOR
+        // 0x01 on printable ASCII never produces a newline, so exactly
+        // one line is hit.
         let victim = victim % lines.len();
-        let mut bytes = std::mem::take(&mut lines[victim]).into_bytes();
-        let pos = 20 + pos_seed % (bytes.len() - 20);
+        let mut bytes = lines[victim].1.clone().into_bytes();
+        let pos = pos_seed % bytes.len();
         bytes[pos] ^= 0x01;
-        lines[victim] = String::from_utf8(bytes).expect("ASCII stays ASCII");
-
-        let dir = scratch(&format!("flip-{seed:016x}-{scatter_files}-{victim}-{pos_seed}"));
-        let campaign = dir.join("campaign.jsonl");
-        scatter(&campaign, &lines, scatter_files);
-
-        let scfg = inert_supervisor(scatter_files, &campaign);
-        let (sharded, sweep_stats, stats) =
-            run_sweep_sharded(&fx.jobs, &fx.cfg, &scfg).expect("sharded sweep");
-        prop_assert_eq!(stats.corrupt_lines, 1, "the flipped record is counted");
-        prop_assert_eq!(stats.recovered, fx.lines.len() - 1);
-        prop_assert_eq!(stats.abandoned, 1, "inert workers hand the cell to the inline pass");
-        prop_assert_eq!(sweep_stats.executed, 1, "the damaged cell re-executes");
-        prop_assert_eq!(sharded.to_json(), fx.clean_json.clone());
+        let flipped = String::from_utf8(bytes).expect("ASCII stays ASCII");
+        lines[victim].1 = flipped.clone();
+        let dir = scratch(&format!("flip-{seed:016x}-{shards}-{victim}-{pos_seed}"));
+        let (report, sweep_stats, stats, merged) = replay(&dir, &lines, shards);
+        prop_assert_eq!(stats.protocol_kills, 2, "the worker and its respawn");
+        prop_assert_eq!(stats.quarantined, 0, "no `start`, so no cell was in flight");
+        prop_assert!(stats.abandoned >= 1);
+        prop_assert_eq!(stats.received + stats.abandoned, fx.lines.len());
+        prop_assert_eq!(sweep_stats.executed, stats.abandoned, "the refused cells re-run");
+        prop_assert_eq!(report, fx.clean_json.clone());
+        prop_assert!(!merged.contains(&flipped), "the flipped line was merged");
+        let donor: HashSet<&String> = fx.lines.iter().collect();
+        prop_assert_eq!(merged.iter().collect::<HashSet<_>>(), donor);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -13,11 +13,10 @@ use std::time::{Duration, Instant};
 
 use nachos::json::{checksum_frame, checksum_unframe, parse_json, Json};
 use nachos::sweep::cache::{CacheLookup, ResultCache};
-use nachos::sweep::journal::Journal;
-use nachos::sweep::shard::{
-    enumerate_cells, run_sweep_sharded, shard_dir, shard_journal_path, Cell, ShardConfig,
-};
+use nachos::sweep::journal::{Journal, RunRecord};
+use nachos::sweep::shard::{enumerate_cells, run_sweep_sharded, shard_dir, Cell, ShardConfig};
 use nachos::sweep::{run_sweep, run_sweep_journaled, RunStatus, SweepConfig, SweepJob};
+use nachos::CancelToken;
 use nachos::{Backend, FaultKind, FaultPlan, FaultSpec};
 use nachos_ir::{AffineExpr, Binding, IntOp, MemRef, RegionBuilder};
 use nachos_workloads::{by_name, generate, generate_all};
@@ -255,11 +254,12 @@ fn quarantined_poison_job_leaves_the_rest_of_the_sweep_intact() {
 }
 
 /// The process-isolation acceptance bar: a sharded campaign whose worker
-/// processes all die by SIGKILL — mid-shard, with a torn record in a
-/// journal, exactly what `kill -9` leaves, and a `start` heartbeat an
-/// older worker interleaved with its records — must exhaust its respawn
-/// budget, hand the unfinished cells to the inline pass, and still emit
-/// the uninterrupted single-process report byte for byte.
+/// processes all die by SIGKILL, resumed over a merged journal that holds
+/// a completed prefix and the torn record a supervisor killed mid-merge
+/// leaves, must exhaust its respawn budget, hand the unfinished cells to
+/// the inline pass, and still emit the uninterrupted single-process
+/// report byte for byte. A `nachos-shard-v3` shard directory beside the
+/// journal is removed, and the cells it held re-run.
 #[test]
 fn sigkilled_workers_resume_byte_identically() {
     let jobs = vec![job("gzip"), token_job("drop-token"), job("fft-2d")];
@@ -271,7 +271,7 @@ fn sigkilled_workers_resume_byte_identically() {
     let clean = run_sweep(&jobs, &cfg).to_json();
 
     // A donor run supplies authentic journal records; the "crashed"
-    // campaign completed only a prefix of them.
+    // campaign merged only a prefix of them, then tore the next.
     let dir = tmp_path("sigkill-shard");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
@@ -287,34 +287,18 @@ fn sigkilled_workers_resume_byte_identically() {
         .collect();
     assert_eq!(donor_lines.len(), cells.len());
     let done = cells.len() / 2;
-
     let campaign = dir.join("campaign.jsonl");
-    let sdir = shard_dir(&campaign);
-    std::fs::create_dir_all(&sdir).expect("shard dir");
-    let shards = 2usize;
-    let mut contents: Vec<String> = vec![String::new(); shards];
-    for (i, line) in donor_lines.iter().take(done).enumerate() {
-        contents[i % shards].push_str(line);
-        contents[i % shards].push('\n');
-    }
-    // The kill -9 residue: a torn half-record on one journal, and on the
-    // other a `start` heartbeat with no matching record, which shard
-    // journals held before beats moved to the worker's stdout. Resume
-    // skips it as a foreign line, not a corrupt one.
-    contents[0].push_str("f00dface00000000 {\"journal\": \"nachos-journal-v1\", \"key");
-    let in_flight = cells[done];
-    let beat = format!(
-        "{{\"journal\": \"nachos-heartbeat-v2\", \"phase\": \"start\", \"cell\": \"{}\"}}",
-        in_flight.key
-    );
-    contents[1].push_str(&(checksum_frame(&beat) + "\n"));
-    for (i, content) in contents.iter().enumerate() {
-        std::fs::write(shard_journal_path(&sdir, i), content).expect("write shard journal");
-    }
+    let torn = &donor_lines[done][..donor_lines[done].len() / 2];
+    let merged = donor_lines[..done].join("\n") + "\n" + torn;
+    std::fs::write(&campaign, merged).expect("write merged journal");
+    let leftovers = shard_dir(&campaign);
+    std::fs::create_dir_all(&leftovers).expect("shard dir");
+    let shard_journal = leftovers.join("shard-0000.jsonl");
+    std::fs::write(&shard_journal, donor_lines[done..].join("\n")).expect("v3 shard journal");
 
     // Every respawned worker dies by SIGKILL before reading its header.
     let mut scfg = ShardConfig::new(
-        shards,
+        2,
         vec!["/bin/sh".into(), "-c".into(), "kill -9 $$".into()],
         &campaign,
     );
@@ -324,14 +308,16 @@ fn sigkilled_workers_resume_byte_identically() {
     scfg.silence_budget = Duration::ZERO;
     let (sharded, sweep_stats, stats) =
         run_sweep_sharded(&jobs, &cfg, &scfg).expect("sharded sweep");
-    assert_eq!(stats.recovered, done, "the completed prefix is absorbed");
-    assert_eq!(stats.corrupt_lines, 0, "neither residue line is corrupt");
+    assert!(!leftovers.exists(), "the v3 shard directory is removed");
+    assert_eq!(stats.received, 0, "no worker wrote a record");
+    assert_eq!(stats.corrupt_lines, 1, "the torn record fails its frame");
     assert!(stats.respawns >= 1, "dead workers are respawned");
     assert_eq!(
         stats.quarantined, 0,
         "strikes stay under the default budget"
     );
     assert_eq!(stats.abandoned, cells.len() - done);
+    assert_eq!(sweep_stats.replayed, done, "the completed prefix replays");
     assert_eq!(sweep_stats.executed, cells.len() - done);
     assert_eq!(
         sharded.to_json(),
@@ -386,6 +372,144 @@ fn cell_that_kills_workers_is_quarantined_by_the_supervisor() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A cancelled campaign charges no strike: a worker that ignores the
+/// cancel line is SIGKILLed after the grace period, and the cell it was
+/// running is reported cancelled, never quarantined, so a resume re-runs
+/// it instead of replaying a quarantine.
+#[test]
+fn a_cancelled_cell_is_never_quarantined() {
+    let jobs = vec![job("gzip")];
+    let mut cfg = SweepConfig::default().with_invocations(2);
+    cfg.quarantine_after = 1;
+    let token = CancelToken::new();
+    cfg.sim.cancel = Some(token.clone());
+    let cells = enumerate_cells(&jobs, &cfg);
+    let victim = cells[0];
+    let dir = tmp_path("cancel-no-strike");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let campaign = dir.join("campaign.jsonl");
+    let worker = sh(format!("{}; exec sleep 30", echo_start(victim)));
+    let mut scfg = ShardConfig::new(1, worker, &campaign);
+    scfg.max_respawns = 0;
+    scfg.poll = Duration::from_millis(10);
+    scfg.silence_budget = Duration::ZERO;
+    let trip = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(300));
+        token.cancel();
+    });
+    let t0 = Instant::now();
+    let (sharded, _, stats) = run_sweep_sharded(&jobs, &cfg, &scfg).expect("sharded sweep");
+    trip.join().expect("trip thread");
+    assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
+    assert_eq!(stats.quarantined, 0);
+    let victim_variant = cfg.variants[victim.variant].label.clone();
+    for (_, v, s) in sharded.statuses() {
+        assert_ne!(s, RunStatus::Quarantined, "[{v}]");
+        if v == victim_variant {
+            assert_eq!(s, RunStatus::Cancelled);
+        }
+    }
+    let journal = Journal::resume(&campaign).expect("resume merged journal");
+    assert!(
+        journal.lookup(victim.key).is_none(),
+        "a cancelled cell is never journaled"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The record trust boundary: a worker's record is accepted only for an
+/// unrecorded cell of the group its slot holds. A record for a queued
+/// job's cell (a valid frame around a doctored cycle count), a second
+/// copy of a record already accepted, and a record with a flipped byte
+/// each kill the worker as a protocol error. None of them reaches the
+/// merged journal or the result cache, and the report equals
+/// `run_sweep`'s.
+#[test]
+fn records_a_slot_does_not_hold_are_protocol_errors() {
+    let jobs = vec![job("gzip"), job("fft-2d")];
+    let cfg = SweepConfig::default().with_invocations(2).with_threads(1);
+    let cells = enumerate_cells(&jobs, &cfg);
+    let clean = run_sweep(&jobs, &cfg).to_json();
+    let dir = tmp_path("record-trust");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let donor_path = dir.join("donor.jsonl");
+    {
+        let donor = Journal::create(&donor_path).expect("create donor");
+        let _ = run_sweep_journaled(&jobs, &cfg, Some(&donor));
+    }
+    let donor = std::fs::read_to_string(&donor_path).expect("read donor");
+    let line_of = |cell: Cell| -> String {
+        let key = format!("\"key\": \"{}\"", cell.key);
+        donor
+            .lines()
+            .find(|l| l.contains(&key))
+            .expect("a donor record")
+            .to_owned()
+    };
+    // One slot holds job 0 while job 1 waits in the queue.
+    let (held, queued) = (cells[0], cells[cfg.variants.len()]);
+    assert_eq!(queued.job, 1);
+    let payload = checksum_unframe(&line_of(queued))
+        .expect("framed")
+        .to_owned();
+    let doctored = checksum_frame(&payload.replacen("\"cycles\": ", "\"cycles\": 999", 1));
+    assert!(RunRecord::from_line(&doctored).is_some(), "a valid record");
+    let mut flipped = line_of(held).into_bytes();
+    flipped[40] ^= 0x01;
+    let flipped = String::from_utf8(flipped).expect("ASCII stays ASCII");
+    let cases = [
+        ("foreign", vec![doctored.clone()], 0),
+        ("duplicate", vec![line_of(held), line_of(held)], 1),
+        ("flipped", vec![flipped.clone()], 0),
+    ];
+    for (name, lines, received) in cases {
+        let case = dir.join(name);
+        std::fs::create_dir_all(&case).expect("case dir");
+        let out = case.join("stdout");
+        std::fs::write(&out, lines.join("\n") + "\n").expect("worker stdout");
+        let worker = sh(format!("cat '{}'; exec sleep 30", out.display()));
+        let campaign = case.join("campaign.jsonl");
+        let mut scfg = ShardConfig::new(1, worker, &campaign);
+        scfg.cache = Some(ResultCache::open(case.join("cache")).expect("open cache"));
+        scfg.max_respawns = 0;
+        scfg.poll = Duration::from_millis(2);
+        scfg.silence_budget = Duration::ZERO;
+        let t0 = Instant::now();
+        let (sharded, _, stats) = run_sweep_sharded(&jobs, &cfg, &scfg).expect("sharded sweep");
+        assert!(t0.elapsed() < Duration::from_secs(10), "{name}: not killed");
+        assert_eq!(stats.protocol_kills, 1, "{name}");
+        assert_eq!(stats.received, received, "{name}");
+        assert_eq!(sharded.to_json(), clean, "{name}");
+        let merged = std::fs::read_to_string(&campaign).expect("merged journal");
+        assert_eq!(
+            merged.lines().count(),
+            cells.len(),
+            "{name}: one record per cell"
+        );
+        let mut persisted = vec![merged];
+        for fan in std::fs::read_dir(case.join("cache")).expect("cache root") {
+            for entry in std::fs::read_dir(fan.expect("fan-out").path()).expect("fan-out dir") {
+                persisted
+                    .push(std::fs::read_to_string(entry.expect("entry").path()).expect("entry"));
+            }
+        }
+        assert_eq!(
+            persisted.len(),
+            1 + cells.len(),
+            "{name}: every cell cached"
+        );
+        for text in &persisted {
+            assert!(
+                !text.contains(&doctored) && !text.contains(&flipped),
+                "{name}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A worker that runs `script` in `/bin/sh`.
 fn sh(script: String) -> Vec<String> {
     vec!["/bin/sh".into(), "-c".into(), script]
@@ -436,7 +560,7 @@ fn a_start_written_just_before_an_abort_is_never_lost() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A worker that stays alive but never writes its shard journal is killed
+/// A worker that stays alive but never writes a stdout line is killed
 /// once it has been silent past the budget, and its cells fall to the
 /// inline pass without changing a report byte.
 #[test]
@@ -483,7 +607,7 @@ fn silent_workers_are_killed_and_their_cells_run_inline() {
 /// together, so while the worker that drew it is busy, the other worker
 /// takes every remaining job. The workers are a shell script speaking
 /// the wire protocol: it logs each batch it receives and acks without
-/// journaling, so every cell falls to the inline pass and the report
+/// writing a record, so every cell falls to the inline pass and the report
 /// stays byte-identical. Job 0 holds its worker until the other worker
 /// has logged three batches (or 10 s pass), which makes it the costlier
 /// job by construction rather than by a timing guess.
@@ -497,7 +621,7 @@ fn the_idle_worker_takes_every_job_behind_a_heavy_one() {
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let script = format!(
         r#"read -r header
-case "$header" in *'"index": 0,'*) log={dir}/slot-0 ;; *) log={dir}/slot-1 ;; esac
+case "$header" in *'"index": 0}}'*) log={dir}/slot-0 ;; *) log={dir}/slot-1 ;; esac
 n=0
 while read -r line; do
   case "$line" in
@@ -542,7 +666,7 @@ done"#,
     );
     assert_eq!(stats.workers_spawned, 2);
     assert_eq!(stats.dispatched, cells.len());
-    assert_eq!(stats.abandoned, cells.len(), "nothing was journaled");
+    assert_eq!(stats.abandoned, cells.len(), "no record was written");
     assert_eq!(sharded.to_json(), run_sweep(&jobs, &cfg).to_json());
     std::fs::remove_dir_all(&dir).ok();
 }
