@@ -36,6 +36,7 @@
 use crate::afftest::{delta_range, iteration_space, overlap_oracle, IvBox, Overlap};
 use crate::classify::linearize;
 use crate::exact::{window_reachable, ExactBudget};
+use crate::hash::FoldSet;
 use crate::matrix::{AliasLabel, AliasMatrix, Pair, PairKind};
 use crate::pipeline::{may_fanin, Analysis, StageConfig};
 use crate::reach::Reachability;
@@ -863,6 +864,15 @@ impl Lint for RaceLint {
                 .out_edges(s)
                 .any(|e| e.dst == d && e.kind == kind)
         };
+        // The MAY pairs the optimizer coalesced, each ordered through its
+        // kept congruent sibling.
+        let coalesced: FoldSet<(NodeId, NodeId)> = cx
+            .analysis
+            .opt
+            .iter()
+            .flat_map(|o| &o.certs)
+            .map(|c| c.removed)
+            .collect();
 
         // A-E03: every surviving MUST/MAY pair needs an ordering chain.
         for (pair, _, label) in matrix.pairs() {
@@ -877,11 +887,7 @@ impl Lint for RaceLint {
                 AliasLabel::May => {
                     has_edge(s, d, EdgeKind::May)
                         || closure.reaches(s, d)
-                        || cx
-                            .analysis
-                            .opt
-                            .as_ref()
-                            .is_some_and(|o| o.coalesced_pair(s, d))
+                        || coalesced.contains(&(s, d))
                 }
                 AliasLabel::MustExact | AliasLabel::MustPartial => closure.reaches(s, d),
             };
@@ -1046,7 +1052,14 @@ impl Lint for RaceLint {
 pub struct CertLint;
 
 impl CertLint {
-    fn check(cx: &AuditCx<'_>, diags: &mut Vec<Diagnostic>, cert: &crate::optimize::Certificate) {
+    /// Checks one certificate against the final DFG and `may`, the final
+    /// plan's MAY edges.
+    fn check(
+        cx: &AuditCx<'_>,
+        may: &FoldSet<(NodeId, NodeId)>,
+        diags: &mut Vec<Diagnostic>,
+        cert: &crate::optimize::Certificate,
+    ) {
         let crate::optimize::Certificate {
             removed,
             kept,
@@ -1057,19 +1070,18 @@ impl CertLint {
             younger: removed.1,
         };
         let dfg = &cx.region.dfg;
-        let plan = &cx.analysis.plan;
         let has_may = |(s, d): (NodeId, NodeId)| {
             dfg.out_edges(s)
                 .any(|e| e.dst == d && e.kind == EdgeKind::May)
         };
-        if plan.may.contains(&removed) || has_may(removed) {
+        if may.contains(&removed) || has_may(removed) {
             diags.push(cx.diag(
                 Code::BadCertificate,
                 site,
                 "coalescing certificate for a MAY edge still present".to_owned(),
             ));
         }
-        if !plan.may.contains(&kept) || !has_may(kept) {
+        if !may.contains(&kept) || !has_may(kept) {
             diags.push(cx.diag(
                 Code::BadCertificate,
                 site,
@@ -1134,15 +1146,16 @@ impl Lint for CertLint {
         let Some(opt) = cx.analysis.opt.as_ref() else {
             return Vec::new();
         };
+        let plan = &cx.analysis.plan;
+        let may: FoldSet<(NodeId, NodeId)> = plan.may.iter().copied().collect();
         let mut diags = Vec::new();
         for cert in &opt.certs {
-            Self::check(cx, &mut diags, cert);
+            Self::check(cx, &may, &mut diags, cert);
         }
         // Every claimed deletion must be certified, and the before/after
         // ledger must reconcile against the surviving plan. The optimizer
         // never rewrites ORDER edges.
         let s = &opt.stats;
-        let plan = &cx.analysis.plan;
         let ledger_ok = s.order_removed == 0
             && s.may_coalesced == opt.certs.len()
             && s.order_before == plan.order.len()

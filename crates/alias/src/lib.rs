@@ -46,6 +46,7 @@ pub mod afftest;
 pub mod audit;
 mod classify;
 pub mod exact;
+mod hash;
 mod local;
 mod matrix;
 pub mod optimize;

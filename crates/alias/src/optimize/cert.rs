@@ -50,14 +50,3 @@ pub struct OptOutcome {
     /// Aggregate counters.
     pub stats: OptStats,
 }
-
-impl OptOutcome {
-    /// `true` when some certificate coalesces exactly the MAY pair
-    /// `(src, dst)` — the audit's race lint exempts such pairs from the
-    /// ordering-chain requirement (the kept congruent edge orders them;
-    /// `CertLint` verifies that claim independently).
-    #[must_use]
-    pub fn coalesced_pair(&self, src: NodeId, dst: NodeId) -> bool {
-        self.certs.iter().any(|c| c.removed == (src, dst))
-    }
-}

@@ -24,50 +24,48 @@
 
 use super::cert::Certificate;
 use super::witness;
+use crate::hash::{FoldMap, FoldSet};
 use crate::reach::Reachability;
 use crate::stage3::MdePlan;
 use nachos_ir::{EdgeKind, MemRef, NodeId, Region};
-use std::collections::HashSet;
+use std::hash::Hash;
 
-fn mem_of(region: &Region, n: NodeId) -> Option<&MemRef> {
-    region.dfg.node(n).kind.mem_ref()
+/// Numbers each node's memory reference, so that two nodes share a
+/// number exactly when their [`MemRef`]s are equal: each reference is
+/// hashed once, not once per edge that touches it.
+fn mem_numbers(region: &Region) -> Vec<Option<usize>> {
+    let mut index: FoldMap<&MemRef, usize> = FoldMap::default();
+    region
+        .dfg
+        .node_ids()
+        .map(|n| {
+            let m = region.dfg.node(n).kind.mem_ref()?;
+            let next = index.len();
+            Some(*index.entry(m).or_insert(next))
+        })
+        .collect()
 }
 
-/// Groups `edges` by the endpoint selected by `key`, preserving first-seen
-/// order for determinism.
-fn group_by(
+/// Partitions `edges` by `key`, dropping the edges it maps to `None`.
+/// Classes, and the edges within each, keep first-seen order for
+/// determinism.
+fn partition<K: Hash + Eq>(
     edges: &[(NodeId, NodeId)],
-    key: impl Fn(&(NodeId, NodeId)) -> NodeId,
-) -> Vec<(NodeId, Vec<(NodeId, NodeId)>)> {
-    let mut groups: Vec<(NodeId, Vec<(NodeId, NodeId)>)> = Vec::new();
-    for &e in edges {
-        let k = key(&e);
-        match groups.iter_mut().find(|(g, _)| *g == k) {
-            Some((_, v)) => v.push(e),
-            None => groups.push((k, vec![e])),
-        }
-    }
-    groups
-}
-
-/// Partitions a group's edges into congruence classes by the [`MemRef`]
-/// of the endpoint selected by `key` (first-seen order).
-fn congruence_classes(
-    region: &Region,
-    edges: &[(NodeId, NodeId)],
-    key: impl Fn(&(NodeId, NodeId)) -> NodeId,
+    key: impl Fn(&(NodeId, NodeId)) -> Option<K>,
 ) -> Vec<Vec<(NodeId, NodeId)>> {
-    let mut classes: Vec<(MemRef, Vec<(NodeId, NodeId)>)> = Vec::new();
+    let mut index: FoldMap<K, usize> = FoldMap::default();
+    let mut classes: Vec<Vec<(NodeId, NodeId)>> = Vec::new();
     for &e in edges {
-        let Some(m) = mem_of(region, key(&e)) else {
+        let Some(k) = key(&e) else {
             continue;
         };
-        match classes.iter_mut().find(|(cm, _)| cm == m) {
-            Some((_, v)) => v.push(e),
-            None => classes.push((m.clone(), vec![e])),
-        }
+        let i = *index.entry(k).or_insert_with(|| {
+            classes.push(Vec::new());
+            classes.len() - 1
+        });
+        classes[i].push(e);
     }
-    classes.into_iter().map(|(_, v)| v).collect()
+    classes
 }
 
 fn slot(region: &Region, n: NodeId) -> usize {
@@ -91,14 +89,15 @@ pub(super) fn run(region: &mut Region, plan: &mut MdePlan, certs: &mut Vec<Certi
         &region.dfg,
         &[EdgeKind::Data, EdgeKind::Order, EdgeKind::Forward],
     );
-    let mut kept_edges: HashSet<(NodeId, NodeId)> = HashSet::new();
-    let mut removed: HashSet<(NodeId, NodeId)> = HashSet::new();
+    let mem = mem_numbers(region);
+    let mut kept_edges: FoldSet<(NodeId, NodeId)> = FoldSet::default();
+    let mut removed: FoldSet<(NodeId, NodeId)> = FoldSet::default();
 
     // Rule A: shared destination, congruent sources. Keep the youngest
     // source (deepest into the guaranteed chain), coalesce the rest into
     // it.
-    for (_, edges) in group_by(&plan.may, |e| e.1) {
-        for class in congruence_classes(region, &edges, |e| e.0) {
+    for edges in partition(&plan.may, |e| Some(e.1)) {
+        for class in partition(&edges, |e| mem[e.0.index()]) {
             if class.len() < 2 {
                 continue;
             }
@@ -126,8 +125,8 @@ pub(super) fn run(region: &mut Region, plan: &mut MdePlan, certs: &mut Vec<Certi
 
     // Rule B: shared source, congruent destinations. Keep the oldest
     // destination (first to execute), coalesce younger congruent ones.
-    for (_, edges) in group_by(&plan.may, |e| e.0) {
-        for class in congruence_classes(region, &edges, |e| e.1) {
+    for edges in partition(&plan.may, |e| Some(e.0)) {
+        for class in partition(&edges, |e| mem[e.1.index()]) {
             if class.len() < 2 {
                 continue;
             }

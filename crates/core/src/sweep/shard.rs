@@ -326,7 +326,8 @@ pub enum WorkerLine {
     /// Anything else: oversized, not UTF-8, a failed frame, none of the
     /// shapes above.
     Malformed,
-    /// EOF or a read error: the worker is exiting.
+    /// EOF, a read error, or an unterminated tail at EOF (a worker
+    /// killed part-way through a line): the worker is exiting.
     Closed,
 }
 
@@ -336,9 +337,12 @@ pub enum WorkerLine {
 #[must_use]
 pub fn read_worker_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> WorkerLine {
     match read_bounded_line(reader, buf, MAX_RECORD_LEN) {
-        Ok(BoundedLine::Line) => parse_worker_line(buf).unwrap_or(WorkerLine::Malformed),
+        Ok(BoundedLine::Line) if buf.ends_with(b"\n") => {
+            parse_worker_line(buf).unwrap_or(WorkerLine::Malformed)
+        }
         Ok(BoundedLine::Oversized { .. }) => WorkerLine::Malformed,
-        Ok(BoundedLine::Eof) | Err(_) => WorkerLine::Closed,
+        // Only EOF leaves a line unterminated: the worker died writing it.
+        Ok(BoundedLine::Line | BoundedLine::Eof) | Err(_) => WorkerLine::Closed,
     }
 }
 
@@ -1161,7 +1165,7 @@ mod tests {
             "{{\"ack\":1}}\n{long}{{\"ack\":-1}}\nack\n\t{{ \"start\" :\"{key}\" }}\r\n\
              {record}\r\n{flipped}\n{huge}{{\"done\": \"{key}\"}}\n{{\"alive\": true}}\n\
              {{\"alive\": false}}\n{{\"start\": \"{key}0\"}}\n{{\"ack\": 1, \"ack\": 2}}\n\
-             {{\"ack\":2}}"
+             {{\"ack\":2}}\n{{\"ack\":3}}"
         );
         let (mut reader, mut buf) = (out.as_bytes(), Vec::new());
         let read: Vec<WorkerLine> = std::iter::from_fn(|| {
@@ -1186,7 +1190,8 @@ mod tests {
                 WorkerLine::Malformed,
                 WorkerLine::Malformed,
                 WorkerLine::Ack(2),
-            ]
+            ],
+            "the unterminated tail is the worker's close, not a line"
         );
     }
 

@@ -86,10 +86,23 @@ impl CacheStats {
 #[derive(Clone, Copy, Debug, Default)]
 struct Line {
     tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic counter value at last touch; smallest = LRU victim.
-    last_touch: u64,
+    /// `tick << 1 | dirty` at the last touch; smallest = LRU victim. The
+    /// line is valid only while its tick is after the cache's `epoch`.
+    stamp: u64,
+}
+
+impl Line {
+    fn stamp(tick: u64, dirty: bool) -> u64 {
+        (tick << 1) | u64::from(dirty)
+    }
+
+    fn valid(self, epoch: u64) -> bool {
+        self.stamp >> 1 > epoch
+    }
+
+    fn dirty(self) -> bool {
+        self.stamp & 1 == 1
+    }
 }
 
 /// A set-associative, write-back, write-allocate cache model.
@@ -97,12 +110,22 @@ struct Line {
 /// The model tracks tags only — data payloads live in the functional
 /// [`crate::DataMemory`]. Timing composition across levels is handled by
 /// [`crate::MemoryHierarchy`].
+///
+/// The tag store is one allocation of `sets × ways` lines, set-major.
+/// [`Cache::reset`] touches none of it: the tick keeps counting across
+/// resets, and a reset moves the `epoch` up to the current tick, which
+/// invalidates every line touched before it.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    lines: Vec<Line>,
+    num_sets: u64,
+    ways: usize,
     stats: CacheStats,
     tick: u64,
+    /// `tick` at the last reset: lines last touched at or before it are
+    /// invalid.
+    epoch: u64,
 }
 
 impl Cache {
@@ -114,12 +137,16 @@ impl Cache {
     /// [`CacheConfig::num_sets`]).
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        let sets = vec![vec![Line::default(); config.ways as usize]; config.num_sets() as usize];
+        let num_sets = config.num_sets();
+        let ways = config.ways as usize;
         Self {
             config,
-            sets,
+            lines: vec![Line::default(); num_sets as usize * ways],
+            num_sets,
+            ways,
             stats: CacheStats::default(),
             tick: 0,
+            epoch: 0,
         }
     }
 
@@ -129,10 +156,11 @@ impl Cache {
         &self.config
     }
 
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+    /// The ways of `addr`'s set, and its tag.
+    fn set_and_tag(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let line = addr / u64::from(self.config.line_bytes);
-        let num_sets = self.sets.len() as u64;
-        ((line % num_sets) as usize, line / num_sets)
+        let set = (line % self.num_sets) as usize * self.ways;
+        (set..set + self.ways, line / self.num_sets)
     }
 
     /// Accesses `addr`; returns `true` on hit. On a miss the line is
@@ -140,27 +168,24 @@ impl Cache {
     /// writeback if the victim was dirty.
     pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
         self.tick += 1;
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.last_touch = self.tick;
-            line.dirty |= is_write;
+        let (ways, tag) = self.set_and_tag(addr);
+        let epoch = self.epoch;
+        let set = &mut self.lines[ways];
+        if let Some(line) = set.iter_mut().find(|l| l.valid(epoch) && l.tag == tag) {
+            line.stamp = Line::stamp(self.tick, line.dirty() || is_write);
             self.stats.hits += 1;
             return true;
         }
         self.stats.misses += 1;
-        let victim = set
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.last_touch } else { 0 })
-            .expect("ways >= 1");
-        if victim.valid && victim.dirty {
+        // Every invalid line was touched before every valid one, so the
+        // oldest touch is an invalid line while one is left, else the LRU.
+        let victim = set.iter_mut().min_by_key(|l| l.stamp).expect("ways >= 1");
+        if victim.valid(epoch) && victim.dirty() {
             self.stats.writebacks += 1;
         }
         *victim = Line {
             tag,
-            valid: true,
-            dirty: is_write,
-            last_touch: self.tick,
+            stamp: Line::stamp(self.tick, is_write),
         };
         false
     }
@@ -168,8 +193,10 @@ impl Cache {
     /// `true` if `addr`'s line is currently resident (no state change).
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        let (ways, tag) = self.set_and_tag(addr);
+        self.lines[ways]
+            .iter()
+            .any(|l| l.valid(self.epoch) && l.tag == tag)
     }
 
     /// Accumulated statistics.
@@ -178,15 +205,10 @@ impl Cache {
         self.stats
     }
 
-    /// Invalidates all lines and clears statistics.
+    /// Invalidates all lines and clears statistics, in constant time.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                *line = Line::default();
-            }
-        }
+        self.epoch = self.tick;
         self.stats = CacheStats::default();
-        self.tick = 0;
     }
 
     /// The line-aligned base address of `addr`.

@@ -277,3 +277,89 @@ proptest! {
         );
     }
 }
+
+/// 183.equake's hottest path under the baseline compiler, optimized: the
+/// suite's largest certificate ledger (1,269 certificates against 7,099
+/// surviving MAY edges), where the audit's certificate and chain
+/// lookups go through its indexes. It audits clean.
+fn optimized_equake() -> (Region, nachos_alias::Analysis) {
+    let spec = nachos_workloads::by_name("183.equake").expect("a Table II workload");
+    let mut region = nachos_workloads::generate(&spec).region;
+    let mut analysis = compile(&mut region, StageConfig::baseline());
+    optimize(&mut region, &mut analysis);
+    let opt = analysis.opt.as_ref().expect("optimizer records an outcome");
+    assert!(opt.certs.len() > 1000, "{} certificates", opt.certs.len());
+    assert!(errors(&region, &analysis).is_empty());
+    (region, analysis)
+}
+
+/// The Error diagnostics of a baseline-stage audit, as (code, site).
+fn errors(region: &Region, analysis: &nachos_alias::Analysis) -> Vec<(Code, nachos_alias::Site)> {
+    audit(region, analysis, StageConfig::baseline())
+        .into_iter()
+        .filter(nachos_alias::Diagnostic::is_error)
+        .map(|d| (d.code, d.site))
+        .collect()
+}
+
+/// The site of the pair `(older, younger)`.
+fn pair_site((older, younger): (nachos_ir::NodeId, nachos_ir::NodeId)) -> nachos_alias::Site {
+    nachos_alias::Site::Pair { older, younger }
+}
+
+/// A certificate whose kept edge no other certificate keeps, from the
+/// middle of the ledger.
+fn sole_keeper(analysis: &nachos_alias::Analysis) -> nachos_alias::Certificate {
+    let certs = &analysis.opt.as_ref().expect("optimized").certs;
+    let keeps = |kept| certs.iter().filter(|c| c.kept == kept).count();
+    certs[certs.len() / 2..]
+        .iter()
+        .find(|c| keeps(c.kept) == 1)
+        .expect("a kept edge of one certificate")
+        .clone()
+}
+
+/// One corruption of an equake-scale ledger, one diagnostic: dropping a
+/// certificate's kept edge from the plan (the ledger adjusted to match)
+/// and reinstating a removed MAY edge in the DFG each give exactly one
+/// `A-E08` at that certificate, and an uncertified coalesced pair with
+/// no ordering chain gives exactly one `A-E03`.
+#[test]
+fn equake_scale_corruptions_each_give_one_diagnostic() {
+    let (region, analysis) = optimized_equake();
+    let cert = sole_keeper(&analysis);
+    let site = pair_site(cert.removed);
+
+    let mut dropped = analysis.clone();
+    dropped.plan.may.retain(|&e| e != cert.kept);
+    dropped.report.mdes.2 -= 1;
+    dropped.opt.as_mut().expect("optimized").stats.may_before -= 1;
+    assert_eq!(
+        errors(&region, &dropped),
+        [(Code::BadCertificate, site)],
+        "kept edge dropped from the plan"
+    );
+
+    let mut reinstated = region.clone();
+    let (src, dst) = cert.removed;
+    reinstated
+        .dfg
+        .add_edge(src, dst, EdgeKind::May)
+        .expect("both endpoints exist");
+    assert_eq!(
+        errors(&reinstated, &analysis),
+        [(Code::BadCertificate, site)],
+        "removed MAY edge reinstated in the DFG"
+    );
+
+    let mut uncertified = analysis.clone();
+    let opt = uncertified.opt.as_mut().expect("optimized");
+    opt.certs.retain(|c| c.removed != cert.removed);
+    opt.stats.may_coalesced -= 1;
+    opt.stats.may_before -= 1;
+    assert_eq!(
+        errors(&region, &uncertified),
+        [(Code::MissingChain, site)],
+        "coalesced pair left without its certificate"
+    );
+}

@@ -562,7 +562,8 @@ proptest! {
     /// random edits, plus a framed record over the length cap. Each line
     /// reads as the ack or beat it is by the JSON parser's account, or
     /// as a record when its checksum frame verifies; everything else is
-    /// a protocol error.
+    /// a protocol error, except an unterminated tail at EOF, which is the
+    /// worker's close.
     #[test]
     fn supervisor_reads_any_worker_stdout_as_acks_or_protocol_errors(
         edits in proptest::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 0..6),
@@ -580,7 +581,11 @@ proptest! {
         let mut bytes = mutate_bytes(&seed, &edits, &tail);
         let at = bytes.len() * oversized / 4;
         bytes.splice(at..at, oversized_record().bytes());
-        let lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+        // An unterminated tail is a worker killed mid-line: its close.
+        let lines: Vec<&[u8]> = bytes
+            .split_inclusive(|&b| b == b'\n')
+            .filter(|line| line.ends_with(b"\n"))
+            .collect();
         let read = worker_lines(&bytes);
         prop_assert_eq!(read.len(), lines.len());
         for (line, (got, _)) in lines.iter().zip(read) {

@@ -510,6 +510,37 @@ fn records_a_slot_does_not_hold_are_protocol_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A worker SIGKILLed part-way through a line leaves an unterminated
+/// tail at the end of its stdout. That is the worker's death, not a
+/// protocol error: no protocol kill is counted against it, its cells
+/// re-run, and the report equals `run_sweep`'s.
+#[test]
+fn a_worker_killed_mid_line_dies_without_a_protocol_error() {
+    let jobs = vec![job("gzip")];
+    let cfg = SweepConfig::default().with_invocations(2);
+    let cells = enumerate_cells(&jobs, &cfg);
+    let record = checksum_frame(&format!("{{\"key\": \"{}\"}}", cells[0].key));
+    let half = &record[..record.len() / 2];
+    let worker = sh(format!(
+        "{}; printf '%s' '{half}'; kill -9 $$",
+        echo_start(cells[0])
+    ));
+    let dir = tmp_path("killed-mid-line");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let mut scfg = ShardConfig::new(1, worker, dir.join("campaign.jsonl"));
+    scfg.max_respawns = 0;
+    scfg.poll = Duration::from_millis(2);
+    scfg.silence_budget = Duration::ZERO;
+    let (sharded, _, stats) = run_sweep_sharded(&jobs, &cfg, &scfg).expect("sharded sweep");
+    assert_eq!(stats.protocol_kills, 0, "a death is not a protocol error");
+    assert_eq!(stats.received, 0);
+    assert_eq!(stats.abandoned, cells.len(), "every cell re-runs");
+    assert_eq!(stats.quarantined, 0);
+    assert_eq!(sharded.to_json(), run_sweep(&jobs, &cfg).to_json());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A worker that runs `script` in `/bin/sh`.
 fn sh(script: String) -> Vec<String> {
     vec!["/bin/sh".into(), "-c".into(), script]
