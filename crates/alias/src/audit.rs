@@ -29,6 +29,10 @@
 //! the reference executor's address walk under a concrete [`Binding`] and
 //! reports any NO pair whose byte intervals ever collide dynamically.
 //!
+//! Two scopes share this one registry: the full audit
+//! ([`AuditConfig::default`]) runs every arm, and the driver's soundness
+//! gate ([`AuditConfig::quick`]) only the arms that can emit an Error.
+//!
 //! Diagnostics are deterministic: passes run in a fixed order and the
 //! result is sorted by `(severity, code, site, message)` and deduplicated,
 //! so two audits of the same region are byte-identical.
@@ -202,6 +206,9 @@ pub struct Diagnostic {
     pub site: Site,
     /// Human-readable explanation with the evidence.
     pub message: String,
+    /// Which stage could have decided the pair: set on every
+    /// [`Code::PrecisionLoss`] finding, `None` on every other code.
+    pub attribution: Option<Attribution>,
 }
 
 impl Diagnostic {
@@ -212,6 +219,7 @@ impl Diagnostic {
             region: region.to_owned(),
             site,
             message,
+            attribution: None,
         }
     }
 
@@ -232,13 +240,53 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Budget knobs for the audit.
+/// Which stage could have decided a provably decidable MAY pair.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Attribution {
+    /// Stage `stage`'s own rule decides the pair; `enabled` says whether
+    /// the compile ran that stage (stage 1 always runs).
+    Stage {
+        /// The deciding stage: 1, 2 or 4.
+        stage: u8,
+        /// Whether the audited compile ran it.
+        enabled: bool,
+    },
+    /// No stage's rule decides the pair.
+    BeyondAllStages,
+}
+
+impl fmt::Display for Attribution {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Attribution::Stage {
+                stage,
+                enabled: true,
+            } => write!(f, "decidable by stage {stage}"),
+            Attribution::Stage {
+                stage,
+                enabled: false,
+            } => write!(f, "decidable by stage {stage} (disabled)"),
+            Attribution::BeyondAllStages => f.write_str("beyond all stages"),
+        }
+    }
+}
+
+/// Budget knobs for the audit, and its scope.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AuditConfig {
     /// Iteration-point budget for the exhaustive enumeration oracle used
     /// when the bitset reachability test exceeds its own budget. `0`
     /// disables enumeration entirely (the interval+GCD test remains).
     pub oracle_points: u128,
+    /// The budgets of the Warning and Info arms, or `None` for the
+    /// soundness gate, which skips every arm that cannot emit an Error:
+    /// MAY-pair ground truth and A-W01, A-W02, and [`ResourceLint`].
+    pub advisories: Option<Advisories>,
+}
+
+/// The budgets of the advisory findings [`ResourceLint`] emits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Advisories {
     /// Comparator fan-in above which [`Code::FaninOverBudget`] fires.
     pub may_fanin_budget: usize,
     /// Per-node MDE fan-out above which [`Code::TokenFanout`] fires.
@@ -246,23 +294,29 @@ pub struct AuditConfig {
 }
 
 impl Default for AuditConfig {
+    /// The full audit: the enumeration oracle and every advisory arm.
     fn default() -> Self {
         Self {
             oracle_points: 1 << 12,
-            may_fanin_budget: 8,
-            token_fanout_budget: 8,
+            advisories: Some(Advisories {
+                may_fanin_budget: 8,
+                token_fanout_budget: 8,
+            }),
         }
     }
 }
 
 impl AuditConfig {
-    /// A cheap configuration for in-driver auditing: no enumeration
-    /// oracle, default resource budgets.
+    /// The soundness gate the driver runs after every MDE compile: no
+    /// enumeration oracle, and only the arms that can emit an Error. A
+    /// MAY label is never unsound (the `==?` comparator checks it at run
+    /// time), so no MAY pair's ground truth is derived. It returns
+    /// exactly the Errors of the full audit at the same `oracle_points`.
     #[must_use]
     pub fn quick() -> Self {
         Self {
             oracle_points: 0,
-            ..Self::default()
+            advisories: None,
         }
     }
 }
@@ -713,29 +767,18 @@ fn ground_truth(cx: &AuditCx<'_>, a: &MemRef, b: &MemRef) -> Truth {
 pub struct VerdictLint;
 
 /// Which stage could have decided a provably-decidable MAY pair.
-fn attribute_precision_loss(cx: &AuditCx<'_>, a: &MemRef, b: &MemRef) -> String {
-    if stage1::classify_pair(cx.region, &cx.bx, a, b) != AliasLabel::May {
-        return "decidable by stage 1".to_owned();
-    }
-    if let Some(l) = stage2::refine_pair(cx.region, &cx.bx, a, b) {
-        if l != AliasLabel::May {
-            return if cx.stages.stage2 {
-                "decidable by stage 2".to_owned()
-            } else {
-                "decidable by stage 2 (disabled)".to_owned()
-            };
-        }
-    }
-    if let Some(l) = stage4::refine_pair(cx.region, &cx.bx, a, b) {
-        if l != AliasLabel::May {
-            return if cx.stages.stage4 {
-                "decidable by stage 4".to_owned()
-            } else {
-                "decidable by stage 4 (disabled)".to_owned()
-            };
-        }
-    }
-    "beyond all stages".to_owned()
+fn attribute_precision_loss(cx: &AuditCx<'_>, a: &MemRef, b: &MemRef) -> Attribution {
+    let decides = |l: AliasLabel| l != AliasLabel::May;
+    let (stage, enabled) = if decides(stage1::classify_pair(cx.region, &cx.bx, a, b)) {
+        (1, true)
+    } else if stage2::refine_pair(cx.region, &cx.bx, a, b).is_some_and(decides) {
+        (2, cx.stages.stage2)
+    } else if stage4::refine_pair(cx.region, &cx.bx, a, b).is_some_and(decides) {
+        (4, cx.stages.stage4)
+    } else {
+        return Attribution::BeyondAllStages;
+    };
+    Attribution::Stage { stage, enabled }
 }
 
 impl Lint for VerdictLint {
@@ -747,6 +790,10 @@ impl Lint for VerdictLint {
         let matrix = &cx.analysis.matrix;
         let mut diags = Vec::new();
         for (pair, _, label) in matrix.pairs() {
+            // A MAY label is never unsound, so the gate does not judge it.
+            if label.is_may() && cx.config.advisories.is_none() {
+                continue;
+            }
             let a = cx.mem(matrix.node(pair.older));
             let b = cx.mem(matrix.node(pair.younger));
             let truth = ground_truth(cx, a, b);
@@ -797,11 +844,16 @@ impl Lint for VerdictLint {
                     };
                     if let Some(better) = provable {
                         let attribution = attribute_precision_loss(cx, a, b);
-                        diags.push(cx.diag(
-                            Code::PrecisionLoss,
-                            site,
-                            format!("pair labelled MAY but is provably {better} ({attribution})"),
-                        ));
+                        diags.push(Diagnostic {
+                            attribution: Some(attribution),
+                            ..cx.diag(
+                                Code::PrecisionLoss,
+                                site,
+                                format!(
+                                    "pair labelled MAY but is provably {better} ({attribution})"
+                                ),
+                            )
+                        });
                     }
                 }
             }
@@ -988,8 +1040,8 @@ impl Lint for RaceLint {
         // A-W02: transitively-redundant MDEs stage 3 should have pruned.
         // ST→LD ORDER edges are committed unconditionally (forwarding must
         // stay possible), and edges with a scratchpad endpoint belong to
-        // the local-dependency pass — both are excluded.
-        if cx.stages.stage3 {
+        // the local-dependency pass — both are excluded. Advisory only.
+        if cx.stages.stage3 && cx.config.advisories.is_some() {
             for e in region.dfg.edges() {
                 match e.kind {
                     EdgeKind::Order => {
@@ -1272,6 +1324,7 @@ impl Lint for AccountingLint {
 // ---------------------------------------------------------------------------
 
 /// Comparator fan-in, token fan-out, dead nodes, unreferenced symbols.
+/// Advisory only: the soundness gate skips it.
 pub struct ResourceLint;
 
 impl Lint for ResourceLint {
@@ -1280,19 +1333,22 @@ impl Lint for ResourceLint {
     }
 
     fn run(&self, cx: &AuditCx<'_>) -> Vec<Diagnostic> {
+        let Some(budgets) = cx.config.advisories else {
+            return Vec::new();
+        };
         let region = cx.region;
         let matrix = &cx.analysis.matrix;
         let mut diags = Vec::new();
 
         // A-W03: comparator-site fan-in over budget (Figure 14's tail).
         for (i, fanin) in may_fanin(cx.analysis).into_iter().enumerate() {
-            if fanin > cx.config.may_fanin_budget {
+            if fanin > budgets.may_fanin_budget {
                 diags.push(cx.diag(
                     Code::FaninOverBudget,
                     Site::Node(matrix.node(i)),
                     format!(
                         "MAY fan-in {fanin} exceeds the comparator budget of {}",
-                        cx.config.may_fanin_budget
+                        budgets.may_fanin_budget
                     ),
                 ));
             }
@@ -1301,13 +1357,13 @@ impl Lint for ResourceLint {
         // A-I01: token fan-out over budget.
         for n in region.dfg.node_ids() {
             let fanout = region.dfg.out_edges(n).filter(|e| e.kind.is_mde()).count();
-            if fanout > cx.config.token_fanout_budget {
+            if fanout > budgets.token_fanout_budget {
                 diags.push(cx.diag(
                     Code::TokenFanout,
                     Site::Node(n),
                     format!(
                         "token fan-out {fanout} exceeds the budget of {}",
-                        cx.config.token_fanout_budget
+                        budgets.token_fanout_budget
                     ),
                 ));
             }
@@ -1652,7 +1708,45 @@ mod tests {
             "{}",
             loss[0].message
         );
+        assert_eq!(
+            loss[0].attribution,
+            Some(Attribution::Stage {
+                stage: 2,
+                enabled: false
+            })
+        );
         assert!(errors(&diags).is_empty(), "{:?}", errors(&diags));
+    }
+
+    #[test]
+    fn the_gate_skips_every_advisory_arm() {
+        // A provable MAY pair, an unused global and a dead input: the full
+        // audit warns and informs, the gate says nothing.
+        let mut b = RegionBuilder::new("gate");
+        let a0 = b.arg(0, Provenance::Object(1));
+        let a1 = b.arg(1, Provenance::Object(2));
+        let _unused = b.global("spare", 64, 1);
+        let _dead = b.input();
+        b.store(MemRef::affine(a0, AffineExpr::zero()), &[]);
+        b.load(MemRef::affine(a1, AffineExpr::zero()), &[]);
+        let mut r = b.finish();
+        let stages = StageConfig::stage1_only();
+        let mut analysis = compile(&mut r, stages);
+        let full = audit(&r, &analysis, stages);
+        for code in [
+            Code::PrecisionLoss,
+            Code::UnreferencedSymbol,
+            Code::DeadNode,
+        ] {
+            assert!(full.iter().any(|d| d.code == code), "{code}: {full:?}");
+        }
+        let gate = audit_with(&r, &analysis, stages, &AuditConfig::quick());
+        assert!(gate.is_empty(), "{gate:?}");
+        // Its Errors still surface.
+        analysis.report.pruned += 1;
+        let gate = audit_with(&r, &analysis, stages, &AuditConfig::quick());
+        assert_eq!(gate.len(), 1, "{gate:?}");
+        assert_eq!(gate[0].code, Code::CountDrift);
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub mod stage3;
 pub mod stage4;
 
 pub use audit::{
-    audit, audit_with, differential_no_collisions, AuditConfig, Code, Diagnostic, Lint, Severity,
-    Site,
+    audit, audit_with, differential_no_collisions, Advisories, Attribution, AuditConfig, Code,
+    Diagnostic, Lint, Severity, Site,
 };
 pub use classify::{classify_same_object, linearize, overlap_to_label};
 pub use local::wire_local_deps;

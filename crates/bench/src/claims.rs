@@ -940,7 +940,7 @@ mod tests {
     use crate::lint::audited;
     use crate::opt::{BackendCycles, OptRun};
     use nachos::{FaultKind, FaultPlan, FaultSpec, SimError};
-    use nachos_alias::{Code, Diagnostic, OptStats, Site};
+    use nachos_alias::{Attribution, Code, Diagnostic, OptStats, Site};
 
     fn diag(code: Code, message: &str) -> Diagnostic {
         Diagnostic {
@@ -949,6 +949,7 @@ mod tests {
             region: "r".to_owned(),
             site: Site::Region,
             message: message.to_owned(),
+            attribution: None,
         }
     }
 
@@ -1107,9 +1108,13 @@ mod tests {
         // Advisories stay advisory: a loss a disabled stage could decide.
         let mut advisory = passing;
         let disabled = "provably NO (decidable by stage 2 (disabled))";
-        advisory[3]
-            .diagnostics
-            .push(diag(Code::PrecisionLoss, disabled));
+        advisory[3].diagnostics.push(Diagnostic {
+            attribution: Some(Attribution::Stage {
+                stage: 2,
+                enabled: false,
+            }),
+            ..diag(Code::PrecisionLoss, disabled)
+        });
         assert_eq!(verdict_of(&lint, advisory), Verdict::Success);
     }
 

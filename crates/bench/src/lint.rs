@@ -11,7 +11,9 @@
 //! [`nachos_alias::audit`]: mod@nachos_alias::audit
 
 use nachos::{Backend, CompileMemo, CompiledRegion, SimConfig, SimError};
-use nachos_alias::{audit_with, differential_no_collisions, AuditConfig, Code, Diagnostic};
+use nachos_alias::{
+    audit_with, differential_no_collisions, Attribution, AuditConfig, Code, Diagnostic,
+};
 use nachos_alias::{Analysis, StageConfig};
 use nachos_ir::Region;
 use nachos_workloads::Workload;
@@ -76,14 +78,17 @@ pub struct LintRun {
 pub fn avoidable(d: &Diagnostic) -> bool {
     match d.code {
         Code::RedundantMde => true,
-        Code::PrecisionLoss => !d.message.contains("(disabled)"),
+        Code::PrecisionLoss => !matches!(
+            d.attribution,
+            Some(Attribution::Stage { enabled: false, .. })
+        ),
         _ => false,
     }
 }
 
 /// The full audit of one memo entry, an MDE compile under `stages`, with
 /// the compile it audited; a compile the memo refused has no compile and
-/// the Errors of the quick audit that refused it.
+/// the Errors of the driver's soundness gate that refused it.
 pub(crate) fn audited(
     entry: Result<&CompiledRegion, SimError>,
     stages: StageConfig,
@@ -146,14 +151,16 @@ mod tests {
             region: "r".to_owned(),
             site: Site::Region,
             message: message.to_owned(),
+            attribution: None,
+        };
+        let loss = |stage, enabled| Diagnostic {
+            attribution: Some(Attribution::Stage { stage, enabled }),
+            ..diag(Code::PrecisionLoss, "provably NO")
         };
         let diagnostics = [
             diag(Code::RedundantMde, "ORDER edge already implied"),
-            diag(Code::PrecisionLoss, "provably NO (decidable by stage 4)"),
-            diag(
-                Code::PrecisionLoss,
-                "provably NO (decidable by stage 2 (disabled))",
-            ),
+            loss(4, true),
+            loss(2, false),
             diag(Code::FaninOverBudget, "9 tokens converge"),
         ];
         // Redundant MDE + enabled-stage loss count; the disabled-stage

@@ -29,9 +29,13 @@ pub struct CompiledRegion {
 }
 
 /// Compiles `region` as `backend` requires: the full MDE pipeline plus
-/// post-compile audit for the NACHOS backends (honouring
-/// `config.optimize`), or MDE stripping + scratchpad dependency wiring
-/// for OPT-LSQ.
+/// the post-compile soundness gate ([`AuditConfig::quick`]) for the
+/// NACHOS backends (honouring `config.optimize`), or MDE stripping +
+/// scratchpad dependency wiring for OPT-LSQ.
+///
+/// The gate runs only the audit arms that can emit an Error.
+///
+/// [`AuditConfig::quick`]: nachos_alias::AuditConfig::quick
 ///
 /// # Errors
 ///
@@ -53,20 +57,16 @@ pub fn compile_for_backend(
         if config.optimize {
             nachos_alias::optimize(&mut compiled, &mut analysis);
         }
-        // Post-compile audit: independently re-verify every alias verdict
-        // and ordering chain — and, when the optimizer ran, every rewrite
-        // certificate (`CertLint`) — before trusting the MDEs with
-        // correctness. The quick configuration skips the enumeration
-        // oracle, so this costs a small fraction of the compile itself.
-        let errors: Vec<_> = nachos_alias::audit_with(
+        // Post-compile soundness gate: independently re-verify every NO
+        // and MUST verdict and every ordering chain — and, when the
+        // optimizer ran, every rewrite certificate (`CertLint`) — before
+        // trusting the MDEs with correctness.
+        let errors = nachos_alias::audit_with(
             &compiled,
             &analysis,
             stages,
             &nachos_alias::AuditConfig::quick(),
-        )
-        .into_iter()
-        .filter(nachos_alias::Diagnostic::is_error)
-        .collect();
+        );
         if !errors.is_empty() {
             return Err(SimError::Audit(errors));
         }

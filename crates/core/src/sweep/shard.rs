@@ -346,6 +346,15 @@ pub fn read_worker_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> WorkerL
     }
 }
 
+/// The run record of a line [`read_worker_line`] read as a
+/// [`WorkerLine::Record`]: its frame is verified, so only the payload is.
+fn verified_record(line: &[u8]) -> Option<RunRecord> {
+    let line = std::str::from_utf8(line)
+        .ok()?
+        .trim_end_matches(['\n', '\r']);
+    RunRecord::from_payload(line.split_once(' ')?.1)
+}
+
 /// Matches one of the fixed stdout shapes, a one-field JSON object with
 /// JSON whitespace allowed around its tokens, byte by byte; any other
 /// line must carry a verified checksum frame.
@@ -814,7 +823,7 @@ pub fn run_sweep_sharded(
             // A record is parsed here, off the reader thread, and its
             // buffer goes back to the reader.
             let record = bytes.and_then(|b| {
-                let record = std::str::from_utf8(&b).ok().and_then(RunRecord::from_line);
+                let record = verified_record(&b);
                 let _ = worker.pool.try_send(b);
                 record
             });
@@ -1097,10 +1106,8 @@ mod tests {
         let (mut reader, mut buf) = (out, Vec::new());
         std::iter::from_fn(|| {
             let line = read_worker_line(&mut reader, &mut buf);
-            let key = (line == WorkerLine::Record).then(|| {
-                let text = std::str::from_utf8(&buf).unwrap();
-                RunRecord::from_line(text).expect("a run record").key
-            });
+            let key = (line == WorkerLine::Record)
+                .then(|| verified_record(&buf).expect("a run record").key);
             (line != WorkerLine::Closed).then_some((line, key))
         })
         .filter(|(line, _)| *line != WorkerLine::Alive)

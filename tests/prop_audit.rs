@@ -15,9 +15,16 @@
 //! regions must still audit clean (its `CertLint` pass re-verifying every
 //! rewrite certificate) with their ORDER plan untouched, and any
 //! corruption of the certificate ledger must be rejected as `A-E08`.
+//!
+//! The driver's soundness gate (`AuditConfig::quick`) must refuse exactly
+//! what the full audit refuses: on clean regions and on every seeded bug,
+//! its diagnostics equal the Errors of the full audit run with the gate's
+//! `oracle_points` (the oracle can change which NO pairs read as
+//! overlapping, so the budgets must match).
 
 use nachos_alias::{
-    audit, compile, differential_no_collisions, optimize, AliasLabel, Code, StageConfig,
+    audit, audit_with, compile, differential_no_collisions, optimize, AliasLabel, Analysis,
+    AuditConfig, Code, Diagnostic, StageConfig,
 };
 use nachos_ir::{
     AffineExpr, Binding, EdgeKind, IntOp, LoopInfo, MemRef, Region, RegionBuilder, UnknownPattern,
@@ -102,6 +109,23 @@ fn build(ops: &[OpPlan]) -> (Region, Binding) {
     (region, binding)
 }
 
+/// The gate's diagnostics, after checking they are exactly the Errors of
+/// the full audit at the gate's oracle budget.
+fn gate(region: &Region, analysis: &Analysis, stages: StageConfig) -> Vec<Diagnostic> {
+    let quick = AuditConfig::quick();
+    let gate = audit_with(region, analysis, stages, &quick);
+    let full = AuditConfig {
+        oracle_points: quick.oracle_points,
+        ..AuditConfig::default()
+    };
+    let errors: Vec<_> = audit_with(region, analysis, stages, &full)
+        .into_iter()
+        .filter(Diagnostic::is_error)
+        .collect();
+    assert_eq!(gate, errors, "the gate is not the full audit's Errors");
+    gate
+}
+
 fn all_configs() -> [StageConfig; 4] {
     [
         StageConfig::full(),
@@ -172,6 +196,12 @@ proptest! {
             "hand-broken NO survived the audit: {:?}",
             diags
         );
+        let refused = gate(&region, &analysis, StageConfig::full());
+        prop_assert!(
+            refused.iter().any(|d| d.code == Code::UnsoundNo),
+            "hand-broken NO survived the gate: {:?}",
+            refused
+        );
     }
 
     /// Seeded bug, direction 2: deleting any planned ORDER edge from the
@@ -206,6 +236,13 @@ proptest! {
                 .iter()
                 .any(|d| d.code == Code::MissingChain || d.code == Code::PlanDrift),
             "deleted ORDER edge survived the audit"
+        );
+        let refused = gate(&region, &analysis, StageConfig::full());
+        prop_assert!(
+            refused
+                .iter()
+                .any(|d| d.code == Code::MissingChain || d.code == Code::PlanDrift),
+            "deleted ORDER edge survived the gate"
         );
     }
 
@@ -275,6 +312,31 @@ proptest! {
             diags.iter().any(|d| d.code == Code::BadCertificate),
             "tampered certificate ledger (mode {tamper}) survived: {diags:?}"
         );
+        let refused = gate(&region, &analysis, StageConfig::full());
+        prop_assert!(
+            refused.iter().any(|d| d.code == Code::BadCertificate),
+            "tampered certificate ledger (mode {tamper}) survived the gate: {refused:?}"
+        );
+    }
+
+    /// The gate refuses nothing the full audit accepts: on clean random
+    /// regions, optimized or not, under every ablation, its diagnostics
+    /// are the full audit's Errors (none).
+    #[test]
+    fn the_gate_is_the_full_audits_errors_on_clean_regions(
+        ops in proptest::collection::vec(arb_op(), 1..12),
+    ) {
+        for stages in all_configs() {
+            for optimized in [false, true] {
+                let (mut region, _) = build(&ops);
+                let mut analysis = compile(&mut region, stages);
+                if optimized {
+                    optimize(&mut region, &mut analysis);
+                }
+                let refused = gate(&region, &analysis, stages);
+                prop_assert!(refused.is_empty(), "{:?} optimized={}: {:?}", stages, optimized, refused);
+            }
+        }
     }
 }
 
@@ -282,7 +344,7 @@ proptest! {
 /// suite's largest certificate ledger (1,269 certificates against 7,099
 /// surviving MAY edges), where the audit's certificate and chain
 /// lookups go through its indexes. It audits clean.
-fn optimized_equake() -> (Region, nachos_alias::Analysis) {
+fn optimized_equake() -> (Region, Analysis) {
     let spec = nachos_workloads::by_name("183.equake").expect("a Table II workload");
     let mut region = nachos_workloads::generate(&spec).region;
     let mut analysis = compile(&mut region, StageConfig::baseline());
@@ -293,13 +355,20 @@ fn optimized_equake() -> (Region, nachos_alias::Analysis) {
     (region, analysis)
 }
 
-/// The Error diagnostics of a baseline-stage audit, as (code, site).
-fn errors(region: &Region, analysis: &nachos_alias::Analysis) -> Vec<(Code, nachos_alias::Site)> {
-    audit(region, analysis, StageConfig::baseline())
+/// The Error diagnostics of a baseline-stage audit, as (code, site),
+/// after checking the gate refuses the region with exactly those.
+fn errors(region: &Region, analysis: &Analysis) -> Vec<(Code, nachos_alias::Site)> {
+    let errors: Vec<_> = audit(region, analysis, StageConfig::baseline())
         .into_iter()
-        .filter(nachos_alias::Diagnostic::is_error)
+        .filter(Diagnostic::is_error)
         .map(|d| (d.code, d.site))
-        .collect()
+        .collect();
+    let refused: Vec<_> = gate(region, analysis, StageConfig::baseline())
+        .into_iter()
+        .map(|d| (d.code, d.site))
+        .collect();
+    assert_eq!(refused, errors, "the gate and the full audit disagree");
+    errors
 }
 
 /// The site of the pair `(older, younger)`.
@@ -309,7 +378,7 @@ fn pair_site((older, younger): (nachos_ir::NodeId, nachos_ir::NodeId)) -> nachos
 
 /// A certificate whose kept edge no other certificate keeps, from the
 /// middle of the ledger.
-fn sole_keeper(analysis: &nachos_alias::Analysis) -> nachos_alias::Certificate {
+fn sole_keeper(analysis: &Analysis) -> nachos_alias::Certificate {
     let certs = &analysis.opt.as_ref().expect("optimized").certs;
     let keeps = |kept| certs.iter().filter(|c| c.kept == kept).count();
     certs[certs.len() / 2..]
