@@ -73,7 +73,7 @@ use nachos::sweep::shard::{run_shard_worker, run_sweep_sharded, ShardConfig};
 use nachos::sweep::{journal::Journal, run_sweep_journaled, SweepResult};
 use nachos::CancelToken;
 use nachos_bench::exitcode::{self, Verdict};
-use nachos_bench::matrix;
+use nachos_bench::matrix::{self, Matrix};
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -339,18 +339,17 @@ fn main() -> ExitCode {
         token
     });
 
-    let (jobs, mut cfg) = match matrix::resolve(&spec) {
-        Ok(r) => r,
+    let matrix = match Matrix::plan(&spec) {
+        Ok(m) => m,
         Err(e) => return usage_error(&e),
     };
-    if let Some(token) = &deadline_token {
-        cfg.sim.cancel = Some(token.clone());
-    }
 
     // Worker mode: execute the shard streamed over stdin and
-    // exit — no report of its own.
+    // exit — no report of its own. Only the jobs it is sent are
+    // generated.
     if shard_exec {
-        return match run_shard_worker(&jobs, &cfg, std::io::stdin(), std::io::stdout()) {
+        let job = |i| matrix.job(i);
+        return match run_shard_worker(job, &matrix.cfg, std::io::stdin(), std::io::stdout()) {
             Ok(s) => {
                 eprintln!(
                     "shard {}: {} executed, {} protocol errors{}",
@@ -367,6 +366,11 @@ fn main() -> ExitCode {
             }
             Err(e) => environment_error(&format!("shard worker failed: {e}")),
         };
+    }
+
+    let (jobs, mut cfg) = matrix.into_jobs();
+    if let Some(token) = &deadline_token {
+        cfg.sim.cancel = Some(token.clone());
     }
 
     let sweep = if shards > 0 {

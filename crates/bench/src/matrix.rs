@@ -20,6 +20,7 @@
 use nachos::sweep::daemon::MatrixSpec;
 use nachos::sweep::{SweepConfig, SweepJob};
 use nachos::{FaultKind, FaultPlan, FaultSpec};
+use nachos_workloads::BenchSpec;
 
 /// Resolves a submitted spec against the Table II suite.
 ///
@@ -29,47 +30,88 @@ use nachos::{FaultKind, FaultPlan, FaultSpec};
 /// filter matching no workload, an unknown poison target, an unknown
 /// variant label, or an empty variant list.
 pub fn resolve(spec: &MatrixSpec) -> Result<(Vec<SweepJob>, SweepConfig), String> {
-    // Filter the specs by name before generating: generation is seeded
-    // by name and path alone, so a one-workload spec generates one
-    // region, not 27, and gets the same job `suite_jobs` would.
-    let mut specs = nachos_workloads::all();
-    if let Some(f) = &spec.filter {
-        specs.retain(|s| s.name.contains(f.as_str()));
-        if specs.is_empty() {
-            return Err(format!("--filter {f:?} matches no workload"));
-        }
-    }
-    let mut jobs: Vec<SweepJob> = specs
-        .iter()
-        .map(|s| crate::job_for(&nachos_workloads::generate(s)))
-        .collect();
-    if let Some(name) = &spec.poison {
-        let Some(job) = jobs.iter_mut().find(|j| &j.name == name) else {
-            return Err(format!("--poison knows no workload {name:?}"));
-        };
-        job.fault = FaultPlan::single(FaultSpec::new(FaultKind::PanicOnEvent, 0));
-    }
-    let mut cfg = crate::suite_config(spec.invocations, spec.threads, false);
-    if let Some(labels) = &spec.variants {
-        let mut variants = Vec::new();
-        for label in labels.iter().map(|l| l.trim()).filter(|l| !l.is_empty()) {
-            match crate::variant_by_label(label) {
-                Some(v) => variants.push(v),
-                None => return Err(format!("--variants knows no label {label:?}")),
+    Matrix::plan(spec).map(Matrix::into_jobs)
+}
+
+/// A resolved matrix whose jobs are generated on demand, so that a
+/// shard worker generates only the jobs it is sent.
+#[derive(Debug)]
+pub struct Matrix {
+    /// The workloads the filter kept, in table order: job `i` is
+    /// generated from `specs[i]`.
+    specs: Vec<BenchSpec>,
+    /// The index of the poisoned job.
+    poison: Option<usize>,
+    /// The sweep configuration every job runs under.
+    pub cfg: SweepConfig,
+}
+
+impl Matrix {
+    /// Resolves every field of `spec` without generating a workload.
+    ///
+    /// # Errors
+    ///
+    /// As [`resolve`].
+    pub fn plan(spec: &MatrixSpec) -> Result<Matrix, String> {
+        // Generation is seeded by name and path alone, so a job
+        // generated from its spec alone is the one `suite_jobs` holds.
+        let mut specs = nachos_workloads::all();
+        if let Some(f) = &spec.filter {
+            specs.retain(|s| s.name.contains(f.as_str()));
+            if specs.is_empty() {
+                return Err(format!("--filter {f:?} matches no workload"));
             }
         }
-        if variants.is_empty() {
-            return Err("--variants requires at least one label".to_owned());
+        let poison = match &spec.poison {
+            Some(name) => match specs.iter().position(|s| s.name == name) {
+                Some(i) => Some(i),
+                None => return Err(format!("--poison knows no workload {name:?}")),
+            },
+            None => None,
+        };
+        let mut cfg = crate::suite_config(spec.invocations, spec.threads, false);
+        if let Some(labels) = &spec.variants {
+            let mut variants = Vec::new();
+            for label in labels.iter().map(|l| l.trim()).filter(|l| !l.is_empty()) {
+                match crate::variant_by_label(label) {
+                    Some(v) => variants.push(v),
+                    None => return Err(format!("--variants knows no label {label:?}")),
+                }
+            }
+            if variants.is_empty() {
+                return Err("--variants requires at least one label".to_owned());
+            }
+            cfg = cfg.with_variants(variants);
         }
-        cfg = cfg.with_variants(variants);
+        if spec.ideal && !cfg.variants.iter().any(|v| v.label == "ideal") {
+            cfg = cfg.with_ideal();
+        }
+        if spec.optimize {
+            cfg = cfg.with_optimize(true);
+        }
+        Ok(Matrix {
+            specs,
+            poison,
+            cfg: cfg.with_retries(spec.max_retries),
+        })
     }
-    if spec.ideal && !cfg.variants.iter().any(|v| v.label == "ideal") {
-        cfg = cfg.with_ideal();
+
+    /// Generates job `index`, or `None` past the last job.
+    #[must_use]
+    pub fn job(&self, index: usize) -> Option<SweepJob> {
+        let mut job = crate::job_for(&nachos_workloads::generate(self.specs.get(index)?));
+        if self.poison == Some(index) {
+            job.fault = FaultPlan::single(FaultSpec::new(FaultKind::PanicOnEvent, 0));
+        }
+        Some(job)
     }
-    if spec.optimize {
-        cfg = cfg.with_optimize(true);
+
+    /// Generates every job.
+    #[must_use]
+    pub fn into_jobs(self) -> (Vec<SweepJob>, SweepConfig) {
+        let jobs = (0..self.specs.len()).filter_map(|i| self.job(i)).collect();
+        (jobs, self.cfg)
     }
-    Ok((jobs, cfg.with_retries(spec.max_retries)))
 }
 
 /// Splits the raw comma-separated `--variants` value into the spec's
@@ -148,6 +190,22 @@ mod tests {
             resolve(&none).unwrap_err(),
             "--filter \"no-such-workload\" matches no workload"
         );
+    }
+
+    #[test]
+    fn a_plan_generates_each_job_on_demand() {
+        let spec = MatrixSpec {
+            filter: Some("gzip".to_owned()),
+            poison: Some("gzip".to_owned()),
+            ..MatrixSpec::default()
+        };
+        let plan = Matrix::plan(&spec).unwrap();
+        assert!(plan.job(1).is_none(), "one job past the filter");
+        let job = plan.job(0).unwrap();
+        assert!(!job.fault.is_empty(), "the poisoned job");
+        let (jobs, _) = plan.into_jobs();
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].name, job.name);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! codes follow the `--help` table. One case runs the supervisor in
 //! process, with the bin as its worker, to inspect the cache it fills.
 
-use nachos::sweep::cache::ResultCache;
+use nachos::sweep::cache::{CacheLookup, ResultCache};
 use nachos::sweep::daemon::MatrixSpec;
 use nachos::sweep::journal::{RunRecord, JOURNAL_SCHEMA};
 use nachos::sweep::shard::{enumerate_cells, run_sweep_sharded, shard_dir, ShardConfig};
@@ -168,8 +168,9 @@ fn cache_serves_campaigns_and_heals_corrupt_entries() {
 
 /// Results reach the cache while the workers run. With nothing left
 /// for the inline pass, every cacheable cell's entry was promoted from a
-/// worker's acknowledged record, and its bytes are exactly the record
-/// the final report gives for that cell.
+/// worker's acknowledged record: the entry (a pack that may hold other
+/// cells' records too) holds, verbatim, the line of the record the final
+/// report gives for that cell, and a probe returns exactly that record.
 #[test]
 fn cache_entries_promoted_mid_campaign_match_the_report() {
     let dir = scratch("mid-campaign-cache");
@@ -191,7 +192,8 @@ fn cache_entries_promoted_mid_campaign_match_the_report() {
     .to_vec();
     let root = dir.join("cache");
     let mut scfg = ShardConfig::new(2, worker, dir.join("j.jsonl"));
-    scfg.cache = Some(ResultCache::open(&root).expect("cache"));
+    let cache = ResultCache::open(&root).expect("cache");
+    scfg.cache = Some(cache.clone());
     let (report, sweep_stats, stats) = run_sweep_sharded(&jobs, &cfg, &scfg).expect("campaign");
     assert_eq!(sweep_stats.executed, 0, "every cell came from a worker");
     let mut cacheable = 0;
@@ -217,9 +219,15 @@ fn cache_entries_promoted_mid_campaign_match_the_report() {
             variant: run.variant.clone(),
             outcome: run.to_record(),
         };
+        assert!(
+            read(&entry).contains(&rec.to_line()),
+            "{} [{}]",
+            job.name,
+            run.variant
+        );
         assert_eq!(
-            read(&entry),
-            rec.to_line(),
+            cache.lookup(c.key),
+            CacheLookup::Hit(Box::new(rec)),
             "{} [{}]",
             job.name,
             run.variant

@@ -540,13 +540,25 @@ pub fn run_sweep_journaled(
     cfg: &SweepConfig,
     journal: Option<&Journal>,
 ) -> (SweepResult, SweepStats) {
+    run_sweep_keyed(jobs, cfg, None, journal)
+}
+
+/// [`run_sweep_journaled`] over cells already keyed by
+/// [`shard::enumerate_cells`], when the caller has them; without them
+/// each pool thread keys its own jobs.
+fn run_sweep_keyed(
+    jobs: &[SweepJob],
+    cfg: &SweepConfig,
+    keyed: Option<&[Cell]>,
+    journal: Option<&Journal>,
+) -> (SweepResult, SweepStats) {
     let threads = effective_threads(cfg.threads, jobs.len());
     let next = &AtomicUsize::new(0);
     let mut slots: Vec<(usize, JobOutcome)> = Vec::with_capacity(jobs.len());
     let mut stats = SweepStats::default();
     thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
-            .map(|_| s.spawn(move || worker(jobs, cfg, journal, next)))
+            .map(|_| s.spawn(move || worker(jobs, cfg, keyed, journal, next)))
             .collect();
         for h in handles {
             match h.join() {
@@ -583,6 +595,7 @@ fn effective_threads(requested: usize, jobs: usize) -> usize {
 fn worker(
     jobs: &[SweepJob],
     cfg: &SweepConfig,
+    keyed: Option<&[Cell]>,
     journal: Option<&Journal>,
     next: &AtomicUsize,
 ) -> (Vec<(usize, JobOutcome)>, SweepStats) {
@@ -594,11 +607,19 @@ fn worker(
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(job) = jobs.get(i) else { break };
-        let cells = job_cells(i, job, cfg);
+        let n = cfg.variants.len();
+        let own;
+        let cells = match keyed {
+            Some(all) => &all[i * n..(i + 1) * n],
+            None => {
+                own = job_cells(i, job, cfg);
+                &own
+            }
+        };
         let mut strikes = 0;
         let outcome = loop {
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                run_job(job, cfg, &cells, journal, &mut arena, &mut stats)
+                run_job(job, cfg, cells, journal, &mut arena, &mut stats)
             }));
             match caught {
                 Ok(outcome) => break outcome,
@@ -615,7 +636,7 @@ fn worker(
                         let detail =
                             format!("quarantined after {strikes} job-level panics; last: {msg}");
                         let status = RunStatus::Quarantined;
-                        break unreferenced_job(job, cfg, &cells, |_| None, status, &detail);
+                        break unreferenced_job(job, cfg, cells, |_| None, status, &detail);
                     }
                 }
             }

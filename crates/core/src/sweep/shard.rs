@@ -610,16 +610,14 @@ struct Merge {
 }
 
 impl Merge {
-    /// Absorbs one group's accepted records in one group commit, then
-    /// promotes them into the cache.
-    fn absorb(&mut self, records: Vec<RunRecord>) -> io::Result<()> {
+    /// Absorbs a batch of accepted records in one journal group commit,
+    /// then promotes the new ones into the cache in one store: every
+    /// record's journal line is on disk before its cache entry is linked.
+    fn absorb(&mut self, mut records: Vec<RunRecord>) -> io::Result<()> {
         self.received += self.journal.absorb_all(&records)?;
         if let Some(cache) = &self.cache {
-            for rec in &records {
-                if self.promoted.insert(rec.key.0) && matches!(cache.store(rec), Ok(true)) {
-                    self.stored += 1;
-                }
-            }
+            records.retain(|rec| self.promoted.insert(rec.key.0));
+            self.stored += cache.store_all(&records).unwrap_or(0);
         }
         Ok(())
     }
@@ -694,8 +692,11 @@ pub fn run_sweep_sharded(
         .copied()
         .collect();
     let (to_merge, merging) = mpsc::channel::<Vec<RunRecord>>();
+    // Each commit takes every group acked since the last one, so the
+    // slower the disk, the fewer the fsyncs.
     let merger = std::thread::spawn(move || {
-        for records in merging {
+        while let Ok(mut records) = merging.recv() {
+            records.extend(merging.try_iter().flatten());
             merge.absorb(records)?;
         }
         Ok::<_, io::Error>(merge)
@@ -865,24 +866,29 @@ pub fn run_sweep_sharded(
     // Final pass: replay everything received and execute anything left
     // inline, exactly as a single-process run would: byte-identity is
     // structural, not a merge-ordering accident.
-    let (result, sweep_stats) = super::run_sweep_journaled(jobs, cfg, Some(&merge.journal));
+    // The cells keep the keys enumerated above, so nothing is
+    // fingerprinted twice.
+    let (result, sweep_stats) =
+        super::run_sweep_keyed(jobs, cfg, Some(&cells), Some(&merge.journal));
 
-    // Promote what the workers did not: cells run inline by the final
-    // pass, and records the merged journal already held on resume.
+    // Promote what the workers did not, in one store: cells run inline
+    // by the final pass, and records the merged journal already held on
+    // resume.
     if let Some(cache) = &merge.cache {
-        for c in cells.iter().filter(|c| !merge.promoted.contains(&c.key.0)) {
-            let job = &result.jobs[c.job];
-            let run = &job.runs[c.variant];
-            let rec = RunRecord {
-                key: c.key,
-                job: job.name.clone(),
-                variant: run.variant.clone(),
-                outcome: run.to_record(),
-            };
-            if matches!(cache.store(&rec), Ok(true)) {
-                stats.cache.stored += 1;
-            }
-        }
+        let unpromoted = cells.iter().filter(|c| !merge.promoted.contains(&c.key.0));
+        let records: Vec<RunRecord> = unpromoted
+            .map(|c| {
+                let job = &result.jobs[c.job];
+                let run = &job.runs[c.variant];
+                RunRecord {
+                    key: c.key,
+                    job: job.name.clone(),
+                    variant: run.variant.clone(),
+                    outcome: run.to_record(),
+                }
+            })
+            .collect();
+        stats.cache.stored += cache.store_all(&records).unwrap_or(0);
     }
     Ok((result, sweep_stats, stats))
 }
@@ -911,15 +917,16 @@ pub struct WorkerSummary {
 /// (stdin), runs each batch that follows through the in-process job
 /// runner, and writes to `out` (stdout) a `start` line before each cell
 /// it runs and the cell's framed run record after it, an `alive` line
-/// every 200 ms and one ack per settled batch, after its records. `jobs`
-/// and `cfg` must match the supervisor's: every dispatched cell is
-/// checked against them.
+/// every 200 ms and one ack per settled batch, after its records.
+/// `job(i)` builds job `i` (`None` past the last), so only the jobs a
+/// batch names are ever built; the jobs and `cfg` must match the
+/// supervisor's: every dispatched cell is checked against them.
 ///
 /// # Errors
 ///
 /// Returns `InvalidData` for a missing or malformed dispatch header.
 pub fn run_shard_worker<R, W>(
-    jobs: &[SweepJob],
+    job: impl Fn(usize) -> Option<SweepJob>,
     cfg: &SweepConfig,
     input: R,
     out: W,
@@ -996,11 +1003,11 @@ where
             for (ji, mut group) in by_job {
                 // Only cells identical to one of the worker's own — job,
                 // variant and key — run; the rest are protocol errors.
-                let Some(job) = jobs.get(ji) else {
+                let Some(job) = job(ji) else {
                     summary.protocol_errors += group.len();
                     continue;
                 };
-                let own = job_cells(ji, job, &cfg);
+                let own = job_cells(ji, &job, &cfg);
                 let dispatched = group.len();
                 group.retain(|c| own.contains(c));
                 summary.protocol_errors += dispatched - group.len();
@@ -1019,7 +1026,7 @@ where
                     }
                     Ok::<(), io::Error>(())
                 };
-                let outcome = run_cells(job, &cfg, &group, &mut arena, |_| None, before, record);
+                let outcome = run_cells(&job, &cfg, &group, &mut arena, |_| None, before, record);
                 let cancelled = outcome.map_or(true, |o| {
                     o.runs.iter().any(|r| r.status == RunStatus::Cancelled)
                 });
@@ -1386,7 +1393,8 @@ mod tests {
         }
         input.push_str(END_LINE);
         let mut out = Vec::new();
-        let summary = run_shard_worker(&jobs, &cfg, held_open(input), &mut out).unwrap();
+        let summary =
+            run_shard_worker(|i| jobs.get(i).cloned(), &cfg, held_open(input), &mut out).unwrap();
         assert_eq!(summary.executed, cells.len());
         assert_eq!(summary.protocol_errors, 0);
         assert!(!summary.cancelled);
@@ -1470,7 +1478,8 @@ mod tests {
         ]));
         input.push_str(END_LINE);
         let mut out = Vec::new();
-        let summary = run_shard_worker(&jobs, &cfg, held_open(input), &mut out).unwrap();
+        let summary =
+            run_shard_worker(|i| jobs.get(i).cloned(), &cfg, held_open(input), &mut out).unwrap();
         assert_eq!(summary.executed, 0);
         assert_eq!(summary.protocol_errors, 3);
         assert_eq!(acks(&out), [WorkerLine::Ack(1)], "the batch is still acked");
@@ -1485,7 +1494,8 @@ mod tests {
         // An oversized or non-UTF-8 header is refused outright.
         for header in [format!("{huge}\n").into_bytes(), vec![0xff, b'\n']] {
             let input = io::Cursor::new(header);
-            let err = run_shard_worker(&jobs, &cfg, input, io::sink()).unwrap_err();
+            let err =
+                run_shard_worker(|i| jobs.get(i).cloned(), &cfg, input, io::sink()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
         // An oversized or non-UTF-8 batch line is one protocol error
@@ -1495,7 +1505,8 @@ mod tests {
         input.extend(batch_line(&cells).bytes());
         input.extend(END_LINE.bytes());
         let mut out = Vec::new();
-        let summary = run_shard_worker(&jobs, &cfg, held_open(input), &mut out).unwrap();
+        let summary =
+            run_shard_worker(|i| jobs.get(i).cloned(), &cfg, held_open(input), &mut out).unwrap();
         assert_eq!(summary.protocol_errors, 2);
         assert_eq!(summary.executed, cells.len());
         assert_eq!(acks(&out).len(), 3);
@@ -1508,14 +1519,14 @@ mod tests {
         let cells = enumerate_cells(&jobs, &cfg);
         // The supervisor died before its first batch: nothing runs.
         let input = io::Cursor::new(header_line(0));
-        let summary = run_shard_worker(&jobs, &cfg, input, io::sink()).unwrap();
+        let summary = run_shard_worker(|i| jobs.get(i).cloned(), &cfg, input, io::sink()).unwrap();
         assert!(summary.cancelled);
         assert_eq!(summary.executed, 0);
         // It died after one: the worker winds down, and whatever ran
         // before the cancel landed is written and nothing more.
         let input = io::Cursor::new(header_line(0) + &batch_line(&cells));
         let mut out = Vec::new();
-        let summary = run_shard_worker(&jobs, &cfg, input, &mut out).unwrap();
+        let summary = run_shard_worker(|i| jobs.get(i).cloned(), &cfg, input, &mut out).unwrap();
         assert!(summary.cancelled);
         let records = lines(&out).iter().filter(|(_, key)| key.is_some()).count();
         assert_eq!(records, summary.executed);

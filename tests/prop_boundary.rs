@@ -441,9 +441,14 @@ fn check_shard_worker(jobs: &[SweepJob], cfg: &SweepConfig, stdin: Vec<u8>, vali
     let input = std::io::Cursor::new(stdin);
     let mut out = Vec::new();
     let outcome = if intact {
-        run_shard_worker(jobs, cfg, input.chain(HoldOpen), &mut out)
+        run_shard_worker(
+            |i| jobs.get(i).cloned(),
+            cfg,
+            input.chain(HoldOpen),
+            &mut out,
+        )
     } else {
-        run_shard_worker(jobs, cfg, input, &mut out)
+        run_shard_worker(|i| jobs.get(i).cloned(), cfg, input, &mut out)
     };
     // Every line is an ack, a beat or a record. Acks count the worker's
     // batches in order, one line each.
